@@ -15,12 +15,24 @@ upper bounds
     2*dim + 1; 2*cat - 1 when the category is stored; for product spaces
     the factor bounds combined as  sum - (k - 1);  and the rule count of
     an explicitly constructed planner when the caller provides one.
+
+Product-like spaces (products, ``torus:n`` as n circles, ``surface:1`` as
+two circles) get their factors' reports in one pass.  Over Q the
+zero-divisor cup-length is superadditive, zcl(A (x) B) >= zcl(A) + zcl(B):
+by Kuenneth, the product (z (x) 1)(1 (x) w) of nonzero zero-divisor
+products z and w is nonzero.  So the sum S of the factor cup-lengths is
+certified, and when S + 1 already meets the best upper bound the search in
+the product's tensor square is skipped: it could only return S again.
+
+The cohomology presets are built and validated once per process and then
+shared, together with their lazily filled product memos and tensor squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from operator import itemgetter
 
 from .graded_algebra import (
     GradedAlgebra,
@@ -139,14 +151,23 @@ def parse_spec(text: str) -> SpaceSpec:
 
 # -- cohomology presets --------------------------------------------------------
 
+# Presets are memoized per parameter; callers share the instances and must
+# not mutate them.
+_preset = lru_cache(maxsize=32)
 
+
+@_preset
 def point_algebra() -> GradedAlgebra:
-    return validate_algebra(
+    """H of a point: Q in degree 0, generated by nothing."""
+    algebra = validate_algebra(
         {"basis": [{"name": "1", "degree": 0}], "unit": "1", "products": []},
         name="H(point)",
     )
+    algebra.generators = ()
+    return algebra
 
 
+@_preset
 def sphere_algebra(n: int) -> GradedAlgebra:
     """H of the n-sphere: one generator u in degree n with u*u = 0."""
     algebra = validate_algebra(
@@ -165,6 +186,7 @@ def circle_algebra() -> GradedAlgebra:
     return sphere_algebra(1)
 
 
+@_preset
 def cpn_algebra(n: int) -> GradedAlgebra:
     """H of complex projective n-space: truncated polynomial ring on u, |u| = 2."""
     labels = ["1"] + [f"u^{k}" if k > 1 else "u" for k in range(1, n + 1)]
@@ -185,6 +207,7 @@ def cpn_algebra(n: int) -> GradedAlgebra:
     return algebra
 
 
+@_preset
 def surface_algebra(genus: int) -> GradedAlgebra:
     """H of a closed orientable surface of genus >= 2, as a symplectic system.
 
@@ -217,6 +240,7 @@ def kunneth(a: GradedAlgebra, b: GradedAlgebra) -> TensorProductAlgebra:
     return tensor_product(a, b)
 
 
+@_preset
 def torus_algebra(n: int) -> GradedAlgebra:
     """H of the n-torus as an iterated product of circle algebras."""
     if n == 1:
@@ -307,15 +331,13 @@ def catalog_space(spec: SpaceSpec | str) -> SpaceDescriptor:
     if spec.kind == "surface":
         g = spec.param
         if g == 0:
-            base = catalog_space(SpaceSpec("sphere", 2))
             return SpaceDescriptor(
-                spec, 2, base.algebra, contractible=False, cat=2,
+                spec, 2, sphere_algebra(2), contractible=False, cat=2,
                 known_tc=3, known_tc_provenance="genus-0 surface is a 2-sphere",
             )
         if g == 1:
-            base = catalog_space(SpaceSpec("torus", 2))
             return SpaceDescriptor(
-                spec, 2, base.algebra, contractible=False, cat=3,
+                spec, 2, torus_algebra(2), contractible=False, cat=3,
                 known_tc=3, known_tc_provenance="genus-1 surface is a 2-torus",
             )
         return SpaceDescriptor(
@@ -411,55 +433,57 @@ def _zdcl_length(descriptor: SpaceDescriptor) -> int:
     ).length
 
 
-def _upper_candidates(
-    descriptor: SpaceDescriptor, rule_count: int | None
-) -> list[tuple[int, str]]:
-    candidates: list[tuple[int, str]] = []
-    if rule_count is not None:
-        candidates.append((rule_count, "planner rule count"))
-
-    spec = descriptor.spec
-    factor_specs: tuple[SpaceSpec, ...] | None = None
+def _factor_specs(spec: SpaceSpec) -> tuple[SpaceSpec, ...]:
+    """Factors of a product-like space; empty for every other space."""
     if spec.kind == "product":
-        factor_specs = spec.factors
-    elif spec.kind == "torus" and spec.param >= 2:
-        factor_specs = tuple(SpaceSpec("circle") for _ in range(spec.param))
-    elif spec.kind == "surface" and spec.param == 1:
-        factor_specs = (SpaceSpec("circle"), SpaceSpec("circle"))
-    if factor_specs:
-        total = 0
-        for f in factor_specs:
-            total += _tc_bounds(catalog_space(f), planner_rule_count(f)).upper
-        candidates.append((total - (len(factor_specs) - 1), "product inequality"))
+        return spec.factors
+    if spec.kind == "torus" and spec.param >= 2:
+        return tuple(SpaceSpec("circle") for _ in range(spec.param))
+    if spec.kind == "surface" and spec.param == 1:
+        return (SpaceSpec("circle"), SpaceSpec("circle"))
+    return ()
 
-    candidates.append((2 * descriptor.geometry_dim + 1, "dimension bound"))
+
+def _tc_bounds(
+    descriptor: SpaceDescriptor, rule_count: int | None, full_search: bool = False
+) -> tuple[BoundsReport, int]:
+    """The bounds report and the zero-divisor cup-length behind it.
+
+    ``full_search`` forces the cup-length search of every product-like space
+    instead of taking the factor sum when that already closes the bracket.
+    """
+    factor_specs = _factor_specs(descriptor.spec)
+    factors = [
+        _tc_bounds(catalog_space(f), planner_rule_count(f), full_search)
+        for f in factor_specs
+    ]
+
+    uppers: list[tuple[int, str]] = []
+    if rule_count is not None:
+        uppers.append((rule_count, "planner rule count"))
+    if factors:
+        total = sum(report.upper for report, _ in factors)
+        uppers.append((total - (len(factors) - 1), "product inequality"))
+    uppers.append((2 * descriptor.geometry_dim + 1, "dimension bound"))
     if descriptor.cat is not None:
-        candidates.append((2 * descriptor.cat - 1, "category bound"))
-    return candidates
+        uppers.append((2 * descriptor.cat - 1, "category bound"))
+    upper, upper_why = min(uppers, key=itemgetter(0))  # first of equals wins
 
+    cup_length = sum(length for _, length in factors)
+    if full_search or not factors or cup_length + 1 != upper:
+        cup_length = _zdcl_length(descriptor)
 
-def _tc_bounds(descriptor: SpaceDescriptor, rule_count: int | None) -> BoundsReport:
-    lower_candidates: list[tuple[int, str]] = []
+    lowers: list[tuple[int, str]] = []
     if descriptor.contractible:
-        lower_candidates.append((1, "contractible"))
-    lower_candidates.append((_zdcl_length(descriptor) + 1, "cup-length lower bound"))
+        lowers.append((1, "contractible"))
+    lowers.append((cup_length + 1, "cup-length lower bound"))
     if descriptor.cat is not None:
-        lower_candidates.append((descriptor.cat, "category lower bound"))
+        lowers.append((descriptor.cat, "category lower bound"))
     if not descriptor.contractible:
-        lower_candidates.append((2, "non-contractible"))
+        lowers.append((2, "non-contractible"))
+    lower, lower_why = max(lowers, key=itemgetter(0))
 
-    lower, lower_why = lower_candidates[0]
-    for value, why in lower_candidates[1:]:
-        if value > lower:
-            lower, lower_why = value, why
-
-    uppers = _upper_candidates(descriptor, rule_count)
-    upper, upper_why = uppers[0]
-    for value, why in uppers[1:]:
-        if value < upper:
-            upper, upper_why = value, why
-
-    return BoundsReport(
+    report = BoundsReport(
         space=str(descriptor.spec),
         lower=lower,
         upper=upper,
@@ -467,6 +491,7 @@ def _tc_bounds(descriptor: SpaceDescriptor, rule_count: int | None) -> BoundsRep
         upper_provenance=upper_why,
         exact=lower == upper,
     )
+    return report, cup_length
 
 
 def tc_bounds(
@@ -478,4 +503,4 @@ def tc_bounds(
     constructed planner; product factors contribute their own known rule
     counts when the product inequality is applied recursively.
     """
-    return _tc_bounds(descriptor, planner_rule_count)
+    return _tc_bounds(descriptor, planner_rule_count)[0]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .catalog import (
@@ -55,27 +56,53 @@ def _fail(message: str) -> int:
 
 
 def _load_algebra(path: str):
+    """The validated algebra of a presentation file, and the file's raw data."""
     with open(path) as fh:
         data = json.load(fh)
-    return validate_algebra(data, name=data.get("name", path))
+    name = data.get("name", path) if isinstance(data, dict) else path
+    return validate_algebra(data, name=name), data
+
+
+def _parse_floats(text: str, what: str) -> list[float]:
+    """Comma-separated finite numbers, such as a point's coordinates."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ValueError(f"bad {what} in {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"non-finite {what} in {text!r}")
+    return values
 
 
 def _parse_point(text: str, geometry):
-    try:
-        coords = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise InvalidPoint(f"bad coordinate in {text!r}: {exc}") from exc
-    return make_point(geometry, coords, renormalize=True)
+    return make_point(geometry, _parse_floats(text, "coordinate"), renormalize=True)
 
 
 def cmd_bounds(args) -> int:
     if bool(args.spec) == bool(args.file):
         return _fail("bounds needs exactly one of a space spec or --file")
     if args.file:
-        algebra = _load_algebra(args.file)
-        result = zdcl(algebra, mode="canonical")
-        lower = result.length + 1
-        upper = 2 * algebra.top_degree + 1
+        algebra, data = _load_algebra(args.file)
+        dim = data.get("dim")
+        if dim is not None and (
+            not isinstance(dim, int) or isinstance(dim, bool) or dim < algebra.top_degree
+        ):
+            return _fail(
+                f"'dim' must be an integer >= the top degree {algebra.top_degree}, got {dim!r}"
+            )
+        lower = zdcl(algebra, mode="canonical").length + 1
+        if dim is None:
+            # An inferred dimension certifies nothing: H(point) is also H(RP^2; Q).
+            upper = 2 * algebra.top_degree + 1
+            exact = False
+            note = (
+                "dimension inferred from the algebra's top degree; the upper bound "
+                "holds only if the space has that dimension"
+            )
+        else:
+            upper = 2 * dim + 1
+            exact = lower == upper
+            note = "dimension given by the file's 'dim' field"
         _emit(
             {
                 "space": f"algebra:{algebra.name}",
@@ -83,8 +110,8 @@ def cmd_bounds(args) -> int:
                 "upper": upper,
                 "lower_provenance": "cup-length lower bound",
                 "upper_provenance": "dimension bound",
-                "exact": lower == upper,
-                "note": "dimension inferred from the algebra's top degree",
+                "exact": exact,
+                "note": note,
             }
         )
         return 0
@@ -106,7 +133,7 @@ def cmd_plan(args) -> int:
 
     joints = None
     if args.kinematics is not None:
-        lengths = [float(tok) for tok in args.kinematics.split(",") if tok.strip() != ""]
+        lengths = _parse_floats(args.kinematics, "bar length")
         joints = [
             [j.tolist() for j in forward_kinematics(point, lengths)]
             for _, point in samples
@@ -169,7 +196,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_algebra(args) -> int:
-    algebra = _load_algebra(args.file)
+    algebra, _ = _load_algebra(args.file)
     mode = "exhaustive" if args.exhaustive else "canonical"
     result = zdcl(algebra, mode=mode, max_len=args.max_len)
     _emit(

@@ -25,6 +25,7 @@ for unrestricted concurrent use.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -289,6 +290,27 @@ def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
 
 # -- presentations ----------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _field(entry, key: str, kind: type = object, default=_REQUIRED):
+    """``entry[key]`` of raw presentation data, checked to be a ``kind``.
+
+    Malformed data (an entry that is not a mapping, a missing required key,
+    a value of the wrong type) raises AlgebraError, never KeyError or
+    TypeError.
+    """
+    if not isinstance(entry, Mapping):
+        raise AlgebraError(f"presentation entry {reprlib.repr(entry)} is not a mapping")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise AlgebraError(f"presentation entry {reprlib.repr(entry)} has no {key!r} field")
+        return default
+    value = entry[key]
+    if not isinstance(value, kind):
+        raise AlgebraError(f"field {key!r} of {reprlib.repr(entry)} must be a {kind.__name__}")
+    return value
+
 
 def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAlgebra:
     """Build a GradedAlgebra from raw presentation data, checking every invariant.
@@ -307,13 +329,15 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
     * if only one of ``(a, b)`` / ``(b, a)`` is given, the other is filled
       in through the sign rule; if both are given they must agree with it.
     """
-    basis_raw = presentation.get("basis")
+    if not isinstance(presentation, Mapping):
+        raise AlgebraError(f"presentation must be a mapping, got {type(presentation).__name__}")
+    basis_raw = _field(presentation, "basis", list, default=None)
     if not basis_raw:
         raise AlgebraError("presentation has no basis")
     basis: list[tuple[str, int]] = []
     seen = set()
     for entry in basis_raw:
-        label, deg = entry["name"], entry["degree"]
+        label, deg = _field(entry, "name", str), _field(entry, "degree")
         if not isinstance(deg, int) or deg < 0:
             raise GradingViolation(f"basis element {label!r} has bad degree {deg!r}")
         if label in seen:
@@ -324,22 +348,25 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
 
     unit = presentation.get("unit")
     zero_degree = [l for l, d in basis if d == 0]
-    if unit not in degree or degree.get(unit) != 0 or zero_degree != [unit]:
+    if not isinstance(unit, str) or degree.get(unit) != 0 or zero_degree != [unit]:
         raise UnitMissing(
             f"need exactly one degree-0 basis element equal to the unit, "
             f"got unit={unit!r} and degree-0 elements {zero_degree}"
         )
 
     given: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for entry in presentation.get("products", []):
-        left, right = entry["left"], entry["right"]
+    for entry in _field(presentation, "products", list, default=[]):
+        left, right = _field(entry, "left", str), _field(entry, "right", str)
         if left not in degree or right not in degree:
             raise AlgebraError(f"product entry ({left!r}, {right!r}) uses unknown labels")
         key = (left, right)
         if key in given:
             raise AlgebraError(f"duplicate product entry for ({left!r}, {right!r})")
         given[key] = _clean(
-            {t["name"]: parse_rational(t["coeff"]) for t in entry.get("result", [])}
+            {
+                _field(t, "name", str): parse_rational(_field(t, "coeff"))
+                for t in _field(entry, "result", list, default=[])
+            }
         )
         for term in given[key]:
             if term not in degree:

@@ -63,6 +63,9 @@ class VerifyConfig:
     speed_checks: int = 200
 
     def __post_init__(self):
+        for name in ("delta", "margin_eta", "tolerance", "max_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"bad verify config: {name} must be finite")
         if self.pairs < 1 or self.delta <= 0 or not (0 <= self.margin_eta < 1):
             raise ValueError("bad verify config")
         if self.tolerance <= 0 or self.samples_per_path < 2:

@@ -1,17 +1,24 @@
+import itertools
+
 import pytest
 
+from tcplan import catalog
 from tcplan.catalog import (
     BadSpec,
     UnsupportedParameter,
     catalog_space,
     circle_algebra,
+    cpn_algebra,
     kunneth,
     parse_spec,
     planner_rule_count,
     point_algebra,
     sphere_algebra,
+    surface_algebra,
     tc_bounds,
+    torus_algebra,
 )
+from tcplan.graded_algebra import GradedAlgebra
 
 
 # -- parser -----------------------------------------------------------------
@@ -207,3 +214,102 @@ def test_rule_count_formulae():
     assert planner_rule_count("product(sphere:2,sphere:2,sphere:2)") == 7
     assert planner_rule_count("surface:2") is None
     assert planner_rule_count("cpn:3") is None
+
+
+# -- factor-wise cup-length and shared presets -------------------------------
+
+LEAVES = (
+    ["circle"]
+    + [f"sphere:{n}" for n in range(1, 7)]
+    + [f"torus:{n}" for n in range(2, 7)]
+    + [f"surface:{g}" for g in range(8)]
+    + [f"cpn:{n}" for n in range(1, 6)]
+    + [f"convex:{n}" for n in range(1, 4)]
+)
+
+
+def small_specs(max_rank=8):
+    """Every leaf and every ordered pair of leaves of total Betti rank <= max_rank."""
+    rank = {leaf: catalog_space(leaf).algebra.dim for leaf in LEAVES}
+    small = [leaf for leaf in LEAVES if rank[leaf] <= max_rank]
+    pairs = [
+        f"product({a},{b})"
+        for a, b in itertools.product(small, repeat=2)
+        if rank[a] * rank[b] <= max_rank
+    ]
+    return small + pairs
+
+
+def test_factor_sum_shortcut_matches_full_search():
+    specs = small_specs()
+    assert len(specs) > 200
+    for spec in specs:
+        descriptor, count = catalog_space(spec), planner_rule_count(spec)
+        full, full_length = catalog._tc_bounds(descriptor, count, full_search=True)
+        fast, fast_length = catalog._tc_bounds(descriptor, count)
+        assert fast == full, spec
+        if fast.exact:
+            assert fast_length == full_length, spec
+
+
+def test_presets_built_and_validated_once(monkeypatch):
+    for preset in (point_algebra, sphere_algebra, cpn_algebra, surface_algebra, torus_algebra):
+        preset.cache_clear()
+    validated = []
+    validate = GradedAlgebra.validate
+
+    def counting_validate(self):
+        validated.append(self.name)
+        return validate(self)
+
+    monkeypatch.setattr(GradedAlgebra, "validate", counting_validate)
+    specs = ["convex:2", "convex:3", "circle", "sphere:1", "sphere:4", "surface:0",
+             "surface:1", "surface:3", "cpn:2", "torus:3"]
+    first = [catalog_space(spec).algebra for spec in specs]
+    for spec in ["product(sphere:4,cpn:2)", "product(torus:3,convex:2)", "surface:3"]:
+        tc_bounds(catalog_space(spec), planner_rule_count(spec))
+    second = [catalog_space(spec).algebra for spec in specs]
+    assert all(a is b for a, b in zip(first, second))
+    assert sorted(validated) == sorted(
+        ["H(point)", "H(S^1)", "H(S^2)", "H(S^4)", "H(Sigma_3)", "H(CP^2)"]
+    )
+
+
+def test_contractible_factor_adds_no_generators(monkeypatch):
+    searched = []
+    zdcl = catalog.zdcl
+
+    def recording_zdcl(algebra, **kwargs):
+        searched.append((algebra, kwargs["generators"]))
+        return zdcl(algebra, **kwargs)
+
+    monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
+    spec = "product(torus:2,convex:1)"
+    descriptor, count = catalog_space(spec), planner_rule_count(spec)
+    assert len(descriptor.algebra.generators) == 2
+
+    full, _ = catalog._tc_bounds(descriptor, count, full_search=True)
+    algebra, generators = searched[-1]
+    assert algebra is descriptor.algebra
+    assert len(generators) == 2
+    torus = tc_bounds(catalog_space("torus:2"), planner_rule_count("torus:2"))
+    assert (full.lower, full.upper) == (torus.lower, torus.upper)
+
+    searched.clear()
+    assert tc_bounds(descriptor, count) == full
+    assert all(algebra is not descriptor.algebra for algebra, _ in searched)
+
+
+def test_open_bracket_still_searches_the_product(monkeypatch):
+    searched = []
+    zdcl = catalog.zdcl
+
+    def recording_zdcl(algebra, **kwargs):
+        searched.append(algebra)
+        return zdcl(algebra, **kwargs)
+
+    monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
+    descriptor = catalog_space("product(cpn:1,convex:1)")
+    report = tc_bounds(descriptor)
+    assert (report.lower, report.upper, report.exact) == (3, 5, False)
+    assert searched[-1] is descriptor.algebra

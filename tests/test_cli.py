@@ -217,6 +217,94 @@ def test_bounds_from_algebra_file(capsys, algebra_file):
     assert "note" in payload
 
 
+def test_bounds_file_without_dim_is_not_exact(capsys, algebra_file):
+    # H(point) is also the rational cohomology of RP^2, whose TC is 4.
+    path = algebra_file(catalog_space("convex:1").algebra, "pt")
+    code, out, _ = run(capsys, "bounds", "--file", path)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["lower"], payload["upper"], payload["exact"]) == (1, 1, False)
+    assert "only if" in payload["note"]
+
+
+def test_bounds_file_with_dim(capsys, tmp_path):
+    presentation = algebra_to_presentation(catalog_space("surface:2").algebra)
+    path = tmp_path / "sigma2.json"
+    path.write_text(json.dumps({**presentation, "dim": 2}))
+    code, out, _ = run(capsys, "bounds", "--file", str(path))
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["lower"], payload["upper"], payload["exact"]) == (5, 5, True)
+
+    path.write_text(json.dumps({**presentation, "dim": 3}))
+    payload = json.loads(run(capsys, "bounds", "--file", str(path))[1])
+    assert (payload["lower"], payload["upper"], payload["exact"]) == (5, 7, False)
+
+
+@pytest.mark.parametrize("dim", [1, -2, "2", 2.0, True])
+def test_bounds_file_bad_dim_is_exit_2(capsys, tmp_path, dim):
+    presentation = algebra_to_presentation(catalog_space("surface:2").algebra)
+    path = tmp_path / "bad_dim.json"
+    path.write_text(json.dumps({**presentation, "dim": dim}))
+    code, out, err = run(capsys, "bounds", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert "dim" in err
+
+
+def test_algebra_file_top_level_list_is_exit_2(capsys, tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([{"name": "1", "degree": 0}]))
+    for command in ("algebra", "bounds"):
+        code, out, err = run(capsys, command, "--file", str(bad))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "mapping" in err
+
+
+S2_WITH_U2 = {
+    "basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 2},
+              {"name": "w", "degree": 4}],
+    "unit": "1",
+    "products": [{"left": "u", "right": "u", "result": [{"name": "w", "coeff": "1"}]}],
+}
+
+
+@pytest.mark.parametrize(
+    "key,drop",
+    [
+        ("degree", lambda p: p["basis"][1].pop("degree")),
+        ("right", lambda p: p["products"][0].pop("right")),
+        ("coeff", lambda p: p["products"][0]["result"][0].pop("coeff")),
+    ],
+)
+def test_algebra_file_missing_key_is_exit_2(capsys, tmp_path, key, drop):
+    presentation = json.loads(json.dumps(S2_WITH_U2))
+    drop(presentation)
+    bad = tmp_path / f"no_{key}.json"
+    bad.write_text(json.dumps(presentation))
+    code, out, err = run(capsys, "algebra", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("point", ["nan,0,1", "0,inf,1", "0,0,-inf"])
+def test_plan_rejects_non_finite_point(capsys, point):
+    for argv in (["--from", point, "--to", "0,0,1"], ["--from", "0,0,1", "--to", point]):
+        code, out, err = run(capsys, "plan", "sphere:2", *argv)
+        assert (code, out) == (2, "")
+        assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--tol", "inf"], ["--tol", "nan"], ["--delta", "nan"], ["--delta", "inf"],
+     ["--delta=-1e-4"]],
+)
+def test_verify_rejects_non_finite_or_non_positive_config(capsys, flags):
+    code, out, err = run(capsys, "verify", "circle", "--pairs", "10", *flags)
+    assert (code, out) == (2, "")
+    assert "verify config" in err
+
+
 def test_quiet_flag_accepted_everywhere(capsys):
     assert run(capsys, "bounds", "circle", "--quiet")[0] == 0
     assert run(capsys, "plan", "circle", "--from", "1,0", "--to", "0,1", "--quiet")[0] == 0
