@@ -24,14 +24,15 @@ products z and w is nonzero.  So the sum S of the factor cup-lengths is
 certified, and when S + 1 already meets the best upper bound the search in
 the product's tensor square is skipped: it could only return S again.
 
-The cohomology presets are built and validated once per process and then
-shared, together with their lazily filled product memos and tensor squares.
+The cohomology presets of dimension at most 32 are built and validated once
+per process and then shared, together with their lazily filled product
+memos and tensor squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from operator import itemgetter
 
 from .graded_algebra import (
@@ -151,12 +152,31 @@ def parse_spec(text: str) -> SpaceSpec:
 
 # -- cohomology presets --------------------------------------------------------
 
-# Presets are memoized per parameter; callers share the instances and must
-# not mutate them.
-_preset = lru_cache(maxsize=32)
+# Presets of dimension at most _PRESET_CACHE_MAX_DIM are memoized per
+# parameter; callers share those instances and must not mutate them.  Larger
+# presets are rebuilt on each call, so a process that once asks for, say,
+# torus:10 does not keep it, its product memo and its tensor square alive.
+_PRESET_CACHE_MAX_DIM = 32
 
 
-@_preset
+def _preset(dim_of):
+    """Memoize a preset builder for the parameters where ``dim_of`` is small."""
+
+    def wrap(builder):
+        cached = lru_cache(maxsize=32)(builder)
+
+        @wraps(builder)
+        def build(*args):
+            small = dim_of(*args) <= _PRESET_CACHE_MAX_DIM
+            return (cached if small else builder)(*args)
+
+        build.cache_clear = cached.cache_clear
+        return build
+
+    return wrap
+
+
+@_preset(lambda: 1)
 def point_algebra() -> GradedAlgebra:
     """H of a point: Q in degree 0, generated by nothing."""
     algebra = validate_algebra(
@@ -167,7 +187,7 @@ def point_algebra() -> GradedAlgebra:
     return algebra
 
 
-@_preset
+@_preset(lambda n: 2)
 def sphere_algebra(n: int) -> GradedAlgebra:
     """H of the n-sphere: one generator u in degree n with u*u = 0."""
     algebra = validate_algebra(
@@ -186,7 +206,7 @@ def circle_algebra() -> GradedAlgebra:
     return sphere_algebra(1)
 
 
-@_preset
+@_preset(lambda n: n + 1)
 def cpn_algebra(n: int) -> GradedAlgebra:
     """H of complex projective n-space: truncated polynomial ring on u, |u| = 2."""
     labels = ["1"] + [f"u^{k}" if k > 1 else "u" for k in range(1, n + 1)]
@@ -207,7 +227,7 @@ def cpn_algebra(n: int) -> GradedAlgebra:
     return algebra
 
 
-@_preset
+@_preset(lambda genus: 2 * genus + 2)
 def surface_algebra(genus: int) -> GradedAlgebra:
     """H of a closed orientable surface of genus >= 2, as a symplectic system.
 
@@ -240,7 +260,7 @@ def kunneth(a: GradedAlgebra, b: GradedAlgebra) -> TensorProductAlgebra:
     return tensor_product(a, b)
 
 
-@_preset
+@_preset(lambda n: 2**n)
 def torus_algebra(n: int) -> GradedAlgebra:
     """H of the n-torus as an iterated product of circle algebras."""
     if n == 1:
@@ -424,12 +444,11 @@ class BoundsReport:
 
 def _zdcl_length(descriptor: SpaceDescriptor) -> int:
     algebra = descriptor.algebra
-    generators = algebra.generators or None
     return zdcl(
         algebra,
         mode="canonical",
         max_len=max(1, 2 * descriptor.geometry_dim),
-        generators=generators,
+        generators=algebra.generators,
     ).length
 
 
@@ -445,17 +464,12 @@ def _factor_specs(spec: SpaceSpec) -> tuple[SpaceSpec, ...]:
 
 
 def _tc_bounds(
-    descriptor: SpaceDescriptor, rule_count: int | None, full_search: bool = False
+    descriptor: SpaceDescriptor, rule_count: int | None
 ) -> tuple[BoundsReport, int]:
-    """The bounds report and the zero-divisor cup-length behind it.
-
-    ``full_search`` forces the cup-length search of every product-like space
-    instead of taking the factor sum when that already closes the bracket.
-    """
-    factor_specs = _factor_specs(descriptor.spec)
+    """The bounds report and the zero-divisor cup-length behind it."""
     factors = [
-        _tc_bounds(catalog_space(f), planner_rule_count(f), full_search)
-        for f in factor_specs
+        _tc_bounds(catalog_space(f), planner_rule_count(f))
+        for f in _factor_specs(descriptor.spec)
     ]
 
     uppers: list[tuple[int, str]] = []
@@ -470,7 +484,7 @@ def _tc_bounds(
     upper, upper_why = min(uppers, key=itemgetter(0))  # first of equals wins
 
     cup_length = sum(length for _, length in factors)
-    if full_search or not factors or cup_length + 1 != upper:
+    if not factors or cup_length + 1 != upper:
         cup_length = _zdcl_length(descriptor)
 
     lowers: list[tuple[int, str]] = []

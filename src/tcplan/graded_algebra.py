@@ -296,18 +296,18 @@ _REQUIRED = object()
 def _field(entry, key: str, kind: type = object, default=_REQUIRED):
     """``entry[key]`` of raw presentation data, checked to be a ``kind``.
 
-    Malformed data (an entry that is not a mapping, a missing required key,
-    a value of the wrong type) raises AlgebraError, never KeyError or
+    Malformed data (a presentation or entry that is not a mapping, a missing
+    required key, a value of the wrong type; a string is no ``Sequence``) raises AlgebraError, never KeyError or
     TypeError.
     """
     if not isinstance(entry, Mapping):
-        raise AlgebraError(f"presentation entry {reprlib.repr(entry)} is not a mapping")
+        raise AlgebraError(f"expected a mapping, got {reprlib.repr(entry)}")
     if key not in entry:
         if default is _REQUIRED:
             raise AlgebraError(f"presentation entry {reprlib.repr(entry)} has no {key!r} field")
         return default
     value = entry[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is Sequence and isinstance(value, (str, bytes))):
         raise AlgebraError(f"field {key!r} of {reprlib.repr(entry)} must be a {kind.__name__}")
     return value
 
@@ -329,9 +329,7 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
     * if only one of ``(a, b)`` / ``(b, a)`` is given, the other is filled
       in through the sign rule; if both are given they must agree with it.
     """
-    if not isinstance(presentation, Mapping):
-        raise AlgebraError(f"presentation must be a mapping, got {type(presentation).__name__}")
-    basis_raw = _field(presentation, "basis", list, default=None)
+    basis_raw = _field(presentation, "basis", Sequence, default=None)
     if not basis_raw:
         raise AlgebraError("presentation has no basis")
     basis: list[tuple[str, int]] = []
@@ -355,7 +353,7 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
         )
 
     given: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for entry in _field(presentation, "products", list, default=[]):
+    for entry in _field(presentation, "products", Sequence, default=[]):
         left, right = _field(entry, "left", str), _field(entry, "right", str)
         if left not in degree or right not in degree:
             raise AlgebraError(f"product entry ({left!r}, {right!r}) uses unknown labels")
@@ -365,7 +363,7 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
         given[key] = _clean(
             {
                 _field(t, "name", str): parse_rational(_field(t, "coeff"))
-                for t in _field(entry, "result", list, default=[])
+                for t in _field(entry, "result", Sequence, default=[])
             }
         )
         for term in given[key]:
@@ -643,7 +641,8 @@ def zdcl(
     """Search for the longest nonzero product of zero divisors of ``a``.
 
     canonical mode multiplies divisors ``1 (x) g - g (x) 1`` for ``g`` in
-    ``generators`` (default: every positive-degree basis label), with
+    ``generators`` (default: every positive-degree basis label; empty only
+    for an algebra concentrated in degree 0, whose length is 0), with
     repeated factors allowed: squares of canonical divisors are exactly what
     the even-sphere witnesses need.  exhaustive mode multiplies elements of
     the full kernel basis instead and serves as the desk-scale oracle.
@@ -660,9 +659,9 @@ def zdcl(
         raise AlgebraError(f"max_len must be >= 1, got {max_len}")
 
     if mode == "canonical":
-        if generators is not None and len(tuple(generators)) == 0:
-            raise EmptyGeneratorSet("canonical cup-length search needs generators")
         gens = tuple(generators) if generators is not None else a.positive_labels()
+        if not gens and a.positive_labels():
+            raise EmptyGeneratorSet("canonical cup-length search needs generators")
         for g in gens:
             if g not in a.degree:
                 raise AlgebraMismatch(f"generator {g!r} is not a basis label of {a.name}")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcplan.graded_algebra import (
+    AlgebraError,
     AlgebraMismatch,
     AssociativityViolation,
     CommutativityViolation,
@@ -78,6 +79,22 @@ def test_sphere_presentation_valid():
         }
     )
     assert algebra.top_degree == 4
+
+
+def test_presentation_built_from_tuples_is_valid():
+    algebra = validate_algebra(
+        {
+            "basis": ({"name": "1", "degree": 0}, {"name": "u", "degree": 2}),
+            "unit": "1",
+            "products": ({"left": "u", "right": "u", "result": ()},),
+        }
+    )
+    assert algebra.top_degree == 2
+
+
+def test_presentation_string_basis_rejected():
+    with pytest.raises(AlgebraError):
+        validate_algebra({"basis": "1u", "unit": "1"})
 
 
 def test_genus2_presentation_valid_with_sign_completion():
@@ -370,6 +387,12 @@ def test_canonical_never_beats_exhaustive(make, max_len):
 def test_zdcl_empty_generators_rejected():
     with pytest.raises(EmptyGeneratorSet):
         zdcl(sphere_algebra(2), mode="canonical", generators=())
+
+
+def test_zdcl_point_with_its_empty_generators_is_zero():
+    point = point_algebra()
+    assert point.generators == ()
+    assert zdcl(point, generators=point.generators).length == 0
 
 
 def test_zdcl_point_is_zero():
