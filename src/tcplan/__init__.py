@@ -41,6 +41,7 @@ from .graded_algebra import (
 from .geometry import ConfigPoint, Geometry, InvalidPoint, ParityError, PathFn, make_point
 from .planner_core import (
     CoverageGap,
+    Decision,
     DomainMiss,
     HomotopyEndpointMismatch,
     LengthMismatch,

@@ -135,6 +135,12 @@ def antipode(point: ConfigPoint) -> ConfigPoint:
 # -- metric -------------------------------------------------------------------
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D block: what np.linalg.norm computes for
+    one, sqrt(v . v), bit for bit, without its dispatch cost."""
+    return math.sqrt(v.dot(v))
+
+
 def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float:
     """Geodesic distance on a sphere factor, Euclidean on a convex factor.
 
@@ -142,7 +148,7 @@ def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float:
     configurations then produce bitwise-equal distances, which the product
     planner's argmax tie detection relies on.
     """
-    chord = float(np.linalg.norm(x - y))
+    chord = vector_norm(x - y)
     if factor.kind == "sphere":
         return 2.0 * math.asin(min(1.0, chord / 2.0))
     return chord
@@ -163,7 +169,7 @@ def random_point(geometry: Geometry, rng: np.random.Generator) -> ConfigPoint:
     for factor in geometry.factors:
         if factor.kind == "sphere":
             v = rng.standard_normal(factor.ambient)
-            v /= np.linalg.norm(v)
+            v /= vector_norm(v)
         else:
             v = rng.uniform(-1.0, 1.0, factor.ambient)
         v.setflags(write=False)
@@ -178,16 +184,16 @@ def tangent_perturb(point: ConfigPoint, delta: float, rng: np.random.Generator) 
         if factor.kind == "sphere":
             v = rng.standard_normal(factor.ambient)
             v -= np.dot(v, x) * x
-            norm = np.linalg.norm(v)
+            norm = vector_norm(v)
             if norm < 1e-12:
                 moved = x.copy()
             else:
                 v /= norm
                 moved = math.cos(delta) * x + math.sin(delta) * v
-                moved /= np.linalg.norm(moved)
+                moved /= vector_norm(moved)
         else:
             v = rng.standard_normal(factor.ambient)
-            norm = np.linalg.norm(v)
+            norm = vector_norm(v)
             moved = x + (delta / norm) * v if norm > 0 else x.copy()
         moved.setflags(write=False)
         parts.append(moved)
@@ -290,7 +296,7 @@ def _slerp_part(a: np.ndarray, b: np.ndarray) -> Callable[[float], np.ndarray]:
     if theta < _TINY_ANGLE:
         def nearly(t, a=a, b=b):
             v = (1.0 - t) * a + t * b
-            return v / np.linalg.norm(v)
+            return v / vector_norm(v)
         return nearly
 
     def arc(t, a=a, b=b, theta=theta, sin_theta=sin_theta):

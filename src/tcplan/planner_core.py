@@ -56,6 +56,7 @@ from .geometry import (
 
 __all__ = [
     "CoverageGap",
+    "Decision",
     "DomainMiss",
     "HomotopyEndpointMismatch",
     "LengthMismatch",
@@ -100,15 +101,12 @@ class PlannerRule:
     """One motion-planning rule: domain, section, partition-of-unity weight.
 
     ``weight`` maps a pair to [0, 1] and is positive exactly where the rule
-    applies; ``predicate`` is the induced domain test.  ``cell_signature``
-    (product planners only) names the tie cell the pair falls in, which a
-    verifier uses to perturb within a single continuity region.
+    applies; ``predicate`` is the induced domain test.
     """
 
     name: str
     weight: Callable[[ConfigPoint, ConfigPoint], float]
     section: Callable[[ConfigPoint, ConfigPoint], PathFn]
-    cell_signature: Callable[[ConfigPoint, ConfigPoint], object] | None = None
 
     def predicate(self, a: ConfigPoint, b: ConfigPoint) -> bool:
         return self.weight(a, b) > 0.0
@@ -120,55 +118,76 @@ class PlanResult:
     path: PathFn
 
 
+@dataclass(slots=True)
+class Decision:
+    """A planner's decision for one query (a, b): the first applicable 1-based
+    rule, the normalized weights and the rule's tie cell (None outside
+    products), which a verifier perturbs within.  Composite planners keep
+    the cells of every level and the factor or source decisions, from which
+    their sections are built."""
+
+    a: ConfigPoint
+    b: ConfigPoint
+    index: int
+    weights: tuple[float, ...]
+    cell: object = None
+    cells: dict | None = None
+    factors: tuple["Decision", ...] | None = None
+
+
 @dataclass
 class Planner:
     """An ordered rule system over a product geometry.
 
-    ``info_fn``, when present, computes (first rule index, raw weights,
-    cell signature) in one pass; composite planners install one to avoid
-    re-deriving their tie structure rule by rule.  ``point_sampler`` lets
-    spaces with excluded loci (e.g. the punctured plane) provide their own
-    random points to verifiers.
+    ``decide`` computes a query's rule, weights and cell in one pass and
+    ``path`` builds a rule's section from that decision; ``plan_info`` and
+    ``weights`` are views of the decision.  The rules themselves stay usable
+    one at a time.  ``point_sampler`` lets spaces with excluded loci (e.g.
+    the punctured plane) provide their own random points to verifiers.
     """
 
     space: str
     geometry: Geometry
     rules: tuple[PlannerRule, ...]
-    info_fn: Callable[[ConfigPoint, ConfigPoint], tuple[int, tuple[float, ...], object]] | None = None
     point_sampler: Callable[[np.random.Generator], ConfigPoint] | None = None
 
-    def raw_weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
-        if self.info_fn is not None:
-            return self.info_fn(a, b)[1]
-        return tuple(r.weight(a, b) for r in self.rules)
-
-    def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
-        raw = self.raw_weights(a, b)
-        total = sum(raw)
-        if total <= 0.0:
-            raise CoverageGap(f"{self.space}: no rule applies at ({a}, {b})")
-        return tuple(w / total for w in raw)
-
-    def plan_info(self, a: ConfigPoint, b: ConfigPoint) -> tuple[int, tuple[float, ...], object]:
-        """First applicable 1-based rule index, normalized weights, signature."""
-        if self.info_fn is not None:
-            index, raw, signature = self.info_fn(a, b)
-        else:
-            raw = tuple(r.weight(a, b) for r in self.rules)
-            index = next((i + 1 for i, w in enumerate(raw) if w > 0.0), 0)
-            signature = None
+    def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
+        raw = tuple(r.weight(a, b) for r in self.rules)
+        index = next((i + 1 for i, w in enumerate(raw) if w > 0.0), 0)
         if index == 0:
             raise CoverageGap(f"{self.space}: no rule applies at ({a}, {b})")
         total = sum(raw)
-        if signature is None and self.rules[index - 1].cell_signature is not None:
-            signature = self.rules[index - 1].cell_signature(a, b)
-        return index, tuple(w / total for w in raw), signature
+        return Decision(a, b, index, tuple(w / total for w in raw))
+
+    def path(self, decision: Decision, index: int) -> PathFn:
+        """Section of the 1-based rule ``index`` at the decided query."""
+        return self.rules[index - 1].section(decision.a, decision.b)
+
+    def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
+        return self.decide(a, b).weights
+
+    def plan_info(self, a: ConfigPoint, b: ConfigPoint) -> tuple[int, tuple[float, ...], object]:
+        """First applicable 1-based rule index, normalized weights, tie cell."""
+        decision = self.decide(a, b)
+        return decision.index, decision.weights, decision.cell
+
+
+def _decided_rules(planner: Planner, names: Sequence[str]) -> tuple[PlannerRule, ...]:
+    """Composite rules, each evaluated alone through the planner's decision."""
+    return tuple(
+        PlannerRule(
+            name,
+            weight=lambda a, b, i=i: planner.decide(a, b).weights[i - 1],
+            section=lambda a, b, i=i: planner.path(planner.decide(a, b), i),
+        )
+        for i, name in enumerate(names, 1)
+    )
 
 
 def plan(planner: Planner, a: ConfigPoint, b: ConfigPoint) -> PlanResult:
     """Answer a query with the first rule that covers it."""
-    index, _, _ = planner.plan_info(a, b)
-    return PlanResult(index, planner.rules[index - 1].section(a, b))
+    decision = planner.decide(a, b)
+    return PlanResult(decision.index, planner.path(decision, decision.index))
 
 
 def sample_path(path: PathFn, n: int) -> list[tuple[float, ConfigPoint]]:
@@ -192,18 +211,24 @@ def straight_line_planner(dim: int) -> Planner:
     return Planner(space=f"convex:{dim}", geometry=geometry, rules=(rule,))
 
 
+def _shortest_arc_rule(factor) -> PlannerRule:
+    """The first rule on circles and spheres: the shortest arc, for a != -b."""
+
+    def weight(a, b):
+        return factor_distance(factor, a.parts[0], -b.parts[0]) / math.pi
+
+    def section(a, b):
+        if weight(a, b) <= 0.0:
+            raise DomainMiss("shortest-arc rule needs a != -b")
+        return geodesic_path(a, b)
+
+    return PlannerRule("shortest-arc", weight, section)
+
+
 def circle_planner() -> Planner:
     """Two rules on the circle: shortest arc, else positively oriented arc."""
     geometry = sphere_geometry(1)
     factor = geometry.factors[0]
-
-    def w_shortest(a, b):
-        return factor_distance(factor, a.parts[0], -b.parts[0]) / math.pi
-
-    def s_shortest(a, b):
-        if w_shortest(a, b) <= 0.0:
-            raise DomainMiss("shortest-arc rule needs a != -b")
-        return geodesic_path(a, b)
 
     def w_positive(a, b):
         return factor_distance(factor, a.parts[0], b.parts[0]) / math.pi
@@ -225,7 +250,7 @@ def circle_planner() -> Planner:
         space="circle",
         geometry=geometry,
         rules=(
-            PlannerRule("shortest-arc", w_shortest, s_shortest),
+            _shortest_arc_rule(factor),
             PlannerRule("positive-arc", w_positive, s_positive),
         ),
     )
@@ -251,14 +276,6 @@ def sphere_planner(n: int) -> Planner:
     pole[n] = 1.0  # B_0, zero of the even tangent field
     chart_axis = 0  # C = e_1, base point of the rule-3 chart
 
-    def w_shortest(a, b):
-        return factor_distance(factor, a.parts[0], -b.parts[0]) / math.pi
-
-    def s_shortest(a, b):
-        if w_shortest(a, b) <= 0.0:
-            raise DomainMiss("shortest-arc rule needs a != -b")
-        return geodesic_path(a, b)
-
     def tangent_at(vec: np.ndarray) -> np.ndarray:
         v = odd_vector_field(vec, n) if odd else even_vector_field(vec, n)
         return v / np.linalg.norm(v)
@@ -280,7 +297,7 @@ def sphere_planner(n: int) -> Planner:
         return concat_paths([(0.0, 0.5, to_antipode), (0.5, 1.0, sweep)], "two-stage")
 
     rules = [
-        PlannerRule("shortest-arc", w_shortest, s_shortest),
+        _shortest_arc_rule(factor),
         PlannerRule("two-stage", w_two_stage, s_two_stage),
     ]
 
@@ -352,59 +369,46 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     return levels, cells, (tuple(sorted(s0)), tuple(sorted(t0)))
 
 
-def product_planner(left: Planner, right: Planner) -> Planner:
+class ProductPlanner(Planner):
     """Combine planners on X and Y into n + m - 1 rules on X x Y.
 
-    For a query, normalized factor weights are computed on each side and
-    their argmax sets S, T (grouped at exact equality) select the tie cell
-    W(S, T) at level |S| + |T|.  Rules are the levels k = 2, ..., n + m;
+    For a query, the factor decisions give normalized weights on each side,
+    and their argmax sets S, T (grouped at exact equality) select the tie
+    cell W(S, T) at level |S| + |T|.  Rules are the levels k = 2, ..., n + m;
     the section on a cell pairs the factor sections with the smallest
-    indices in S and T, and the level weight is the sum of clamped cell
-    margins, positive exactly on the union of that level's cells.
+    indices in S and T, and a level's weight, the sum of clamped cell
+    margins, is positive exactly on that level's cells.  One decision per
+    query builds the sections at every nesting level.
     """
-    n, m = len(left.rules), len(right.rules)
-    split = len(left.geometry.factors)
-    geometry = concat_geometry(left.geometry, right.geometry)
 
-    def analyze(a: ConfigPoint, b: ConfigPoint):
-        ax, ay = a.geometry.split_point(a, split)
-        bx, by = b.geometry.split_point(b, split)
-        f = left.weights(ax, bx)
-        g = right.weights(ay, by)
-        return (ax, ay, bx, by), _tie_cells(f, g)
+    def __init__(self, left: Planner, right: Planner):
+        self.left, self.right = left, right
+        self.split = len(left.geometry.factors)
+        levels = range(2, len(left.rules) + len(right.rules) + 1)
+        rules = _decided_rules(self, [f"level-{k}" for k in levels])
+        geometry = concat_geometry(left.geometry, right.geometry)
+        super().__init__(f"product({left.space},{right.space})", geometry, rules)
 
-    def rule_for_level(level: int) -> PlannerRule:
-        def weight(a, b, level=level):
-            _, (levels, _, _) = analyze(a, b)
-            return levels[level]
+    def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
+        ax, ay = a.geometry.split_point(a, self.split)
+        bx, by = b.geometry.split_point(b, self.split)
+        left, right = self.left.decide(ax, bx), self.right.decide(ay, by)
+        levels, cells, (s0, t0) = _tie_cells(left.weights, right.weights)
+        level, total = len(s0) + len(t0), sum(levels[2:])
+        weights = tuple(w / total for w in levels[2:])
+        return Decision(a, b, level - 1, weights, cells[level], cells, (left, right))
 
-        def signature(a, b, level=level):
-            _, (_, cells, _) = analyze(a, b)
-            return cells.get(level)
+    def path(self, decision: Decision, index: int) -> PathFn:
+        cell = decision.cells.get(index + 1)
+        if cell is None:
+            raise DomainMiss(f"level-{index + 1} rule does not cover this pair")
+        (s, t), (left, right) = cell, decision.factors
+        return pair_paths(
+            self.geometry, self.left.path(left, min(s) + 1), self.right.path(right, min(t) + 1)
+        )
 
-        def section(a, b, level=level):
-            (ax, ay, bx, by), (_, cells, _) = analyze(a, b)
-            cell = cells.get(level)
-            if cell is None:
-                raise DomainMiss(f"level-{level} rule does not cover this pair")
-            s, t = cell
-            path_left = left.rules[min(s)].section(ax, bx)
-            path_right = right.rules[min(t)].section(ay, by)
-            return pair_paths(geometry, path_left, path_right)
 
-        return PlannerRule(f"level-{level}", weight, section, cell_signature=signature)
-
-    def info_fn(a, b):
-        _, (levels, cells, (s0, t0)) = analyze(a, b)
-        level = len(s0) + len(t0)
-        return level - 1, tuple(levels[2:]), cells[level]
-
-    return Planner(
-        space=f"product({left.space},{right.space})",
-        geometry=geometry,
-        rules=tuple(rule_for_level(k) for k in range(2, n + m + 1)),
-        info_fn=info_fn,
-    )
+product_planner = ProductPlanner
 
 
 def arm_planner(kind: str, n: int) -> Planner:
@@ -430,60 +434,55 @@ def arm_planner(kind: str, n: int) -> Planner:
 # -- transfer along a homotopy equivalence ----------------------------------------
 
 
-def transfer_planner(
-    planner: Planner,
-    f: Callable[[ConfigPoint], ConfigPoint],
-    g: Callable[[ConfigPoint], ConfigPoint],
-    h: Callable[[float, ConfigPoint], ConfigPoint],
-    geometry: Geometry,
-    space: str = "transfer",
-    check_points: Sequence[ConfigPoint] = (),
-    tol: float = 1e-6,
-    point_sampler=None,
-) -> Planner:
+class TransferPlanner(Planner):
     """Pull a planner on Y back to X along f: X -> Y, g: Y -> X.
 
     ``h`` is a homotopy on X with h(0, .) the identity and h(1, .) = g o f
-    (checked on ``check_points`` within ``tol``).  Each rule of the source
-    planner becomes a rule on X whose domain and weight are pulled back
-    through f x f and whose section runs in three stages: slide the start
+    (checked on ``check_points`` within ``tol``).  The source planner
+    decides each query at (f(a), f(b)), so rule domains and weights pull
+    back through f x f; a section runs in three stages: slide the start
     along the homotopy, traverse the Y-path pushed through g, then slide
     back to the goal along the reversed homotopy.  Rule count is preserved.
     """
-    for x in check_points:
-        if config_distance(h(0.0, x), x) > tol:
-            raise HomotopyEndpointMismatch(f"h(0, .) is not the identity at {x}")
-        if config_distance(h(1.0, x), g(f(x))) > tol:
-            raise HomotopyEndpointMismatch(f"h(1, .) differs from g(f(.)) at {x}")
 
-    def make_rule(source: PlannerRule) -> PlannerRule:
-        def weight(a, b):
-            return source.weight(f(a), f(b))
+    def __init__(
+        self,
+        planner: Planner,
+        f: Callable[[ConfigPoint], ConfigPoint],
+        g: Callable[[ConfigPoint], ConfigPoint],
+        h: Callable[[float, ConfigPoint], ConfigPoint],
+        geometry: Geometry,
+        space: str = "transfer",
+        check_points: Sequence[ConfigPoint] = (),
+        tol: float = 1e-6,
+        point_sampler=None,
+    ):
+        for x in check_points:
+            if config_distance(h(0.0, x), x) > tol:
+                raise HomotopyEndpointMismatch(f"h(0, .) is not the identity at {x}")
+            if config_distance(h(1.0, x), g(f(x))) > tol:
+                raise HomotopyEndpointMismatch(f"h(1, .) differs from g(f(.)) at {x}")
+        self.source, self.f, self.g, self.h = planner, f, g, h
+        rules = _decided_rules(self, [f"transfer({rule.name})" for rule in planner.rules])
+        super().__init__(space, geometry, rules, point_sampler)
 
-        def signature(a, b):
-            if source.cell_signature is None:
-                return None
-            return source.cell_signature(f(a), f(b))
+    def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
+        source = self.source.decide(self.f(a), self.f(b))
+        return Decision(a, b, source.index, source.weights, source.cell, factors=(source,))
 
-        def section(a, b):
-            if weight(a, b) <= 0.0:
-                raise DomainMiss(f"transferred rule {source.name} does not cover this pair")
-            mid = mapped_path(source.section(f(a), f(b)), g, geometry, "pushed")
-            head = PathFn(lambda t: h(t, a), ((0.0, 1.0, False),), "homotopy-in")
-            tail = PathFn(lambda t: h(1.0 - t, b), ((0.0, 1.0, False),), "homotopy-out")
-            return concat_paths(
-                [(0.0, 1.0 / 3.0, head), (1.0 / 3.0, 2.0 / 3.0, mid), (2.0 / 3.0, 1.0, tail)],
-                "transfer",
-            )
+    def path(self, decision: Decision, index: int) -> PathFn:
+        a, b, h = decision.a, decision.b, self.h
+        source_path = self.source.path(decision.factors[0], index)
+        mid = mapped_path(source_path, self.g, self.geometry, "pushed")
+        head = PathFn(lambda t: h(t, a), ((0.0, 1.0, False),), "homotopy-in")
+        tail = PathFn(lambda t: h(1.0 - t, b), ((0.0, 1.0, False),), "homotopy-out")
+        return concat_paths(
+            [(0.0, 1.0 / 3.0, head), (1.0 / 3.0, 2.0 / 3.0, mid), (2.0 / 3.0, 1.0, tail)],
+            "transfer",
+        )
 
-        return PlannerRule(f"transfer({source.name})", weight, section, cell_signature=signature)
 
-    return Planner(
-        space=space,
-        geometry=geometry,
-        rules=tuple(make_rule(r) for r in planner.rules),
-        point_sampler=point_sampler,
-    )
+transfer_planner = TransferPlanner
 
 
 def punctured_plane_planner() -> Planner:

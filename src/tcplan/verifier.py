@@ -35,10 +35,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import BoundsReport, SpaceDescriptor, tc_bounds
-from .geometry import ConfigPoint, config_distance, random_point, tangent_perturb
+from .geometry import ConfigPoint, config_distance, random_point, tangent_perturb, vector_norm
 from .planner_core import CoverageGap, Planner
 
 DEFAULT_SPEED_TOL = 0.01
+MAX_PAIRS = 100_000
 
 
 class FamilyLeavesDomain(ValueError):
@@ -66,6 +67,9 @@ class VerifyConfig:
         for name in ("delta", "margin_eta", "tolerance", "max_ratio"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"bad verify config: {name} must be finite")
+        if self.pairs > MAX_PAIRS:
+            # every query pair is built before checking starts
+            raise ValueError(f"bad verify config: pairs must be at most {MAX_PAIRS}")
         if self.pairs < 1 or self.delta <= 0 or not (0 <= self.margin_eta < 1):
             raise ValueError("bad verify config")
         if self.tolerance <= 0 or self.samples_per_path < 2:
@@ -227,14 +231,15 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     speed_checked = 0
     usage: dict[int, int] = {i + 1: 0 for i in range(len(planner.rules))}
 
-    for pair_no, (a, b) in enumerate(queries):
+    for a, b in queries:
         try:
-            index, weights, signature = planner.plan_info(a, b)
+            decision = planner.decide(a, b)
         except CoverageGap:
             uncovered += 1
             continue
+        index = decision.index
         usage[index] += 1
-        path = planner.rules[index - 1].section(a, b)
+        path = planner.path(decision, index)
         points = [path(t) for t in ts]
 
         max_end = max(
@@ -242,22 +247,22 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
         )
         for p in points:
             for slot in sphere_slots:
-                max_norm = max(max_norm, abs(float(np.linalg.norm(p.parts[slot])) - 1.0))
+                max_norm = max(max_norm, abs(vector_norm(p.parts[slot]) - 1.0))
 
         if speed_checked < cfg.speed_checks:
             max_speed = max(max_speed, _speed_variation(path, cfg))
             speed_checked += 1
 
-        if weights[index - 1] >= cfg.margin_eta:
+        if decision.weights[index - 1] >= cfg.margin_eta:
             a2 = tangent_perturb(a, cfg.delta, rng)
             b2 = tangent_perturb(b, cfg.delta, rng)
             try:
-                index2, _, signature2 = planner.plan_info(a2, b2)
+                twin = planner.decide(a2, b2)
             except CoverageGap:
                 uncovered += 1
                 continue
-            if index2 == index and signature2 == signature:
-                path2 = planner.rules[index - 1].section(a2, b2)
+            if twin.index == index and twin.cell == decision.cell:
+                path2 = planner.path(twin, index)
                 sup = max(config_distance(p, path2(t)) for t, p in zip(ts, points))
                 max_ratio = max(max_ratio, sup / cfg.delta)
                 continuity_checked += 1

@@ -305,6 +305,14 @@ def test_verify_rejects_non_finite_or_non_positive_config(capsys, flags):
     assert "verify config" in err
 
 
+def test_verify_pairs_cap_is_exit_2(capsys):
+    # rejected by VerifyConfig before any query pair is built
+    code, out, err = run(capsys, "verify", "circle", "--pairs", "1000000000")
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert "at most 100000" in err
+
+
 def test_quiet_flag_accepted_everywhere(capsys):
     assert run(capsys, "bounds", "circle", "--quiet")[0] == 0
     assert run(capsys, "plan", "circle", "--from", "1,0", "--to", "0,1", "--quiet")[0] == 0

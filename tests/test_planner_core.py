@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcplan import planner_core
 from tcplan.geometry import (
     ConfigPoint,
     InvalidPoint,
@@ -13,6 +14,7 @@ from tcplan.geometry import (
     even_vector_field,
     make_point,
     odd_vector_field,
+    pair_paths,
     random_point,
 )
 from tcplan.planner_core import (
@@ -24,6 +26,7 @@ from tcplan.planner_core import (
     circle_planner,
     forward_kinematics,
     plan,
+    ProductPlanner,
     product_planner,
     punctured_plane_planner,
     sample_path,
@@ -31,6 +34,7 @@ from tcplan.planner_core import (
     straight_line_planner,
     transfer_planner,
 )
+from tcplan.verifier import adversarial_pairs
 
 EPS = 1e-9
 
@@ -267,6 +271,87 @@ def test_product_cell_inequalities_hold():
                     assert inside > f[i] * g[j]
         # the chosen factor rules cover the factor pairs
         assert f[min(s)] > 0 and g[min(t)] > 0
+
+
+# The decision path against a reference built from the factor rules alone,
+# which runs the tie-cell analysis afresh at every nesting level and for
+# every section.
+
+
+def _reference_cells(planner, a, b):
+    ax, ay = a.geometry.split_point(a, planner.split)
+    bx, by = b.geometry.split_point(b, planner.split)
+    f = _reference_weights(planner.left, ax, bx)
+    g = _reference_weights(planner.right, ay, by)
+    levels, cells, _ = planner_core._tie_cells(f, g)
+    return (ax, bx), (ay, by), levels, cells
+
+
+def _reference_weights(planner, a, b):
+    if isinstance(planner, ProductPlanner):
+        raw = tuple(_reference_cells(planner, a, b)[2][2:])
+    else:
+        raw = tuple(rule.weight(a, b) for rule in planner.rules)
+    total = sum(raw)
+    return tuple(w / total for w in raw)
+
+
+def _reference_section(planner, index, a, b):
+    if not isinstance(planner, ProductPlanner):
+        return planner.rules[index - 1].section(a, b)
+    (ax, bx), (ay, by), _, cells = _reference_cells(planner, a, b)
+    s, t = cells[index + 1]
+    return pair_paths(
+        planner.geometry,
+        _reference_section(planner.left, min(s) + 1, ax, bx),
+        _reference_section(planner.right, min(t) + 1, ay, by),
+    )
+
+
+def _sample_bytes(path):
+    return [(t, p.flat.tobytes()) for t, p in sample_path(path, 17)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "torus:4",
+        "product(sphere:2,sphere:2,sphere:2)",
+        "product(circle,sphere:3,sphere:2,convex:2)",
+    ],
+)
+def test_decision_path_matches_reanalysis(spec):
+    planner = build_planner(spec)
+    rng = np.random.default_rng(29)
+    pairs = adversarial_pairs(planner, rng)
+    pairs += [(random_point(planner.geometry, rng), random_point(planner.geometry, rng))
+              for _ in range(100)]
+    for a, b in pairs:
+        decision = planner.decide(a, b)
+        weights = _reference_weights(planner, a, b)
+        index = next(i + 1 for i, w in enumerate(weights) if w > 0.0)
+        assert decision.index == index
+        assert decision.weights == weights
+        assert decision.cell == _reference_cells(planner, a, b)[3][index + 1]
+        applies = [rule.predicate(a, b) for rule in planner.rules[:index]]
+        assert applies == [False] * (index - 1) + [True]
+        assert planner.plan_info(a, b) == (index, weights, decision.cell)
+        expected = _sample_bytes(_reference_section(planner, index, a, b))
+        assert _sample_bytes(plan(planner, a, b).path) == expected
+        assert _sample_bytes(planner.rules[index - 1].section(a, b)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_plan_analyzes_each_product_node_once(monkeypatch, n):
+    planner = build_planner(f"torus:{n}")
+    rng = np.random.default_rng(n)
+    a = random_point(planner.geometry, rng)
+    b = random_point(planner.geometry, rng)
+    calls = []
+    tie_cells = planner_core._tie_cells
+    monkeypatch.setattr(planner_core, "_tie_cells", lambda f, g: calls.append(1) or tie_cells(f, g))
+    sample_path(plan(planner, a, b).path, 17)
+    assert len(calls) == n - 1
 
 
 def test_arm_rule_counts():

@@ -32,6 +32,9 @@ def test_config_validation():
         VerifyConfig(margin_eta=1.0)
     with pytest.raises(ValueError):
         VerifyConfig(delta=0.0)
+    with pytest.raises(ValueError):
+        VerifyConfig(pairs=100_001)
+    assert VerifyConfig(pairs=100_000).pairs == 100_000
 
 
 def test_circle_passes_and_uses_second_rule():
