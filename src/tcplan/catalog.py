@@ -295,8 +295,12 @@ def _equal_sphere_leaves(spec: SpaceSpec) -> list[int] | None:
     """Sphere dimensions of the factors, if the space is a product of spheres.
 
     Tori and genus <= 1 surfaces count through their sphere decompositions;
-    any other leaf disqualifies the space.
+    convex pieces are contractible and add no sphere (TC is a homotopy
+    invariant, so dropping a contractible factor leaves it unchanged); any
+    other leaf disqualifies the space.
     """
+    if spec.kind == "convex":
+        return []
     if spec.kind == "circle":
         return [1]
     if spec.kind == "sphere":
@@ -385,6 +389,8 @@ def catalog_space(spec: SpaceSpec | str) -> SpaceDescriptor:
                 m, n = leaves[0], len(leaves)
                 known_tc = n + 1 if m % 2 else 2 * n + 1
                 provenance = f"product of {n} spheres of dimension {m}"
+                if any(p.contractible for p in parts):
+                    provenance += " and contractible factors"
         return SpaceDescriptor(
             spec, dim, algebra, contractible=contractible,
             known_tc=known_tc, known_tc_provenance=provenance,

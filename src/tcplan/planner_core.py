@@ -323,15 +323,46 @@ def sphere_planner(n: int) -> Planner:
 # -- product combination ---------------------------------------------------------
 
 
+def _upward_closed(values: tuple[float, ...], top: float, rest: list[int]):
+    """The upward-closed extensions of an argmax set by indices in ``rest``
+    (whose values lie below ``top``): the empty one and {i : values[i] >=
+    theta} for each distinct value theta in ``rest``.  Each comes as (its
+    bitmask over ``rest``, its indices, the smallest value of the extended
+    set, the largest value left outside or None), in ascending bitmask
+    order."""
+    below = sorted({values[i] for i in rest}, reverse=True)
+    sets = [(0, [], top, below[0] if below else None)]
+    for theta, out in zip(below, below[1:] + [None]):
+        extra = [i for i in rest if values[i] >= theta]
+        bits = sum(1 << k for k, i in enumerate(rest) if values[i] >= theta)
+        sets.append((bits, extra, theta, out))
+    return sorted(sets, key=lambda entry: entry[0])
+
+
 def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     """Tie-cell analysis of one query against two weight vectors.
 
     A cell is a pair (S, T) of index sets; a query is in the cell when every
     product f_i * g_j over S x T strictly exceeds every product outside.
-    Only supersets of the argmax sets can contain the query, so those are
-    the only cells examined.  Returns the raw per-level weights (the sums
-    of clamped cell margins, with an empty outside treated as comparing
-    against zero), the containing cell per level, and the argmax cell.
+    Only supersets of the argmax sets can contain the query, and of those
+    only upward-closed ones can have a positive margin: if i is in S and
+    f_i' >= f_i for some i' outside S, then min_f * min_g <= out_f * gmax
+    (float products of non-negative numbers are monotone, so this holds
+    exactly) and the margin is <= 0; likewise for T.  The candidates are
+    therefore S = {i : f_i >= theta} for the argmax value and each distinct
+    value below it, O(n * m) cells in all.
+
+    They are visited in the order of the exhaustive enumeration over
+    bitmasks of the non-max indices (S outer, T inner, ascending), so the
+    float sums per level and the first cell seen per level are bitwise the
+    same as visiting every superset.  (Upward-closed sets are nested, and
+    two positive cells on one level would each need a product above the
+    other's, so a level has at most one positive cell; the kept order makes
+    the equality plain without resting on that argument.)
+
+    Returns the raw per-level weights (the sums of clamped cell margins,
+    with an empty outside treated as comparing against zero), the
+    containing cell per level, and the argmax cell.
     """
     n, m = len(f), len(g)
     fmax, gmax = max(f), max(g)
@@ -339,26 +370,19 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     t0 = [j for j in range(m) if g[j] == gmax]
     rest_s = [i for i in range(n) if f[i] != fmax]
     rest_t = [j for j in range(m) if g[j] != gmax]
+    t_sets = [
+        (t0 + t_extra, min_g, None if out_g is None else fmax * out_g)
+        for _, t_extra, min_g, out_g in _upward_closed(g, gmax, rest_t)
+    ]
 
     levels = [0.0] * (n + m + 1)
     cells: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    for s_bits in range(1 << len(rest_s)):
-        s_extra = [rest_s[k] for k in range(len(rest_s)) if s_bits >> k & 1]
+    for _, s_extra, min_f, out_f in _upward_closed(f, fmax, rest_s):
         s = s0 + s_extra
-        min_f = min(fmax, min((f[i] for i in s_extra), default=fmax))
-        out_f = max((f[i] for i in rest_s if i not in s_extra), default=None)
-        for t_bits in range(1 << len(rest_t)):
-            t_extra = [rest_t[k] for k in range(len(rest_t)) if t_bits >> k & 1]
-            t = t0 + t_extra
-            min_g = min(gmax, min((g[j] for j in t_extra), default=gmax))
-            out_g = max((g[j] for j in rest_t if j not in t_extra), default=None)
-
-            outside = 0.0
-            if out_f is not None:
-                outside = max(outside, out_f * gmax)
-            if out_g is not None:
-                outside = max(outside, fmax * out_g)
+        outside_f = 0.0 if out_f is None else max(0.0, out_f * gmax)
+        for t, min_g, outside_g in t_sets:
+            outside = outside_f if outside_g is None else max(outside_f, outside_g)
             margin = min_f * min_g - outside
             if margin > 0.0:
                 level = len(s) + len(t)

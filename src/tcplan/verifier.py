@@ -27,7 +27,6 @@ extend continuously.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -167,6 +166,16 @@ def _factor_pair_menu(factor, rng: np.random.Generator) -> list[tuple[np.ndarray
     return [(v, v.copy()), (v, w)]
 
 
+def _menu_combo(menus: list[list], index: int) -> tuple:
+    """Entry ``index`` of ``itertools.product(*menus)`` (last menu fastest),
+    without building the product."""
+    combo = []
+    for menu in reversed(menus):
+        index, digit = divmod(index, len(menu))
+        combo.append(menu[digit])
+    return tuple(reversed(combo))
+
+
 def adversarial_pairs(
     planner: Planner, rng: np.random.Generator, cap: int = 512
 ) -> list[tuple[ConfigPoint, ConfigPoint]]:
@@ -176,12 +185,13 @@ def adversarial_pairs(
         pts = [planner.point_sampler(rng) for _ in range(8)]
         return [(p, p) for p in pts] + list(zip(pts, reversed(pts)))
     menus = [_factor_pair_menu(f, rng) for f in geometry.factors]
-    combos = list(itertools.product(*menus))
-    if len(combos) > cap:
-        keep = rng.choice(len(combos), size=cap, replace=False)
-        combos = [combos[i] for i in sorted(keep)]
+    total = math.prod(len(menu) for menu in menus)
+    keep = range(total)
+    if total > cap:
+        keep = sorted(int(i) for i in rng.choice(total, size=cap, replace=False))
     out = []
-    for combo in combos:
+    for i in keep:
+        combo = _menu_combo(menus, i)
         a = ConfigPoint(geometry, tuple(x for x, _ in combo))
         b = ConfigPoint(geometry, tuple(y for _, y in combo))
         out.append((a, b))

@@ -86,6 +86,24 @@ def test_cpn_has_no_exact_value():
 
 def test_mixed_product_has_no_exact_value():
     assert catalog_space("product(circle,sphere:2)").known_tc is None
+    assert catalog_space("product(circle,sphere:2,convex:1)").known_tc is None
+
+
+@pytest.mark.parametrize(
+    "spec, tc",
+    [
+        ("product(circle,convex:2)", 2),
+        ("product(sphere:2,convex:1)", 3),
+        ("product(torus:2,convex:3)", 3),
+    ],
+)
+def test_contractible_factors_do_not_change_known_tc(spec, tc):
+    """TC is a homotopy invariant: X x (convex piece) has TC(X)."""
+    d = catalog_space(spec)
+    assert d.known_tc == tc
+    report = tc_bounds(d, planner_rule_count(spec))
+    assert (report.lower, report.upper, report.exact) == (tc, tc, True)
+    assert planner_rule_count(spec) == tc
 
 
 def test_closed_manifold_top_degree_matches_dimension():

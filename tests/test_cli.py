@@ -124,6 +124,14 @@ def test_verify_torus3_reconciles_four_rules(capsys):
     assert payload["reconcile"]["bounds"]["exact"] is True
 
 
+def test_verify_product_with_convex_factor_reconciles(capsys):
+    code, out, _ = run(capsys, "verify", "product(circle,convex:2)", "--pairs", "200")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["reconcile"]["rule_count"] == payload["reconcile"]["known_tc"] == 2
+    assert payload["reconcile"]["bounds"]["exact"] is True
+
+
 def test_verify_unplannable_is_exit_2(capsys):
     code, _, err = run(capsys, "verify", "surface:2")
     assert code == 2

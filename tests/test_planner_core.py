@@ -273,9 +273,89 @@ def test_product_cell_inequalities_hold():
         assert f[min(s)] > 0 and g[min(t)] > 0
 
 
+# An independent tie-cell reference: every superset of the argmax sets, by
+# ascending bitmask over the non-max indices (S outer, T inner).
+
+
+def _exhaustive_tie_cells(f, g):
+    n, m = len(f), len(g)
+    fmax, gmax = max(f), max(g)
+    s0 = [i for i in range(n) if f[i] == fmax]
+    t0 = [j for j in range(m) if g[j] == gmax]
+    rest_s = [i for i in range(n) if f[i] != fmax]
+    rest_t = [j for j in range(m) if g[j] != gmax]
+
+    t_sets = []
+    for t_bits in range(1 << len(rest_t)):
+        t_extra = [rest_t[k] for k in range(len(rest_t)) if t_bits >> k & 1]
+        min_g = min(gmax, min((g[j] for j in t_extra), default=gmax))
+        out_g = max((g[j] for j in rest_t if j not in t_extra), default=None)
+        t_sets.append((t0 + t_extra, min_g, out_g))
+
+    levels = [0.0] * (n + m + 1)
+    cells = {}
+
+    for s_bits in range(1 << len(rest_s)):
+        s_extra = [rest_s[k] for k in range(len(rest_s)) if s_bits >> k & 1]
+        s = s0 + s_extra
+        min_f = min(fmax, min((f[i] for i in s_extra), default=fmax))
+        out_f = max((f[i] for i in rest_s if i not in s_extra), default=None)
+        for t, min_g, out_g in t_sets:
+            outside = 0.0
+            if out_f is not None:
+                outside = max(outside, out_f * gmax)
+            if out_g is not None:
+                outside = max(outside, fmax * out_g)
+            margin = min_f * min_g - outside
+            if margin > 0.0:
+                level = len(s) + len(t)
+                levels[level] += margin
+                if level not in cells:
+                    cells[level] = (tuple(sorted(s)), tuple(sorted(t)))
+
+    return levels, cells, (tuple(sorted(s0)), tuple(sorted(t0)))
+
+
+def _random_weights(rng, size):
+    """Normalized weights with a positive maximum, often tied or zero."""
+    while True:
+        if rng.random() < 0.75:
+            raw = rng.choice([0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 0.5], size=size)
+        else:
+            raw = rng.random(size) * (rng.random(size) < 0.8)
+        if raw.max() > 0.0:
+            total = float(sum(raw.tolist()))
+            return tuple(w / total for w in raw.tolist())
+
+
+def test_tie_cells_match_exhaustive_enumeration():
+    rng = np.random.default_rng(2024)
+    for _ in range(20_000):
+        f = _random_weights(rng, int(rng.integers(1, 10)))
+        g = _random_weights(rng, int(rng.integers(1, 6)))
+        levels, cells, argmax = planner_core._tie_cells(f, g)
+        ref_levels, ref_cells, ref_argmax = _exhaustive_tie_cells(f, g)
+        assert [w.hex() for w in levels] == [w.hex() for w in ref_levels], (f, g)
+        assert list(cells.items()) == list(ref_cells.items()), (f, g)
+        assert argmax == ref_argmax
+
+
+def test_tie_cells_polynomial_on_long_vectors():
+    """40 + 40 distinct weights: 2^78 supersets, a few hundred upward-closed ones."""
+    rng = np.random.default_rng(40)
+    f, g = (tuple(rng.permutation(np.arange(1, 41) / 820.0).tolist()) for _ in range(2))
+    levels, cells, (s0, t0) = planner_core._tie_cells(f, g)
+    assert (s0, t0) == ((f.index(max(f)),), (g.index(max(g)),))
+    assert cells and sum(levels) > 0.0
+    for level, (s, t) in cells.items():
+        assert len(s) + len(t) == level
+        assert min(f[i] for i in s) > max((f[i] for i in range(40) if i not in s), default=0.0)
+        assert min(g[j] for j in t) > max((g[j] for j in range(40) if j not in t), default=0.0)
+
+
 # The decision path against a reference built from the factor rules alone,
-# which runs the tie-cell analysis afresh at every nesting level and for
-# every section.
+# which runs the exhaustive tie-cell analysis afresh at every nesting level
+# and for every section.
 
 
 def _reference_cells(planner, a, b):
@@ -283,7 +363,7 @@ def _reference_cells(planner, a, b):
     bx, by = b.geometry.split_point(b, planner.split)
     f = _reference_weights(planner.left, ax, bx)
     g = _reference_weights(planner.right, ay, by)
-    levels, cells, _ = planner_core._tie_cells(f, g)
+    levels, cells, _ = _exhaustive_tie_cells(f, g)
     return (ax, bx), (ay, by), levels, cells
 
 

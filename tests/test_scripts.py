@@ -44,3 +44,76 @@ def test_verify_matches_golden(line):
     ).stdout
     golden = (ROOT / "tests" / "golden" / "verify_seed42_pairs200.jsonl").read_bytes()
     assert out == golden.splitlines(keepends=True)[line]
+
+
+# The product planners of the plan-products benchmark workload; each query of
+# `plan_products_lines()` is one line of tests/golden/plan_products.txt.
+PLAN_SPECS = [
+    "torus:2",
+    "torus:4",
+    "torus:6",
+    "torus:8",
+    "product(sphere:2,sphere:2)",
+    "product(sphere:2,sphere:2,sphere:2)",
+    "product(sphere:2,sphere:2,sphere:2,sphere:2)",
+    "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)",
+    "product(circle,sphere:3,sphere:2,convex:2)",
+]
+PLAN_QUERIES = 40
+PLAN_GOLDEN = ROOT / "tests" / "golden" / "plan_products.txt"
+
+
+def plan_products_lines(spec):
+    """Seeded `plan` queries on one product planner, one text line each.
+
+    Every fourth query sets some goal factors equal to (or, on spheres,
+    antipodal to) the start's, so ties reach deep into the product.  A line
+    holds the rule index, the `plan_info` weights as `float.hex`, the tie
+    cell and the `repr` of the 17 path samples.
+    """
+    import numpy as np
+
+    from tcplan.geometry import make_point
+    from tcplan.planner_core import build_planner, plan, sample_path
+
+    planner = build_planner(spec)
+    factors = planner.geometry.factors
+    rng = np.random.default_rng(PLAN_SPECS.index(spec))
+
+    def part(factor):
+        if factor.kind == "sphere":
+            v = rng.standard_normal(factor.ambient)
+            return v / np.linalg.norm(v)
+        return rng.uniform(-1.0, 1.0, factor.ambient)
+
+    lines = []
+    for query in range(PLAN_QUERIES):
+        a = [part(f) for f in factors]
+        b = [part(f) for f in factors]
+        if query % 4 == 0:
+            count = int(rng.integers(1, len(factors) + 1))
+            for i in sorted(rng.choice(len(factors), size=count, replace=False)):
+                antipodal = factors[i].kind == "sphere" and rng.random() < 0.5
+                b[i] = -a[i] if antipodal else a[i].copy()
+        a, b = make_point(planner.geometry, a), make_point(planner.geometry, b)
+        index, weights, cell = planner.plan_info(a, b)
+        samples = sample_path(plan(planner, a, b).path, 17)
+        coords = [(t, p.flat.tolist()) for t, p in samples]
+        hexed = [w.hex() for w in weights]
+        lines.append(f"{spec} {query} {index} {hexed} {cell} {coords!r}\n")
+    return lines
+
+
+@pytest.mark.parametrize("spec", PLAN_SPECS)
+def test_plan_products_match_golden(spec):
+    """Deep-product decisions and paths are part of the output contract."""
+    golden = [line for line in PLAN_GOLDEN.read_text().splitlines(keepends=True)
+              if line.startswith(spec + " ")]
+    assert plan_products_lines(spec) == golden
+
+
+if __name__ == "__main__":
+    # Rewrite the plan-products golden file (only at a commit whose output
+    # is known good):  PYTHONPATH=src python tests/test_scripts.py
+    PLAN_GOLDEN.write_text("".join(line for spec in PLAN_SPECS
+                                   for line in plan_products_lines(spec)))

@@ -1,11 +1,16 @@
+import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from tcplan import verifier
 from tcplan.catalog import catalog_space
-from tcplan.geometry import make_point
+from tcplan.geometry import ConfigPoint, make_point
 from tcplan.planner_core import (
     arm_planner,
+    build_planner,
     circle_planner,
     punctured_plane_planner,
     sphere_planner,
@@ -15,6 +20,7 @@ from tcplan.verifier import (
     FamilyLeavesDomain,
     Mismatch,
     VerifyConfig,
+    adversarial_pairs,
     circle_antipodal_families,
     demonstrate_discontinuity,
     reconcile,
@@ -154,3 +160,53 @@ def test_reconcile_mismatch_names_both_numbers():
 def test_reconcile_requires_known_value():
     with pytest.raises(ValueError):
         reconcile(sphere_planner(2), catalog_space("cpn:2"))
+
+
+# -- adversarial pairs -------------------------------------------------------------
+
+
+def _materialized_adversarial_pairs(planner, rng, cap=512):
+    """Reference: build every menu combination, then keep a seeded sample."""
+    geometry = planner.geometry
+    menus = [verifier._factor_pair_menu(f, rng) for f in geometry.factors]
+    combos = list(itertools.product(*menus))
+    if len(combos) > cap:
+        keep = rng.choice(len(combos), size=cap, replace=False)
+        combos = [combos[i] for i in sorted(keep)]
+    return [
+        (ConfigPoint(geometry, tuple(x for x, _ in combo)),
+         ConfigPoint(geometry, tuple(y for _, y in combo)))
+        for combo in combos
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"torus:{n}" for n in range(2, 8)]
+    + ["product(" + ",".join(["sphere:2"] * n) + ")" for n in (2, 3, 4)]
+    + ["product(circle,sphere:3,sphere:2,convex:2)"],
+)
+def test_adversarial_pairs_match_materialized_product(spec):
+    planner = build_planner(spec)
+    for seed in (0, 1, 42):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = adversarial_pairs(planner, rng)
+        expected = _materialized_adversarial_pairs(planner, ref_rng)
+        assert len(pairs) == len(expected) <= 512
+        for (a, b), (ra, rb) in zip(pairs, expected):
+            assert a.flat.tobytes() == ra.flat.tobytes()
+            assert b.flat.tobytes() == rb.flat.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_adversarial_pairs_do_not_build_the_product():
+    """torus:16 has 3^16 menu combinations; only the 512 kept ones are built."""
+    planner = build_planner("torus:16")
+    tracemalloc.start()
+    try:
+        pairs = adversarial_pairs(planner, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 512
+    assert peak < 8 * 2**20
