@@ -13,6 +13,7 @@ from .catalog import (
     SpaceDescriptor,
     SpaceSpec,
     UnsupportedParameter,
+    canonical,
     catalog_space,
     kunneth,
     parse_spec,

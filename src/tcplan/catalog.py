@@ -1,10 +1,25 @@
 """Catalog of configuration spaces and motion-planner complexity bounds.
 
 A space is named by a small symbolic grammar (``circle``, ``sphere:3``,
-``torus:4``, ``product(sphere:2,sphere:2)``, ...).  Each catalog entry
-carries its real dimension, its rational cohomology algebra, an optional
-Lusternik-Schnirelmann category value taken from the literature, and the
-planner complexity where an exact value is known.
+``torus:4``, ``product(sphere:2,sphere:2)``, ...).  ``parse_spec`` keeps the
+user's spelling, which every report prints, and ``canonical`` rewrites it
+once into its canonical form: ``torus:1`` is ``circle``, ``torus:n`` the
+product of n circles, ``surface:0`` is ``sphere:2`` and ``surface:1`` the
+product of two circles; a product is the product of its factors' canonical
+forms, nesting kept.  The parser rejects a spec whose canonical form has
+more than ``MAX_LEAVES`` = 64 leaves before it expands anything.
+
+Every catalog fact is read off one table, ``_LEAVES``, with a row per
+canonical leaf kind (``convex``, ``circle``, ``sphere``, ``surface`` of genus
+>= 2, ``cpn``): real dimension, rational cohomology preset, contractibility,
+the Lusternik-Schnirelmann category taken from the literature, the exact
+planner complexity where known and the rule count of the explicit planner.
+``fold`` evaluates a canonical form bottom-up, and one product step combines
+the factor rows: dimensions add, rule counts combine as sum - (k - 1), and
+so does the exact complexity of a product of spheres of one dimension (k + 1
+for odd, 2k + 1 for even spheres; contractible factors count 1, by homotopy
+invariance).  A descriptor builds its algebra, the Kuenneth product of the
+leaf presets, only on first access.
 
 ``tc_bounds`` combines every available estimate:
 
@@ -16,13 +31,12 @@ upper bounds
     the factor bounds combined as  sum - (k - 1);  and the rule count of
     an explicitly constructed planner when the caller provides one.
 
-Product-like spaces (products, ``torus:n`` as n circles, ``surface:1`` as
-two circles) get their factors' reports in one pass.  Over Q the
-zero-divisor cup-length is superadditive, zcl(A (x) B) >= zcl(A) + zcl(B):
-by Kuenneth, the product (z (x) 1)(1 (x) w) of nonzero zero-divisor
-products z and w is nonzero.  So the sum S of the factor cup-lengths is
-certified, and when S + 1 already meets the best upper bound the search in
-the product's tensor square is skipped: it could only return S again.
+Products get their factors' reports in one pass.  Over Q the zero-divisor
+cup-length is superadditive, zcl(A (x) B) >= zcl(A) + zcl(B): by Kuenneth,
+the product (z (x) 1)(1 (x) w) of nonzero zero-divisor products z and w is
+nonzero.  So the sum S of the factor cup-lengths is certified, and when
+S + 1 already meets the best upper bound the product's algebra is never
+built: the search in its tensor square could only return S again.
 
 The cohomology presets of dimension at most 32 are built and validated once
 per process and then shared, together with their lazily filled product
@@ -32,8 +46,9 @@ memos and tensor squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, partial, reduce, wraps
 from operator import itemgetter
+from typing import Callable, NamedTuple, TypeVar
 
 from .graded_algebra import (
     GradedAlgebra,
@@ -73,14 +88,26 @@ class SpaceSpec:
 
 
 _PARAM_KINDS = {"sphere": 1, "surface": 0, "cpn": 1, "torus": 1, "convex": 1}
+MAX_LEAVES = 64
+
+
+def _circle_count(spec: SpaceSpec) -> int:
+    """How many circles a leaf spells: n for ``torus:n``, 2 for ``surface:1``."""
+    if spec.kind == "torus":
+        return spec.param
+    return 2 if (spec.kind, spec.param) == ("surface", 1) else 0
 
 
 def parse_spec(text: str) -> SpaceSpec:
     """Parse a space expression; whitespace-insensitive.
 
     Errors report the position of the offending token in the original text.
+    A spec whose canonical form has more than ``MAX_LEAVES`` leaves is
+    rejected as it is read (``torus:n`` counts n), so no parameter is ever
+    expanded unbounded; products nested deeper than that are rejected too.
     """
     i = 0
+    leaves = depth = 0
 
     def skip_ws():
         nonlocal i
@@ -117,9 +144,12 @@ def parse_spec(text: str) -> SpaceSpec:
         i += 1
 
     def parse_one() -> SpaceSpec:
-        nonlocal i
+        nonlocal i, leaves, depth
         name, start = parse_name()
         if name == "product":
+            depth += 1
+            if depth > MAX_LEAVES:  # every product adds a leaf
+                raise UnsupportedParameter(f"products nested more than {MAX_LEAVES} deep")
             expect("(")
             factors = [parse_one()]
             skip_ws()
@@ -130,18 +160,26 @@ def parse_spec(text: str) -> SpaceSpec:
             expect(")")
             if len(factors) < 2:
                 raise BadSpec("product needs at least two factors", start)
+            depth -= 1
             return SpaceSpec("product", factors=tuple(factors))
         if name == "circle":
-            return SpaceSpec("circle")
-        if name in _PARAM_KINDS:
+            spec = SpaceSpec("circle")
+        elif name in _PARAM_KINDS:
             expect(":")
             value = parse_int()
             if value < _PARAM_KINDS[name]:
                 raise UnsupportedParameter(
                     f"{name}:{value} is out of range (need >= {_PARAM_KINDS[name]})"
                 )
-            return SpaceSpec(name, param=value)
-        raise BadSpec(f"unknown space name {name!r}", start)
+            spec = SpaceSpec(name, param=value)
+        else:
+            raise BadSpec(f"unknown space name {name!r}", start)
+        leaves += _circle_count(spec) or 1
+        if leaves > MAX_LEAVES:
+            raise UnsupportedParameter(
+                f"space has more than {MAX_LEAVES} leaves (torus:n counts n)"
+            )
+        return spec
 
     spec = parse_one()
     skip_ws()
@@ -150,12 +188,45 @@ def parse_spec(text: str) -> SpaceSpec:
     return spec
 
 
+def canonical(spec: SpaceSpec) -> SpaceSpec:
+    """The canonical form of a space: each alias leaf becomes what it names.
+
+    ``torus:1`` is ``circle``, ``torus:n`` the product of n circles,
+    ``surface:0`` is ``sphere:2`` and ``surface:1`` the product of two
+    circles; a product is the product of its factors' canonical forms, with
+    the nesting kept.  Canonical forms are fixed points.
+    """
+    if spec.kind == "product":
+        return SpaceSpec("product", factors=tuple(map(canonical, spec.factors)))
+    circles = _circle_count(spec)
+    if circles:
+        circle = SpaceSpec("circle")
+        return circle if circles == 1 else SpaceSpec("product", factors=(circle,) * circles)
+    if (spec.kind, spec.param) == ("surface", 0):
+        return SpaceSpec("sphere", 2)
+    return spec
+
+
+_T = TypeVar("_T")
+
+
+def fold(
+    form: SpaceSpec, leaf: Callable[[SpaceSpec], _T], product: Callable[[list[_T]], _T]
+) -> _T:
+    """Evaluate a canonical form bottom-up: ``leaf`` at each leaf, and
+    ``product`` on the factor values at each product node."""
+    if form.kind == "product":
+        return product([fold(f, leaf, product) for f in form.factors])
+    return leaf(form)
+
+
 # -- cohomology presets --------------------------------------------------------
 
 # Presets of dimension at most _PRESET_CACHE_MAX_DIM are memoized per
 # parameter; callers share those instances and must not mutate them.  Larger
 # presets are rebuilt on each call, so a process that once asks for, say,
-# torus:10 does not keep it, its product memo and its tensor square alive.
+# cpn:200 does not keep it, its product memo and its tensor square alive.
+# Product algebras are built per descriptor and never shared.
 _PRESET_CACHE_MAX_DIM = 32
 
 
@@ -260,170 +331,105 @@ def kunneth(a: GradedAlgebra, b: GradedAlgebra) -> TensorProductAlgebra:
     return tensor_product(a, b)
 
 
-@_preset(lambda n: 2**n)
-def torus_algebra(n: int) -> GradedAlgebra:
-    """H of the n-torus as an iterated product of circle algebras."""
-    if n == 1:
-        return circle_algebra()
-    algebra = reduce(kunneth, [circle_algebra() for _ in range(n)])
-    algebra.name = f"H(T^{n})"
-    return algebra
-
-
 # -- space descriptors ----------------------------------------------------------
+
+
+class _Row(NamedTuple):
+    """The catalog facts of a canonical leaf or product."""
+
+    dim: int
+    algebra: Callable[[], GradedAlgebra]
+    contractible: bool
+    cat: int | None  # Lusternik-Schnirelmann category, a literature constant
+    known_tc: int | None
+    rules: int | None  # rule count of the explicit planner
+    spheres: frozenset[int] | None  # None once a leaf is neither sphere nor convex
+
+
+def _sphere_row(n: int) -> _Row:
+    by_parity = 2 if n % 2 else 3
+    return _Row(n, partial(sphere_algebra, n), False, 2, by_parity, by_parity, frozenset({n}))
+
+
+# One row per canonical leaf kind, as a function of the leaf's parameter.
+# A surface of genus >= 2 has TC 5: its cup-length bound meets the dimension bound.
+_LEAVES: dict[str, Callable[[int | None], _Row]] = {
+    "convex": lambda d: _Row(d, point_algebra, True, 1, 1, 1, frozenset()),
+    "circle": lambda _: _sphere_row(1),
+    "sphere": _sphere_row,
+    "surface": lambda g: _Row(2, partial(surface_algebra, g), False, 3, 5, None, None),
+    "cpn": lambda n: _Row(2 * n, partial(cpn_algebra, n), False, None, None, None, None),
+}
+
+
+def _combined(values: list[int | None]) -> int | None:
+    """The product inequality's value sum - (k - 1), if every factor has one."""
+    if any(v is None for v in values):
+        return None
+    return sum(values) - (len(values) - 1)
+
+
+def _product_row(parts: list[_Row]) -> _Row:
+    spheres = None
+    if all(p.spheres is not None for p in parts):
+        spheres = frozenset().union(*(p.spheres for p in parts))
+    # k spheres of one dimension: k + 1 (odd) or 2k + 1 (even), i.e. sum - (k - 1)
+    one_dimension = spheres is not None and len(spheres) <= 1
+    return _Row(
+        dim=sum(p.dim for p in parts),
+        algebra=lambda: reduce(kunneth, [p.algebra() for p in parts]),
+        contractible=all(p.contractible for p in parts),
+        cat=None,
+        known_tc=_combined([p.known_tc for p in parts]) if one_dimension else None,
+        rules=_combined([p.rules for p in parts]),
+        spheres=spheres,
+    )
+
+
+def _row(form: SpaceSpec) -> _Row:
+    return fold(form, lambda leaf: _LEAVES[leaf.kind](leaf.param), _product_row)
 
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """A catalog configuration space with its algebra and metadata.
+    """A catalog configuration space with its metadata.
 
-    ``cat`` is the Lusternik-Schnirelmann category (a literature constant
-    stored as metadata, never computed here); ``known_tc`` is filled only
-    where the planner complexity is known exactly, with a provenance note.
+    ``spec`` is the space as spelled by the caller and ``form`` its canonical
+    form.  ``cat`` is the Lusternik-Schnirelmann category (a literature
+    constant stored as metadata, never computed here); ``known_tc`` is filled
+    only where the planner complexity is known exactly.  ``algebra``, the
+    rational cohomology, is built on first access.
     """
 
     spec: SpaceSpec
+    form: SpaceSpec
     geometry_dim: int
-    algebra: GradedAlgebra
     contractible: bool
     cat: int | None = None
     known_tc: int | None = None
-    known_tc_provenance: str | None = None
 
-
-def _equal_sphere_leaves(spec: SpaceSpec) -> list[int] | None:
-    """Sphere dimensions of the factors, if the space is a product of spheres.
-
-    Tori and genus <= 1 surfaces count through their sphere decompositions;
-    convex pieces are contractible and add no sphere (TC is a homotopy
-    invariant, so dropping a contractible factor leaves it unchanged); any
-    other leaf disqualifies the space.
-    """
-    if spec.kind == "convex":
-        return []
-    if spec.kind == "circle":
-        return [1]
-    if spec.kind == "sphere":
-        return [spec.param]
-    if spec.kind == "torus":
-        return [1] * spec.param
-    if spec.kind == "surface":
-        if spec.param == 0:
-            return [2]
-        if spec.param == 1:
-            return [1, 1]
-        return None
-    if spec.kind == "product":
-        out: list[int] = []
-        for f in spec.factors:
-            leaves = _equal_sphere_leaves(f)
-            if leaves is None:
-                return None
-            out += leaves
-        return out
-    return None
+    @cached_property
+    def algebra(self) -> GradedAlgebra:
+        return _row(self.form).algebra()
 
 
 def catalog_space(spec: SpaceSpec | str) -> SpaceDescriptor:
     """Build the descriptor for a space expression."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-
-    if spec.kind == "convex":
-        return SpaceDescriptor(
-            spec, spec.param, point_algebra(), contractible=True, cat=1,
-            known_tc=1, known_tc_provenance="contractible",
-        )
-    if spec.kind == "circle":
-        return SpaceDescriptor(
-            spec, 1, circle_algebra(), contractible=False, cat=2,
-            known_tc=2, known_tc_provenance="circle planner",
-        )
-    if spec.kind == "sphere":
-        n = spec.param
-        return SpaceDescriptor(
-            spec, n, sphere_algebra(n), contractible=False, cat=2,
-            known_tc=2 if n % 2 else 3,
-            known_tc_provenance="sphere planner (by parity)",
-        )
-    if spec.kind == "torus":
-        n = spec.param
-        return SpaceDescriptor(
-            spec, n, torus_algebra(n), contractible=False, cat=n + 1,
-            known_tc=n + 1, known_tc_provenance="product of circles",
-        )
-    if spec.kind == "surface":
-        g = spec.param
-        if g == 0:
-            return SpaceDescriptor(
-                spec, 2, sphere_algebra(2), contractible=False, cat=2,
-                known_tc=3, known_tc_provenance="genus-0 surface is a 2-sphere",
-            )
-        if g == 1:
-            return SpaceDescriptor(
-                spec, 2, torus_algebra(2), contractible=False, cat=3,
-                known_tc=3, known_tc_provenance="genus-1 surface is a 2-torus",
-            )
-        return SpaceDescriptor(
-            spec, 2, surface_algebra(g), contractible=False, cat=3,
-            known_tc=5, known_tc_provenance="surface cup-length meets the dimension bound",
-        )
-    if spec.kind == "cpn":
-        n = spec.param
-        return SpaceDescriptor(
-            spec, 2 * n, cpn_algebra(n), contractible=False,
-            cat=None, known_tc=None,
-        )
-    if spec.kind == "product":
-        parts = [catalog_space(f) for f in spec.factors]
-        algebra = reduce(kunneth, [p.algebra for p in parts])
-        dim = sum(p.geometry_dim for p in parts)
-        contractible = all(p.contractible for p in parts)
-        known_tc = None
-        provenance = None
-        if contractible:
-            known_tc, provenance = 1, "contractible"
-        else:
-            leaves = _equal_sphere_leaves(spec)
-            if leaves and len(set(leaves)) == 1:
-                m, n = leaves[0], len(leaves)
-                known_tc = n + 1 if m % 2 else 2 * n + 1
-                provenance = f"product of {n} spheres of dimension {m}"
-                if any(p.contractible for p in parts):
-                    provenance += " and contractible factors"
-        return SpaceDescriptor(
-            spec, dim, algebra, contractible=contractible,
-            known_tc=known_tc, known_tc_provenance=provenance,
-        )
-    raise BadSpec(f"unknown spec kind {spec.kind!r}", 0)
+    form = canonical(spec)
+    row = _row(form)
+    return SpaceDescriptor(spec, form, row.dim, row.contractible, row.cat, row.known_tc)
 
 
 def planner_rule_count(spec: SpaceSpec | str) -> int | None:
-    """Rule count of the explicit planner for this space, if one exists.
-
-    Mirrors the planner constructions without building them: 1 for convex
-    pieces, 2 or 3 for spheres by parity, and the product combination
-    sum - (k - 1) for product-like spaces.  None where no explicit planner
-    is available (higher-genus surfaces, complex projective spaces).
-    """
+    """Rule count of the explicit planner for this space, if one exists:
+    1 for convex pieces, 2 or 3 for spheres by parity, and sum - (k - 1)
+    for products.  None where no explicit planner is available
+    (higher-genus surfaces, complex projective spaces)."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if spec.kind == "convex":
-        return 1
-    if spec.kind == "circle":
-        return 2
-    if spec.kind == "sphere":
-        return 2 if spec.param % 2 else 3
-    if spec.kind == "torus":
-        return spec.param + 1
-    if spec.kind == "surface":
-        return 3 if spec.param <= 1 else None
-    if spec.kind == "product":
-        counts = [planner_rule_count(f) for f in spec.factors]
-        if any(c is None for c in counts):
-            return None
-        return sum(counts) - (len(counts) - 1)
-    return None
+    return _row(canonical(spec)).rules
 
 
 @dataclass(frozen=True)
@@ -458,24 +464,13 @@ def _zdcl_length(descriptor: SpaceDescriptor) -> int:
     ).length
 
 
-def _factor_specs(spec: SpaceSpec) -> tuple[SpaceSpec, ...]:
-    """Factors of a product-like space; empty for every other space."""
-    if spec.kind == "product":
-        return spec.factors
-    if spec.kind == "torus" and spec.param >= 2:
-        return tuple(SpaceSpec("circle") for _ in range(spec.param))
-    if spec.kind == "surface" and spec.param == 1:
-        return (SpaceSpec("circle"), SpaceSpec("circle"))
-    return ()
-
-
 def _tc_bounds(
     descriptor: SpaceDescriptor, rule_count: int | None
 ) -> tuple[BoundsReport, int]:
     """The bounds report and the zero-divisor cup-length behind it."""
     factors = [
         _tc_bounds(catalog_space(f), planner_rule_count(f))
-        for f in _factor_specs(descriptor.spec)
+        for f in descriptor.form.factors
     ]
 
     uppers: list[tuple[int, str]] = []

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .catalog import SpaceSpec, canonical, fold, parse_spec
 from .geometry import (
     ConfigPoint,
     Geometry,
@@ -444,15 +445,13 @@ def arm_planner(kind: str, n: int) -> Planner:
     if n < 1:
         raise ValueError("arm needs at least one bar")
     if kind == "planar":
-        planner = reduce(product_planner, [circle_planner() for _ in range(n)])
-        planner.space = f"torus:{n}" if n > 1 else "circle"
+        spec = SpaceSpec("torus", n) if n > 1 else SpaceSpec("circle")
     elif kind == "spatial":
-        planner = reduce(product_planner, [sphere_planner(2) for _ in range(n)])
-        if n > 1:
-            planner.space = "product(" + ",".join(["sphere:2"] * n) + ")"
+        joint = SpaceSpec("sphere", 2)
+        spec = SpaceSpec("product", factors=(joint,) * n) if n > 1 else joint
     else:
         raise ValueError(f"unknown arm kind {kind!r}")
-    return planner
+    return build_planner(spec)
 
 
 # -- transfer along a homotopy equivalence ----------------------------------------
@@ -556,40 +555,29 @@ def punctured_plane_planner() -> Planner:
 # -- catalog wiring and kinematics -------------------------------------------------
 
 
+# Explicit planners of the canonical leaf kinds; other leaves have none.
+_LEAF_PLANNERS = {
+    "convex": straight_line_planner,
+    "circle": lambda _: circle_planner(),
+    "sphere": sphere_planner,
+}
+
+
 def build_planner(spec) -> Planner | None:
     """Planner for a catalog space expression, or None where none exists
-    (higher-genus surfaces, complex projective spaces)."""
-    from .catalog import parse_spec
-
+    (higher-genus surfaces, complex projective spaces).  Factor planners
+    are folded with product_planner in the nesting of the canonical form;
+    the planner's ``space`` is the expression as spelled."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if spec.kind == "convex":
-        return straight_line_planner(spec.param)
-    if spec.kind == "circle":
-        return circle_planner()
-    if spec.kind == "sphere":
-        return sphere_planner(spec.param)
-    if spec.kind == "torus":
-        planner = arm_planner("planar", spec.param)
+    planner = fold(
+        canonical(spec),
+        lambda leaf: _LEAF_PLANNERS.get(leaf.kind, lambda _: None)(leaf.param),
+        lambda parts: None if any(p is None for p in parts) else reduce(product_planner, parts),
+    )
+    if planner is not None:
         planner.space = str(spec)
-        return planner
-    if spec.kind == "surface":
-        if spec.param == 0:
-            planner = sphere_planner(2)
-        elif spec.param == 1:
-            planner = arm_planner("planar", 2)
-        else:
-            return None
-        planner.space = str(spec)
-        return planner
-    if spec.kind == "product":
-        factors = [build_planner(f) for f in spec.factors]
-        if any(p is None for p in factors):
-            return None
-        planner = reduce(product_planner, factors)
-        planner.space = str(spec)
-        return planner
-    return None
+    return planner
 
 
 def forward_kinematics(config: ConfigPoint, bar_lengths: Sequence[float]) -> list[np.ndarray]:

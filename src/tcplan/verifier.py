@@ -28,6 +28,7 @@ extend continuously.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +40,7 @@ from .planner_core import CoverageGap, Planner
 
 DEFAULT_SPEED_TOL = 0.01
 MAX_PAIRS = 100_000
+_INT64_MAX = 2**63 - 1
 
 
 class FamilyLeavesDomain(ValueError):
@@ -187,7 +189,14 @@ def adversarial_pairs(
     menus = [_factor_pair_menu(f, rng) for f in geometry.factors]
     total = math.prod(len(menu) for menu in menus)
     keep = range(total)
-    if total > cap:
+    if total > _INT64_MAX:
+        # past a C long for rng.choice: exact Python ints from a seeded stream
+        draw = random.Random(int(rng.integers(_INT64_MAX)))
+        picked: set[int] = set()
+        while len(picked) < min(cap, total):
+            picked.add(draw.randrange(total))
+        keep = sorted(picked)
+    elif total > cap:
         keep = sorted(int(i) for i in rng.choice(total, size=cap, replace=False))
     out = []
     for i in keep:

@@ -16,7 +16,6 @@ from tcplan.catalog import (
     sphere_algebra,
     surface_algebra,
     tc_bounds,
-    torus_algebra,
 )
 from tcplan.graded_algebra import GradedAlgebra
 
@@ -270,7 +269,7 @@ def test_factor_sum_shortcut_matches_full_search():
 
 
 def test_presets_built_and_validated_once(monkeypatch):
-    for preset in (point_algebra, sphere_algebra, cpn_algebra, surface_algebra, torus_algebra):
+    for preset in (point_algebra, sphere_algebra, cpn_algebra, surface_algebra):
         preset.cache_clear()
     validated = []
     validate = GradedAlgebra.validate
@@ -286,15 +285,15 @@ def test_presets_built_and_validated_once(monkeypatch):
     for spec in ["product(sphere:4,cpn:2)", "product(torus:3,convex:2)", "surface:3"]:
         tc_bounds(catalog_space(spec), planner_rule_count(spec))
     second = [catalog_space(spec).algebra for spec in specs]
-    assert all(a is b for a, b in zip(first, second))
+    # product algebras (surface:1, torus:3) are built per descriptor, not shared
+    leaves = [i for i, spec in enumerate(specs) if spec not in ("surface:1", "torus:3")]
+    assert all(first[i] is second[i] for i in leaves)
     assert sorted(validated) == sorted(
         ["H(point)", "H(S^1)", "H(S^2)", "H(S^4)", "H(Sigma_3)", "H(CP^2)"]
     )
 
 
 def test_large_presets_are_not_kept():
-    assert torus_algebra(5) is torus_algebra(5)
-    assert torus_algebra(6) is not torus_algebra(6)
     assert cpn_algebra(31) is cpn_algebra(31)
     assert cpn_algebra(32) is not cpn_algebra(32)
 

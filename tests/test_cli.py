@@ -324,3 +324,36 @@ def test_verify_pairs_cap_is_exit_2(capsys):
 def test_quiet_flag_accepted_everywhere(capsys):
     assert run(capsys, "bounds", "circle", "--quiet")[0] == 0
     assert run(capsys, "plan", "circle", "--from", "1,0", "--to", "0,1", "--quiet")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "torus:65"),
+        ("bounds", "torus:99999999"),
+        ("bounds", "product(" + ",".join(["torus:8"] * 9) + ")"),
+        ("bounds", "product(" * 100 + "circle"),
+        ("plan", "product(torus:40,torus:40)", "--from", "1,0", "--to", "1,0"),
+        ("verify", "product(surface:1,torus:63)"),
+    ],
+)
+def test_leaf_cap_is_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_bounds_torus64_at_the_cap(capsys):
+    code, out, _ = run(capsys, "bounds", "torus:64")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["space"], payload["lower"], payload["upper"]) == ("torus:64", 65, 65)
+
+
+def test_verify_past_int64_menu_combinations_reports(capsys):
+    """torus:41 has 3^41 > 2^63 adversarial menu combinations."""
+    code, out, err = run(capsys, "verify", "torus:41", "--pairs", "10")
+    assert code in (0, 1)
+    assert json.loads(out)["space"] == "torus:41"
+    assert "Traceback" not in err

@@ -22,11 +22,11 @@ from tcplan.graded_algebra import (
     zero_divisor_basis,
 )
 from tcplan.catalog import (
+    catalog_space,
     cpn_algebra,
     point_algebra,
     sphere_algebra,
     surface_algebra,
-    torus_algebra,
 )
 
 
@@ -253,7 +253,7 @@ def test_tensor_unit_law():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: sphere_algebra(1), lambda: sphere_algebra(2), lambda: torus_algebra(2),
+    "make", [lambda: sphere_algebra(1), lambda: sphere_algebra(2), lambda: catalog_space("torus:2").algebra,
              lambda: surface_algebra(2)]
 )
 def test_tensor_square_passes_validation(make):
@@ -281,7 +281,7 @@ def test_cup_rejects_non_tensor_elements():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: sphere_algebra(2), lambda: torus_algebra(2), lambda: surface_algebra(2)]
+    "make", [lambda: sphere_algebra(2), lambda: catalog_space("torus:2").algebra, lambda: surface_algebra(2)]
 )
 def test_cup_hom_is_multiplicative(make):
     """cup(z * w) == cup(z) * cup(w) on 100 seeded sparse elements."""
@@ -364,7 +364,7 @@ def test_zdcl_cp2():
 
 
 def test_zdcl_torus_exhaustive_is_two():
-    result = zdcl(torus_algebra(2), mode="exhaustive", max_len=3)
+    result = zdcl(catalog_space("torus:2").algebra, mode="exhaustive", max_len=3)
     assert result.length == 2
 
 
@@ -374,7 +374,7 @@ def test_zdcl_torus_exhaustive_is_two():
         (lambda: sphere_algebra(1), 3),
         (lambda: sphere_algebra(2), 3),
         (lambda: sphere_algebra(3), 3),
-        (lambda: torus_algebra(2), 3),
+        (lambda: catalog_space("torus:2").algebra, 3),
     ],
 )
 def test_canonical_never_beats_exhaustive(make, max_len):
@@ -420,7 +420,7 @@ def test_graded_commutativity_of_homogeneous_elements(c1, c2, c3, c4):
 @settings(max_examples=60, deadline=None)
 @given(c1=_coeff, c2=_coeff, c3=_coeff)
 def test_bilinearity(c1, c2, c3):
-    t2 = torus_algebra(2)
+    t2 = catalog_space("torus:2").algebra
     gens = t2.generators
     x = t2.element({gens[0]: c1})
     y = t2.element({gens[1]: c2})

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import os
 import subprocess
 import sys
@@ -112,8 +115,66 @@ def test_plan_products_match_golden(spec):
     assert plan_products_lines(spec) == golden
 
 
+# The bounds-mixed benchmark grammar: its 28 leaves, every ordered pair of
+# total Betti rank <= 32 (<= 16 with a convex factor), and a few alias
+# spellings.  Each line of tests/golden/bounds_grammar.jsonl is the
+# `tcplan bounds <spec>` stdout of one spec.
+BOUNDS_LEAVES = (
+    [("circle", None)]
+    + [("sphere", n) for n in range(1, 7)]
+    + [("torus", n) for n in range(2, 7)]
+    + [("surface", g) for g in range(8)]
+    + [("cpn", n) for n in range(1, 6)]
+    + [("convex", n) for n in range(1, 4)]
+)
+BOUNDS_ALIASES = [
+    "torus:1",
+    "surface:0",
+    "surface:1",
+    "product(surface:1,torus:1,convex:2)",
+    "product(product(circle,circle),torus:3)",
+]
+BOUNDS_GOLDEN = ROOT / "tests" / "golden" / "bounds_grammar.jsonl"
+
+
+def bounds_grammar_specs():
+    betti = {"circle": 2, "sphere": 2, "convex": 1}
+
+    def rank(leaf):
+        kind, p = leaf
+        return betti.get(kind) or {"torus": 2**p, "surface": 2 * p + 2, "cpn": p + 1}[kind]
+
+    def text(leaf):
+        kind, p = leaf
+        return kind if p is None else f"{kind}:{p}"
+
+    specs = [text(leaf) for leaf in BOUNDS_LEAVES]
+    for a, b in itertools.product(BOUNDS_LEAVES, repeat=2):
+        cap = 16 if "convex" in (a[0], b[0]) else 32
+        if rank(a) * rank(b) <= cap:
+            specs.append(f"product({text(a)},{text(b)})")
+    return specs + [s for s in BOUNDS_ALIASES if s not in specs]
+
+
+def bounds_grammar_output():
+    from tcplan.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for spec in bounds_grammar_specs():
+            assert main(["bounds", spec]) == 0, spec
+    return out.getvalue().encode()
+
+
+def test_bounds_grammar_matches_golden():
+    """Bounds over the benchmark grammar are part of the output contract."""
+    assert len(bounds_grammar_specs()) == 574
+    assert bounds_grammar_output() == BOUNDS_GOLDEN.read_bytes()
+
+
 if __name__ == "__main__":
-    # Rewrite the plan-products golden file (only at a commit whose output
-    # is known good):  PYTHONPATH=src python tests/test_scripts.py
+    # Rewrite the plan-products and bounds-grammar golden files (only at a
+    # commit whose output is known good):  PYTHONPATH=src python tests/test_scripts.py
     PLAN_GOLDEN.write_text("".join(line for spec in PLAN_SPECS
                                    for line in plan_products_lines(spec)))
+    BOUNDS_GOLDEN.write_bytes(bounds_grammar_output())

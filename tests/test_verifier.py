@@ -210,3 +210,20 @@ def test_adversarial_pairs_do_not_build_the_product():
         tracemalloc.stop()
     assert len(pairs) == 512
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "planner",
+    [build_planner("torus:41"), arm_planner("spatial", 64)],
+    ids=["torus:41", "(S^2)^64"],
+)
+def test_adversarial_pairs_beyond_int64(planner):
+    """3^41 and 7^64 menu combinations exceed a C long; still 512 distinct pairs,
+    the same ones on a re-run."""
+    def keys(seed):
+        pairs = adversarial_pairs(planner, np.random.default_rng(seed))
+        return [a.flat.tobytes() + b.flat.tobytes() for a, b in pairs]
+
+    first = keys(5)
+    assert len(first) == len(set(first)) == 512
+    assert keys(5) == first
