@@ -280,10 +280,6 @@ class PathFn:
         return f"<PathFn {self.label}>"
 
 
-def constant_path(point: ConfigPoint) -> PathFn:
-    return PathFn(lambda t: point, ((0.0, 1.0, True),), "constant")
-
-
 def _slerp_part(a: np.ndarray, b: np.ndarray) -> Callable[[float], np.ndarray]:
     """Constant-speed shortest arc between non-antipodal unit vectors.
 
@@ -365,11 +361,6 @@ def concat_paths(segments: Sequence[tuple[float, float, PathFn]], label: str = "
         return segments[-1][2](1.0)
 
     return PathFn(fn, pieces, label)
-
-
-def reverse_path(path: PathFn) -> PathFn:
-    pieces = tuple((1.0 - t1, 1.0 - t0, const) for t0, t1, const in reversed(path.pieces))
-    return PathFn(lambda t: path(1.0 - t), pieces, f"reverse({path.label})")
 
 
 def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:

@@ -154,10 +154,6 @@ class GradedAlgebra:
         return self.element({label: 1})
 
     @property
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, {})
-
-    @property
     def one(self) -> "AlgElement":
         return self.basis_element(self.unit)
 

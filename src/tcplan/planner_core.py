@@ -3,9 +3,9 @@
 A planner is an ordered list of rules.  Each rule owns an open subset of
 (start, goal) pairs, a section producing a path from start to goal on that
 subset, and a continuous weight in [0, 1] that is positive exactly on the
-subset; the normalized weights form a partition of unity.  Planning a query
-means taking the first rule whose weight is positive and evaluating its
-section, so the number of rules is an upper bound for the complexity of the
+subset; the normalized weights form a partition of unity.  ``decide`` takes
+the first rule whose weight is positive and ``path`` evaluates its section,
+so the number of rules is an upper bound for the complexity of the
 space and the constructions below realize the known minimal counts:
 
 * convex pieces: 1 rule (straight segments);
@@ -82,7 +82,7 @@ __all__ = [
 
 
 class DomainMiss(RuntimeError):
-    """A section was evaluated outside its rule's domain."""
+    """A rule's path was requested for a pair outside the rule's domain."""
 
 
 class CoverageGap(RuntimeError):
@@ -99,18 +99,16 @@ class LengthMismatch(ValueError):
 
 @dataclass(frozen=True)
 class PlannerRule:
-    """One motion-planning rule: domain, section, partition-of-unity weight.
+    """One motion-planning rule: name, partition-of-unity weight, section.
 
-    ``weight`` maps a pair to [0, 1] and is positive exactly where the rule
-    applies; ``predicate`` is the induced domain test.
+    An elementary rule's ``weight`` maps a pair to [0, 1] and is positive
+    exactly where the rule applies; only ``Planner.path`` evaluates its
+    ``section``, after checking that weight.  Composite rules are names only.
     """
 
     name: str
-    weight: Callable[[ConfigPoint, ConfigPoint], float]
-    section: Callable[[ConfigPoint, ConfigPoint], PathFn]
-
-    def predicate(self, a: ConfigPoint, b: ConfigPoint) -> bool:
-        return self.weight(a, b) > 0.0
+    weight: Callable[[ConfigPoint, ConfigPoint], float] | None = None
+    section: Callable[[ConfigPoint, ConfigPoint], PathFn] | None = None
 
 
 @dataclass(frozen=True)
@@ -141,10 +139,9 @@ class Planner:
     """An ordered rule system over a product geometry.
 
     ``decide`` computes a query's rule, weights and cell in one pass and
-    ``path`` builds a rule's section from that decision; ``plan_info`` and
-    ``weights`` are views of the decision.  The rules themselves stay usable
-    one at a time.  ``point_sampler`` lets spaces with excluded loci (e.g.
-    the punctured plane) provide their own random points to verifiers.
+    ``path`` builds a rule's section from that decision; they are the only
+    way a rule is used.  ``point_sampler`` lets spaces with excluded loci
+    (e.g. the punctured plane) provide their own random points to verifiers.
     """
 
     space: str
@@ -161,28 +158,22 @@ class Planner:
         return Decision(a, b, index, tuple(w / total for w in raw))
 
     def path(self, decision: Decision, index: int) -> PathFn:
-        """Section of the 1-based rule ``index`` at the decided query."""
-        return self.rules[index - 1].section(decision.a, decision.b)
+        """Section of the 1-based rule ``index`` at the decided query; raises
+        DomainMiss where the decision gives that rule weight 0."""
+        rule = self.rules[index - 1]
+        if decision.weights[index - 1] <= 0.0:
+            raise DomainMiss(f"{rule.name} rule does not cover this pair")
+        return rule.section(decision.a, decision.b)
 
     def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
+        """View of ``decide``, unused in tcplan; goes when ROADMAP item 5 drops its span."""
         return self.decide(a, b).weights
 
     def plan_info(self, a: ConfigPoint, b: ConfigPoint) -> tuple[int, tuple[float, ...], object]:
-        """First applicable 1-based rule index, normalized weights, tie cell."""
+        """(index, weights, cell) view of ``decide``, unused in tcplan; goes
+        when ROADMAP item 5 drops its span."""
         decision = self.decide(a, b)
         return decision.index, decision.weights, decision.cell
-
-
-def _decided_rules(planner: Planner, names: Sequence[str]) -> tuple[PlannerRule, ...]:
-    """Composite rules, each evaluated alone through the planner's decision."""
-    return tuple(
-        PlannerRule(
-            name,
-            weight=lambda a, b, i=i: planner.decide(a, b).weights[i - 1],
-            section=lambda a, b, i=i: planner.path(planner.decide(a, b), i),
-        )
-        for i, name in enumerate(names, 1)
-    )
 
 
 def plan(planner: Planner, a: ConfigPoint, b: ConfigPoint) -> PlanResult:
@@ -218,12 +209,7 @@ def _shortest_arc_rule(factor) -> PlannerRule:
     def weight(a, b):
         return factor_distance(factor, a.parts[0], -b.parts[0]) / math.pi
 
-    def section(a, b):
-        if weight(a, b) <= 0.0:
-            raise DomainMiss("shortest-arc rule needs a != -b")
-        return geodesic_path(a, b)
-
-    return PlannerRule("shortest-arc", weight, section)
+    return PlannerRule("shortest-arc", weight, geodesic_path)
 
 
 def circle_planner() -> Planner:
@@ -235,8 +221,6 @@ def circle_planner() -> Planner:
         return factor_distance(factor, a.parts[0], b.parts[0]) / math.pi
 
     def s_positive(a, b):
-        if w_positive(a, b) <= 0.0:
-            raise DomainMiss("positive-arc rule needs a != b")
         xa, xb = a.parts[0], b.parts[0]
         start = math.atan2(xa[1], xa[0])
         sweep = (math.atan2(xb[1], xb[0]) - start) % (2.0 * math.pi)
@@ -291,8 +275,6 @@ def sphere_planner(n: int) -> Planner:
             return min(d_ab, d_pole) / math.pi
 
     def s_two_stage(a, b):
-        if w_two_stage(a, b) <= 0.0:
-            raise DomainMiss("two-stage rule needs a != b (and b off the field zero)")
         to_antipode = geodesic_path(a, antipode(b))
         sweep = polar_arc_path(geometry, b.parts[0], tangent_at(b.parts[0]))
         return concat_paths([(0.0, 0.5, to_antipode), (0.5, 1.0, sweep)], "two-stage")
@@ -312,8 +294,6 @@ def sphere_planner(n: int) -> Planner:
             return min(d_a, d_b) / math.pi
 
         def s_chart(a, b):
-            if w_chart(a, b) <= 0.0:
-                raise DomainMiss("chart rule needs both points off the chart pole")
             return chart_segment_path(geometry, a.parts[0], b.parts[0], chart_axis)
 
         rules.append(PlannerRule("chart-segment", w_chart, s_chart))
@@ -328,16 +308,15 @@ def _upward_closed(values: tuple[float, ...], top: float, rest: list[int]):
     """The upward-closed extensions of an argmax set by indices in ``rest``
     (whose values lie below ``top``): the empty one and {i : values[i] >=
     theta} for each distinct value theta in ``rest``.  Each comes as (its
-    bitmask over ``rest``, its indices, the smallest value of the extended
-    set, the largest value left outside or None), in ascending bitmask
-    order."""
+    indices, the smallest value of the extended set, the largest value left
+    outside or None).  The sets are nested and built in growing order, each
+    adding at least one index, so they already come in ascending order of
+    their bitmasks over ``rest``."""
     below = sorted({values[i] for i in rest}, reverse=True)
-    sets = [(0, [], top, below[0] if below else None)]
+    sets = [([], top, below[0] if below else None)]
     for theta, out in zip(below, below[1:] + [None]):
-        extra = [i for i in rest if values[i] >= theta]
-        bits = sum(1 << k for k, i in enumerate(rest) if values[i] >= theta)
-        sets.append((bits, extra, theta, out))
-    return sorted(sets, key=lambda entry: entry[0])
+        sets.append(([i for i in rest if values[i] >= theta], theta, out))
+    return sets
 
 
 def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
@@ -373,13 +352,13 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     rest_t = [j for j in range(m) if g[j] != gmax]
     t_sets = [
         (t0 + t_extra, min_g, None if out_g is None else fmax * out_g)
-        for _, t_extra, min_g, out_g in _upward_closed(g, gmax, rest_t)
+        for t_extra, min_g, out_g in _upward_closed(g, gmax, rest_t)
     ]
 
     levels = [0.0] * (n + m + 1)
     cells: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    for _, s_extra, min_f, out_f in _upward_closed(f, fmax, rest_s):
+    for s_extra, min_f, out_f in _upward_closed(f, fmax, rest_s):
         s = s0 + s_extra
         outside_f = 0.0 if out_f is None else max(0.0, out_f * gmax)
         for t, min_g, outside_g in t_sets:
@@ -410,7 +389,7 @@ class ProductPlanner(Planner):
         self.left, self.right = left, right
         self.split = len(left.geometry.factors)
         levels = range(2, len(left.rules) + len(right.rules) + 1)
-        rules = _decided_rules(self, [f"level-{k}" for k in levels])
+        rules = tuple(PlannerRule(f"level-{k}") for k in levels)
         geometry = concat_geometry(left.geometry, right.geometry)
         super().__init__(f"product({left.space},{right.space})", geometry, rules)
 
@@ -456,12 +435,14 @@ def arm_planner(kind: str, n: int) -> Planner:
 
 # -- transfer along a homotopy equivalence ----------------------------------------
 
+_HOMOTOPY_TOL = 1e-6
+
 
 class TransferPlanner(Planner):
     """Pull a planner on Y back to X along f: X -> Y, g: Y -> X.
 
     ``h`` is a homotopy on X with h(0, .) the identity and h(1, .) = g o f
-    (checked on ``check_points`` within ``tol``).  The source planner
+    (checked on ``check_points`` within ``_HOMOTOPY_TOL``).  The source planner
     decides each query at (f(a), f(b)), so rule domains and weights pull
     back through f x f; a section runs in three stages: slide the start
     along the homotopy, traverse the Y-path pushed through g, then slide
@@ -477,16 +458,15 @@ class TransferPlanner(Planner):
         geometry: Geometry,
         space: str = "transfer",
         check_points: Sequence[ConfigPoint] = (),
-        tol: float = 1e-6,
         point_sampler=None,
     ):
         for x in check_points:
-            if config_distance(h(0.0, x), x) > tol:
+            if config_distance(h(0.0, x), x) > _HOMOTOPY_TOL:
                 raise HomotopyEndpointMismatch(f"h(0, .) is not the identity at {x}")
-            if config_distance(h(1.0, x), g(f(x))) > tol:
+            if config_distance(h(1.0, x), g(f(x))) > _HOMOTOPY_TOL:
                 raise HomotopyEndpointMismatch(f"h(1, .) differs from g(f(.)) at {x}")
         self.source, self.f, self.g, self.h = planner, f, g, h
-        rules = _decided_rules(self, [f"transfer({rule.name})" for rule in planner.rules])
+        rules = tuple(PlannerRule(f"transfer({rule.name})") for rule in planner.rules)
         super().__init__(space, geometry, rules, point_sampler)
 
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:

@@ -9,7 +9,7 @@ section      path(0) = start and path(1) = goal within tolerance;
 coverage     some rule applies to every sampled pair;
 continuity   inside each rule's weight interior (weight >= margin_eta),
              perturbing both endpoints tangentially by delta moves the
-             whole path by at most max_ratio * delta, provided the
+             whole path by at most MAX_RATIO * delta, provided the
              perturbed query stays in the same rule and tie cell;
 geometry     sampled path points stay on their spheres, and segments
              declared constant-speed have sampled speed variation < 1%.
@@ -36,10 +36,13 @@ import numpy as np
 
 from .catalog import BoundsReport, SpaceDescriptor, tc_bounds
 from .geometry import ConfigPoint, config_distance, random_point, tangent_perturb, vector_norm
-from .planner_core import CoverageGap, Planner
+from .planner_core import CoverageGap, DomainMiss, Planner
 
 DEFAULT_SPEED_TOL = 0.01
 MAX_PAIRS = 100_000
+SAMPLES_PER_PATH = 9
+MAX_RATIO = 200.0
+SPEED_CHECKS = 200
 _INT64_MAX = 2**63 - 1
 
 
@@ -60,12 +63,9 @@ class VerifyConfig:
     delta: float = 1e-4
     margin_eta: float = 0.1
     tolerance: float = 1e-9
-    samples_per_path: int = 9
-    max_ratio: float = 200.0
-    speed_checks: int = 200
 
     def __post_init__(self):
-        for name in ("delta", "margin_eta", "tolerance", "max_ratio"):
+        for name in ("delta", "margin_eta", "tolerance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"bad verify config: {name} must be finite")
         if self.pairs > MAX_PAIRS:
@@ -73,7 +73,7 @@ class VerifyConfig:
             raise ValueError(f"bad verify config: pairs must be at most {MAX_PAIRS}")
         if self.pairs < 1 or self.delta <= 0 or not (0 <= self.margin_eta < 1):
             raise ValueError("bad verify config")
-        if self.tolerance <= 0 or self.samples_per_path < 2:
+        if self.tolerance <= 0:
             raise ValueError("bad verify config")
 
 
@@ -238,7 +238,7 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     for _ in range(cfg.pairs):
         queries.append((sampler(rng), sampler(rng)))
 
-    ts = [i / (cfg.samples_per_path - 1) for i in range(cfg.samples_per_path)]
+    ts = [i / (SAMPLES_PER_PATH - 1) for i in range(SAMPLES_PER_PATH)]
     sphere_slots = [i for i, f in enumerate(planner.geometry.factors) if f.kind == "sphere"]
 
     max_end = 0.0
@@ -268,7 +268,7 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
             for slot in sphere_slots:
                 max_norm = max(max_norm, abs(vector_norm(p.parts[slot]) - 1.0))
 
-        if speed_checked < cfg.speed_checks:
+        if speed_checked < SPEED_CHECKS:
             max_speed = max(max_speed, _speed_variation(path, cfg))
             speed_checked += 1
 
@@ -300,7 +300,7 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
         rule_usage=usage,
         section_pass=max_end <= cfg.tolerance,
         coverage_pass=uncovered == 0,
-        continuity_pass=math.isfinite(max_ratio) and max_ratio <= cfg.max_ratio,
+        continuity_pass=math.isfinite(max_ratio) and max_ratio <= MAX_RATIO,
         geometry_pass=max_norm <= cfg.tolerance and max_speed < DEFAULT_SPEED_TOL,
     )
 
@@ -343,18 +343,18 @@ def demonstrate_discontinuity(
     shared boundary pair; a gap bounded away from zero as the offset
     shrinks certifies numerically that no continuous extension exists.
     """
-    rule = planner.rules[rule_index - 1]
     ts = [i / (samples - 1) for i in range(samples)]
     gaps = []
     for eps in offsets:
-        qa, qb = family_a(eps), family_b(eps)
-        for a, b in (qa, qb):
-            if not rule.predicate(a, b):
+        paths = []
+        for a, b in (family_a(eps), family_b(eps)):
+            try:
+                paths.append(planner.path(planner.decide(a, b), rule_index))
+            except (CoverageGap, DomainMiss):
                 raise FamilyLeavesDomain(
                     f"rule {rule_index} does not cover the offset-{eps} pair ({a}, {b})"
-                )
-        path_a = rule.section(*qa)
-        path_b = rule.section(*qb)
+                ) from None
+        path_a, path_b = paths
         gaps.append(max(config_distance(path_a(t), path_b(t)) for t in ts))
     return DivergenceReport(rule_index, tuple(offsets), tuple(gaps))
 

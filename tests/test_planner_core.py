@@ -219,9 +219,9 @@ def test_torus_level_two_for_generic_pair():
         planner.geometry,
         [math.cos(deg10), math.sin(deg10), math.cos(deg20), math.sin(deg20)],
     )
-    index, _, signature = planner.plan_info(a, b)
-    assert index == 1  # level 2
-    assert signature == ((0,), (0,))
+    decision = planner.decide(a, b)
+    assert decision.index == 1  # level 2
+    assert decision.cell == ((0,), (0,))
     result = plan(planner, a, b)
     mid = result.path(0.5)
     assert abs(angle_of(mid, 0) - deg10 / 2) < EPS
@@ -232,9 +232,9 @@ def test_torus_exact_tie_hits_top_level():
     planner = arm_planner("planar", 2)
     a = pt(planner, 1, 0, 1, 0)
     b = pt(planner, 0, 1, 0, 1)  # exactly a quarter turn per factor
-    index, _, signature = planner.plan_info(a, b)
-    assert index == 3  # level 4
-    assert signature == ((0, 1), (0, 1))
+    decision = planner.decide(a, b)
+    assert decision.index == 3  # level 4
+    assert decision.cell == ((0, 1), (0, 1))
 
 
 def test_product_weights_are_partition_of_unity():
@@ -243,11 +243,11 @@ def test_product_weights_are_partition_of_unity():
     for _ in range(100):
         a = random_point(planner.geometry, rng)
         b = random_point(planner.geometry, rng)
-        weights = planner.weights(a, b)
+        decision = planner.decide(a, b)
+        weights = decision.weights
         assert abs(sum(weights) - 1.0) < 1e-12
         assert all(0.0 <= w <= 1.0 for w in weights)
-        index, _, _ = planner.plan_info(a, b)
-        assert weights[index - 1] > 0.0
+        assert weights[decision.index - 1] > 0.0
 
 
 def test_product_cell_inequalities_hold():
@@ -259,11 +259,11 @@ def test_product_cell_inequalities_hold():
     for _ in range(50):
         a = random_point(planner.geometry, rng)
         b = random_point(planner.geometry, rng)
-        _, _, (s, t) = planner.plan_info(a, b)
+        s, t = planner.decide(a, b).cell
         ax, ay = a.geometry.split_point(a, 1)
         bx, by = b.geometry.split_point(b, 1)
-        f = left.weights(ax, bx)
-        g = right.weights(ay, by)
+        f = left.decide(ax, bx).weights
+        g = right.decide(ay, by).weights
         inside = min(f[i] * g[j] for i in s for j in t)
         for i in range(len(f)):
             for j in range(len(g)):
@@ -378,7 +378,7 @@ def _reference_weights(planner, a, b):
 
 def _reference_section(planner, index, a, b):
     if not isinstance(planner, ProductPlanner):
-        return planner.rules[index - 1].section(a, b)
+        return planner.path(planner.decide(a, b), index)
     (ax, bx), (ay, by), _, cells = _reference_cells(planner, a, b)
     s, t = cells[index + 1]
     return pair_paths(
@@ -390,6 +390,14 @@ def _reference_section(planner, index, a, b):
 
 def _sample_bytes(path):
     return [(t, p.flat.tobytes()) for t, p in sample_path(path, 17)]
+
+
+def _covers(planner, decision, index):
+    try:
+        planner.path(decision, index)
+    except DomainMiss:
+        return False
+    return True
 
 
 @pytest.mark.parametrize(
@@ -413,12 +421,13 @@ def test_decision_path_matches_reanalysis(spec):
         assert decision.index == index
         assert decision.weights == weights
         assert decision.cell == _reference_cells(planner, a, b)[3][index + 1]
-        applies = [rule.predicate(a, b) for rule in planner.rules[:index]]
+        applies = [_covers(planner, decision, i) for i in range(1, index + 1)]
         assert applies == [False] * (index - 1) + [True]
-        assert planner.plan_info(a, b) == (index, weights, decision.cell)
+        again = planner.decide(a, b)
+        assert (again.index, again.weights, again.cell) == (index, weights, decision.cell)
         expected = _sample_bytes(_reference_section(planner, index, a, b))
         assert _sample_bytes(plan(planner, a, b).path) == expected
-        assert _sample_bytes(planner.rules[index - 1].section(a, b)) == expected
+        assert _sample_bytes(planner.path(again, index)) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -529,11 +538,23 @@ def test_sample_path_endpoints_and_spacing():
         assert abs(np.linalg.norm(point.parts[0]) - 1.0) < EPS
 
 
-def test_section_outside_domain_raises():
-    planner = circle_planner()
-    a = pt(planner, 1, 0)
-    with pytest.raises(DomainMiss):
-        planner.rules[1].section(a, a)  # positive-arc rule needs a != b
+@pytest.mark.parametrize(
+    "space, index, a, b",
+    [
+        ("circle", 1, (0.6, 0.8), (-0.6, -0.8)),  # shortest arc needs a != -b
+        ("circle", 2, (0.6, 0.8), (0.6, 0.8)),  # positive arc needs a != b
+        ("sphere:2", 1, (0.6, 0, 0.8), (-0.6, 0, -0.8)),  # antipodal pair
+        ("sphere:2", 2, (0.6, 0.8, 0), (0, 0, 1)),  # b at the field zero e3
+        ("sphere:2", 3, (1, 0, 0), (0, 0.6, 0.8)),  # a at the chart pole e1
+    ],
+    ids=["circle-rule1", "circle-rule2", "sphere2-rule1", "sphere2-rule2", "sphere2-rule3"],
+)
+def test_path_outside_domain_raises(space, index, a, b):
+    planner = build_planner(space)
+    decision = planner.decide(pt(planner, *a), pt(planner, *b))
+    assert decision.weights[index - 1] == 0.0
+    with pytest.raises(DomainMiss, match="does not cover"):
+        planner.path(decision, index)
 
 
 # -- kinematics ----------------------------------------------------------------------

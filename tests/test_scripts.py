@@ -71,13 +71,13 @@ def plan_products_lines(spec):
 
     Every fourth query sets some goal factors equal to (or, on spheres,
     antipodal to) the start's, so ties reach deep into the product.  A line
-    holds the rule index, the `plan_info` weights as `float.hex`, the tie
+    holds the rule index, the decision's weights as `float.hex`, the tie
     cell and the `repr` of the 17 path samples.
     """
     import numpy as np
 
     from tcplan.geometry import make_point
-    from tcplan.planner_core import build_planner, plan, sample_path
+    from tcplan.planner_core import build_planner, sample_path
 
     planner = build_planner(spec)
     factors = planner.geometry.factors
@@ -99,8 +99,9 @@ def plan_products_lines(spec):
                 antipodal = factors[i].kind == "sphere" and rng.random() < 0.5
                 b[i] = -a[i] if antipodal else a[i].copy()
         a, b = make_point(planner.geometry, a), make_point(planner.geometry, b)
-        index, weights, cell = planner.plan_info(a, b)
-        samples = sample_path(plan(planner, a, b).path, 17)
+        decision = planner.decide(a, b)
+        index, weights, cell = decision.index, decision.weights, decision.cell
+        samples = sample_path(planner.path(decision, index), 17)
         coords = [(t, p.flat.tolist()) for t, p in samples]
         hexed = [w.hex() for w in weights]
         lines.append(f"{spec} {query} {index} {hexed} {cell} {coords!r}\n")

@@ -58,8 +58,7 @@ def test_sphere2_passes_and_field_zero_pair_hits_chart_rule():
     assert all(report.rule_usage[i] > 0 for i in (1, 2, 3))
     south = make_point(planner.geometry, [0, 0, -1])
     north = make_point(planner.geometry, [0, 0, 1])
-    index, _, _ = planner.plan_info(south, north)
-    assert index == 3
+    assert planner.decide(south, north).index == 3
 
 
 def test_straight_line_passes():
