@@ -15,7 +15,6 @@ from .catalog import (
     UnsupportedParameter,
     canonical,
     catalog_space,
-    kunneth,
     parse_spec,
     planner_rule_count,
     tc_bounds,
@@ -33,7 +32,6 @@ from .graded_algebra import (
     ZdclResult,
     canonical_divisor,
     cup_hom,
-    multiply,
     tensor_square,
     validate_algebra,
     zdcl,

@@ -7,7 +7,9 @@ once into its canonical form: ``torus:1`` is ``circle``, ``torus:n`` the
 product of n circles, ``surface:0`` is ``sphere:2`` and ``surface:1`` the
 product of two circles; a product is the product of its factors' canonical
 forms, nesting kept.  The parser rejects a spec whose canonical form has
-more than ``MAX_LEAVES`` = 64 leaves before it expands anything.
+more than ``MAX_LEAVES`` = 64 leaves before it expands anything, and a leaf
+whose cohomology basis would have more than ``MAX_LEAF_BASIS`` = 32 elements
+(``surface:g`` for g > 15, ``cpn:n`` for n > 31).
 
 Every catalog fact is read off one table, ``_LEAVES``, with a row per
 canonical leaf kind (``convex``, ``circle``, ``sphere``, ``surface`` of genus
@@ -16,10 +18,12 @@ the Lusternik-Schnirelmann category taken from the literature, the exact
 planner complexity where known and the rule count of the explicit planner.
 ``fold`` evaluates a canonical form bottom-up, and one product step combines
 the factor rows: dimensions add, rule counts combine as sum - (k - 1), and
-so does the exact complexity of a product of spheres of one dimension (k + 1
-for odd, 2k + 1 for even spheres; contractible factors count 1, by homotopy
-invariance).  A descriptor builds its algebra, the Kuenneth product of the
-leaf presets, only on first access.
+so does the exact complexity of any product of leaves whose value is known.
+Each such leaf has TC = zcl + 1 (convex pieces 0 + 1, odd spheres 1 + 1,
+even spheres 2 + 1, surfaces of genus >= 2 4 + 1), so the superadditive
+cup-length below gives sum - (k - 1) from below, as the product inequality
+does from above.  A descriptor builds its algebra, the Kuenneth product of
+the leaf presets, only on first access.
 
 ``tc_bounds`` combines every available estimate:
 
@@ -38,9 +42,9 @@ nonzero.  So the sum S of the factor cup-lengths is certified, and when
 S + 1 already meets the best upper bound the product's algebra is never
 built: the search in its tensor square could only return S again.
 
-The cohomology presets of dimension at most 32 are built and validated once
-per process and then shared, together with their lazily filled product
-memos and tensor squares.
+The cohomology presets a spec can name are built and validated once per
+process and then shared, together with their lazily filled product memos
+and tensor squares.
 """
 
 from __future__ import annotations
@@ -50,13 +54,7 @@ from functools import cached_property, lru_cache, partial, reduce, wraps
 from operator import itemgetter
 from typing import Callable, NamedTuple, TypeVar
 
-from .graded_algebra import (
-    GradedAlgebra,
-    TensorProductAlgebra,
-    tensor_product,
-    validate_algebra,
-    zdcl,
-)
+from .graded_algebra import GradedAlgebra, tensor_product, validate_algebra, zdcl
 
 
 class BadSpec(ValueError):
@@ -89,6 +87,11 @@ class SpaceSpec:
 
 _PARAM_KINDS = {"sphere": 1, "surface": 0, "cpn": 1, "torus": 1, "convex": 1}
 MAX_LEAVES = 64
+# Cap on a leaf's cohomology basis: its preset goes through cubic validate()
+# before any bound is taken.  Every preset under the cap is memoized.
+MAX_LEAF_BASIS = 32
+# Cohomology basis size of the leaf presets that grow with their parameter.
+_BASIS_SIZE = {"surface": lambda genus: 2 * genus + 2, "cpn": lambda n: n + 1}
 
 
 def _circle_count(spec: SpaceSpec) -> int:
@@ -104,7 +107,8 @@ def parse_spec(text: str) -> SpaceSpec:
     Errors report the position of the offending token in the original text.
     A spec whose canonical form has more than ``MAX_LEAVES`` leaves is
     rejected as it is read (``torus:n`` counts n), so no parameter is ever
-    expanded unbounded; products nested deeper than that are rejected too.
+    expanded unbounded; products nested deeper than that are rejected too,
+    and so is a leaf with more than ``MAX_LEAF_BASIS`` cohomology classes.
     """
     i = 0
     leaves = depth = 0
@@ -171,6 +175,10 @@ def parse_spec(text: str) -> SpaceSpec:
                 raise UnsupportedParameter(
                     f"{name}:{value} is out of range (need >= {_PARAM_KINDS[name]})"
                 )
+            if name in _BASIS_SIZE and _BASIS_SIZE[name](value) > MAX_LEAF_BASIS:
+                raise UnsupportedParameter(
+                    f"{name}:{value} has more than {MAX_LEAF_BASIS} cohomology classes"
+                )
             spec = SpaceSpec(name, param=value)
         else:
             raise BadSpec(f"unknown space name {name!r}", start)
@@ -222,12 +230,12 @@ def fold(
 
 # -- cohomology presets --------------------------------------------------------
 
-# Presets of dimension at most _PRESET_CACHE_MAX_DIM are memoized per
-# parameter; callers share those instances and must not mutate them.  Larger
-# presets are rebuilt on each call, so a process that once asks for, say,
-# cpn:200 does not keep it, its product memo and its tensor square alive.
-# Product algebras are built per descriptor and never shared.
-_PRESET_CACHE_MAX_DIM = 32
+# Presets of dimension at most MAX_LEAF_BASIS, the only ones a spec can name,
+# are memoized per parameter; callers share those instances and must not
+# mutate them.  Larger presets are rebuilt on each direct call, so a process
+# that once builds, say, cpn_algebra(200) does not keep it, its product memo
+# and its tensor square alive.  Product algebras are built per descriptor and
+# never shared.
 
 
 def _preset(dim_of):
@@ -238,7 +246,7 @@ def _preset(dim_of):
 
         @wraps(builder)
         def build(*args):
-            small = dim_of(*args) <= _PRESET_CACHE_MAX_DIM
+            small = dim_of(*args) <= MAX_LEAF_BASIS
             return (cached if small else builder)(*args)
 
         build.cache_clear = cached.cache_clear
@@ -273,11 +281,7 @@ def sphere_algebra(n: int) -> GradedAlgebra:
     return algebra
 
 
-def circle_algebra() -> GradedAlgebra:
-    return sphere_algebra(1)
-
-
-@_preset(lambda n: n + 1)
+@_preset(_BASIS_SIZE["cpn"])
 def cpn_algebra(n: int) -> GradedAlgebra:
     """H of complex projective n-space: truncated polynomial ring on u, |u| = 2."""
     labels = ["1"] + [f"u^{k}" if k > 1 else "u" for k in range(1, n + 1)]
@@ -298,7 +302,7 @@ def cpn_algebra(n: int) -> GradedAlgebra:
     return algebra
 
 
-@_preset(lambda genus: 2 * genus + 2)
+@_preset(_BASIS_SIZE["surface"])
 def surface_algebra(genus: int) -> GradedAlgebra:
     """H of a closed orientable surface of genus >= 2, as a symplectic system.
 
@@ -326,11 +330,6 @@ def surface_algebra(genus: int) -> GradedAlgebra:
     return algebra
 
 
-def kunneth(a: GradedAlgebra, b: GradedAlgebra) -> TensorProductAlgebra:
-    """Cohomology of a product space: the tensor product with the sign rule."""
-    return tensor_product(a, b)
-
-
 # -- space descriptors ----------------------------------------------------------
 
 
@@ -343,22 +342,21 @@ class _Row(NamedTuple):
     cat: int | None  # Lusternik-Schnirelmann category, a literature constant
     known_tc: int | None
     rules: int | None  # rule count of the explicit planner
-    spheres: frozenset[int] | None  # None once a leaf is neither sphere nor convex
 
 
 def _sphere_row(n: int) -> _Row:
     by_parity = 2 if n % 2 else 3
-    return _Row(n, partial(sphere_algebra, n), False, 2, by_parity, by_parity, frozenset({n}))
+    return _Row(n, partial(sphere_algebra, n), False, 2, by_parity, by_parity)
 
 
 # One row per canonical leaf kind, as a function of the leaf's parameter.
 # A surface of genus >= 2 has TC 5: its cup-length bound meets the dimension bound.
 _LEAVES: dict[str, Callable[[int | None], _Row]] = {
-    "convex": lambda d: _Row(d, point_algebra, True, 1, 1, 1, frozenset()),
+    "convex": lambda d: _Row(d, point_algebra, True, 1, 1, 1),
     "circle": lambda _: _sphere_row(1),
     "sphere": _sphere_row,
-    "surface": lambda g: _Row(2, partial(surface_algebra, g), False, 3, 5, None, None),
-    "cpn": lambda n: _Row(2 * n, partial(cpn_algebra, n), False, None, None, None, None),
+    "surface": lambda g: _Row(2, partial(surface_algebra, g), False, 3, 5, None),
+    "cpn": lambda n: _Row(2 * n, partial(cpn_algebra, n), False, None, None, None),
 }
 
 
@@ -370,19 +368,13 @@ def _combined(values: list[int | None]) -> int | None:
 
 
 def _product_row(parts: list[_Row]) -> _Row:
-    spheres = None
-    if all(p.spheres is not None for p in parts):
-        spheres = frozenset().union(*(p.spheres for p in parts))
-    # k spheres of one dimension: k + 1 (odd) or 2k + 1 (even), i.e. sum - (k - 1)
-    one_dimension = spheres is not None and len(spheres) <= 1
     return _Row(
         dim=sum(p.dim for p in parts),
-        algebra=lambda: reduce(kunneth, [p.algebra() for p in parts]),
+        algebra=lambda: reduce(tensor_product, [p.algebra() for p in parts]),
         contractible=all(p.contractible for p in parts),
         cat=None,
-        known_tc=_combined([p.known_tc for p in parts]) if one_dimension else None,
+        known_tc=_combined([p.known_tc for p in parts]),
         rules=_combined([p.rules for p in parts]),
-        spheres=spheres,
     )
 
 

@@ -30,7 +30,7 @@ from .catalog import (
     planner_rule_count,
     tc_bounds,
 )
-from .graded_algebra import AlgebraError, validate_algebra, zdcl
+from .graded_algebra import AlgebraError, _field, validate_algebra, zdcl
 from .geometry import InvalidPoint, make_point
 from .planner_core import build_planner, forward_kinematics, plan, sample_path
 from .verifier import Mismatch, VerifyConfig, reconcile, verify_planner
@@ -51,7 +51,7 @@ def _emit(payload: dict) -> None:
 
 
 def _fail(message: str) -> int:
-    print(f"tcplan: {message}", file=sys.stderr)
+    print("tcplan:", *message.splitlines(), file=sys.stderr)  # one line, whatever the input
     return 2
 
 
@@ -59,8 +59,7 @@ def _load_algebra(path: str):
     """The validated algebra of a presentation file, and the file's raw data."""
     with open(path) as fh:
         data = json.load(fh)
-    name = data.get("name", path) if isinstance(data, dict) else path
-    return validate_algebra(data, name=name), data
+    return validate_algebra(data, name=_field(data, "name", str, default=path)), data
 
 
 def _parse_floats(text: str, what: str) -> list[float]:

@@ -7,9 +7,7 @@ from tcplan.catalog import (
     BadSpec,
     UnsupportedParameter,
     catalog_space,
-    circle_algebra,
     cpn_algebra,
-    kunneth,
     parse_spec,
     planner_rule_count,
     point_algebra,
@@ -17,7 +15,7 @@ from tcplan.catalog import (
     surface_algebra,
     tc_bounds,
 )
-from tcplan.graded_algebra import GradedAlgebra
+from tcplan.graded_algebra import GradedAlgebra, tensor_product
 
 
 # -- parser -----------------------------------------------------------------
@@ -51,6 +49,12 @@ def test_out_of_range_parameters():
     with pytest.raises(UnsupportedParameter):
         parse_spec("convex:0")
     parse_spec("surface:0")  # genus 0 is fine
+    # a leaf may have at most 32 cohomology classes: 2g + 2 and n + 1
+    parse_spec("surface:15")
+    parse_spec("cpn:31")
+    for text in ("surface:16", "cpn:32", "product(circle,cpn:40)"):
+        with pytest.raises(UnsupportedParameter):
+            parse_spec(text)
 
 
 # -- descriptors -------------------------------------------------------------
@@ -83,9 +87,11 @@ def test_cpn_has_no_exact_value():
     assert d.known_tc is None
 
 
-def test_mixed_product_has_no_exact_value():
-    assert catalog_space("product(circle,sphere:2)").known_tc is None
-    assert catalog_space("product(circle,sphere:2,convex:1)").known_tc is None
+def test_mixed_product_has_exact_value():
+    # 1 + #odd + 2 * #even: the cup-length bound meets the product inequality
+    assert catalog_space("product(circle,sphere:2)").known_tc == 4
+    assert catalog_space("product(circle,sphere:2,convex:1)").known_tc == 4
+    assert catalog_space("product(sphere:3,sphere:2,sphere:4)").known_tc == 6
 
 
 @pytest.mark.parametrize(
@@ -130,7 +136,7 @@ def test_category_bracket_consistent_with_known_tc():
 # -- kunneth -----------------------------------------------------------------
 
 def test_kunneth_of_circles_is_torus_algebra():
-    t2 = kunneth(circle_algebra(), circle_algebra())
+    t2 = tensor_product(sphere_algebra(1), sphere_algebra(1))
     t2.validate()
     a1, a2 = (t2.basis_element(g) for g in t2.generators)
     assert a1 * a2 == (a2 * a1).scale(-1)
@@ -139,7 +145,7 @@ def test_kunneth_of_circles_is_torus_algebra():
 
 def test_kunneth_with_point_is_isomorphic():
     s2 = sphere_algebra(2)
-    product = kunneth(s2, point_algebra())
+    product = tensor_product(s2, point_algebra())
     assert product.dim == s2.dim
     assert sorted(product.degree.values()) == sorted(s2.degree.values())
     # structure constants transported through the pairing with the unit
@@ -149,7 +155,7 @@ def test_kunneth_with_point_is_isomorphic():
 
 def test_iterated_kunneth_sphere_cube():
     s2 = sphere_algebra(2)
-    cube = kunneth(kunneth(s2, s2), s2)
+    cube = tensor_product(tensor_product(s2, s2), s2)
     assert cube.dim == 8
     assert cube.top_degree == 6
 

@@ -294,6 +294,16 @@ def test_algebra_file_missing_key_is_exit_2(capsys, tmp_path, key, drop):
     assert err.count("\n") == 1 and repr(key) in err
 
 
+@pytest.mark.parametrize("name", [float("nan"), None, [], {}, 3, True])
+def test_algebra_file_name_must_be_a_string(capsys, tmp_path, name):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({**S2_WITH_U2, "name": name}))
+    for command in ("algebra", "bounds"):
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "'name'" in err
+
+
 @pytest.mark.parametrize("point", ["nan,0,1", "0,inf,1", "0,0,-inf"])
 def test_plan_rejects_non_finite_point(capsys, point):
     for argv in (["--from", point, "--to", "0,0,1"], ["--from", "0,0,1", "--to", point]):
@@ -335,6 +345,10 @@ def test_quiet_flag_accepted_everywhere(capsys):
         ("bounds", "product(" * 100 + "circle"),
         ("plan", "product(torus:40,torus:40)", "--from", "1,0", "--to", "1,0"),
         ("verify", "product(surface:1,torus:63)"),
+        ("bounds", "surface:16"),
+        ("bounds", "cpn:32"),
+        ("bounds", "surface:2000"),
+        ("bounds", "cpn:100000"),
     ],
 )
 def test_leaf_cap_is_exit_2(capsys, argv):

@@ -14,7 +14,6 @@ from tcplan.graded_algebra import (
     UnitMissing,
     canonical_divisor,
     cup_hom,
-    multiply,
     rational_nullspace,
     tensor_square,
     validate_algebra,
@@ -208,13 +207,13 @@ def test_decimal_coefficients_rejected():
 
 def test_unit_law():
     s = sphere_algebra(5)
-    assert multiply(s.one, s.basis_element("u")) == s.basis_element("u")
+    assert s.one * s.basis_element("u") == s.basis_element("u")
 
 
 def test_surface_products():
     sigma = surface_algebra(2)
-    assert multiply(sigma.basis_element("u1"), sigma.basis_element("v1")) == sigma.basis_element("A")
-    assert multiply(sigma.basis_element("u1"), sigma.basis_element("v2")).is_zero
+    assert sigma.basis_element("u1") * sigma.basis_element("v1") == sigma.basis_element("A")
+    assert (sigma.basis_element("u1") * sigma.basis_element("v2")).is_zero
 
 
 def test_cpn_power_products():
@@ -226,7 +225,7 @@ def test_cpn_power_products():
 
 def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
-        multiply(sphere_algebra(1).one, sphere_algebra(2).one)
+        sphere_algebra(1).one * sphere_algebra(2).one
 
 
 # -- tensor square ----------------------------------------------------------------

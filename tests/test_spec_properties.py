@@ -84,6 +84,16 @@ def test_alias_and_canonical_spelling_give_the_same_bounds(spec):
     assert report(spec) == (str(spec), report(spelled)[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(SPECS)
+def test_known_value_is_where_the_bounds_close(spec):
+    assume(betti_rank(spec) <= 16)
+    known = catalog_space(spec).known_tc
+    if known is not None:
+        report = tc_bounds(catalog_space(spec), planner_rule_count(spec))
+        assert (report.lower, report.upper, report.exact) == (known, known, True)
+
+
 GRAMMAR_TEXT = st.text(alphabet="product(),: \tcirlesphtouafcnvx0123456789-_", max_size=48)
 
 
@@ -117,6 +127,6 @@ def test_algebra_built_only_when_the_factor_sum_leaves_the_bracket_open(monkeypa
     def no_product(*args):
         raise AssertionError("product algebra built")
 
-    monkeypatch.setattr(catalog, "kunneth", no_product)
+    monkeypatch.setattr(catalog, "tensor_product", no_product)
     report = tc_bounds(catalog_space("torus:64"), planner_rule_count("torus:64"))
     assert (report.lower, report.upper, report.exact) == (65, 65, True)
