@@ -6,7 +6,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from tcplan.catalog import catalog_space, planner_rule_count, tc_bounds
+from tcplan.catalog import catalog_space, tc_bounds
 
 SPECS = [
     "convex:3",
@@ -28,9 +28,8 @@ def main():
     print("-" * len(header))
     for spec in SPECS:
         descriptor = catalog_space(spec)
-        count = planner_rule_count(spec)
-        report = tc_bounds(descriptor, count)
-        rules = str(count) if count is not None else "-"
+        report = tc_bounds(descriptor)
+        rules = str(descriptor.rules) if descriptor.rules is not None else "-"
         print(
             f"{spec:38s} {descriptor.geometry_dim:3d} {rules:>5s} "
             f"{report.lower:5d} {report.upper:5d} {str(report.exact):>5s}  "

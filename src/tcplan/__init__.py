@@ -16,7 +16,6 @@ from .catalog import (
     canonical,
     catalog_space,
     parse_spec,
-    planner_rule_count,
     tc_bounds,
 )
 from .graded_algebra import (
@@ -25,7 +24,6 @@ from .graded_algebra import (
     AlgElement,
     AssociativityViolation,
     CommutativityViolation,
-    EmptyGeneratorSet,
     GradedAlgebra,
     GradingViolation,
     UnitMissing,

@@ -32,8 +32,8 @@ lower bounds
     and (zero-divisor cup-length) + 1 computed exactly from the algebra.
 upper bounds
     2*dim + 1; 2*cat - 1 when the category is stored; for product spaces
-    the factor bounds combined as  sum - (k - 1);  and the rule count of
-    an explicitly constructed planner when the caller provides one.
+    the factor bounds combined as  sum - (k - 1);  and ``rules``, the rule
+    count of the space's explicit planner, where it has one.
 
 Products get their factors' reports in one pass.  Over Q the zero-divisor
 cup-length is superadditive, zcl(A (x) B) >= zcl(A) + zcl(B): by Kuenneth,
@@ -49,7 +49,7 @@ and tensor squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce, wraps
 from operator import itemgetter
 from typing import Callable, NamedTuple, TypeVar
@@ -389,20 +389,23 @@ class SpaceDescriptor:
     ``spec`` is the space as spelled by the caller and ``form`` its canonical
     form.  ``cat`` is the Lusternik-Schnirelmann category (a literature
     constant stored as metadata, never computed here); ``known_tc`` is filled
-    only where the planner complexity is known exactly.  ``algebra``, the
-    rational cohomology, is built on first access.
+    only where the planner complexity is known exactly, and ``rules`` only
+    where an explicit planner exists.  ``algebra``, the rational cohomology,
+    is built by ``build_algebra`` on first access.
     """
 
     spec: SpaceSpec
     form: SpaceSpec
     geometry_dim: int
     contractible: bool
-    cat: int | None = None
-    known_tc: int | None = None
+    cat: int | None
+    known_tc: int | None
+    rules: int | None
+    build_algebra: Callable[[], GradedAlgebra] = field(compare=False, repr=False)
 
     @cached_property
     def algebra(self) -> GradedAlgebra:
-        return _row(self.form).algebra()
+        return self.build_algebra()
 
 
 def catalog_space(spec: SpaceSpec | str) -> SpaceDescriptor:
@@ -411,17 +414,9 @@ def catalog_space(spec: SpaceSpec | str) -> SpaceDescriptor:
         spec = parse_spec(spec)
     form = canonical(spec)
     row = _row(form)
-    return SpaceDescriptor(spec, form, row.dim, row.contractible, row.cat, row.known_tc)
-
-
-def planner_rule_count(spec: SpaceSpec | str) -> int | None:
-    """Rule count of the explicit planner for this space, if one exists:
-    1 for convex pieces, 2 or 3 for spheres by parity, and sum - (k - 1)
-    for products.  None where no explicit planner is available
-    (higher-genus surfaces, complex projective spaces)."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    return _row(canonical(spec)).rules
+    return SpaceDescriptor(
+        spec, form, row.dim, row.contractible, row.cat, row.known_tc, row.rules, row.algebra
+    )
 
 
 @dataclass(frozen=True)
@@ -446,28 +441,13 @@ class BoundsReport:
         }
 
 
-def _zdcl_length(descriptor: SpaceDescriptor) -> int:
-    algebra = descriptor.algebra
-    return zdcl(
-        algebra,
-        mode="canonical",
-        max_len=max(1, 2 * descriptor.geometry_dim),
-        generators=algebra.generators,
-    ).length
-
-
-def _tc_bounds(
-    descriptor: SpaceDescriptor, rule_count: int | None
-) -> tuple[BoundsReport, int]:
+def _tc_bounds(descriptor: SpaceDescriptor) -> tuple[BoundsReport, int]:
     """The bounds report and the zero-divisor cup-length behind it."""
-    factors = [
-        _tc_bounds(catalog_space(f), planner_rule_count(f))
-        for f in descriptor.form.factors
-    ]
+    factors = [_tc_bounds(catalog_space(f)) for f in descriptor.form.factors]
 
     uppers: list[tuple[int, str]] = []
-    if rule_count is not None:
-        uppers.append((rule_count, "planner rule count"))
+    if descriptor.rules is not None:
+        uppers.append((descriptor.rules, "planner rule count"))
     if factors:
         total = sum(report.upper for report, _ in factors)
         uppers.append((total - (len(factors) - 1), "product inequality"))
@@ -478,7 +458,7 @@ def _tc_bounds(
 
     cup_length = sum(length for _, length in factors)
     if not factors or cup_length + 1 != upper:
-        cup_length = _zdcl_length(descriptor)
+        cup_length = zdcl(descriptor.algebra).length
 
     lowers: list[tuple[int, str]] = []
     if descriptor.contractible:
@@ -501,13 +481,12 @@ def _tc_bounds(
     return report, cup_length
 
 
-def tc_bounds(
-    descriptor: SpaceDescriptor, planner_rule_count: int | None = None
-) -> BoundsReport:
+def tc_bounds(descriptor: SpaceDescriptor) -> BoundsReport:
     """Best certified bounds for the descriptor.
 
-    ``planner_rule_count`` is an upper bound witnessed by an actually
-    constructed planner; product factors contribute their own known rule
-    counts when the product inequality is applied recursively.
+    The upper bound ``descriptor.rules``, where set, is witnessed by the
+    space's explicit planner (``build_planner`` has that many rules); product
+    factors contribute their own rule counts when the product inequality is
+    applied recursively.
     """
-    return _tc_bounds(descriptor, planner_rule_count)[0]
+    return _tc_bounds(descriptor)[0]

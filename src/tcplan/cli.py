@@ -27,7 +27,6 @@ from .catalog import (
     UnsupportedParameter,
     catalog_space,
     parse_spec,
-    planner_rule_count,
     tc_bounds,
 )
 from .graded_algebra import AlgebraError, _field, validate_algebra, zdcl
@@ -58,7 +57,10 @@ def _fail(message: str) -> int:
 def _load_algebra(path: str):
     """The validated algebra of a presentation file, and the file's raw data."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise AlgebraError(f"{path}: JSON nested too deeply") from None
     return validate_algebra(data, name=_field(data, "name", str, default=path)), data
 
 
@@ -114,9 +116,7 @@ def cmd_bounds(args) -> int:
             }
         )
         return 0
-    spec = parse_spec(args.spec)
-    report = tc_bounds(catalog_space(spec), planner_rule_count(spec))
-    _emit(report.as_dict())
+    _emit(tc_bounds(catalog_space(args.spec)).as_dict())
     return 0
 
 

@@ -58,10 +58,6 @@ class AlgebraMismatch(AlgebraError):
     """Operands belong to different algebras, or the wrong kind of algebra."""
 
 
-class EmptyGeneratorSet(AlgebraError):
-    """A canonical cup-length search was given no generators."""
-
-
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int, Fraction, or 'p/q' string.
 
@@ -69,7 +65,7 @@ def parse_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if "." in value or "e" in value.lower():
@@ -335,7 +331,7 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
     seen = set()
     for entry in basis_raw:
         label, deg = _field(entry, "name", str), _field(entry, "degree")
-        if not isinstance(deg, int) or deg < 0:
+        if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
             raise GradingViolation(f"basis element {label!r} has bad degree {deg!r}")
         if label in seen:
             raise AlgebraError(f"duplicate basis label {label!r}")
@@ -589,20 +585,17 @@ class ZdclResult:
     product_value: AlgElement
 
 
-def zdcl(
-    a: GradedAlgebra,
-    mode: str = "canonical",
-    max_len: int | None = None,
-    generators: Sequence[str] | None = None,
-) -> ZdclResult:
+def zdcl(a: GradedAlgebra, mode: str = "canonical", max_len: int | None = None) -> ZdclResult:
     """Search for the longest nonzero product of zero divisors of ``a``.
 
     canonical mode multiplies divisors ``1 (x) g - g (x) 1`` for ``g`` in
-    ``generators`` (default: every positive-degree basis label; empty only
-    for an algebra concentrated in degree 0, whose length is 0), with
-    repeated factors allowed: squares of canonical divisors are exactly what
-    the even-sphere witnesses need.  exhaustive mode multiplies elements of
-    the full kernel basis instead and serves as the desk-scale oracle.
+    ``a.generators``, or in every positive-degree basis label when the
+    algebra names no generators (a presentation file), with repeated factors
+    allowed: squares of canonical divisors are exactly what the even-sphere
+    witnesses need.  exhaustive mode multiplies elements of the full kernel
+    basis instead and serves as the desk-scale oracle.  ``max_len`` defaults
+    to twice the top degree: every zero divisor has positive degree, so a
+    longer product is zero.
 
     Factors commute up to sign, so the search runs over multisets
     (nondecreasing index sequences), pruning any partial product that is
@@ -616,12 +609,7 @@ def zdcl(
         raise AlgebraError(f"max_len must be >= 1, got {max_len}")
 
     if mode == "canonical":
-        gens = tuple(generators) if generators is not None else a.positive_labels()
-        if not gens and a.positive_labels():
-            raise EmptyGeneratorSet("canonical cup-length search needs generators")
-        for g in gens:
-            if g not in a.degree:
-                raise AlgebraMismatch(f"generator {g!r} is not a basis label of {a.name}")
+        gens = a.positive_labels() if a.generators is None else a.generators
         factors = [canonical_divisor(a, g) for g in gens]
     elif mode == "exhaustive":
         factors = zero_divisor_basis(a)

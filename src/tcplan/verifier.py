@@ -51,7 +51,7 @@ class FamilyLeavesDomain(ValueError):
 
 
 class Mismatch(ValueError):
-    """Planner rule count disagrees with the catalog's exact complexity."""
+    """Planner rule count disagrees with the catalog's planner or exact complexity."""
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,11 @@ def _sphere_tie_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """A factor pair whose rule weights tie at exact float equality.
 
     Coordinate-axis points make the relevant chord lengths bitwise equal:
-    on the circle, (e1, e2); on even spheres, (e2, -pole) ties all three
-    weights; on odd spheres of dimension >= 3, (e1, e2).
+    on odd spheres, the circle included, (e1, e2); on even spheres,
+    (e2, -pole) ties all three weights.
     """
     ambient = dim + 1
     e = lambda i: np.eye(ambient)[i]
-    if dim == 1:
-        return e(0), e(1)
     if dim % 2 == 0:
         return e(1), -e(ambient - 1)
     return e(0), e(1)
@@ -210,7 +208,7 @@ def adversarial_pairs(
 # -- the four checks --------------------------------------------------------------
 
 
-def _speed_variation(path, cfg: VerifyConfig) -> float:
+def _speed_variation(path) -> float:
     """Worst relative speed spread over the path's constant-speed pieces."""
     worst = 0.0
     for t0, t1, const in path.pieces:
@@ -269,7 +267,7 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
                 max_norm = max(max_norm, abs(vector_norm(p.parts[slot]) - 1.0))
 
         if speed_checked < SPEED_CHECKS:
-            max_speed = max(max_speed, _speed_variation(path, cfg))
+            max_speed = max(max_speed, _speed_variation(path))
             speed_checked += 1
 
         if decision.weights[index - 1] >= cfg.margin_eta:
@@ -412,7 +410,8 @@ class ReconcileReport:
 
 def reconcile(planner: Planner, descriptor: SpaceDescriptor) -> ReconcileReport:
     """Check the built planner against the catalog's exact complexity value:
-    rule count must equal it, and the bound bracket must close on it."""
+    its rule count must equal that value and the descriptor's planner rule
+    count, which ``tc_bounds`` cites, and the bound bracket must close on it."""
     if descriptor.known_tc is None:
         raise ValueError(f"{descriptor.spec} has no exact complexity on record")
     count = len(planner.rules)
@@ -421,7 +420,12 @@ def reconcile(planner: Planner, descriptor: SpaceDescriptor) -> ReconcileReport:
             f"{descriptor.spec}: planner has {count} rules but the exact complexity is "
             f"{descriptor.known_tc}"
         )
-    bounds = tc_bounds(descriptor, planner_rule_count=count)
+    if count != descriptor.rules:
+        raise Mismatch(
+            f"{descriptor.spec}: planner has {count} rules but the catalog's planner rule "
+            f"count is {descriptor.rules}"
+        )
+    bounds = tc_bounds(descriptor)
     if not bounds.exact or bounds.lower != descriptor.known_tc:
         raise Mismatch(
             f"{descriptor.spec}: bounds ({bounds.lower}, {bounds.upper}) do not close on "

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from tcplan.catalog import catalog_space, planner_rule_count, tc_bounds
+from tcplan.catalog import catalog_space, tc_bounds
 from tcplan.geometry import config_distance
 from tcplan.graded_algebra import canonical_divisor, tensor_square, zdcl
 from tcplan.planner_core import build_planner, plan, punctured_plane_planner
@@ -81,11 +81,11 @@ def test_criterion_2_cup_length_values():
         ok &= zdcl(catalog_space(f"sphere:{n}").algebra).length == 2
     for n in range(1, 5):
         algebra = catalog_space(f"torus:{n}").algebra
-        ok &= zdcl(algebra, generators=algebra.generators).length == n
+        ok &= zdcl(algebra).length == n
     for n in range(1, 4):
         spec = "sphere:2" if n == 1 else "product(" + ",".join(["sphere:2"] * n) + ")"
         algebra = catalog_space(spec).algebra
-        ok &= zdcl(algebra, generators=algebra.generators).length == 2 * n
+        ok &= zdcl(algebra).length == 2 * n
     elapsed = time.monotonic() - start
     report(2, ok and elapsed < 30.0, f"cup-length table exact ({elapsed:.2f}s, budget 30s)")
 
@@ -104,7 +104,7 @@ def test_criterion_3_bounds_exactness():
 
     failures = []
     for spec, value in expectations.items():
-        bounds = tc_bounds(catalog_space(spec), planner_rule_count(spec))
+        bounds = tc_bounds(catalog_space(spec))
         if not (bounds.exact and bounds.lower == value):
             failures.append(f"{spec}: ({bounds.lower}, {bounds.upper}) != {value}")
     report(3, not failures, f"{len(expectations)} exact values" + ("; " + "; ".join(failures) if failures else ""))
@@ -137,7 +137,7 @@ def test_criterion_5_oracle_equivalence():
     ok = True
     for spec in cases:
         algebra = catalog_space(spec).algebra
-        canonical = zdcl(algebra, mode="canonical", max_len=4, generators=algebra.generators)
+        canonical = zdcl(algebra, mode="canonical", max_len=4)
         exhaustive = zdcl(algebra, mode="exhaustive", max_len=4)
         ok &= canonical.length == exhaustive.length
     elapsed = time.monotonic() - start

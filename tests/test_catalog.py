@@ -9,13 +9,12 @@ from tcplan.catalog import (
     catalog_space,
     cpn_algebra,
     parse_spec,
-    planner_rule_count,
     point_algebra,
     sphere_algebra,
     surface_algebra,
     tc_bounds,
 )
-from tcplan.graded_algebra import GradedAlgebra, tensor_product
+from tcplan.graded_algebra import GradedAlgebra, tensor_product, zdcl
 
 
 # -- parser -----------------------------------------------------------------
@@ -106,9 +105,9 @@ def test_contractible_factors_do_not_change_known_tc(spec, tc):
     """TC is a homotopy invariant: X x (convex piece) has TC(X)."""
     d = catalog_space(spec)
     assert d.known_tc == tc
-    report = tc_bounds(d, planner_rule_count(spec))
+    report = tc_bounds(d)
     assert (report.lower, report.upper, report.exact) == (tc, tc, True)
-    assert planner_rule_count(spec) == tc
+    assert d.rules == tc
 
 
 def test_closed_manifold_top_degree_matches_dimension():
@@ -163,15 +162,22 @@ def test_iterated_kunneth_sphere_cube():
 # -- bounds -------------------------------------------------------------------
 
 def test_bounds_sphere2_with_planner_count():
-    report = tc_bounds(catalog_space("sphere:2"), planner_rule_count("sphere:2"))
+    report = tc_bounds(catalog_space("sphere:2"))
     assert (report.lower, report.upper, report.exact) == (3, 3, True)
     assert report.lower_provenance == "cup-length lower bound"
     assert report.upper_provenance == "planner rule count"
 
 
 def test_bounds_torus6_product_inequality():
+    # The 7-rule planner and the product inequality tie; the planner is named.
     report = tc_bounds(catalog_space("torus:6"))
     assert (report.lower, report.upper, report.exact) == (7, 7, True)
+    assert report.upper_provenance == "planner rule count"
+
+
+def test_bounds_planless_product_inequality():
+    report = tc_bounds(catalog_space("product(surface:2,circle)"))
+    assert (report.lower, report.upper, report.exact) == (6, 6, True)
     assert report.upper_provenance == "product inequality"
 
 
@@ -188,7 +194,7 @@ def test_bounds_surface2_exact_via_dimension():
 
 
 def test_bounds_convex():
-    report = tc_bounds(catalog_space("convex:5"), planner_rule_count("convex:5"))
+    report = tc_bounds(catalog_space("convex:5"))
     assert (report.lower, report.upper) == (1, 1)
     assert report.lower_provenance == "contractible"
 
@@ -206,21 +212,20 @@ def test_known_tc_inside_bounds_for_whole_catalog():
              "product(sphere:2,sphere:2)", "product(sphere:3,sphere:3)"]
     for spec in specs:
         d = catalog_space(spec)
-        report = tc_bounds(d, planner_rule_count(spec))
+        report = tc_bounds(d)
         assert report.lower <= report.upper
         if d.known_tc is not None:
             assert report.lower <= d.known_tc <= report.upper
-        count = planner_rule_count(spec)
-        if count is not None and d.known_tc is not None:
-            assert count == d.known_tc
+        if d.rules is not None and d.known_tc is not None:
+            assert d.rules == d.known_tc
 
 
 def test_product_upper_monotone():
     pairs = [("circle", "sphere:2"), ("torus:2", "circle"), ("sphere:2", "sphere:3")]
     for left, right in pairs:
         combined = tc_bounds(catalog_space(f"product({left},{right})"))
-        a = tc_bounds(catalog_space(left), planner_rule_count(left))
-        b = tc_bounds(catalog_space(right), planner_rule_count(right))
+        a = tc_bounds(catalog_space(left))
+        b = tc_bounds(catalog_space(right))
         assert combined.upper <= a.upper + b.upper - 1
 
 
@@ -230,13 +235,13 @@ def test_reports_deterministic():
 
 
 def test_rule_count_formulae():
-    assert planner_rule_count("circle") == 2
-    assert planner_rule_count("sphere:5") == 2
-    assert planner_rule_count("sphere:6") == 3
-    assert planner_rule_count("torus:4") == 5
-    assert planner_rule_count("product(sphere:2,sphere:2,sphere:2)") == 7
-    assert planner_rule_count("surface:2") is None
-    assert planner_rule_count("cpn:3") is None
+    assert catalog_space("circle").rules == 2
+    assert catalog_space("sphere:5").rules == 2
+    assert catalog_space("sphere:6").rules == 3
+    assert catalog_space("torus:4").rules == 5
+    assert catalog_space("product(sphere:2,sphere:2,sphere:2)").rules == 7
+    assert catalog_space("surface:2").rules is None
+    assert catalog_space("cpn:3").rules is None
 
 
 # -- factor-wise cup-length and shared presets -------------------------------
@@ -270,8 +275,8 @@ def test_factor_sum_shortcut_matches_full_search():
     assert len(specs) > 200
     for spec in specs:
         descriptor = catalog_space(spec)
-        _, fast_length = catalog._tc_bounds(descriptor, planner_rule_count(spec))
-        assert fast_length == catalog._zdcl_length(descriptor), spec
+        _, fast_length = catalog._tc_bounds(descriptor)
+        assert fast_length == zdcl(descriptor.algebra).length, spec
 
 
 def test_presets_built_and_validated_once(monkeypatch):
@@ -289,7 +294,7 @@ def test_presets_built_and_validated_once(monkeypatch):
              "surface:1", "surface:3", "cpn:2", "torus:3"]
     first = [catalog_space(spec).algebra for spec in specs]
     for spec in ["product(sphere:4,cpn:2)", "product(torus:3,convex:2)", "surface:3"]:
-        tc_bounds(catalog_space(spec), planner_rule_count(spec))
+        tc_bounds(catalog_space(spec))
     second = [catalog_space(spec).algebra for spec in specs]
     # product algebras (surface:1, torus:3) are built per descriptor, not shared
     leaves = [i for i, spec in enumerate(specs) if spec not in ("surface:1", "torus:3")]
@@ -308,25 +313,24 @@ def test_contractible_factor_adds_no_generators(monkeypatch):
     searched = []
     zdcl = catalog.zdcl
 
-    def recording_zdcl(algebra, **kwargs):
-        searched.append((algebra, kwargs["generators"]))
-        return zdcl(algebra, **kwargs)
+    def recording_zdcl(algebra, *args, **kwargs):
+        searched.append((algebra, algebra.generators))
+        return zdcl(algebra, *args, **kwargs)
 
     monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
-    spec = "product(torus:2,convex:1)"
-    descriptor, count = catalog_space(spec), planner_rule_count(spec)
+    descriptor = catalog_space("product(torus:2,convex:1)")
     assert len(descriptor.algebra.generators) == 2
 
     torus = catalog_space("torus:2")
-    assert catalog._zdcl_length(descriptor) == catalog._zdcl_length(torus) == 2
+    assert catalog.zdcl(descriptor.algebra).length == catalog.zdcl(torus.algebra).length == 2
     algebra, generators = searched[0]
     assert algebra is descriptor.algebra
     assert len(generators) == 2
 
     searched.clear()
-    report = tc_bounds(descriptor, count)
+    report = tc_bounds(descriptor)
     assert all(algebra is not descriptor.algebra for algebra, _ in searched)
-    torus_report = tc_bounds(torus, planner_rule_count("torus:2"))
+    torus_report = tc_bounds(torus)
     assert (report.lower, report.upper) == (torus_report.lower, torus_report.upper)
 
 
@@ -334,9 +338,9 @@ def test_open_bracket_still_searches_the_product(monkeypatch):
     searched = []
     zdcl = catalog.zdcl
 
-    def recording_zdcl(algebra, **kwargs):
+    def recording_zdcl(algebra, *args, **kwargs):
         searched.append(algebra)
-        return zdcl(algebra, **kwargs)
+        return zdcl(algebra, *args, **kwargs)
 
     monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
     descriptor = catalog_space("product(cpn:1,convex:1)")

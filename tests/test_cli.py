@@ -294,6 +294,30 @@ def test_algebra_file_missing_key_is_exit_2(capsys, tmp_path, key, drop):
     assert err.count("\n") == 1 and repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("degree", lambda p: p["basis"][1]), ("coeff", lambda p: p["products"][0]["result"][0])],
+)
+def test_algebra_file_boolean_is_not_a_number_exit_2(capsys, tmp_path, field, value):
+    presentation = json.loads(json.dumps(S2_WITH_U2))
+    value(presentation)[field] = True
+    bad = tmp_path / f"bool_{field}.json"
+    bad.write_text(json.dumps(presentation))
+    for command in ("algebra", "bounds"):
+        code, out, err = run(capsys, command, "--file", str(bad))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "True" in err
+
+
+def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("algebra", "bounds"):
+        code, out, err = run(capsys, command, "--file", str(deep))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("name", [float("nan"), None, [], {}, 3, True])
 def test_algebra_file_name_must_be_a_string(capsys, tmp_path, name):
     path = tmp_path / "named.json"

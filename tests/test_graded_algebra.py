@@ -9,7 +9,6 @@ from tcplan.graded_algebra import (
     AlgebraMismatch,
     AssociativityViolation,
     CommutativityViolation,
-    EmptyGeneratorSet,
     GradingViolation,
     UnitMissing,
     canonical_divisor,
@@ -349,7 +348,7 @@ def test_zdcl_even_sphere_with_witness():
 
 def test_zdcl_genus2():
     sigma = surface_algebra(2)
-    result = zdcl(sigma, mode="canonical", generators=sigma.generators)
+    result = zdcl(sigma, mode="canonical")
     square = tensor_square(sigma)
     assert result.length == 4
     assert result.product_value == square.simple("A", "A").scale(2)
@@ -378,20 +377,15 @@ def test_zdcl_torus_exhaustive_is_two():
 )
 def test_canonical_never_beats_exhaustive(make, max_len):
     algebra = make()
-    canonical = zdcl(algebra, mode="canonical", max_len=max_len, generators=algebra.generators)
+    canonical = zdcl(algebra, mode="canonical", max_len=max_len)
     exhaustive = zdcl(algebra, mode="exhaustive", max_len=max_len)
     assert canonical.length <= exhaustive.length
-
-
-def test_zdcl_empty_generators_rejected():
-    with pytest.raises(EmptyGeneratorSet):
-        zdcl(sphere_algebra(2), mode="canonical", generators=())
 
 
 def test_zdcl_point_with_its_empty_generators_is_zero():
     point = point_algebra()
     assert point.generators == ()
-    assert zdcl(point, generators=point.generators).length == 0
+    assert zdcl(point).length == 0
 
 
 def test_zdcl_point_is_zero():

@@ -592,14 +592,14 @@ def test_reach_bounded_by_total_length_on_1000_samples():
 # -- wiring --------------------------------------------------------------------------
 
 def test_build_planner_matches_catalog_counts():
-    from tcplan.catalog import planner_rule_count
+    from tcplan.catalog import catalog_space
 
     for spec in ["circle", "sphere:2", "sphere:3", "torus:2", "torus:4", "convex:3",
                  "surface:0", "surface:1", "product(sphere:2,sphere:2)",
                  "product(circle,sphere:2)"]:
         planner = build_planner(spec)
         assert planner is not None
-        assert len(planner.rules) == planner_rule_count(spec)
+        assert len(planner.rules) == catalog_space(spec).rules
 
 
 def test_build_planner_none_for_unplannable():

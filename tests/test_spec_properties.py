@@ -10,7 +10,6 @@ from tcplan.catalog import (
     canonical,
     catalog_space,
     parse_spec,
-    planner_rule_count,
     tc_bounds,
 )
 from tcplan.planner_core import build_planner
@@ -62,7 +61,7 @@ def test_spelling_round_trips_and_canonical_is_idempotent(spec):
 @given(SPECS)
 def test_rule_count_is_read_off_the_planner(spec):
     planner = build_planner(spec)
-    count = planner_rule_count(spec)
+    count = catalog_space(spec).rules
     assert (count is None) == (planner is None)
     if planner is not None:
         assert count == len(planner.rules)
@@ -78,7 +77,7 @@ def test_alias_and_canonical_spelling_give_the_same_bounds(spec):
     spelled = str(canonical(spec))
 
     def report(s):
-        out = tc_bounds(catalog_space(s), planner_rule_count(s)).as_dict()
+        out = tc_bounds(catalog_space(s)).as_dict()
         return out.pop("space"), out
 
     assert report(spec) == (str(spec), report(spelled)[1])
@@ -90,7 +89,7 @@ def test_known_value_is_where_the_bounds_close(spec):
     assume(betti_rank(spec) <= 16)
     known = catalog_space(spec).known_tc
     if known is not None:
-        report = tc_bounds(catalog_space(spec), planner_rule_count(spec))
+        report = tc_bounds(catalog_space(spec))
         assert (report.lower, report.upper, report.exact) == (known, known, True)
 
 
@@ -128,5 +127,5 @@ def test_algebra_built_only_when_the_factor_sum_leaves_the_bracket_open(monkeypa
         raise AssertionError("product algebra built")
 
     monkeypatch.setattr(catalog, "tensor_product", no_product)
-    report = tc_bounds(catalog_space("torus:64"), planner_rule_count("torus:64"))
+    report = tc_bounds(catalog_space("torus:64"))
     assert (report.lower, report.upper, report.exact) == (65, 65, True)

@@ -156,6 +156,13 @@ def test_reconcile_mismatch_names_both_numbers():
     assert "2" in str(err.value) and "4" in str(err.value)
 
 
+def test_reconcile_rejects_a_planner_for_another_space():
+    # 5 rules meets surface:2's exact value, but surface:2 has no planner.
+    with pytest.raises(Mismatch) as err:
+        reconcile(build_planner("torus:4"), catalog_space("surface:2"))
+    assert "planner rule count is None" in str(err.value)
+
+
 def test_reconcile_requires_known_value():
     with pytest.raises(ValueError):
         reconcile(sphere_planner(2), catalog_space("cpn:2"))
