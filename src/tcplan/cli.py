@@ -4,7 +4,7 @@ Four subcommands, all emitting JSON with stable key order on stdout
 (diagnostics go to stderr):
 
     tcplan bounds  <spec> | --file algebra.json
-    tcplan plan    <spec> --from <pt> --to <pt> [--samples N]
+    tcplan plan    <spec> --from <pt> --to <pt> [--samples N (2..100000)]
                    [--format json|csv] [--kinematics l1,l2,...]
     tcplan verify  <spec> [--pairs N] [--seed S] [--delta D] [--eta E] [--tol T]
     tcplan algebra --file algebra.json [--exhaustive] [--max-len L]
@@ -18,6 +18,7 @@ concatenated across factors; sphere blocks are renormalized when within
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .catalog import (
 )
 from .graded_algebra import AlgebraError, _field, validate_algebra, zdcl
 from .geometry import InvalidPoint, make_point
-from .planner_core import build_planner, forward_kinematics, plan, sample_path
+from .planner_core import MAX_SAMPLES, build_planner, forward_kinematics, plan, sample_path
 from .verifier import Mismatch, VerifyConfig, reconcile, verify_planner
 
 _INPUT_ERRORS = (
@@ -225,7 +226,10 @@ def _glue_value_flags(argv):
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and building it costs more than a cached ``bounds`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--quiet", action="store_true", help="suppress everything except the JSON output"
@@ -246,7 +250,7 @@ def main(argv=None) -> int:
     p.add_argument("spec")
     p.add_argument("--from", dest="src", required=True, help="start point coordinates")
     p.add_argument("--to", dest="dst", required=True, help="goal point coordinates")
-    p.add_argument("--samples", type=int, default=17)
+    p.add_argument("--samples", type=int, default=17, help=f"2 to {MAX_SAMPLES}")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--kinematics", help="bar lengths; append joint positions per sample")
     p.set_defaults(handler=cmd_plan)
@@ -265,10 +269,13 @@ def main(argv=None) -> int:
     p.add_argument("--exhaustive", action="store_true", help="search kernel-basis products")
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
     p.set_defaults(handler=cmd_algebra)
+    return parser
 
+
+def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_glue_value_flags(argv))
+    args = _parser().parse_args(_glue_value_flags(argv))
     try:
         return args.handler(args)
     except _INPUT_ERRORS as exc:

@@ -3,14 +3,19 @@
 A space is a product of factors, each either a unit sphere S^n (points are
 ambient unit (n+1)-vectors; a circle is S^1) or a convex piece of R^n
 (points are arbitrary real vectors).  Paths are evaluators [0, 1] -> point
-built from a handful of combinators; each path remembers a piece structure
-(parameter subintervals plus a constant-speed flag) so that a verifier can
-check speed constancy on geodesic segments without guessing breakpoints.
+built from a handful of combinators.  Each evaluates an array of T times
+at once, one (T, ambient) array per factor, and gives every row bit for
+bit the value its scalar formula gives that time; ``config_distances``
+measures such rows against each other.  Each path also remembers a piece
+structure (parameter subintervals plus a constant-speed flag) so that a
+verifier can check speed constancy on geodesic segments without guessing
+breakpoints.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -134,6 +139,8 @@ def antipode(point: ConfigPoint) -> ConfigPoint:
 
 # -- metric -------------------------------------------------------------------
 
+Blocks = tuple[np.ndarray, ...]  # one (T, ambient) array per factor; row k is the k-th point
+
 
 def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of a real 1-D block: what np.linalg.norm computes for
@@ -154,12 +161,33 @@ def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float:
     return chord
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: vector_norm row by row, bit for bit."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def config_distances(geometry: Geometry, xs: Blocks, ys: Blocks) -> np.ndarray:
+    """Product distance row by row between two sets of (T, ambient) blocks:
+    the root of the sum, in factor order, of the squared factor_distance.
+
+    Each row gets, bit for bit, the float the scalar formulas give its
+    points: chords through row_norms, math.asin per element (np.arcsin
+    differs in the last bit on about 8% of inputs), and the first square
+    taken as the sum's start, which 0.0 + d * d equals.
+    """
+    total = None
+    for factor, x, y in zip(geometry.factors, xs, ys):
+        d = row_norms(x - y)
+        if factor.kind == "sphere":
+            d = np.array([2.0 * math.asin(min(1.0, c / 2.0)) for c in d.tolist()])
+        total = d * d if total is None else total + d * d
+    return np.sqrt(total)
+
+
 def config_distance(a: ConfigPoint, b: ConfigPoint) -> float:
-    total = 0.0
-    for factor, x, y in zip(a.geometry.factors, a.parts, b.parts):
-        d = factor_distance(factor, x, y)
-        total += d * d
-    return math.sqrt(total)
+    """config_distances on the one-row blocks of two points."""
+    one_row = lambda point: [part[None] for part in point.parts]
+    return float(config_distances(a.geometry, one_row(a), one_row(b))[0])
 
 
 def random_point(geometry: Geometry, rng: np.random.Generator) -> ConfigPoint:
@@ -209,10 +237,11 @@ def stereo_project(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def stereo_unproject(y: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse chart: R^n back onto the unit sphere minus the pole."""
-    r2 = float(np.dot(y, y))
-    out = np.insert(2.0 * y, axis, r2 - 1.0)
-    return out / (r2 + 1.0)
+    """Inverse chart, row by row: (T, n) chart points back onto the unit
+    sphere minus the pole."""
+    r2 = np.vecdot(y, y)
+    out = np.insert(2.0 * y, axis, r2 - 1.0, axis=1)
+    return out / (r2 + 1.0)[:, None]
 
 
 def stereo_push(y: np.ndarray, e: np.ndarray, axis: int) -> np.ndarray:
@@ -263,40 +292,64 @@ def even_vector_field(x: np.ndarray, n: int) -> np.ndarray:
 Piece = tuple[float, float, bool]  # (t0, t1, constant_speed)
 
 
+def as_rows(geometry: Geometry, parts, count: int) -> Blocks:
+    """A point's blocks, or blocks of ``count`` rows, as (count, ambient) arrays."""
+    return tuple(
+        part if part.shape == (count, f.ambient) else np.broadcast_to(part, (count, f.ambient))
+        for f, part in zip(geometry.factors, parts)
+    )
+
+
 class PathFn:
-    """Evaluator [0, 1] -> ConfigPoint with a declared piece structure."""
+    """A path [0, 1] -> ConfigPoint with a declared piece structure.
 
-    __slots__ = ("_fn", "pieces", "label")
+    ``sample(ts)`` evaluates the path at an array of T times at once and
+    returns one (T, ambient) array per factor; ``path(t)`` is the single
+    row of ``sample([t])``.
+    """
 
-    def __init__(self, fn: Callable[[float], ConfigPoint], pieces: Sequence[Piece], label: str = "path"):
-        self._fn = fn
+    __slots__ = ("geometry", "_sample", "pieces", "label")
+
+    def __init__(
+        self,
+        geometry: Geometry,
+        sample: Callable[[np.ndarray], Blocks],
+        pieces: Sequence[Piece],
+        label: str = "path",
+    ):
+        self.geometry = geometry
+        self._sample = sample
         self.pieces = tuple(pieces)
         self.label = label
 
+    def sample(self, ts) -> Blocks:
+        return self._sample(np.asarray(ts, dtype=float))
+
     def __call__(self, t: float) -> ConfigPoint:
-        return self._fn(t)
+        return ConfigPoint(self.geometry, tuple(block[0] for block in self.sample((t,))))
 
     def __repr__(self):
         return f"<PathFn {self.label}>"
 
 
-def _slerp_part(a: np.ndarray, b: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Constant-speed shortest arc between non-antipodal unit vectors.
+def _slerp_rows(a: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Constant-speed shortest arc between non-antipodal unit vectors, as a
+    function of the columns (1 - t, t).
 
     The angle comes from atan2 of the rejection norm, which stays accurate
     near antipodal pairs where acos of the dot product loses ~8 digits.
     """
     dot = float(np.dot(a, b))
-    sin_theta = float(np.linalg.norm(a - dot * b))
+    sin_theta = vector_norm(a - dot * b)
     theta = math.atan2(sin_theta, dot)
     if theta < _TINY_ANGLE:
-        def nearly(t, a=a, b=b):
-            v = (1.0 - t) * a + t * b
-            return v / vector_norm(v)
+        def nearly(s, t):
+            v = s * a + t * b
+            return v / row_norms(v)[:, None]
         return nearly
 
-    def arc(t, a=a, b=b, theta=theta, sin_theta=sin_theta):
-        return (math.sin((1.0 - t) * theta) * a + math.sin(t * theta) * b) / sin_theta
+    def arc(s, t):
+        return (np.sin(s * theta) * a + np.sin(t * theta) * b) / sin_theta
 
     return arc
 
@@ -304,29 +357,30 @@ def _slerp_part(a: np.ndarray, b: np.ndarray) -> Callable[[float], np.ndarray]:
 def geodesic_path(a: ConfigPoint, b: ConfigPoint) -> PathFn:
     """Factor-wise constant-speed geodesic: shortest arcs on spheres (unique
     when no factor pair is antipodal), straight segments on convex factors."""
-    geometry = a.geometry
     movers = []
-    for factor, x, y in zip(geometry.factors, a.parts, b.parts):
+    for factor, x, y in zip(a.geometry.factors, a.parts, b.parts):
         if factor.kind == "sphere":
-            movers.append(_slerp_part(x, y))
+            movers.append(_slerp_rows(x, y))
         else:
-            movers.append(lambda t, x=x, y=y: (1.0 - t) * x + t * y)
+            movers.append(lambda s, t, x=x, y=y: s * x + t * y)
 
-    def fn(t):
-        return ConfigPoint(geometry, tuple(m(t) for m in movers))
+    def sample(ts):
+        t = ts[:, None]
+        s = 1.0 - t
+        return tuple(m(s, t) for m in movers)
 
-    return PathFn(fn, ((0.0, 1.0, True),), "geodesic")
+    return PathFn(a.geometry, sample, ((0.0, 1.0, True),), "geodesic")
 
 
 def polar_arc_path(geometry: Geometry, b: np.ndarray, unit_tangent: np.ndarray) -> PathFn:
     """Half great circle from -b to b through the tangent direction:
     t -> -cos(pi t) b + sin(pi t) w.  Constant speed pi."""
 
-    def fn(t):
-        v = -math.cos(math.pi * t) * b + math.sin(math.pi * t) * unit_tangent
-        return ConfigPoint(geometry, (v,))
+    def sample(ts):
+        angle = math.pi * ts[:, None]
+        return (-np.cos(angle) * b + np.sin(angle) * unit_tangent,)
 
-    return PathFn(fn, ((0.0, 1.0, True),), "polar-arc")
+    return PathFn(geometry, sample, ((0.0, 1.0, True),), "polar-arc")
 
 
 def chart_segment_path(geometry: Geometry, a: np.ndarray, b: np.ndarray, axis: int) -> PathFn:
@@ -335,32 +389,50 @@ def chart_segment_path(geometry: Geometry, a: np.ndarray, b: np.ndarray, axis: i
     ya = stereo_project(a, axis)
     yb = stereo_project(b, axis)
 
-    def fn(t):
-        y = (1.0 - t) * ya + t * yb
-        return ConfigPoint(geometry, (stereo_unproject(y, axis),))
+    def sample(ts):
+        t = ts[:, None]
+        return (stereo_unproject((1.0 - t) * ya + t * yb, axis),)
 
-    return PathFn(fn, ((0.0, 1.0, False),), "chart-segment")
+    return PathFn(geometry, sample, ((0.0, 1.0, False),), "chart-segment")
 
 
 def concat_paths(segments: Sequence[tuple[float, float, PathFn]], label: str = "concat") -> PathFn:
     """Glue paths over consecutive parameter windows [(t0, t1, path), ...].
 
     Windows must tile [0, 1] in order; each sub-path is reparametrized to
-    its window.  The last window owns its right endpoint.
+    its window.  A time belongs to the first window whose end lies above
+    it, and the last window owns its right endpoint.
     """
+    geometry = segments[0][2].geometry
     pieces = []
     for t0, t1, path in segments:
         width = t1 - t0
         for p0, p1, const in path.pieces:
             pieces.append((t0 + p0 * width, t0 + p1 * width, const))
+    ends = [math.inf if t1 >= 1.0 else t1 for _, t1, _ in segments[:-1]]
 
-    def fn(t):
-        for t0, t1, path in segments:
-            if t < t1 or t1 >= 1.0:
-                return path((t - t0) / (t1 - t0))
-        return segments[-1][2](1.0)
+    def sample(ts):
+        window = [bisect_right(ends, t) for t in ts.tolist()]
+        order = None
+        if window != sorted(window):  # evaluate the times grouped by window
+            order = np.argsort(window, kind="stable")
+            ts = ts[order]
+            window.sort()
+        bounds = [bisect_left(window, k) for k in range(len(segments) + 1)]
+        runs = [
+            path.sample((ts[lo:hi] - t0) / (t1 - t0))
+            for (t0, t1, path), lo, hi in zip(segments, bounds, bounds[1:])
+            if hi > lo
+        ] or [segments[-1][2].sample(ts)]  # no times at all
+        blocks = runs[0] if len(runs) == 1 else tuple(np.concatenate(b) for b in zip(*runs))
+        if order is None:
+            return blocks
+        out = tuple(np.empty_like(b) for b in blocks)
+        for block, rows in zip(out, blocks):
+            block[order] = rows
+        return out
 
-    return PathFn(fn, pieces, label)
+    return PathFn(geometry, sample, pieces, label)
 
 
 def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:
@@ -376,14 +448,19 @@ def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:
         (lo, hi, const_on(left, lo, hi) and const_on(right, lo, hi))
         for lo, hi in zip(cuts, cuts[1:])
     )
-
-    def fn(t):
-        return ConfigPoint(geometry, left(t).parts + right(t).parts)
-
-    return PathFn(fn, pieces, "pair")
+    return PathFn(geometry, lambda ts: left.sample(ts) + right.sample(ts), pieces, "pair")
 
 
 def mapped_path(path: PathFn, fn, geometry: Geometry, label: str = "mapped") -> PathFn:
-    """Push a path through a coordinate map; speed structure is not preserved."""
+    """Push a path through a coordinate map; speed structure is not preserved.
+
+    ``fn`` maps a ConfigPoint whose blocks hold T rows to one on
+    ``geometry`` (a map written with numpy broadcasting does); blocks it
+    returns with a single row are repeated T times.
+    """
     pieces = tuple((t0, t1, False) for t0, t1, _ in path.pieces)
-    return PathFn(lambda t: fn(path(t)), pieces, label)
+
+    def sample(ts):
+        return as_rows(geometry, fn(ConfigPoint(path.geometry, path.sample(ts))).parts, len(ts))
+
+    return PathFn(geometry, sample, pieces, label)

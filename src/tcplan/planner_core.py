@@ -40,6 +40,7 @@ from .geometry import (
     ParityError,
     PathFn,
     antipode,
+    as_rows,
     chart_segment_path,
     concat_geometry,
     concat_paths,
@@ -53,6 +54,7 @@ from .geometry import (
     pair_paths,
     polar_arc_path,
     sphere_geometry,
+    vector_norm,
 )
 
 __all__ = [
@@ -61,6 +63,7 @@ __all__ = [
     "DomainMiss",
     "HomotopyEndpointMismatch",
     "LengthMismatch",
+    "MAX_SAMPLES",
     "ParityError",
     "Planner",
     "PlannerRule",
@@ -182,11 +185,19 @@ def plan(planner: Planner, a: ConfigPoint, b: ConfigPoint) -> PlanResult:
     return PlanResult(decision.index, planner.path(decision, decision.index))
 
 
+MAX_SAMPLES = 100_000  # as verifier.MAX_PAIRS: sample_path allocates every row at once
+
+
 def sample_path(path: PathFn, n: int) -> list[tuple[float, ConfigPoint]]:
-    """n uniformly spaced samples including both endpoints."""
+    """n uniformly spaced samples including both endpoints, evaluated at
+    once; 2 <= n <= MAX_SAMPLES."""
     if n < 2:
         raise ValueError("need at least 2 samples")
-    return [(i / (n - 1), path(i / (n - 1))) for i in range(n)]
+    if n > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples, got {n}")
+    ts = [i / (n - 1) for i in range(n)]
+    blocks = path.sample(ts)
+    return [(t, ConfigPoint(path.geometry, tuple(b[k] for b in blocks))) for k, t in enumerate(ts)]
 
 
 # -- elementary planners --------------------------------------------------------
@@ -225,11 +236,11 @@ def circle_planner() -> Planner:
         start = math.atan2(xa[1], xa[0])
         sweep = (math.atan2(xb[1], xb[0]) - start) % (2.0 * math.pi)
 
-        def fn(t):
-            angle = start + t * sweep
-            return ConfigPoint(geometry, (np.array([math.cos(angle), math.sin(angle)]),))
+        def sample(ts):
+            angle = start + ts * sweep
+            return (np.stack((np.cos(angle), np.sin(angle)), axis=1),)
 
-        return PathFn(fn, ((0.0, 1.0, True),), "positive-arc")
+        return PathFn(geometry, sample, ((0.0, 1.0, True),), "positive-arc")
 
     return Planner(
         space="circle",
@@ -442,11 +453,17 @@ class TransferPlanner(Planner):
     """Pull a planner on Y back to X along f: X -> Y, g: Y -> X.
 
     ``h`` is a homotopy on X with h(0, .) the identity and h(1, .) = g o f
-    (checked on ``check_points`` within ``_HOMOTOPY_TOL``).  The source planner
-    decides each query at (f(a), f(b)), so rule domains and weights pull
-    back through f x f; a section runs in three stages: slide the start
-    along the homotopy, traverse the Y-path pushed through g, then slide
-    back to the goal along the reversed homotopy.  Rule count is preserved.
+    (checked on ``check_points`` within ``_HOMOTOPY_TOL``).  The source
+    planner decides each query at (f(a), f(b)), so rule domains and weights
+    pull back through f x f; a section runs in three stages: slide the
+    start along the homotopy, traverse the Y-path pushed through g, then
+    slide back to the goal along the reversed homotopy.  Rule count is
+    preserved.
+
+    Sections evaluate ``h`` and ``g`` over many times at once: ``h`` gets a
+    (T, 1) column of times and ``g`` a point whose blocks hold T rows, so
+    both are written with numpy broadcasting; a block they return as a
+    single point is repeated T times.
     """
 
     def __init__(
@@ -474,11 +491,19 @@ class TransferPlanner(Planner):
         return Decision(a, b, source.index, source.weights, source.cell, factors=(source,))
 
     def path(self, decision: Decision, index: int) -> PathFn:
-        a, b, h = decision.a, decision.b, self.h
+        a, b, h, geometry = decision.a, decision.b, self.h, self.geometry
         source_path = self.source.path(decision.factors[0], index)
-        mid = mapped_path(source_path, self.g, self.geometry, "pushed")
-        head = PathFn(lambda t: h(t, a), ((0.0, 1.0, False),), "homotopy-in")
-        tail = PathFn(lambda t: h(1.0 - t, b), ((0.0, 1.0, False),), "homotopy-out")
+        mid = mapped_path(source_path, self.g, geometry, "pushed")
+
+        def slide(point, backwards, label):
+            def sample(ts):
+                t = (1.0 - ts if backwards else ts)[:, None]
+                return as_rows(geometry, h(t, point).parts, len(ts))
+
+            return PathFn(geometry, sample, ((0.0, 1.0, False),), label)
+
+        head = slide(a, False, "homotopy-in")
+        tail = slide(b, True, "homotopy-out")
         return concat_paths(
             [(0.0, 1.0 / 3.0, head), (1.0 / 3.0, 2.0 / 3.0, mid), (2.0 / 3.0, 1.0, tail)],
             "transfer",
@@ -500,14 +525,14 @@ def punctured_plane_planner() -> Planner:
 
     def to_circle(p: ConfigPoint) -> ConfigPoint:
         v = p.parts[0]
-        return ConfigPoint(circle.geometry, (v / np.linalg.norm(v),))
+        return ConfigPoint(circle.geometry, (v / vector_norm(v),))
 
     def from_circle(p: ConfigPoint) -> ConfigPoint:
         return ConfigPoint(geometry, (np.asarray(p.parts[0], dtype=float),))
 
     def radial_homotopy(t: float, p: ConfigPoint) -> ConfigPoint:
         v = p.parts[0]
-        return ConfigPoint(geometry, ((1.0 - t) * v + t * v / np.linalg.norm(v),))
+        return ConfigPoint(geometry, ((1.0 - t) * v + t * v / vector_norm(v),))
 
     def sampler(rng: np.random.Generator) -> ConfigPoint:
         radius = rng.uniform(0.2, 2.0)

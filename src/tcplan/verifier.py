@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import BoundsReport, SpaceDescriptor, tc_bounds
-from .geometry import ConfigPoint, config_distance, random_point, tangent_perturb, vector_norm
+from .geometry import ConfigPoint, config_distances, random_point, row_norms, tangent_perturb
 from .planner_core import CoverageGap, DomainMiss, Planner
 
 DEFAULT_SPEED_TOL = 0.01
@@ -209,17 +209,25 @@ def adversarial_pairs(
 
 
 def _speed_variation(path) -> float:
-    """Worst relative speed spread over the path's constant-speed pieces."""
-    worst = 0.0
+    """Worst relative speed spread over the path's constant-speed pieces:
+    4 probes of step h = width / 64 per piece, all evaluated at once."""
+    steps, starts = [], []
     for t0, t1, const in path.pieces:
         if not const or t1 - t0 < 1e-6:
             continue
         width = t1 - t0
-        h = width / 64.0
-        speeds = []
-        for k in range(1, 5):
-            t = t0 + width * k / 5.0
-            speeds.append(config_distance(path(t), path(t + h)) / h)
+        steps.append(width / 64.0)
+        starts += [t0 + width * k / 5.0 for k in range(1, 5)]
+    if not steps:
+        return 0.0
+    probes = np.array(starts)
+    ends = np.repeat(steps, 4) + probes
+    rows = path.sample(np.concatenate((probes, ends)))
+    n = len(starts)
+    moved = config_distances(path.geometry, [r[:n] for r in rows], [r[n:] for r in rows]).tolist()
+    worst = 0.0
+    for i, h in enumerate(steps):
+        speeds = [d / h for d in moved[4 * i : 4 * i + 4]]
         top = max(speeds)
         if top < 1e-9:
             continue  # constant piece
@@ -236,8 +244,9 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     for _ in range(cfg.pairs):
         queries.append((sampler(rng), sampler(rng)))
 
-    ts = [i / (SAMPLES_PER_PATH - 1) for i in range(SAMPLES_PER_PATH)]
-    sphere_slots = [i for i, f in enumerate(planner.geometry.factors) if f.kind == "sphere"]
+    geometry = planner.geometry
+    ts = np.array([i / (SAMPLES_PER_PATH - 1) for i in range(SAMPLES_PER_PATH)])
+    sphere_slots = [i for i, f in enumerate(geometry.factors) if f.kind == "sphere"]
 
     max_end = 0.0
     uncovered = 0
@@ -257,14 +266,13 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
         index = decision.index
         usage[index] += 1
         path = planner.path(decision, index)
-        points = [path(t) for t in ts]
+        points = path.sample(ts)
 
-        max_end = max(
-            max_end, config_distance(points[0], a), config_distance(points[-1], b)
-        )
-        for p in points:
-            for slot in sphere_slots:
-                max_norm = max(max_norm, abs(vector_norm(p.parts[slot]) - 1.0))
+        ends = [np.array(ab) for ab in zip(a.parts, b.parts)]
+        first_last = [p[:: SAMPLES_PER_PATH - 1] for p in points]
+        max_end = max(max_end, *config_distances(geometry, first_last, ends).tolist())
+        for slot in sphere_slots:
+            max_norm = max(max_norm, *np.abs(row_norms(points[slot]) - 1.0).tolist())
 
         if speed_checked < SPEED_CHECKS:
             max_speed = max(max_speed, _speed_variation(path))
@@ -279,8 +287,8 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
                 uncovered += 1
                 continue
             if twin.index == index and twin.cell == decision.cell:
-                path2 = planner.path(twin, index)
-                sup = max(config_distance(p, path2(t)) for t, p in zip(ts, points))
+                twin_points = planner.path(twin, index).sample(ts)
+                sup = max(config_distances(geometry, points, twin_points).tolist())
                 max_ratio = max(max_ratio, sup / cfg.delta)
                 continuity_checked += 1
 
@@ -342,6 +350,7 @@ def demonstrate_discontinuity(
     shrinks certifies numerically that no continuous extension exists.
     """
     ts = [i / (samples - 1) for i in range(samples)]
+    geometry = planner.geometry
     gaps = []
     for eps in offsets:
         paths = []
@@ -353,7 +362,8 @@ def demonstrate_discontinuity(
                     f"rule {rule_index} does not cover the offset-{eps} pair ({a}, {b})"
                 ) from None
         path_a, path_b = paths
-        gaps.append(max(config_distance(path_a(t), path_b(t)) for t in ts))
+        gap = config_distances(geometry, path_a.sample(ts), path_b.sample(ts))
+        gaps.append(max(gap.tolist()))
     return DivergenceReport(rule_index, tuple(offsets), tuple(gaps))
 
 

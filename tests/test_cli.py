@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tcplan import cli
 from tcplan.cli import main
+from tcplan.planner_core import MAX_SAMPLES
+from tcplan.verifier import MAX_PAIRS
 from tcplan.catalog import catalog_space
 from tcplan.graded_algebra import algebra_to_presentation
 
@@ -395,3 +404,54 @@ def test_verify_past_int64_menu_combinations_reports(capsys):
     assert code in (0, 1)
     assert json.loads(out)["space"] == "torus:41"
     assert "Traceback" not in err
+
+
+def test_plan_samples_cap_is_exit_2(capsys):
+    # rejected by sample_path before any sample row is allocated
+    code, out, err = run(capsys, "plan", "sphere:2", "--from", "1,0,0", "--to", "0,1,0",
+                         "--samples", str(MAX_SAMPLES + 1))
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert f"at most {MAX_SAMPLES} samples" in err
+    assert MAX_SAMPLES == MAX_PAIRS
+
+
+def test_parser_is_built_once(capsys):
+    cli._parser.cache_clear()
+    for argv in (["bounds", "sphere:2"], ["bounds", "blob:3"], ["bounds", "circle"]):
+        run(capsys, *argv)
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_one_process_sequence_matches_fresh_calls():
+    """The cached parser keeps no state from one call to the next."""
+    sequence = [
+        ["bounds", "sphere:2"],
+        ["plan", "sphere:2", "--from", "1,0,0", "--to", "-1,0,0", "--samples", "5"],
+        ["verify", "circle", "--pairs", "20"],
+        ["bounds"],
+        ["plan", "circle", "--from", "1,0"],
+        ["verify", "cpn:2"],
+        ["bounds", "--file", "no-such-file.json"],
+        ["algebra"],
+        ["plan", "circle", "--from", "1,0", "--to", "0,1", "--format", "csv", "--quiet"],
+        ["bounds", "torus:3", "--quiet"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "tcplan.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert _in_process(argv) == (fresh.returncode, fresh.stdout), argv
+    codes = [_in_process(argv)[0] for argv in sequence]
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 0, 0]

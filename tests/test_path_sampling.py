@@ -1,0 +1,314 @@
+"""Array path evaluators against the per-time formulas they replaced.
+
+Each ``ref_*`` function below is the scalar evaluator a path kind had
+before paths were evaluated over arrays of times, kept here as the
+reference (as ``_exhaustive_tie_cells`` is kept for the tie cells).  Every
+row of ``PathFn.sample(ts)`` must equal it bit for bit, compared by
+``float.hex``, and ``path(t)`` must be the row ``sample([t])[0]``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tcplan.geometry import (
+    ConfigPoint,
+    antipode,
+    config_distance,
+    config_distances,
+    even_vector_field,
+    factor_distance,
+    odd_vector_field,
+    random_point,
+    row_norms,
+    stereo_project,
+    vector_norm,
+)
+from tcplan.planner_core import (
+    DomainMiss,
+    ProductPlanner,
+    TransferPlanner,
+    build_planner,
+    punctured_plane_planner,
+    sample_path,
+)
+from tcplan.verifier import SAMPLES_PER_PATH, _speed_variation, adversarial_pairs
+
+# -- the per-time formulas ---------------------------------------------------------
+
+
+ANGLES = []  # every arc angle a reference geodesic was built for
+
+
+def ref_slerp(a, b):
+    dot = float(np.dot(a, b))
+    sin_theta = float(np.linalg.norm(a - dot * b))
+    theta = math.atan2(sin_theta, dot)
+    ANGLES.append(theta)
+    if theta < 1e-9:
+        def nearly(t):
+            v = (1.0 - t) * a + t * b
+            return v / math.sqrt(v.dot(v))
+        return nearly
+    return lambda t: (math.sin((1.0 - t) * theta) * a + math.sin(t * theta) * b) / sin_theta
+
+
+def ref_geodesic(a, b):
+    movers = [
+        ref_slerp(x, y) if f.kind == "sphere" else (lambda t, x=x, y=y: (1.0 - t) * x + t * y)
+        for f, x, y in zip(a.geometry.factors, a.parts, b.parts)
+    ]
+    return lambda t: tuple(m(t) for m in movers)
+
+
+def ref_polar_arc(b, w):
+    return lambda t: (-math.cos(math.pi * t) * b + math.sin(math.pi * t) * w,)
+
+
+def ref_chart_segment(a, b, axis):
+    ya, yb = stereo_project(a, axis), stereo_project(b, axis)
+
+    def fn(t):
+        y = (1.0 - t) * ya + t * yb
+        r2 = float(np.dot(y, y))
+        return (np.insert(2.0 * y, axis, r2 - 1.0) / (r2 + 1.0),)
+
+    return fn
+
+
+def ref_concat(segments):
+    def fn(t):
+        for t0, t1, path in segments:
+            if t < t1 or t1 >= 1.0:
+                return path((t - t0) / (t1 - t0))
+        return segments[-1][2](1.0)
+
+    return fn
+
+
+def ref_pair(left, right):
+    return lambda t: left(t) + right(t)
+
+
+def ref_positive_arc(xa, xb):
+    start = math.atan2(xa[1], xa[0])
+    sweep = (math.atan2(xb[1], xb[0]) - start) % (2.0 * math.pi)
+
+    def fn(t):
+        angle = start + t * sweep
+        return (np.array([math.cos(angle), math.sin(angle)]),)
+
+    return fn
+
+
+def ref_transfer(planner, decision, index):
+    a, b, g, h = decision.a, decision.b, planner.g, planner.h
+    source = reference_path(planner.source, decision.factors[0], index)
+    geometry = planner.source.geometry
+    return ref_concat([
+        (0.0, 1.0 / 3.0, lambda t: h(t, a).parts),
+        (1.0 / 3.0, 2.0 / 3.0, lambda t: g(ConfigPoint(geometry, source(t))).parts),
+        (2.0 / 3.0, 1.0, lambda t: h(1.0 - t, b).parts),
+    ])
+
+
+def reference_path(planner, decision, index):
+    """The per-time evaluator of rule ``index``'s section at ``decision``."""
+    if isinstance(planner, ProductPlanner):
+        s, t = decision.cells[index + 1]
+        left, right = decision.factors
+        return ref_pair(
+            reference_path(planner.left, left, min(s) + 1),
+            reference_path(planner.right, right, min(t) + 1),
+        )
+    if isinstance(planner, TransferPlanner):
+        return ref_transfer(planner, decision, index)
+    a, b = decision.a, decision.b
+    x, y = a.parts[0], b.parts[0]
+    name = planner.rules[index - 1].name
+    if name in ("segment", "shortest-arc"):
+        return ref_geodesic(a, b)
+    if name == "positive-arc":
+        return ref_positive_arc(x, y)
+    if name == "two-stage":
+        n = planner.geometry.factors[0].dim
+        field = odd_vector_field(y, n) if n % 2 else even_vector_field(y, n)
+        sweep = ref_polar_arc(y, field / np.linalg.norm(field))
+        return ref_concat([(0.0, 0.5, ref_geodesic(a, antipode(b))), (0.5, 1.0, sweep)])
+    assert name == "chart-segment"
+    return ref_chart_segment(x, y, 0)
+
+
+def ref_config_distance(a, b):
+    total = 0.0
+    for factor, x, y in zip(a.geometry.factors, a.parts, b.parts):
+        d = factor_distance(factor, x, y)
+        total += d * d
+    return math.sqrt(total)
+
+
+def ref_speed_variation(path, evaluate):
+    worst = 0.0
+    for t0, t1, const in path.pieces:
+        if not const or t1 - t0 < 1e-6:
+            continue
+        width = t1 - t0
+        h = width / 64.0
+        speeds = []
+        for k in range(1, 5):
+            t = t0 + width * k / 5.0
+            speeds.append(ref_config_distance(evaluate(t), evaluate(t + h)) / h)
+        top = max(speeds)
+        if top < 1e-9:
+            continue
+        worst = max(worst, (top - min(speeds)) / top)
+    return worst
+
+
+# -- queries ---------------------------------------------------------------------------
+
+PLANNER_SPECS = [
+    "convex:3",
+    "circle",
+    "sphere:2",
+    "sphere:3",
+    "sphere:4",
+    "torus:3",
+    "product(sphere:2,sphere:2)",
+    "product(circle,sphere:3,sphere:2,convex:2)",
+]
+VERIFY_TS = [i / (SAMPLES_PER_PATH - 1) for i in range(SAMPLES_PER_PATH)]
+CLI_TS = [i / 16 for i in range(17)]
+CUT_TS = [0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0]
+
+
+def probe_times(path):
+    """The verifier's speed-probe times: 4 per constant-speed piece, and
+    each one's step of width / 64."""
+    out = []
+    for t0, t1, const in path.pieces:
+        if const and t1 - t0 >= 1e-6:
+            width = t1 - t0
+            starts = [t0 + width * k / 5.0 for k in range(1, 5)]
+            out += starts + [t + width / 64.0 for t in starts]
+    return out
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def near_pairs(planner, rng, count):
+    """Pairs whose sphere factors are almost equal (theta < 1e-9, the
+    near-equal branch) or almost antipodal."""
+    out = []
+    for k in range(count):
+        a = random_point(planner.geometry, rng)
+        parts = []
+        for f, x in zip(a.geometry.factors, a.parts):
+            if f.kind == "sphere":
+                nudge = rng.standard_normal(f.ambient)
+                y = _unit(x + (1e-12 if k % 2 else 1e-7) * nudge)
+                parts.append(y if k % 2 else -y)
+            else:
+                parts.append(x + 1e-12 * rng.standard_normal(f.ambient))
+        out.append((a, ConfigPoint(a.geometry, tuple(parts))))
+    return out
+
+
+def queries(planner, seed):
+    rng = np.random.default_rng(seed)
+    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    pairs = adversarial_pairs(planner, rng, cap=64)
+    pairs += [(sampler(rng), sampler(rng)) for _ in range(30)]
+    if planner.point_sampler is None:
+        pairs += near_pairs(planner, rng, 10)
+    return pairs
+
+
+def every_section(planner, seed):
+    """(rule index, path, per-time reference) for every rule covering each query."""
+    for a, b in queries(planner, seed):
+        decision = planner.decide(a, b)
+        for index in range(1, len(planner.rules) + 1):
+            try:
+                path = planner.path(decision, index)
+            except DomainMiss:
+                continue
+            yield index, path, reference_path(planner, decision, index)
+
+
+def hexed(parts):
+    return [[v.hex() for v in np.asarray(part).tolist()] for part in parts]
+
+
+def _planners():
+    return [(spec, build_planner(spec)) for spec in PLANNER_SPECS] + [
+        ("punctured-plane", punctured_plane_planner())
+    ]
+
+
+@pytest.mark.parametrize("spec, planner", _planners(), ids=PLANNER_SPECS + ["punctured-plane"])
+def test_sample_rows_equal_the_per_time_formulas(spec, planner):
+    kinds = set()
+    for index, path, reference in every_section(planner, seed=len(spec)):
+        kinds.add(path.label)
+        ts = VERIFY_TS + CLI_TS + CUT_TS + probe_times(path)
+        rows = path.sample(ts)
+        assert all(r.shape == (len(ts), f.ambient) for r, f in zip(rows, path.geometry.factors))
+        for k, t in enumerate(ts):
+            expected = hexed(reference(t))
+            assert hexed(r[k] for r in rows) == expected, (spec, index, path.label, t)
+        for t in CUT_TS + VERIFY_TS[1:2]:
+            assert hexed(path(t).parts) == hexed(r[0] for r in path.sample([t]))
+            assert hexed(path(t).parts) == hexed(reference(t))
+        assert _speed_variation(path).hex() == ref_speed_variation(path, path).hex()
+    assert kinds  # every planner has at least one covered rule
+
+
+def test_every_path_kind_is_compared():
+    ANGLES.clear()
+    labels = {
+        path.label
+        for _, planner in _planners()
+        for _, path, _ in every_section(planner, seed=0)
+    }
+    assert labels >= {
+        "geodesic", "two-stage", "chart-segment", "positive-arc", "pair", "transfer"
+    }
+    assert min(ANGLES) < 1e-9  # the near-equal branch
+    assert max(ANGLES) > math.pi - 1e-6  # near-antipodal arcs
+
+
+def test_sample_path_rows_are_the_cli_samples():
+    planner = build_planner("product(circle,sphere:3,sphere:2,convex:2)")
+    for index, path, reference in every_section(planner, seed=3):
+        samples = sample_path(path, 17)
+        assert [t for t, _ in samples] == CLI_TS
+        for t, point in samples:
+            assert hexed(point.parts) == hexed(reference(t))
+
+
+def test_config_distances_equal_the_scalar_formula_row_by_row():
+    planner = build_planner("product(circle,sphere:3,sphere:2,convex:2)")
+    geometry = planner.geometry
+    rng = np.random.default_rng(7)
+    xs = [random_point(geometry, rng) for _ in range(400)]
+    ys = [random_point(geometry, rng) for _ in range(300)]
+    for x in xs[:100]:  # sphere chords at 2 and just past it, where asin clamps
+        scale = 1.0 + 1e-12 * rng.random()
+        ys.append(ConfigPoint(geometry, tuple(
+            -scale * p if f.kind == "sphere" else p for f, p in zip(geometry.factors, x.parts)
+        )))
+    rows = lambda points: [np.stack(block) for block in zip(*(p.parts for p in points))]
+    got = config_distances(geometry, rows(xs), rows(ys)).tolist()
+    expected = [ref_config_distance(x, y).hex() for x, y in zip(xs, ys)]
+    assert [d.hex() for d in got] == expected
+    assert [config_distance(x, y).hex() for x, y in zip(xs, ys)] == expected
+
+
+@pytest.mark.parametrize("ambient", [2, 3, 4, 5, 9])
+def test_row_norms_equal_vector_norm(ambient):
+    rows = np.random.default_rng(ambient).standard_normal((2000, ambient))
+    assert [n.hex() for n in row_norms(rows).tolist()] == [vector_norm(r).hex() for r in rows]

@@ -21,6 +21,22 @@ def test_bounds_table_matches_golden():
     assert out == (ROOT / "tests" / "golden" / "bounds_table.txt").read_bytes()
 
 
+DEMO_GOLDEN = ROOT / "tests" / "golden" / "discontinuity_demo.txt"
+
+
+def discontinuity_demo_output():
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "discontinuity_demo.py")],
+        capture_output=True,
+        check=True,
+    ).stdout
+
+
+def test_discontinuity_demo_matches_golden():
+    """The boundary gaps the demo prints are part of the output contract."""
+    assert discontinuity_demo_output() == DEMO_GOLDEN.read_bytes()
+
+
 # The acceptance planners of scripts/verify_catalog.py; each line of the golden
 # file is `tcplan verify <spec> --seed 42 --pairs 200` stdout.
 VERIFY_SPECS = [
@@ -174,8 +190,10 @@ def test_bounds_grammar_matches_golden():
 
 
 if __name__ == "__main__":
-    # Rewrite the plan-products and bounds-grammar golden files (only at a
-    # commit whose output is known good):  PYTHONPATH=src python tests/test_scripts.py
+    # Rewrite the plan-products, bounds-grammar and discontinuity-demo golden
+    # files (only at a commit whose output is known good):
+    #     PYTHONPATH=src python tests/test_scripts.py
     PLAN_GOLDEN.write_text("".join(line for spec in PLAN_SPECS
                                    for line in plan_products_lines(spec)))
     BOUNDS_GOLDEN.write_bytes(bounds_grammar_output())
+    DEMO_GOLDEN.write_bytes(discontinuity_demo_output())
