@@ -15,7 +15,6 @@ breakpoints.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -156,9 +155,12 @@ def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float:
     planner's argmax tie detection relies on.
     """
     chord = vector_norm(x - y)
-    if factor.kind == "sphere":
-        return 2.0 * math.asin(min(1.0, chord / 2.0))
-    return chord
+    return _chord_arc(chord) if factor.kind == "sphere" else chord
+
+
+def _chord_arc(chord: float) -> float:
+    """Great-circle distance between unit vectors a chord apart."""
+    return 2.0 * math.asin(min(1.0, chord / 2.0))
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -179,7 +181,7 @@ def config_distances(geometry: Geometry, xs: Blocks, ys: Blocks) -> np.ndarray:
     for factor, x, y in zip(geometry.factors, xs, ys):
         d = row_norms(x - y)
         if factor.kind == "sphere":
-            d = np.array([2.0 * math.asin(min(1.0, c / 2.0)) for c in d.tolist()])
+            d = np.array([_chord_arc(c) for c in d.tolist()])
         total = d * d if total is None else total + d * d
     return np.sqrt(total)
 
@@ -412,24 +414,13 @@ def concat_paths(segments: Sequence[tuple[float, float, PathFn]], label: str = "
     ends = [math.inf if t1 >= 1.0 else t1 for _, t1, _ in segments[:-1]]
 
     def sample(ts):
-        window = [bisect_right(ends, t) for t in ts.tolist()]
-        order = None
-        if window != sorted(window):  # evaluate the times grouped by window
-            order = np.argsort(window, kind="stable")
-            ts = ts[order]
-            window.sort()
-        bounds = [bisect_left(window, k) for k in range(len(segments) + 1)]
-        runs = [
-            path.sample((ts[lo:hi] - t0) / (t1 - t0))
-            for (t0, t1, path), lo, hi in zip(segments, bounds, bounds[1:])
-            if hi > lo
-        ] or [segments[-1][2].sample(ts)]  # no times at all
-        blocks = runs[0] if len(runs) == 1 else tuple(np.concatenate(b) for b in zip(*runs))
-        if order is None:
-            return blocks
-        out = tuple(np.empty_like(b) for b in blocks)
-        for block, rows in zip(out, blocks):
-            block[order] = rows
+        window = np.searchsorted(ends, ts, side="right")
+        out = tuple(np.empty((len(ts), f.ambient)) for f in geometry.factors)
+        for k, (t0, t1, path) in enumerate(segments):
+            mask = window == k
+            if mask.any():
+                for block, rows in zip(out, path.sample((ts[mask] - t0) / (t1 - t0))):
+                    block[mask] = rows
         return out
 
     return PathFn(geometry, sample, pieces, label)
