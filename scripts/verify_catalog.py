@@ -26,8 +26,8 @@ SPECS = [
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pairs", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--pairs", type=int, default=VerifyConfig.pairs)
+    parser.add_argument("--seed", type=int, default=VerifyConfig.seed)
     args = parser.parse_args()
 
     cfg = VerifyConfig(seed=args.seed, pairs=args.pairs)

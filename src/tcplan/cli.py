@@ -23,27 +23,15 @@ import json
 import math
 import sys
 
-from .catalog import (
-    BadSpec,
-    UnsupportedParameter,
-    catalog_space,
-    parse_spec,
-    tc_bounds,
-)
+from .catalog import catalog_space, parse_spec, tc_bounds
 from .graded_algebra import AlgebraError, _field, validate_algebra, zdcl
-from .geometry import InvalidPoint, make_point
+from .geometry import make_point
 from .planner_core import MAX_SAMPLES, build_planner, forward_kinematics, plan, sample_path
 from .verifier import Mismatch, VerifyConfig, reconcile, verify_planner
 
-_INPUT_ERRORS = (
-    BadSpec,
-    UnsupportedParameter,
-    AlgebraError,
-    InvalidPoint,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+# Every input error tcplan raises (bad specs, points, algebra files, JSON
+# syntax) is a ValueError; OSError covers unreadable files.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _emit(payload: dict) -> None:
@@ -257,11 +245,11 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the planner checks")
     p.add_argument("spec")
-    p.add_argument("--pairs", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--delta", type=float, default=1e-4)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--pairs", type=int, default=VerifyConfig.pairs)
+    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    p.add_argument("--delta", type=float, default=VerifyConfig.delta)
+    p.add_argument("--eta", type=float, default=VerifyConfig.margin_eta)
+    p.add_argument("--tol", type=float, default=VerifyConfig.tolerance)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("algebra", parents=[common], help="cup-length report for an algebra file")

@@ -51,14 +51,6 @@ class Geometry:
     def ambient_dim(self) -> int:
         return sum(f.ambient for f in self.factors)
 
-    def split_point(self, point: "ConfigPoint", left_count: int) -> tuple["ConfigPoint", "ConfigPoint"]:
-        left = Geometry(self.factors[:left_count])
-        right = Geometry(self.factors[left_count:])
-        return (
-            ConfigPoint(left, point.parts[:left_count]),
-            ConfigPoint(right, point.parts[left_count:]),
-        )
-
 
 def sphere_geometry(n: int) -> Geometry:
     return Geometry((Factor("sphere", n),))

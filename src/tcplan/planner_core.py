@@ -315,18 +315,15 @@ def sphere_planner(n: int) -> Planner:
 # -- product combination ---------------------------------------------------------
 
 
-def _upward_closed(values: tuple[float, ...], top: float, rest: list[int]):
-    """The upward-closed extensions of an argmax set by indices in ``rest``
-    (whose values lie below ``top``): the empty one and {i : values[i] >=
-    theta} for each distinct value theta in ``rest``.  Each comes as (its
-    indices, the smallest value of the extended set, the largest value left
-    outside or None).  The sets are nested and built in growing order, each
-    adding at least one index, so they already come in ascending order of
-    their bitmasks over ``rest``."""
-    below = sorted({values[i] for i in rest}, reverse=True)
-    sets = [([], top, below[0] if below else None)]
-    for theta, out in zip(below, below[1:] + [None]):
-        sets.append(([i for i in rest if values[i] >= theta], theta, out))
+def _threshold_sets(values: tuple[float, ...]):
+    """{i : values[i] >= theta} for each distinct value theta, from the
+    largest down, as (ascending indices, theta, the next value below theta
+    or None)."""
+    sets, theta = [], max(values)
+    while theta is not None:
+        below = max((v for v in values if v < theta), default=None)
+        sets.append((tuple(i for i, v in enumerate(values) if v >= theta), theta, below))
+        theta = below
     return sets
 
 
@@ -340,48 +337,35 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     f_i' >= f_i for some i' outside S, then min_f * min_g <= out_f * gmax
     (float products of non-negative numbers are monotone, so this holds
     exactly) and the margin is <= 0; likewise for T.  The candidates are
-    therefore S = {i : f_i >= theta} for the argmax value and each distinct
-    value below it, O(n * m) cells in all.
+    therefore the threshold sets S = {i : f_i >= theta} and T = {j : g_j >=
+    phi}, one per distinct value, O(n * m) cells in all.
 
-    They are visited in the order of the exhaustive enumeration over
-    bitmasks of the non-max indices (S outer, T inner, ascending), so the
-    float sums per level and the first cell seen per level are bitwise the
-    same as visiting every superset.  (Upward-closed sets are nested, and
-    two positive cells on one level would each need a product above the
-    other's, so a level has at most one positive cell; the kept order makes
-    the equality plain without resting on that argument.)
+    A level holds at most one positive cell.  Threshold sets are nested, so
+    two cells (S, T) != (S', T') on one level have, say, S a proper subset
+    of S' and T' a proper subset of T.  Take i' in S' - S, j in T', i in S
+    and j' in T - T': the first cell needs f_i g_j' > f_i' g_j and the
+    second f_i' g_j > f_i g_j', which cannot both hold.  So each level is
+    set once, to its one cell's margin, and the cells come in the order of
+    the exhaustive enumeration over bitmasks of the non-max indices (S
+    outer, T inner), since nested sets grow with their bitmasks.
 
-    Returns the raw per-level weights (the sums of clamped cell margins,
-    with an empty outside treated as comparing against zero), the
-    containing cell per level, and the argmax cell.
+    Returns the raw per-level weights (the clamped cell margins, with an
+    empty outside treated as comparing against zero), the containing cell
+    per level, and the argmax cell.
     """
-    n, m = len(f), len(g)
-    fmax, gmax = max(f), max(g)
-    s0 = [i for i in range(n) if f[i] == fmax]
-    t0 = [j for j in range(m) if g[j] == gmax]
-    rest_s = [i for i in range(n) if f[i] != fmax]
-    rest_t = [j for j in range(m) if g[j] != gmax]
-    t_sets = [
-        (t0 + t_extra, min_g, None if out_g is None else fmax * out_g)
-        for t_extra, min_g, out_g in _upward_closed(g, gmax, rest_t)
-    ]
-
-    levels = [0.0] * (n + m + 1)
+    f_sets, g_sets = _threshold_sets(f), _threshold_sets(g)
+    fmax, gmax = f_sets[0][1], g_sets[0][1]
+    levels = [0.0] * (len(f) + len(g) + 1)
     cells: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    for s_extra, min_f, out_f in _upward_closed(f, fmax, rest_s):
-        s = s0 + s_extra
+    for s, min_f, out_f in f_sets:
         outside_f = 0.0 if out_f is None else max(0.0, out_f * gmax)
-        for t, min_g, outside_g in t_sets:
-            outside = outside_f if outside_g is None else max(outside_f, outside_g)
+        for t, min_g, out_g in g_sets:
+            outside = outside_f if out_g is None else max(outside_f, fmax * out_g)
             margin = min_f * min_g - outside
             if margin > 0.0:
                 level = len(s) + len(t)
-                levels[level] += margin
-                if level not in cells:
-                    cells[level] = (tuple(sorted(s)), tuple(sorted(t)))
-
-    return levels, cells, (tuple(sorted(s0)), tuple(sorted(t0)))
+                levels[level], cells[level] = margin, (s, t)
+    return levels, cells, (f_sets[0][0], g_sets[0][0])
 
 
 class ProductPlanner(Planner):
@@ -405,9 +389,9 @@ class ProductPlanner(Planner):
         super().__init__(f"product({left.space},{right.space})", geometry, rules)
 
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
-        ax, ay = a.geometry.split_point(a, self.split)
-        bx, by = b.geometry.split_point(b, self.split)
-        left, right = self.left.decide(ax, bx), self.right.decide(ay, by)
+        k, x, y = self.split, self.left.geometry, self.right.geometry
+        left = self.left.decide(ConfigPoint(x, a.parts[:k]), ConfigPoint(x, b.parts[:k]))
+        right = self.right.decide(ConfigPoint(y, a.parts[k:]), ConfigPoint(y, b.parts[k:]))
         levels, cells, (s0, t0) = _tie_cells(left.weights, right.weights)
         level, total = len(s0) + len(t0), sum(levels[2:])
         weights = tuple(w / total for w in levels[2:])

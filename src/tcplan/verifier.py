@@ -107,22 +107,27 @@ class VerifyReport:
         )
 
     def as_dict(self) -> dict:
+        """The report as JSON values; a NaN or infinite worst value is None."""
+        finite = lambda x: x if math.isfinite(x) else None
         return {
             "space": self.space,
             "seed": self.seed,
             "pairs_checked": self.pairs_checked,
             "passed": self.passed,
-            "section": {"pass": self.section_pass, "max_endpoint_error": self.max_endpoint_error},
+            "section": {
+                "pass": self.section_pass,
+                "max_endpoint_error": finite(self.max_endpoint_error),
+            },
             "coverage": {"pass": self.coverage_pass, "uncovered_pairs": self.uncovered_pairs},
             "continuity": {
                 "pass": self.continuity_pass,
-                "max_ratio": self.max_continuity_ratio,
+                "max_ratio": finite(self.max_continuity_ratio),
                 "checked": self.continuity_checked,
             },
             "geometry": {
                 "pass": self.geometry_pass,
-                "max_norm_error": self.max_norm_error,
-                "max_speed_variation": self.max_speed_variation,
+                "max_norm_error": finite(self.max_norm_error),
+                "max_speed_variation": finite(self.max_speed_variation),
                 "speed_checked": self.speed_checked,
             },
             "rule_usage": {str(k): v for k, v in sorted(self.rule_usage.items())},
@@ -208,6 +213,15 @@ def adversarial_pairs(
 # -- the four checks --------------------------------------------------------------
 
 
+def _worst(current: float, values: list[float]) -> float:
+    """The largest of ``current`` and ``values``, or NaN once any is NaN:
+    Python's max keeps a NaN only in first place, and a NaN fails every
+    ``<=`` check."""
+    if any(map(math.isnan, values)):
+        return math.nan
+    return max(current, *values)
+
+
 def _speed_variation(path) -> float:
     """Worst relative speed spread over the path's constant-speed pieces:
     4 probes of step h = width / 64 per piece, all evaluated at once."""
@@ -225,6 +239,8 @@ def _speed_variation(path) -> float:
     rows = path.sample(np.concatenate((probes, ends)))
     n = len(starts)
     moved = config_distances(path.geometry, [r[:n] for r in rows], [r[n:] for r in rows]).tolist()
+    if not all(map(math.isfinite, moved)):
+        return math.nan
     worst = 0.0
     for i, h in enumerate(steps):
         speeds = [d / h for d in moved[4 * i : 4 * i + 4]]
@@ -270,12 +286,12 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
 
         ends = [np.array(ab) for ab in zip(a.parts, b.parts)]
         first_last = [p[:: SAMPLES_PER_PATH - 1] for p in points]
-        max_end = max(max_end, *config_distances(geometry, first_last, ends).tolist())
+        max_end = _worst(max_end, config_distances(geometry, first_last, ends).tolist())
         for slot in sphere_slots:
-            max_norm = max(max_norm, *np.abs(row_norms(points[slot]) - 1.0).tolist())
+            max_norm = _worst(max_norm, np.abs(row_norms(points[slot]) - 1.0).tolist())
 
         if speed_checked < SPEED_CHECKS:
-            max_speed = max(max_speed, _speed_variation(path))
+            max_speed = _worst(max_speed, [_speed_variation(path)])
             speed_checked += 1
 
         if decision.weights[index - 1] >= cfg.margin_eta:
@@ -288,8 +304,8 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
                 continue
             if twin.index == index and twin.cell == decision.cell:
                 twin_points = planner.path(twin, index).sample(ts)
-                sup = max(config_distances(geometry, points, twin_points).tolist())
-                max_ratio = max(max_ratio, sup / cfg.delta)
+                sup = _worst(0.0, config_distances(geometry, points, twin_points).tolist())
+                max_ratio = _worst(max_ratio, [sup / cfg.delta])
                 continuity_checked += 1
 
     return VerifyReport(
@@ -325,14 +341,6 @@ class DivergenceReport:
     @property
     def min_gap(self) -> float:
         return min(self.gaps)
-
-    def as_dict(self) -> dict:
-        return {
-            "rule_index": self.rule_index,
-            "offsets": list(self.offsets),
-            "gaps": list(self.gaps),
-            "min_gap": self.min_gap,
-        }
 
 
 def demonstrate_discontinuity(

@@ -12,7 +12,7 @@ import pytest
 from tcplan import cli
 from tcplan.cli import main
 from tcplan.planner_core import MAX_SAMPLES
-from tcplan.verifier import MAX_PAIRS
+from tcplan.verifier import MAX_PAIRS, VerifyConfig
 from tcplan.catalog import catalog_space
 from tcplan.graded_algebra import algebra_to_presentation
 
@@ -121,6 +121,13 @@ def test_verify_small_run_passes(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["reconcile"]["rule_count"] == 2
+
+
+def test_verify_defaults_are_the_config_defaults():
+    args = cli._parser().parse_args(["verify", "circle"])
+    parsed = VerifyConfig(seed=args.seed, pairs=args.pairs, delta=args.delta,
+                          margin_eta=args.eta, tolerance=args.tol)
+    assert parsed == VerifyConfig()
 
 
 def test_verify_torus3_reconciles_four_rules(capsys):

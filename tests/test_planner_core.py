@@ -250,6 +250,13 @@ def test_product_weights_are_partition_of_unity():
         assert weights[decision.index - 1] > 0.0
 
 
+def _split(planner, point):
+    """A product planner's query point as its left and right factor points."""
+    k = planner.split
+    return (ConfigPoint(planner.left.geometry, point.parts[:k]),
+            ConfigPoint(planner.right.geometry, point.parts[k:]))
+
+
 def test_product_cell_inequalities_hold():
     """The derived argmax cell satisfies the defining strict inequalities."""
     left = circle_planner()
@@ -260,8 +267,7 @@ def test_product_cell_inequalities_hold():
         a = random_point(planner.geometry, rng)
         b = random_point(planner.geometry, rng)
         s, t = planner.decide(a, b).cell
-        ax, ay = a.geometry.split_point(a, 1)
-        bx, by = b.geometry.split_point(b, 1)
+        (ax, ay), (bx, by) = _split(planner, a), _split(planner, b)
         f = left.decide(ax, bx).weights
         g = right.decide(ay, by).weights
         inside = min(f[i] * g[j] for i in s for j in t)
@@ -359,8 +365,7 @@ def test_tie_cells_polynomial_on_long_vectors():
 
 
 def _reference_cells(planner, a, b):
-    ax, ay = a.geometry.split_point(a, planner.split)
-    bx, by = b.geometry.split_point(b, planner.split)
+    (ax, ay), (bx, by) = _split(planner, a), _split(planner, b)
     f = _reference_weights(planner.left, ax, bx)
     g = _reference_weights(planner.right, ay, by)
     levels, cells, _ = _exhaustive_tie_cells(f, g)

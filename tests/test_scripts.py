@@ -65,6 +65,19 @@ def test_verify_matches_golden(line):
     assert out == golden.splitlines(keepends=True)[line]
 
 
+def test_verify_catalog_script_passes():
+    """Every acceptance planner passes and reconciles (timings vary, unchecked)."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_catalog.py"), "--pairs", "50"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == VERIFY_SPECS
+    assert all(" PASS " in line and "==tc" in line for line in lines)
+
+
 # The product planners of the plan-products benchmark workload; each query of
 # `plan_products_lines()` is one line of tests/golden/plan_products.txt.
 PLAN_SPECS = [

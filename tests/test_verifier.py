@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -7,8 +8,10 @@ import pytest
 
 from tcplan import verifier
 from tcplan.catalog import catalog_space
-from tcplan.geometry import ConfigPoint, make_point
+from tcplan.geometry import ConfigPoint, PathFn, geodesic_path, make_point
 from tcplan.planner_core import (
+    Planner,
+    PlannerRule,
     arm_planner,
     build_planner,
     circle_planner,
@@ -94,6 +97,46 @@ def test_continuity_ratio_within_empirical_bound():
         report = verify_planner(planner, FAST)
         assert math.isfinite(report.max_continuity_ratio)
         assert report.max_continuity_ratio <= 200.0
+
+
+def _spoiled_segment_planner(spoil):
+    """One-rule convex:2 planner whose straight segments pass their sampled
+    rows through ``spoil(ts, rows)``."""
+    geometry = straight_line_planner(2).geometry
+
+    def section(a, b):
+        segment = geodesic_path(a, b)
+        return PathFn(geometry, lambda ts: (spoil(ts, segment.sample(ts)[0]),), segment.pieces)
+
+    rule = PlannerRule("segment", lambda a, b: 1.0, section)
+    return Planner("convex:2", geometry, (rule,))
+
+
+def test_nan_paths_fail_section_and_geometry():
+    report = verify_planner(
+        _spoiled_segment_planner(lambda ts, rows: np.full_like(rows, np.nan)), VerifyConfig(pairs=50)
+    )
+    assert not report.section_pass and not report.geometry_pass and not report.passed
+    assert math.isnan(report.max_endpoint_error) and math.isnan(report.max_speed_variation)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    # `tcplan verify` prints json.dumps of this dict: null, never NaN
+    payload = json.loads(json.dumps(report.as_dict()), parse_constant=reject)
+    assert payload["section"] == {"pass": False, "max_endpoint_error": None}
+    assert payload["geometry"]["max_speed_variation"] is None
+
+
+def test_nan_at_one_time_fails_continuity():
+    def spoil(ts, rows):
+        rows[ts == 0.5] = np.nan
+        return rows
+
+    report = verify_planner(_spoiled_segment_planner(spoil), VerifyConfig(pairs=50))
+    assert report.section_pass and report.geometry_pass and report.coverage_pass
+    assert not report.continuity_pass and not report.passed
+    assert math.isnan(report.max_continuity_ratio)
 
 
 # -- discontinuity demonstrations ----------------------------------------------
