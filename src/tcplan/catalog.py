@@ -16,9 +16,10 @@ canonical leaf kind (``convex``, ``circle``, ``sphere``, ``surface`` of genus
 >= 2, ``cpn``): real dimension, rational cohomology preset, contractibility,
 the Lusternik-Schnirelmann category taken from the literature, the exact
 planner complexity where known and the rule count of the explicit planner.
-``fold`` evaluates a canonical form bottom-up, and one product step combines
-the factor rows: dimensions add, rule counts combine as sum - (k - 1), and
-so does the exact complexity of any product of leaves whose value is known.
+``fold`` evaluates a canonical form bottom-up into a tree of descriptors, one
+per node, and one product step combines the factor descriptors: dimensions
+add, rule counts combine as sum - (k - 1), and so does the exact complexity
+of any product of leaves whose value is known.
 Each such leaf has TC = zcl + 1 (convex pieces 0 + 1, odd spheres 1 + 1,
 even spheres 2 + 1, surfaces of genus >= 2 4 + 1), so the superadditive
 cup-length below gives sum - (k - 1) from below, as the product inequality
@@ -35,7 +36,8 @@ upper bounds
     the factor bounds combined as  sum - (k - 1);  and ``rules``, the rule
     count of the space's explicit planner, where it has one.
 
-Products get their factors' reports in one pass.  Over Q the zero-divisor
+Products get their factors' reports in one pass, by recursing over the
+factor descriptors the product node keeps.  Over Q the zero-divisor
 cup-length is superadditive, zcl(A (x) B) >= zcl(A) + zcl(B): by Kuenneth,
 the product (z (x) 1)(1 (x) w) of nonzero zero-divisor products z and w is
 nonzero.  So the sum S of the factor cup-lengths is certified, and when
@@ -49,10 +51,10 @@ and tensor squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial, reduce, wraps
 from operator import itemgetter
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from .graded_algebra import GradedAlgebra, tensor_product, validate_algebra, zdcl
 
@@ -333,55 +335,6 @@ def surface_algebra(genus: int) -> GradedAlgebra:
 # -- space descriptors ----------------------------------------------------------
 
 
-class _Row(NamedTuple):
-    """The catalog facts of a canonical leaf or product."""
-
-    dim: int
-    algebra: Callable[[], GradedAlgebra]
-    contractible: bool
-    cat: int | None  # Lusternik-Schnirelmann category, a literature constant
-    known_tc: int | None
-    rules: int | None  # rule count of the explicit planner
-
-
-def _sphere_row(n: int) -> _Row:
-    by_parity = 2 if n % 2 else 3
-    return _Row(n, partial(sphere_algebra, n), False, 2, by_parity, by_parity)
-
-
-# One row per canonical leaf kind, as a function of the leaf's parameter.
-# A surface of genus >= 2 has TC 5: its cup-length bound meets the dimension bound.
-_LEAVES: dict[str, Callable[[int | None], _Row]] = {
-    "convex": lambda d: _Row(d, point_algebra, True, 1, 1, 1),
-    "circle": lambda _: _sphere_row(1),
-    "sphere": _sphere_row,
-    "surface": lambda g: _Row(2, partial(surface_algebra, g), False, 3, 5, None),
-    "cpn": lambda n: _Row(2 * n, partial(cpn_algebra, n), False, None, None, None),
-}
-
-
-def _combined(values: list[int | None]) -> int | None:
-    """The product inequality's value sum - (k - 1), if every factor has one."""
-    if any(v is None for v in values):
-        return None
-    return sum(values) - (len(values) - 1)
-
-
-def _product_row(parts: list[_Row]) -> _Row:
-    return _Row(
-        dim=sum(p.dim for p in parts),
-        algebra=lambda: reduce(tensor_product, [p.algebra() for p in parts]),
-        contractible=all(p.contractible for p in parts),
-        cat=None,
-        known_tc=_combined([p.known_tc for p in parts]),
-        rules=_combined([p.rules for p in parts]),
-    )
-
-
-def _row(form: SpaceSpec) -> _Row:
-    return fold(form, lambda leaf: _LEAVES[leaf.kind](leaf.param), _product_row)
-
-
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A catalog configuration space with its metadata.
@@ -390,8 +343,10 @@ class SpaceDescriptor:
     form.  ``cat`` is the Lusternik-Schnirelmann category (a literature
     constant stored as metadata, never computed here); ``known_tc`` is filled
     only where the planner complexity is known exactly, and ``rules`` only
-    where an explicit planner exists.  ``algebra``, the rational cohomology,
-    is built by ``build_algebra`` on first access.
+    where an explicit planner exists.  A product node keeps the descriptors
+    of its factors in ``factors``, one per factor of ``form``; a leaf has
+    none.  ``algebra``, the rational cohomology, is built by
+    ``build_algebra`` on first access.
     """
 
     spec: SpaceSpec
@@ -402,21 +357,61 @@ class SpaceDescriptor:
     known_tc: int | None
     rules: int | None
     build_algebra: Callable[[], GradedAlgebra] = field(compare=False, repr=False)
+    factors: tuple["SpaceDescriptor", ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def algebra(self) -> GradedAlgebra:
         return self.build_algebra()
 
 
+def _leaf(form, dim, algebra, contractible, cat, known_tc, rules) -> SpaceDescriptor:
+    return SpaceDescriptor(form, form, dim, contractible, cat, known_tc, rules, algebra)
+
+
+def _sphere(form: SpaceSpec, n: int) -> SpaceDescriptor:
+    by_parity = 2 if n % 2 else 3
+    return _leaf(form, n, partial(sphere_algebra, n), False, 2, by_parity, by_parity)
+
+
+# One row per canonical leaf kind: the leaf form's descriptor.
+# A surface of genus >= 2 has TC 5: its cup-length bound meets the dimension bound.
+_LEAVES: dict[str, Callable[[SpaceSpec], SpaceDescriptor]] = {
+    "convex": lambda f: _leaf(f, f.param, point_algebra, True, 1, 1, 1),
+    "circle": lambda f: _sphere(f, 1),
+    "sphere": lambda f: _sphere(f, f.param),
+    "surface": lambda f: _leaf(f, 2, partial(surface_algebra, f.param), False, 3, 5, None),
+    "cpn": lambda f: _leaf(f, 2 * f.param, partial(cpn_algebra, f.param), False, None, None, None),
+}
+
+
+def _combined(values: list[int | None]) -> int | None:
+    """The product inequality's value sum - (k - 1), if every factor has one."""
+    if any(v is None for v in values):
+        return None
+    return sum(values) - (len(values) - 1)
+
+
+def _product(parts: list[SpaceDescriptor]) -> SpaceDescriptor:
+    form = SpaceSpec("product", factors=tuple(p.form for p in parts))
+    return SpaceDescriptor(
+        spec=form,
+        form=form,
+        geometry_dim=sum(p.geometry_dim for p in parts),
+        contractible=all(p.contractible for p in parts),
+        cat=None,
+        known_tc=_combined([p.known_tc for p in parts]),
+        rules=_combined([p.rules for p in parts]),
+        build_algebra=lambda: reduce(tensor_product, [p.build_algebra() for p in parts]),
+        factors=tuple(parts),
+    )
+
+
 def catalog_space(spec: SpaceSpec | str) -> SpaceDescriptor:
     """Build the descriptor for a space expression."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    form = canonical(spec)
-    row = _row(form)
-    return SpaceDescriptor(
-        spec, form, row.dim, row.contractible, row.cat, row.known_tc, row.rules, row.algebra
-    )
+    node = fold(canonical(spec), lambda leaf: _LEAVES[leaf.kind](leaf), _product)
+    return replace(node, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -443,7 +438,7 @@ class BoundsReport:
 
 def _tc_bounds(descriptor: SpaceDescriptor) -> tuple[BoundsReport, int]:
     """The bounds report and the zero-divisor cup-length behind it."""
-    factors = [_tc_bounds(catalog_space(f)) for f in descriptor.form.factors]
+    factors = [_tc_bounds(f) for f in descriptor.factors]
 
     uppers: list[tuple[int, str]] = []
     if descriptor.rules is not None:

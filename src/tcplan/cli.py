@@ -6,8 +6,11 @@ Four subcommands, all emitting JSON with stable key order on stdout
     tcplan bounds  <spec> | --file algebra.json
     tcplan plan    <spec> --from <pt> --to <pt> [--samples N (2..100000)]
                    [--format json|csv] [--kinematics l1,l2,...]
-    tcplan verify  <spec> [--pairs N] [--seed S] [--delta D] [--eta E] [--tol T]
+    tcplan verify  <spec> [--pairs N] [--seed S]
     tcplan algebra --file algebra.json [--exhaustive] [--max-len L]
+
+``verify`` uses the verifier's fixed thresholds (delta = 1e-4, eta = 0.1,
+tolerance 1e-9); the former ``--delta/--eta/--tol`` flags exit 2.
 
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 input or validation error.  Points are comma-separated coordinates,
@@ -23,7 +26,7 @@ import json
 import math
 import sys
 
-from .catalog import catalog_space, parse_spec, tc_bounds
+from .catalog import BoundsReport, catalog_space, parse_spec, tc_bounds
 from .graded_algebra import AlgebraError, _field, validate_algebra, zdcl
 from .geometry import make_point
 from .planner_core import MAX_SAMPLES, build_planner, forward_kinematics, plan, sample_path
@@ -93,17 +96,11 @@ def cmd_bounds(args) -> int:
             upper = 2 * dim + 1
             exact = lower == upper
             note = "dimension given by the file's 'dim' field"
-        _emit(
-            {
-                "space": f"algebra:{algebra.name}",
-                "lower": lower,
-                "upper": upper,
-                "lower_provenance": "cup-length lower bound",
-                "upper_provenance": "dimension bound",
-                "exact": exact,
-                "note": note,
-            }
+        report = BoundsReport(
+            f"algebra:{algebra.name}", lower, upper,
+            "cup-length lower bound", "dimension bound", exact,
         )
+        _emit({**report.as_dict(), "note": note})
         return 0
     _emit(tc_bounds(catalog_space(args.spec)).as_dict())
     return 0
@@ -161,13 +158,7 @@ def cmd_verify(args) -> int:
     planner = build_planner(spec)
     if planner is None:
         return _fail(f"no explicit planner is available for {spec}; only bounds are")
-    cfg = VerifyConfig(
-        seed=args.seed,
-        pairs=args.pairs,
-        delta=args.delta,
-        margin_eta=args.eta,
-        tolerance=args.tol,
-    )
+    cfg = VerifyConfig(seed=args.seed, pairs=args.pairs)
     report = verify_planner(planner, cfg)
     payload = report.as_dict()
     descriptor = catalog_space(spec)
@@ -247,9 +238,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--pairs", type=int, default=VerifyConfig.pairs)
     p.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    p.add_argument("--delta", type=float, default=VerifyConfig.delta)
-    p.add_argument("--eta", type=float, default=VerifyConfig.margin_eta)
-    p.add_argument("--tol", type=float, default=VerifyConfig.tolerance)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("algebra", parents=[common], help="cup-length report for an algebra file")

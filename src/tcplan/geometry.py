@@ -151,8 +151,9 @@ def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _chord_arc(chord: float) -> float:
-    """Great-circle distance between unit vectors a chord apart."""
-    return 2.0 * math.asin(min(1.0, chord / 2.0))
+    """Great-circle distance between unit vectors a chord apart; NaN for a
+    NaN chord (``min(1.0, nan)`` would read it as a half turn)."""
+    return 2.0 * math.asin(1.0 if chord >= 2.0 else chord / 2.0)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:

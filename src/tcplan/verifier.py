@@ -5,14 +5,15 @@ plus an adversarial injection of boundary configurations: equal pairs,
 per-factor antipodal pairs, exact weight ties, and the tangent-field zero
 pair on even spheres):
 
-section      path(0) = start and path(1) = goal within tolerance;
+section      path(0) = start and path(1) = goal within TOLERANCE;
 coverage     some rule applies to every sampled pair;
-continuity   inside each rule's weight interior (weight >= margin_eta),
-             perturbing both endpoints tangentially by delta moves the
-             whole path by at most MAX_RATIO * delta, provided the
+continuity   inside each rule's weight interior (weight >= MARGIN_ETA),
+             perturbing both endpoints tangentially by DELTA moves the
+             whole path by at most MAX_RATIO * DELTA, provided the
              perturbed query stays in the same rule and tie cell;
-geometry     sampled path points stay on their spheres, and segments
-             declared constant-speed have sampled speed variation < 1%.
+geometry     sampled path points stay on their spheres within TOLERANCE,
+             and segments declared constant-speed have sampled speed
+             variation < 1%.
 
 The continuity bound is an empirical regression guard, not a theorem: the
 modulus of any rule blows up at its domain boundary, which is exactly why
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +43,12 @@ DEFAULT_SPEED_TOL = 0.01
 MAX_PAIRS = 100_000
 SAMPLES_PER_PATH = 9
 MAX_RATIO = 200.0
+DELTA = 1e-4  # tangent step of the continuity twins
+MARGIN_ETA = 0.1  # least rule weight at which continuity is checked
+TOLERANCE = 1e-9  # endpoint and sphere-norm error allowed
 SPEED_CHECKS = 200
+DEMO_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
+DEMO_SAMPLES = 33
 _INT64_MAX = 2**63 - 1
 
 
@@ -56,25 +62,17 @@ class Mismatch(ValueError):
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for one verification run; defaults match the acceptance runs."""
+    """The seed and size of one verification run; defaults match the
+    acceptance runs.  The thresholds are the constants ``DELTA``,
+    ``MARGIN_ETA``, ``TOLERANCE`` and ``MAX_RATIO``."""
 
     seed: int = 42
     pairs: int = 10_000
-    delta: float = 1e-4
-    margin_eta: float = 0.1
-    tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name in ("delta", "margin_eta", "tolerance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"bad verify config: {name} must be finite")
-        if self.pairs > MAX_PAIRS:
+        if not 1 <= self.pairs <= MAX_PAIRS:
             # every query pair is built before checking starts
-            raise ValueError(f"bad verify config: pairs must be at most {MAX_PAIRS}")
-        if self.pairs < 1 or self.delta <= 0 or not (0 <= self.margin_eta < 1):
-            raise ValueError("bad verify config")
-        if self.tolerance <= 0:
-            raise ValueError("bad verify config")
+            raise ValueError(f"bad verify config: pairs must be positive and at most {MAX_PAIRS}")
 
 
 @dataclass(frozen=True)
@@ -294,9 +292,9 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
             max_speed = _worst(max_speed, [_speed_variation(path)])
             speed_checked += 1
 
-        if decision.weights[index - 1] >= cfg.margin_eta:
-            a2 = tangent_perturb(a, cfg.delta, rng)
-            b2 = tangent_perturb(b, cfg.delta, rng)
+        if decision.weights[index - 1] >= MARGIN_ETA:
+            a2 = tangent_perturb(a, DELTA, rng)
+            b2 = tangent_perturb(b, DELTA, rng)
             try:
                 twin = planner.decide(a2, b2)
             except CoverageGap:
@@ -305,7 +303,7 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
             if twin.index == index and twin.cell == decision.cell:
                 twin_points = planner.path(twin, index).sample(ts)
                 sup = _worst(0.0, config_distances(geometry, points, twin_points).tolist())
-                max_ratio = _worst(max_ratio, [sup / cfg.delta])
+                max_ratio = _worst(max_ratio, [sup / DELTA])
                 continuity_checked += 1
 
     return VerifyReport(
@@ -320,10 +318,10 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
         max_speed_variation=max_speed,
         speed_checked=speed_checked,
         rule_usage=usage,
-        section_pass=max_end <= cfg.tolerance,
+        section_pass=max_end <= TOLERANCE,
         coverage_pass=uncovered == 0,
         continuity_pass=math.isfinite(max_ratio) and max_ratio <= MAX_RATIO,
-        geometry_pass=max_norm <= cfg.tolerance and max_speed < DEFAULT_SPEED_TOL,
+        geometry_pass=max_norm <= TOLERANCE and max_speed < DEFAULT_SPEED_TOL,
     )
 
 
@@ -340,6 +338,9 @@ class DivergenceReport:
 
     @property
     def min_gap(self) -> float:
+        """The smallest gap, or NaN once any gap is NaN (see ``_worst``)."""
+        if any(map(math.isnan, self.gaps)):
+            return math.nan
         return min(self.gaps)
 
 
@@ -348,19 +349,19 @@ def demonstrate_discontinuity(
     rule_index: int,
     family_a: Callable[[float], tuple[ConfigPoint, ConfigPoint]],
     family_b: Callable[[float], tuple[ConfigPoint, ConfigPoint]],
-    offsets: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4),
-    samples: int = 33,
 ) -> DivergenceReport:
-    """Sup-distance between the rule's paths along two approach families.
+    """Sup-distance between the rule's paths along two approach families,
+    at each of ``DEMO_OFFSETS`` over ``DEMO_SAMPLES`` times.
 
     Both families must stay inside the rule's domain while converging to a
     shared boundary pair; a gap bounded away from zero as the offset
-    shrinks certifies numerically that no continuous extension exists.
+    shrinks certifies numerically that no continuous extension exists.  A
+    NaN path gives a NaN gap, which certifies nothing.
     """
-    ts = [i / (samples - 1) for i in range(samples)]
+    ts = [i / (DEMO_SAMPLES - 1) for i in range(DEMO_SAMPLES)]
     geometry = planner.geometry
     gaps = []
-    for eps in offsets:
+    for eps in DEMO_OFFSETS:
         paths = []
         for a, b in (family_a(eps), family_b(eps)):
             try:
@@ -371,8 +372,8 @@ def demonstrate_discontinuity(
                 ) from None
         path_a, path_b = paths
         gap = config_distances(geometry, path_a.sample(ts), path_b.sample(ts))
-        gaps.append(max(gap.tolist()))
-    return DivergenceReport(rule_index, tuple(offsets), tuple(gaps))
+        gaps.append(_worst(0.0, gap.tolist()))
+    return DivergenceReport(rule_index, DEMO_OFFSETS, tuple(gaps))
 
 
 def circle_antipodal_families(planner: Planner):

@@ -13,6 +13,9 @@ from tcplan.geometry import config_distance
 from tcplan.graded_algebra import canonical_divisor, tensor_square, zdcl
 from tcplan.planner_core import build_planner, plan, punctured_plane_planner
 from tcplan.verifier import (
+    DELTA,
+    MARGIN_ETA,
+    TOLERANCE,
     VerifyConfig,
     circle_antipodal_families,
     demonstrate_discontinuity,
@@ -114,7 +117,8 @@ def test_criterion_4_planner_contracts():
     """Default-config verification and reconciliation across all planners."""
     specs = ["convex:3", "circle", "sphere:2", "sphere:3", "torus:2", "torus:3",
              "torus:4", "product(sphere:2,sphere:2)"]
-    cfg = VerifyConfig(seed=42, pairs=10_000, delta=1e-4, margin_eta=0.1, tolerance=1e-9)
+    cfg = VerifyConfig(seed=42, pairs=10_000)
+    assert (DELTA, MARGIN_ETA, TOLERANCE) == (1e-4, 0.1, 1e-9)
     start = time.monotonic()
     failures = []
     for spec in specs:

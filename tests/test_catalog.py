@@ -347,3 +347,24 @@ def test_open_bracket_still_searches_the_product(monkeypatch):
     report = tc_bounds(descriptor)
     assert (report.lower, report.upper, report.exact) == (3, 5, False)
     assert searched[-1] is descriptor.algebra
+
+
+def test_descriptor_tree_serves_the_factor_reports(monkeypatch):
+    descriptor = catalog_space("product(torus:2,product(sphere:2,cpn:1))")
+    calls = []
+    build = catalog.catalog_space
+    monkeypatch.setattr(catalog, "catalog_space", lambda spec: calls.append(spec) or build(spec))
+    report = tc_bounds(descriptor)
+    assert calls == []
+    assert report == catalog.BoundsReport(
+        "product(torus:2,product(sphere:2,cpn:1))", 7, 9, "cup-length lower bound",
+        "product inequality", False,
+    )
+
+    def check(node):
+        assert [f.form for f in node.factors] == list(node.form.factors)
+        for factor in node.factors:
+            check(factor)
+
+    check(descriptor)
+    assert [len(f.factors) for f in descriptor.factors] == [2, 2]
