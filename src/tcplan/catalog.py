@@ -346,7 +346,9 @@ class SpaceDescriptor:
     where an explicit planner exists.  A product node keeps the descriptors
     of its factors in ``factors``, one per factor of ``form``; a leaf has
     none.  ``algebra``, the rational cohomology, is built by
-    ``build_algebra`` on first access.
+    ``build_algebra`` on first access.  A product node's ``build_algebra``
+    tensors its factors' cached ``algebra``, so a factor's algebra is built
+    once however deeply it is nested.
     """
 
     spec: SpaceSpec
@@ -401,7 +403,7 @@ def _product(parts: list[SpaceDescriptor]) -> SpaceDescriptor:
         cat=None,
         known_tc=_combined([p.known_tc for p in parts]),
         rules=_combined([p.rules for p in parts]),
-        build_algebra=lambda: reduce(tensor_product, [p.build_algebra() for p in parts]),
+        build_algebra=lambda: reduce(tensor_product, [p.algebra for p in parts]),
         factors=tuple(parts),
     )
 

@@ -26,10 +26,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .catalog import BoundsReport, catalog_space, parse_spec, tc_bounds
 from .graded_algebra import AlgebraError, _field, validate_algebra, zdcl
-from .geometry import make_point
-from .planner_core import MAX_SAMPLES, build_planner, forward_kinematics, plan, sample_path
+from .geometry import ConfigPoint, make_point
+from .planner_core import MAX_SAMPLES, build_planner, forward_kinematics, plan, sample_times
 from .verifier import Mismatch, VerifyConfig, reconcile, verify_planner
 
 # Every input error tcplan raises (bad specs, points, algebra files, JSON
@@ -114,14 +116,16 @@ def cmd_plan(args) -> int:
     start = _parse_point(args.src, planner.geometry)
     goal = _parse_point(args.dst, planner.geometry)
     result = plan(planner, start, goal)
-    samples = sample_path(result.path, args.samples)
+    ts = sample_times(args.samples)
+    blocks = result.path.sample(ts)
+    rows = np.concatenate(blocks, axis=1).tolist()  # one flat coordinate list per time
 
     joints = None
     if args.kinematics is not None:
         lengths = _parse_floats(args.kinematics, "bar length")
         joints = [
-            [j.tolist() for j in forward_kinematics(point, lengths)]
-            for _, point in samples
+            [j.tolist() for j in forward_kinematics(ConfigPoint(planner.geometry, point), lengths)]
+            for point in zip(*blocks)
         ]
 
     if args.format == "csv":
@@ -132,8 +136,8 @@ def cmd_plan(args) -> int:
             axes = "xyz"[:per_joint]
             header += [f"j{k}{ax}" for k in range(len(joints[0])) for ax in axes]
         lines = [",".join(header)]
-        for row_no, (t, point) in enumerate(samples):
-            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in point.flat]
+        for row_no, (t, coords) in enumerate(zip(ts, rows)):
+            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in coords]
             if joints is not None:
                 row += [f"{v:.17g}" for joint in joints[row_no] for v in joint]
             lines.append(",".join(row))
@@ -145,7 +149,7 @@ def cmd_plan(args) -> int:
         "from": start.flat.tolist(),
         "to": goal.flat.tolist(),
         "rule_index": result.rule_index,
-        "samples": [[t] + point.flat.tolist() for t, point in samples],
+        "samples": [[t] + coords for t, coords in zip(ts, rows)],
     }
     if joints is not None:
         payload["joints"] = joints

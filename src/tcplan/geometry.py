@@ -161,22 +161,34 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
+def factor_distances(factor: Factor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """factor_distance row by row, bit for bit: chords through row_norms and
+    math.asin per element (np.arcsin differs in the last bit on about 8% of
+    inputs)."""
+    chords = row_norms(xs - ys)
+    if factor.kind != "sphere":
+        return chords
+    return np.array([_chord_arc(c) for c in chords.tolist()], dtype=float)
+
+
 def config_distances(geometry: Geometry, xs: Blocks, ys: Blocks) -> np.ndarray:
     """Product distance row by row between two sets of (T, ambient) blocks:
     the root of the sum, in factor order, of the squared factor_distance.
 
     Each row gets, bit for bit, the float the scalar formulas give its
-    points: chords through row_norms, math.asin per element (np.arcsin
-    differs in the last bit on about 8% of inputs), and the first square
-    taken as the sum's start, which 0.0 + d * d equals.
+    points: factor_distances per factor, and the first square taken as the
+    sum's start, which 0.0 + d * d equals.
     """
     total = None
     for factor, x, y in zip(geometry.factors, xs, ys):
-        d = row_norms(x - y)
-        if factor.kind == "sphere":
-            d = np.array([_chord_arc(c) for c in d.tolist()])
+        d = factor_distances(factor, x, y)
         total = d * d if total is None else total + d * d
     return np.sqrt(total)
+
+
+def stack_points(points: Sequence[ConfigPoint]) -> Blocks:
+    """Points of one geometry as blocks: row k of each block is points[k]."""
+    return tuple(np.array(block) for block in zip(*(p.parts for p in points)))
 
 
 def config_distance(a: ConfigPoint, b: ConfigPoint) -> float:
@@ -221,6 +233,36 @@ def tangent_perturb(point: ConfigPoint, delta: float, rng: np.random.Generator) 
         moved.setflags(write=False)
         parts.append(moved)
     return ConfigPoint(point.geometry, tuple(parts))
+
+
+def tangent_perturb_rows(
+    geometry: Geometry, xs: Blocks, delta: float, normals: np.ndarray
+) -> Blocks:
+    """tangent_perturb of N points at once, given the normals it would draw.
+
+    ``xs`` holds the points as (N, ambient) blocks and row k of the (N,
+    ambient_dim) array ``normals`` the draws for point k, factor after
+    factor: a generator's ``standard_normal((N, ambient_dim))`` draws
+    exactly what N tangent_perturb calls draw one by one.  Every row is bit
+    for bit the point tangent_perturb returns, with ``np.vecdot`` for its
+    np.dot and row_norms for its vector_norm.
+    """
+    out, offset = [], 0
+    for factor, x in zip(geometry.factors, xs):
+        v = normals[:, offset : offset + factor.ambient]
+        offset += factor.ambient
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if factor.kind == "sphere":
+                v = v - np.vecdot(v, x)[:, None] * x
+                norm = row_norms(v)
+                moved = math.cos(delta) * x + math.sin(delta) * (v / norm[:, None])
+                moved = np.where((norm < 1e-12)[:, None], x, moved / row_norms(moved)[:, None])
+            else:
+                norm = row_norms(v)
+                moved = np.where((norm > 0)[:, None], x + (delta / norm)[:, None] * v, x)
+        moved.setflags(write=False)
+        out.append(moved)
+    return tuple(out)
 
 
 # -- charts and tangent fields ---------------------------------------------------

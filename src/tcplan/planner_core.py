@@ -19,6 +19,12 @@ space and the constructions below realize the known minimal counts:
 * any planner transfers along a homotopy equivalence (three-stage paths),
   e.g. from the circle to the punctured plane.
 
+``decide`` answers one query; ``decide_many`` answers many at once over
+(N, ambient) arrays and gives, row for row, the same decision (None where
+``decide`` raises CoverageGap).  A single query is cheaper through
+``decide``, so ``plan`` uses it and only bulk callers such as the verifier
+use ``decide_many``.
+
 Planners are immutable once built and planning is pure, so a planner may be
 shared freely across threads.
 """
@@ -34,6 +40,7 @@ import numpy as np
 
 from .catalog import SpaceSpec, canonical, fold, parse_spec
 from .geometry import (
+    Blocks,
     ConfigPoint,
     Geometry,
     InvalidPoint,
@@ -48,12 +55,14 @@ from .geometry import (
     convex_geometry,
     even_vector_field,
     factor_distance,
+    factor_distances,
     geodesic_path,
     mapped_path,
     odd_vector_field,
     pair_paths,
     polar_arc_path,
     sphere_geometry,
+    stack_points,
     vector_norm,
 )
 
@@ -78,6 +87,7 @@ __all__ = [
     "product_planner",
     "punctured_plane_planner",
     "sample_path",
+    "sample_times",
     "sphere_planner",
     "straight_line_planner",
     "transfer_planner",
@@ -106,12 +116,16 @@ class PlannerRule:
 
     An elementary rule's ``weight`` maps a pair to [0, 1] and is positive
     exactly where the rule applies; only ``Planner.path`` evaluates its
-    ``section``, after checking that weight.  Composite rules are names only.
+    ``section``, after checking that weight.  ``weight_rows``, where given,
+    is the weight over (N, ambient) blocks of starts and goals, row for row
+    the float ``weight`` gives; without it ``decide_many`` calls ``weight``
+    per row.  Composite rules are names only.
     """
 
     name: str
     weight: Callable[[ConfigPoint, ConfigPoint], float] | None = None
     section: Callable[[ConfigPoint, ConfigPoint], PathFn] | None = None
+    weight_rows: Callable[[Blocks, Blocks], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -141,9 +155,10 @@ class Decision:
 class Planner:
     """An ordered rule system over a product geometry.
 
-    ``decide`` computes a query's rule, weights and cell in one pass and
-    ``path`` builds a rule's section from that decision; they are the only
-    way a rule is used.  ``point_sampler`` lets spaces with excluded loci
+    ``decide`` computes a query's rule, weights and cell in one pass
+    (``decide_many`` does so for many queries over arrays) and ``path``
+    builds a rule's section from that decision; they are the only way a
+    rule is used.  ``point_sampler`` lets spaces with excluded loci
     (e.g. the punctured plane) provide their own random points to verifiers.
     """
 
@@ -159,6 +174,41 @@ class Planner:
             raise CoverageGap(f"{self.space}: no rule applies at ({a}, {b})")
         total = sum(raw)
         return Decision(a, b, index, tuple(w / total for w in raw))
+
+    def decide_many(
+        self, a_points: Sequence[ConfigPoint], b_points: Sequence[ConfigPoint]
+    ) -> list[Decision | None]:
+        """``decide`` for each query (a_points[k], b_points[k]), bit for bit,
+        or None where it would raise CoverageGap."""
+        if not a_points:
+            return []
+        a_rows, b_rows = stack_points(a_points), stack_points(b_points)
+        return self._decide_rows(a_points, b_points, a_rows, b_rows)[1]
+
+    def _decide_rows(self, a_points, b_points, a_rows: Blocks, b_rows: Blocks):
+        """The normalized weights of every query as an (N, rules) array (rows
+        of uncovered queries are meaningless) and the decisions.
+
+        The arithmetic is ``decide``'s, elementwise: the rule weights as
+        columns, their sum as column adds from left to right."""
+        columns = [
+            r.weight_rows(a_rows, b_rows) if r.weight_rows is not None
+            else np.array([r.weight(a, b) for a, b in zip(a_points, b_points)], dtype=float)
+            for r in self.rules
+        ]
+        total = columns[0]
+        for column in columns[1:]:
+            total = total + column
+        raw = np.stack(columns, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            weights = raw / total[:, None]
+        applies = raw > 0.0
+        index = np.where(applies.any(axis=1), applies.argmax(axis=1) + 1, 0).tolist()
+        decisions = [
+            Decision(a, b, i, tuple(w)) if i else None
+            for a, b, i, w in zip(a_points, b_points, index, weights.tolist())
+        ]
+        return weights, decisions
 
     def path(self, decision: Decision, index: int) -> PathFn:
         """Section of the 1-based rule ``index`` at the decided query; raises
@@ -185,17 +235,21 @@ def plan(planner: Planner, a: ConfigPoint, b: ConfigPoint) -> PlanResult:
     return PlanResult(decision.index, planner.path(decision, decision.index))
 
 
-MAX_SAMPLES = 100_000  # as verifier.MAX_PAIRS: sample_path allocates every row at once
+MAX_SAMPLES = 100_000  # as verifier.MAX_PAIRS: a path is sampled at all its times at once
 
 
-def sample_path(path: PathFn, n: int) -> list[tuple[float, ConfigPoint]]:
-    """n uniformly spaced samples including both endpoints, evaluated at
-    once; 2 <= n <= MAX_SAMPLES."""
+def sample_times(n: int) -> list[float]:
+    """n uniformly spaced times in [0, 1], both ends included; 2 <= n <= MAX_SAMPLES."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     if n > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES} samples, got {n}")
-    ts = [i / (n - 1) for i in range(n)]
+    return [i / (n - 1) for i in range(n)]
+
+
+def sample_path(path: PathFn, n: int) -> list[tuple[float, ConfigPoint]]:
+    """The path at ``sample_times(n)``, evaluated at once, one point per time."""
+    ts = sample_times(n)
     blocks = path.sample(ts)
     return [(t, ConfigPoint(path.geometry, tuple(b[k] for b in blocks))) for k, t in enumerate(ts)]
 
@@ -210,8 +264,15 @@ def straight_line_planner(dim: int) -> Planner:
         name="segment",
         weight=lambda a, b: 1.0,
         section=lambda a, b: geodesic_path(a, b),
+        weight_rows=lambda a, b: np.ones(len(a[0])),
     )
     return Planner(space=f"convex:{dim}", geometry=geometry, rules=(rule,))
+
+
+def _smaller(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Python's ``min(first, second)`` elementwise: ``second`` only where it
+    is strictly smaller, so NaN and signed zeros come out as they would."""
+    return np.where(second < first, second, first)
 
 
 def _shortest_arc_rule(factor) -> PlannerRule:
@@ -220,16 +281,28 @@ def _shortest_arc_rule(factor) -> PlannerRule:
     def weight(a, b):
         return factor_distance(factor, a.parts[0], -b.parts[0]) / math.pi
 
-    return PlannerRule("shortest-arc", weight, geodesic_path)
+    def weight_rows(a, b):
+        return factor_distances(factor, a[0], -b[0]) / math.pi
+
+    return PlannerRule("shortest-arc", weight, geodesic_path, weight_rows)
+
+
+def _distance_rule(factor, name, section) -> PlannerRule:
+    """A rule weighted by the factor distance from start to goal over pi."""
+
+    def weight(a, b):
+        return factor_distance(factor, a.parts[0], b.parts[0]) / math.pi
+
+    def weight_rows(a, b):
+        return factor_distances(factor, a[0], b[0]) / math.pi
+
+    return PlannerRule(name, weight, section, weight_rows)
 
 
 def circle_planner() -> Planner:
     """Two rules on the circle: shortest arc, else positively oriented arc."""
     geometry = sphere_geometry(1)
     factor = geometry.factors[0]
-
-    def w_positive(a, b):
-        return factor_distance(factor, a.parts[0], b.parts[0]) / math.pi
 
     def s_positive(a, b):
         xa, xb = a.parts[0], b.parts[0]
@@ -247,7 +320,7 @@ def circle_planner() -> Planner:
         geometry=geometry,
         rules=(
             _shortest_arc_rule(factor),
-            PlannerRule("positive-arc", w_positive, s_positive),
+            _distance_rule(factor, "positive-arc", s_positive),
         ),
     )
 
@@ -276,26 +349,23 @@ def sphere_planner(n: int) -> Planner:
         v = odd_vector_field(vec, n) if odd else even_vector_field(vec, n)
         return v / np.linalg.norm(v)
 
+    def s_two_stage(a, b):
+        to_antipode = geodesic_path(a, antipode(b))
+        sweep = polar_arc_path(geometry, b.parts[0], tangent_at(b.parts[0]))
+        return concat_paths([(0.0, 0.5, to_antipode), (0.5, 1.0, sweep)], "two-stage")
+
     if odd:
-        def w_two_stage(a, b):
-            return factor_distance(factor, a.parts[0], b.parts[0]) / math.pi
+        rules = [_shortest_arc_rule(factor), _distance_rule(factor, "two-stage", s_two_stage)]
     else:
         def w_two_stage(a, b):
             d_ab = factor_distance(factor, a.parts[0], b.parts[0])
             d_pole = factor_distance(factor, b.parts[0], pole)
             return min(d_ab, d_pole) / math.pi
 
-    def s_two_stage(a, b):
-        to_antipode = geodesic_path(a, antipode(b))
-        sweep = polar_arc_path(geometry, b.parts[0], tangent_at(b.parts[0]))
-        return concat_paths([(0.0, 0.5, to_antipode), (0.5, 1.0, sweep)], "two-stage")
+        def w_two_stage_rows(a, b):
+            d_ab = factor_distances(factor, a[0], b[0])
+            return _smaller(d_ab, factor_distances(factor, b[0], pole)) / math.pi
 
-    rules = [
-        _shortest_arc_rule(factor),
-        PlannerRule("two-stage", w_two_stage, s_two_stage),
-    ]
-
-    if not odd:
         chart_pole = np.zeros(n + 1)
         chart_pole[chart_axis] = 1.0
 
@@ -304,10 +374,18 @@ def sphere_planner(n: int) -> Planner:
             d_b = factor_distance(factor, b.parts[0], chart_pole)
             return min(d_a, d_b) / math.pi
 
+        def w_chart_rows(a, b):
+            d_a = factor_distances(factor, a[0], chart_pole)
+            return _smaller(d_a, factor_distances(factor, b[0], chart_pole)) / math.pi
+
         def s_chart(a, b):
             return chart_segment_path(geometry, a.parts[0], b.parts[0], chart_axis)
 
-        rules.append(PlannerRule("chart-segment", w_chart, s_chart))
+        rules = [
+            _shortest_arc_rule(factor),
+            PlannerRule("two-stage", w_two_stage, s_two_stage, w_two_stage_rows),
+            PlannerRule("chart-segment", w_chart, s_chart, w_chart_rows),
+        ]
 
     return Planner(space=f"sphere:{n}", geometry=geometry, rules=tuple(rules))
 
@@ -368,6 +446,51 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     return levels, cells, (f_sets[0][0], g_sets[0][0])
 
 
+def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
+    """``_tie_cells`` of every row pair of two (N, n) and (N, m) weight arrays.
+
+    Sort each row in descending order into fs and gs.  At sorted positions
+    (p, q) the margin is fs[p] gs[q] - max(max(0, fs[p+1] gmax), fmax
+    gs[q+1]), a term dropped where its position does not exist.  At the
+    last position of a tie group fs[p] and fs[p+1] are a threshold set's
+    theta and the next value below it, so the margin is the one
+    ``_tie_cells`` computes.  Inside a tie group fs[p] = fs[p+1] (or gs[q] =
+    gs[q+1]) and the margin is <= 0 exactly, since float products are
+    monotone.  So the positive margins are exactly the threshold-set cells,
+    at most one per level p + q + 2.  A cell's index sets are the top p + 1
+    and q + 1 sorted positions, which end a tie group, so the order in
+    which the sort puts tied indices does not matter.
+
+    Returns the (N, n + m + 1) raw level weights, each row's cells by level
+    (in ``_tie_cells``' order) and each row's argmax-cell level.
+    """
+    count, n, m = f.shape[0], f.shape[1], g.shape[1]
+    f_order = np.argsort(-f, axis=1)
+    g_order = np.argsort(-g, axis=1)
+    fs = np.take_along_axis(f, f_order, axis=1)
+    gs = np.take_along_axis(g, g_order, axis=1)
+    fmax, gmax = fs[:, :1], gs[:, :1]
+    outside_f = np.zeros((count, n, 1))
+    below_f = fs[:, 1:, None] * gmax[:, :, None]
+    outside_f[:, :-1] = np.where(below_f > 0.0, below_f, 0.0)
+    outside = np.repeat(outside_f, m, axis=2)
+    below_g = (fmax * gs[:, 1:])[:, None, :]
+    outside[:, :, :-1] = np.where(below_g > outside_f, below_g, outside_f)
+    margin = fs[:, :, None] * gs[:, None, :] - outside
+
+    rows, ps, qs = np.nonzero(margin > 0.0)
+    levels = np.zeros((count, n + m + 1))
+    levels[rows, ps + qs + 2] = margin[rows, ps, qs]
+    # the index sets of the top p + 1 sorted positions, ascending, by p and row
+    f_sets = [list(map(tuple, np.sort(f_order[:, : p + 1]).tolist())) for p in range(n)]
+    g_sets = [list(map(tuple, np.sort(g_order[:, : q + 1]).tolist())) for q in range(m)]
+    cells: list[dict] = [{} for _ in range(count)]
+    for r, p, q in zip(rows.tolist(), ps.tolist(), qs.tolist()):
+        cells[r][p + q + 2] = (f_sets[p][r], g_sets[q][r])
+    tops = (fs == fmax).sum(axis=1) + (gs == gmax).sum(axis=1)
+    return levels, cells, tops.tolist()
+
+
 class ProductPlanner(Planner):
     """Combine planners on X and Y into n + m - 1 rules on X x Y.
 
@@ -396,6 +519,36 @@ class ProductPlanner(Planner):
         level, total = len(s0) + len(t0), sum(levels[2:])
         weights = tuple(w / total for w in levels[2:])
         return Decision(a, b, level - 1, weights, cells[level], cells, (left, right))
+
+    def _decide_rows(self, a_points, b_points, a_rows: Blocks, b_rows: Blocks):
+        """``decide`` over rows: the factors' weight arrays go through
+        ``_tie_cell_rows``, and a row is None where a factor's is."""
+        k, x, y = self.split, self.left.geometry, self.right.geometry
+        f, left = self.left._decide_rows(
+            [ConfigPoint(x, p.parts[:k]) for p in a_points],
+            [ConfigPoint(x, p.parts[:k]) for p in b_points],
+            a_rows[:k],
+            b_rows[:k],
+        )
+        g, right = self.right._decide_rows(
+            [ConfigPoint(y, p.parts[k:]) for p in a_points],
+            [ConfigPoint(y, p.parts[k:]) for p in b_points],
+            a_rows[k:],
+            b_rows[k:],
+        )
+        levels, cells, tops = _tie_cell_rows(f, g)
+        total = levels[:, 2]
+        for column in levels[:, 3:].T:
+            total = total + column
+        with np.errstate(invalid="ignore", divide="ignore"):
+            weights = levels[:, 2:] / total[:, None]
+        decisions = [
+            None if fd is None or gd is None
+            else Decision(a, b, top - 1, tuple(w), row_cells[top], row_cells, (fd, gd))
+            for a, b, fd, gd, top, w, row_cells
+            in zip(a_points, b_points, left, right, tops, weights.tolist(), cells)
+        ]
+        return weights, decisions
 
     def path(self, decision: Decision, index: int) -> PathFn:
         cell = decision.cells.get(index + 1)
@@ -473,6 +626,14 @@ class TransferPlanner(Planner):
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
         source = self.source.decide(self.f(a), self.f(b))
         return Decision(a, b, source.index, source.weights, source.cell, factors=(source,))
+
+    def _decide_rows(self, a_points, b_points, a_rows, b_rows):
+        fa, fb = list(map(self.f, a_points)), list(map(self.f, b_points))
+        weights, sources = self.source._decide_rows(fa, fb, stack_points(fa), stack_points(fb))
+        return weights, [
+            None if s is None else Decision(a, b, s.index, s.weights, s.cell, factors=(s,))
+            for a, b, s in zip(a_points, b_points, sources)
+        ]
 
     def path(self, decision: Decision, index: int) -> PathFn:
         a, b, h, geometry = decision.a, decision.b, self.h, self.geometry

@@ -36,7 +36,16 @@ from typing import Callable
 import numpy as np
 
 from .catalog import BoundsReport, SpaceDescriptor, tc_bounds
-from .geometry import ConfigPoint, config_distances, random_point, row_norms, tangent_perturb
+from .geometry import (
+    Blocks,
+    ConfigPoint,
+    Geometry,
+    config_distances,
+    random_point,
+    row_norms,
+    stack_points,
+    tangent_perturb_rows,
+)
 from .planner_core import CoverageGap, DomainMiss, Planner
 
 DEFAULT_SPEED_TOL = 0.01
@@ -47,6 +56,7 @@ DELTA = 1e-4  # tangent step of the continuity twins
 MARGIN_ETA = 0.1  # least rule weight at which continuity is checked
 TOLERANCE = 1e-9  # endpoint and sphere-norm error allowed
 SPEED_CHECKS = 200
+VERIFY_BATCH = 256  # queries decided, perturbed and checked together
 DEMO_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
 DEMO_SAMPLES = 33
 _INT64_MAX = 2**63 - 1
@@ -249,9 +259,29 @@ def _speed_variation(path) -> float:
     return worst
 
 
+def _stacked(samples: list[Blocks]) -> Blocks:
+    """Sampled paths of one geometry, their rows stacked factor by factor."""
+    return tuple(map(np.concatenate, zip(*samples)))
+
+
+def _perturbed(
+    geometry: Geometry, points: list[ConfigPoint], normals: np.ndarray
+) -> list[ConfigPoint]:
+    """Each point moved by DELTA as tangent_perturb moves it with these normals."""
+    moved = tangent_perturb_rows(geometry, stack_points(points), DELTA, normals)
+    return [ConfigPoint(geometry, row) for row in zip(*moved)]
+
+
 def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> VerifyReport:
     """Run the four checks over cfg.pairs random queries plus the adversarial
-    injection; fully deterministic for a given (planner, cfg)."""
+    injection; fully deterministic for a given (planner, cfg).
+
+    The queries go through in blocks of ``VERIFY_BATCH``: each block is
+    decided at once, its eligible queries' twins are drawn with one
+    generator call (which draws what one tangent_perturb call per point
+    would, in query order) and decided at once, and each check runs once
+    over the block's stacked rows.  Paths are built and sampled per query.
+    """
     rng = np.random.default_rng(cfg.seed)
     sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
     queries = adversarial_pairs(planner, rng)
@@ -271,40 +301,58 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     speed_checked = 0
     usage: dict[int, int] = {i + 1: 0 for i in range(len(planner.rules))}
 
-    for a, b in queries:
-        try:
-            decision = planner.decide(a, b)
-        except CoverageGap:
-            uncovered += 1
+    for first in range(0, len(queries), VERIFY_BATCH):
+        block = queries[first : first + VERIFY_BATCH]
+        starts, goals, sampled = [], [], []
+        eligible = []  # (position in sampled, rule, cell) of each query whose twins are drawn
+        for (a, b), decision in zip(block, planner.decide_many(*zip(*block))):
+            if decision is None:
+                uncovered += 1
+                continue
+            index = decision.index
+            usage[index] += 1
+            path = planner.path(decision, index)
+            if speed_checked < SPEED_CHECKS:
+                max_speed = _worst(max_speed, [_speed_variation(path)])
+                speed_checked += 1
+            if decision.weights[index - 1] >= MARGIN_ETA:
+                eligible.append((len(sampled), index, decision.cell))
+            starts.append(a)
+            goals.append(b)
+            sampled.append(path.sample(ts))
+        if not sampled:
             continue
-        index = decision.index
-        usage[index] += 1
-        path = planner.path(decision, index)
-        points = path.sample(ts)
 
-        ends = [np.array(ab) for ab in zip(a.parts, b.parts)]
-        first_last = [p[:: SAMPLES_PER_PATH - 1] for p in points]
+        # every path's first rows, then its last rows, against starts + goals
+        points = _stacked(sampled)
+        last = SAMPLES_PER_PATH - 1
+        first_last = tuple(
+            np.concatenate((rows[::SAMPLES_PER_PATH], rows[last::SAMPLES_PER_PATH])) for rows in points
+        )
+        ends = stack_points(starts + goals)
         max_end = _worst(max_end, config_distances(geometry, first_last, ends).tolist())
         for slot in sphere_slots:
             max_norm = _worst(max_norm, np.abs(row_norms(points[slot]) - 1.0).tolist())
 
-        if speed_checked < SPEED_CHECKS:
-            max_speed = _worst(max_speed, [_speed_variation(path)])
-            speed_checked += 1
-
-        if decision.weights[index - 1] >= MARGIN_ETA:
-            a2 = tangent_perturb(a, DELTA, rng)
-            b2 = tangent_perturb(b, DELTA, rng)
-            try:
-                twin = planner.decide(a2, b2)
-            except CoverageGap:
+        if not eligible:
+            continue
+        normals = rng.standard_normal((len(eligible), 2, geometry.ambient_dim))
+        twins = planner.decide_many(
+            _perturbed(geometry, [starts[k] for k, *_ in eligible], normals[:, 0]),
+            _perturbed(geometry, [goals[k] for k, *_ in eligible], normals[:, 1]),
+        )
+        compared, twin_samples = [], []
+        for (k, index, cell), twin in zip(eligible, twins):
+            if twin is None:
                 uncovered += 1
-                continue
-            if twin.index == index and twin.cell == decision.cell:
-                twin_points = planner.path(twin, index).sample(ts)
-                sup = _worst(0.0, config_distances(geometry, points, twin_points).tolist())
-                max_ratio = _worst(max_ratio, [sup / DELTA])
-                continuity_checked += 1
+            elif twin.index == index and twin.cell == cell:
+                compared.append(sampled[k])
+                twin_samples.append(planner.path(twin, index).sample(ts))
+        if compared:
+            gaps = config_distances(geometry, _stacked(compared), _stacked(twin_samples))
+            sups = gaps.reshape(len(compared), SAMPLES_PER_PATH).max(axis=1)
+            max_ratio = _worst(max_ratio, (sups / DELTA).tolist())
+            continuity_checked += len(compared)
 
     return VerifyReport(
         space=planner.space,

@@ -368,3 +368,18 @@ def test_descriptor_tree_serves_the_factor_reports(monkeypatch):
 
     check(descriptor)
     assert [len(f.factors) for f in descriptor.factors] == [2, 2]
+
+
+def test_product_algebra_reuses_the_factor_algebras(monkeypatch):
+    """A nested product factor's algebra is built once: the parent tensors
+    the factor's cached algebra instead of rebuilding it from the leaves."""
+    calls = []
+    counted = lambda a, b: calls.append(1) or tensor_product(a, b)
+    monkeypatch.setattr(catalog, "tensor_product", counted)
+    descriptor = catalog_space("product(product(cpn:1,cpn:2),cpn:3)")
+    report = tc_bounds(descriptor)
+    assert len(calls) == 2
+    assert report == catalog.BoundsReport(
+        "product(product(cpn:1,cpn:2),cpn:3)", 13, 25, "cup-length lower bound",
+        "product inequality", False,
+    )

@@ -5,6 +5,10 @@ before paths were evaluated over arrays of times, kept here as the
 reference (as ``_exhaustive_tie_cells`` is kept for the tie cells).  Every
 row of ``PathFn.sample(ts)`` must equal it bit for bit, compared by
 ``float.hex``, and ``path(t)`` must be the row ``sample([t])[0]``.
+
+The last tests pin the facts the verifier's blocks rest on: ``np.vecdot``
+rows equal ``np.dot``, one generator draw of a block equals the draws made
+one at a time, and the block perturbation equals ``tangent_perturb``.
 """
 
 import math
@@ -19,10 +23,14 @@ from tcplan.geometry import (
     config_distances,
     even_vector_field,
     factor_distance,
+    make_point,
     odd_vector_field,
     random_point,
     row_norms,
+    stack_points,
     stereo_project,
+    tangent_perturb,
+    tangent_perturb_rows,
     vector_norm,
 )
 from tcplan.planner_core import (
@@ -33,7 +41,13 @@ from tcplan.planner_core import (
     punctured_plane_planner,
     sample_path,
 )
-from tcplan.verifier import SAMPLES_PER_PATH, _speed_variation, adversarial_pairs
+from tcplan.verifier import (
+    DELTA,
+    SAMPLES_PER_PATH,
+    _perturbed,
+    _speed_variation,
+    adversarial_pairs,
+)
 
 # -- the per-time formulas ---------------------------------------------------------
 
@@ -312,3 +326,70 @@ def test_config_distances_equal_the_scalar_formula_row_by_row():
 def test_row_norms_equal_vector_norm(ambient):
     rows = np.random.default_rng(ambient).standard_normal((2000, ambient))
     assert [n.hex() for n in row_norms(rows).tolist()] == [vector_norm(r).hex() for r in rows]
+
+
+# -- the facts the verifier's blocks rest on ----------------------------------------
+
+
+@pytest.mark.parametrize("ambient", [1, 2, 3, 4, 5, 7, 9, 16])
+def test_vecdot_rows_equal_dot(ambient):
+    rng = np.random.default_rng(100 + ambient)
+    vs, xs = rng.standard_normal((2, 2000, ambient))
+    xs[:500] /= row_norms(xs[:500])[:, None]
+    expected = [float(np.dot(v, x)).hex() for v, x in zip(vs, xs)]
+    assert [d.hex() for d in np.vecdot(vs, xs).tolist()] == expected
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (2, 4, 3, 2)])
+def test_one_block_draw_equals_the_sequential_draws(sizes):
+    """A (N, 2, sum(sizes)) standard-normal draw holds, in C order, what
+    2N draws per size give one after another, and leaves the generator in
+    the same state."""
+    sequential, block = np.random.default_rng(5), np.random.default_rng(5)
+    draws = [sequential.standard_normal(k) for _ in range(2 * 50) for k in sizes]
+    drawn = block.standard_normal((50, 2, sum(sizes)))
+    hexed_draws = [v.hex() for v in np.concatenate(draws).tolist()]
+    assert hexed_draws == [v.hex() for v in drawn.ravel().tolist()]
+    assert sequential.bit_generator.state == block.bit_generator.state
+    assert sequential.standard_normal(3).tolist() == block.standard_normal(3).tolist()
+
+
+class _Normals:
+    """A stand-in generator whose standard_normal hands out given values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, size):
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+@pytest.mark.parametrize("spec", ["sphere:2", "sphere:3", "convex:3", "product(circle,convex:2)"])
+def test_block_perturbation_equals_tangent_perturb(spec):
+    """The verifier's twins: one (M, 2, ambient_dim) draw and _perturbed
+    on the starts and the goals give, bit for bit, the points that
+    tangent_perturb gives drawing start, goal, start, goal, ... in turn."""
+    geometry = build_planner(spec).geometry
+    rng = np.random.default_rng(31)
+    starts = [random_point(geometry, rng) for _ in range(300)]
+    goals = [random_point(geometry, rng) for _ in range(300)]
+    sequential, block = np.random.default_rng(9), np.random.default_rng(9)
+    expected = [tangent_perturb(p, DELTA, sequential) for pair in zip(starts, goals) for p in pair]
+    normals = block.standard_normal((300, 2, geometry.ambient_dim))
+    got = [p for pair in zip(_perturbed(geometry, starts, normals[:, 0]),
+                             _perturbed(geometry, goals, normals[:, 1])) for p in pair]
+    assert [hexed(p.parts) for p in got] == [hexed(p.parts) for p in expected]
+    assert sequential.bit_generator.state == block.bit_generator.state
+
+
+def test_block_perturbation_degenerate_draws():
+    """Normals along a sphere point (no tangent part) and zero normals on a
+    convex factor leave the point where tangent_perturb leaves it."""
+    geometry = build_planner("product(sphere:2,convex:2)").geometry
+    point = make_point(geometry, [0.6, 0.0, 0.8, 0.5, -1.0])
+    draws = [[0.6, 0.0, 0.8, 0.0, 0.0], [1.2, 0.0, 1.6, 0.0, 0.0], [0.0, 1.0, 0.0, 3.0, 4.0]]
+    expected = [tangent_perturb(point, DELTA, _Normals(d)) for d in draws]
+    moved = tangent_perturb_rows(geometry, stack_points([point] * 3), DELTA, np.array(draws))
+    assert [hexed(row) for row in zip(*moved)] == [hexed(p.parts) for p in expected]
+    assert hexed(expected[0].parts) == hexed(point.parts)

@@ -344,6 +344,11 @@ def test_tie_cells_match_exhaustive_enumeration():
         assert [w.hex() for w in levels] == [w.hex() for w in ref_levels], (f, g)
         assert list(cells.items()) == list(ref_cells.items()), (f, g)
         assert argmax == ref_argmax
+        # the row form ``decide_many`` uses, on a one-row block
+        row_levels, row_cells, tops = planner_core._tie_cell_rows(np.array([f]), np.array([g]))
+        assert [w.hex() for w in row_levels[0].tolist()] == [w.hex() for w in ref_levels], (f, g)
+        assert list(row_cells[0].items()) == list(ref_cells.items()), (f, g)
+        assert tops == [len(ref_argmax[0]) + len(ref_argmax[1])]
 
 
 def test_tie_cells_polynomial_on_long_vectors():
@@ -433,6 +438,70 @@ def test_decision_path_matches_reanalysis(spec):
         expected = _sample_bytes(_reference_section(planner, index, a, b))
         assert _sample_bytes(plan(planner, a, b).path) == expected
         assert _sample_bytes(planner.path(again, index)) == expected
+
+
+# decide_many against decide, row by row, down every nesting level.
+
+
+def _assert_same_decision(got, want):
+    assert got.a.flat.tobytes() == want.a.flat.tobytes()
+    assert got.b.flat.tobytes() == want.b.flat.tobytes()
+    assert (got.index, got.cell) == (want.index, want.cell)
+    assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
+    assert list((got.cells or {}).items()) == list((want.cells or {}).items())
+    assert len(got.factors or ()) == len(want.factors or ())
+    for g, w in zip(got.factors or (), want.factors or ()):
+        _assert_same_decision(g, w)
+
+
+def _decide_or_none(planner, a, b):
+    try:
+        return planner.decide(a, b)
+    except planner_core.CoverageGap:
+        return None
+
+
+def _shortest_arc_only():
+    """A circle planner missing its second rule, with a scalar weight only:
+    antipodal pairs are uncovered."""
+    circle = circle_planner()
+    rule = circle.rules[0]
+    return planner_core.Planner(
+        "circle", circle.geometry, (planner_core.PlannerRule(rule.name, rule.weight, rule.section),)
+    )
+
+
+DECIDE_MANY_PLANNERS = {
+    **{spec: (lambda spec=spec: build_planner(spec)) for spec in [
+        "convex:3", "circle", "sphere:2", "sphere:3", "torus:2", "torus:3", "torus:4",
+        "product(sphere:2,sphere:2)", "torus:6", "product(sphere:2,sphere:2,sphere:2)",
+    ]},
+    "punctured-plane": punctured_plane_planner,
+    "gap": _shortest_arc_only,
+    "product(gap,circle)": lambda: product_planner(_shortest_arc_only(), circle_planner()),
+}
+
+
+@pytest.mark.parametrize("name", DECIDE_MANY_PLANNERS)
+def test_decide_many_matches_decide(name):
+    planner = DECIDE_MANY_PLANNERS[name]()
+    rng = np.random.default_rng(12)
+    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    pairs = adversarial_pairs(planner, rng) + [(sampler(rng), sampler(rng)) for _ in range(300)]
+    starts, goals = [a for a, _ in pairs], [b for _, b in pairs]
+    want = [_decide_or_none(planner, a, b) for a, b in pairs]
+    got = planner.decide_many(starts, goals)
+    assert [d is None for d in got] == [d is None for d in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            _assert_same_decision(g, w)
+    assert planner.decide_many([], []) == []
+    if name.startswith(("torus", "product(sphere")):
+        # the adversarial ties reach tie cells beyond the lowest level
+        assert any(d.index > 1 for d in got)
+        assert any(len(d.cell[0]) > 1 or len(d.cell[1]) > 1 for d in got)
+    if "gap" in name:
+        assert any(d is None for d in got) and any(d is not None for d in got)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -51,18 +52,42 @@ VERIFY_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("line", range(len(VERIFY_SPECS)), ids=VERIFY_SPECS)
-def test_verify_matches_golden(line):
-    """Verify reports are part of the output contract: byte-identical."""
-    out = subprocess.run(
-        [sys.executable, "-m", "tcplan.cli", "verify", VERIFY_SPECS[line],
-         "--seed", "42", "--pairs", "200"],
+VERIFY_GOLDEN = ROOT / "tests" / "golden" / "verify_seed42_pairs200.jsonl"
+
+
+def verify_output(spec, pairs):
+    """`tcplan verify <spec> --seed 42 --pairs <pairs>` stdout."""
+    return subprocess.run(
+        [sys.executable, "-m", "tcplan.cli", "verify", spec, "--seed", "42", "--pairs", str(pairs)],
         capture_output=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     ).stdout
-    golden = (ROOT / "tests" / "golden" / "verify_seed42_pairs200.jsonl").read_bytes()
-    assert out == golden.splitlines(keepends=True)[line]
+
+
+@pytest.mark.parametrize("line", range(len(VERIFY_SPECS)), ids=VERIFY_SPECS)
+def test_verify_matches_golden(line):
+    """Verify reports are part of the output contract: byte-identical."""
+    golden = VERIFY_GOLDEN.read_bytes()
+    assert verify_output(VERIFY_SPECS[line], 200) == golden.splitlines(keepends=True)[line]
+
+
+# Runs long enough to span several verifier blocks (VERIFY_BATCH queries
+# each): 600 random pairs plus the adversarial injection, 627 queries on
+# torus:3 and 649 on the product of two 2-spheres.  Each line of the golden
+# file is the `tcplan verify <spec> --seed 42 --pairs 600` stdout.
+BLOCK_SPECS = ["torus:3", "product(sphere:2,sphere:2)"]
+BLOCK_PAIRS = 600
+BLOCK_GOLDEN = ROOT / "tests" / "golden" / "verify_seed42_pairs600.jsonl"
+
+
+@pytest.mark.parametrize("line", range(len(BLOCK_SPECS)), ids=BLOCK_SPECS)
+def test_verify_across_blocks_matches_golden(line):
+    from tcplan.verifier import VERIFY_BATCH
+
+    golden = BLOCK_GOLDEN.read_bytes().splitlines(keepends=True)[line]
+    assert json.loads(golden)["pairs_checked"] > 2 * VERIFY_BATCH
+    assert verify_output(BLOCK_SPECS[line], BLOCK_PAIRS) == golden
 
 
 def test_verify_catalog_script_passes():
@@ -203,9 +228,11 @@ def test_bounds_grammar_matches_golden():
 
 
 if __name__ == "__main__":
-    # Rewrite the plan-products, bounds-grammar and discontinuity-demo golden
-    # files (only at a commit whose output is known good):
+    # Rewrite the verify, plan-products, bounds-grammar and discontinuity-demo
+    # golden files (only at a commit whose output is known good):
     #     PYTHONPATH=src python tests/test_scripts.py
+    VERIFY_GOLDEN.write_bytes(b"".join(verify_output(spec, 200) for spec in VERIFY_SPECS))
+    BLOCK_GOLDEN.write_bytes(b"".join(verify_output(spec, BLOCK_PAIRS) for spec in BLOCK_SPECS))
     PLAN_GOLDEN.write_text("".join(line for spec in PLAN_SPECS
                                    for line in plan_products_lines(spec)))
     BOUNDS_GOLDEN.write_bytes(bounds_grammar_output())
