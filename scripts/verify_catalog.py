@@ -29,8 +29,11 @@ def main():
     parser.add_argument("--pairs", type=int, default=VerifyConfig.pairs)
     parser.add_argument("--seed", type=int, default=VerifyConfig.seed)
     args = parser.parse_args()
+    try:
+        cfg = VerifyConfig(seed=args.seed, pairs=args.pairs)
+    except ValueError as err:  # a bad argument: exit 2 with one line, as argparse does
+        parser.exit(2, f"{parser.prog}: error: {err}\n")
 
-    cfg = VerifyConfig(seed=args.seed, pairs=args.pairs)
     all_ok = True
     for spec in SPECS:
         planner = build_planner(spec)

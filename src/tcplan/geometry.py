@@ -3,13 +3,16 @@
 A space is a product of factors, each either a unit sphere S^n (points are
 ambient unit (n+1)-vectors; a circle is S^1) or a convex piece of R^n
 (points are arbitrary real vectors).  Paths are evaluators [0, 1] -> point
-built from a handful of combinators.  Each evaluates an array of T times
-at once, one (T, ambient) array per factor, and gives every row bit for
-bit the value its scalar formula gives that time; ``config_distances``
-measures such rows against each other.  Each path also remembers a piece
-structure (parameter subintervals plus a constant-speed flag) so that a
-verifier can check speed constancy on geodesic segments without guessing
-breakpoints.
+built from a handful of combinators, and each combinator builds a bundle:
+N paths of one kind from the (N, ambient) rows of their data, one path per
+row.  A bundle evaluates an array of T times for all its paths at once,
+one (N * T, ambient) array per factor with path n's rows at n * T .. n * T
++ T - 1, and gives every row bit for bit the value its scalar formula
+gives that path at that time, whatever N is; a single path is a bundle of
+one.  ``config_distances`` measures such rows against each other.  A
+bundle also remembers the piece structure (parameter subintervals plus a
+constant-speed flag) that all its paths share, so that a verifier can
+check speed constancy on geodesic segments without guessing breakpoints.
 """
 
 from __future__ import annotations
@@ -188,6 +191,8 @@ def config_distances(geometry: Geometry, xs: Blocks, ys: Blocks) -> np.ndarray:
 
 def stack_points(points: Sequence[ConfigPoint]) -> Blocks:
     """Points of one geometry as blocks: row k of each block is points[k]."""
+    if len(points) == 1:  # a one-query bundle: views, as cheap as the point itself
+        return tuple(part[None] for part in points[0].parts)
     return tuple(np.array(block) for block in zip(*(p.parts for p in points)))
 
 
@@ -210,6 +215,32 @@ def random_point(geometry: Geometry, rng: np.random.Generator) -> ConfigPoint:
         v.setflags(write=False)
         parts.append(v)
     return ConfigPoint(geometry, tuple(parts))
+
+
+def random_points(geometry: Geometry, rng: np.random.Generator, count: int) -> list[ConfigPoint]:
+    """``count`` random_point calls in turn, bit for bit, leaving ``rng`` in
+    the same state.
+
+    Where every factor is a sphere, or every factor convex, the points come
+    from one draw: a generator's (count, ambient_dim) draw gives the values
+    of the sequential calls in C order, and row_norms is vector_norm row by
+    row.  Mixed geometries interleave normal and uniform draws, so they
+    draw point by point.
+    """
+    kinds = {factor.kind for factor in geometry.factors}
+    if len(kinds) != 1:
+        return [random_point(geometry, rng) for _ in range(count)]
+    shape = (count, geometry.ambient_dim)
+    draws = rng.standard_normal(shape) if kinds == {"sphere"} else rng.uniform(-1.0, 1.0, shape)
+    blocks, offset = [], 0
+    for factor in geometry.factors:
+        block = draws[:, offset : offset + factor.ambient]
+        offset += factor.ambient
+        if factor.kind == "sphere":
+            block = block / row_norms(block)[:, None]
+        block.setflags(write=False)
+        blocks.append(block)
+    return [ConfigPoint(geometry, parts) for parts in zip(*blocks)]
 
 
 def tangent_perturb(point: ConfigPoint, delta: float, rng: np.random.Generator) -> ConfigPoint:
@@ -269,8 +300,9 @@ def tangent_perturb_rows(
 
 
 def stereo_project(x: np.ndarray, axis: int) -> np.ndarray:
-    """Stereographic chart from the pole +e_axis onto its equatorial plane."""
-    return np.delete(x, axis) / (1.0 - x[axis])
+    """Stereographic chart from the pole +e_axis onto its equatorial plane,
+    of a point or of each row of an (N, n + 1) array."""
+    return np.delete(x, axis, axis=-1) / (1.0 - x[..., axis, None])
 
 
 def stereo_unproject(y: np.ndarray, axis: int) -> np.ndarray:
@@ -338,11 +370,13 @@ def as_rows(geometry: Geometry, parts, count: int) -> Blocks:
 
 
 class PathFn:
-    """A path [0, 1] -> ConfigPoint with a declared piece structure.
+    """A bundle of N paths [0, 1] -> ConfigPoint with one declared piece
+    structure, which all N paths share.
 
-    ``sample(ts)`` evaluates the path at an array of T times at once and
-    returns one (T, ambient) array per factor; ``path(t)`` is the single
-    row of ``sample([t])``.
+    ``sample(ts)`` evaluates every path at an array of T times at once and
+    returns one (N * T, ambient) array per factor, query-major: row n * T +
+    k is path n at ts[k].  A single path is a bundle with N = 1, and
+    ``path(t)`` is the first row of ``sample([t])``.
     """
 
     __slots__ = ("geometry", "_sample", "pieces", "label")
@@ -369,72 +403,101 @@ class PathFn:
         return f"<PathFn {self.label}>"
 
 
+def _query_major(values: np.ndarray) -> np.ndarray:
+    """(N, T, ambient) values, path by path, as (N * T, ambient) rows."""
+    return values.reshape(-1, values.shape[-1])
+
+
 def _slerp_rows(a: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Constant-speed shortest arc between non-antipodal unit vectors, as a
-    function of the columns (1 - t, t).
+    """Constant-speed shortest arcs between the rows of two (N, ambient)
+    arrays of non-antipodal unit vectors, as a function of the (T, 1)
+    columns (1 - t, t) giving (N, T, ambient) values.
 
     The angle comes from atan2 of the rejection norm, which stays accurate
-    near antipodal pairs where acos of the dot product loses ~8 digits.
+    near antipodal pairs where acos of the dot product loses ~8 digits; it
+    is taken per row with math.atan2, as np.arctan2 may differ in the last
+    bit.  A row whose angle is below _TINY_ANGLE takes the normalized chord
+    instead of the arc.
     """
-    dot = float(np.dot(a, b))
-    sin_theta = vector_norm(a - dot * b)
-    theta = math.atan2(sin_theta, dot)
-    if theta < _TINY_ANGLE:
-        def nearly(s, t):
-            v = s * a + t * b
-            return v / row_norms(v)[:, None]
-        return nearly
+    dot = np.vecdot(a, b)
+    sin_theta = row_norms(a - dot[:, None] * b)
+    thetas = [math.atan2(s, d) for s, d in zip(sin_theta.tolist(), dot.tolist())]
+    near = [k for k, theta in enumerate(thetas) if theta < _TINY_ANGLE]
+    a, b = a[:, None, :], b[:, None, :]
+
+    def chord(s, t):
+        v = s * a + t * b
+        return v / row_norms(v)[..., None]
+
+    if len(near) == len(thetas):
+        return chord
+    theta, sin_theta = np.array(thetas)[:, None, None], sin_theta[:, None, None]
 
     def arc(s, t):
         return (np.sin(s * theta) * a + np.sin(t * theta) * b) / sin_theta
 
-    return arc
+    if not near:
+        return arc
+    rows = theta < _TINY_ANGLE
+    sin_theta[rows] = 1.0  # the chord replaces these rows; keep their arc finite
+
+    def mixed(s, t):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(rows, chord(s, t), arc(s, t))
+
+    return mixed
 
 
-def geodesic_path(a: ConfigPoint, b: ConfigPoint) -> PathFn:
-    """Factor-wise constant-speed geodesic: shortest arcs on spheres (unique
-    when no factor pair is antipodal), straight segments on convex factors."""
+def geodesic_path(geometry: Geometry, a: Blocks, b: Blocks) -> PathFn:
+    """Factor-wise constant-speed geodesics from the rows of ``a`` to those
+    of ``b``: shortest arcs on spheres (unique when no factor pair is
+    antipodal), straight segments on convex factors."""
     movers = []
-    for factor, x, y in zip(a.geometry.factors, a.parts, b.parts):
+    for factor, x, y in zip(geometry.factors, a, b):
         if factor.kind == "sphere":
             movers.append(_slerp_rows(x, y))
         else:
+            x, y = x[:, None, :], y[:, None, :]
             movers.append(lambda s, t, x=x, y=y: s * x + t * y)
 
     def sample(ts):
         t = ts[:, None]
         s = 1.0 - t
-        return tuple(m(s, t) for m in movers)
+        return tuple(_query_major(m(s, t)) for m in movers)
 
-    return PathFn(a.geometry, sample, ((0.0, 1.0, True),), "geodesic")
+    return PathFn(geometry, sample, ((0.0, 1.0, True),), "geodesic")
 
 
 def polar_arc_path(geometry: Geometry, b: np.ndarray, unit_tangent: np.ndarray) -> PathFn:
-    """Half great circle from -b to b through the tangent direction:
-    t -> -cos(pi t) b + sin(pi t) w.  Constant speed pi."""
+    """Half great circles from -b to b through the tangent directions, one
+    per row of the (N, ambient) arrays: t -> -cos(pi t) b + sin(pi t) w.
+    Constant speed pi."""
+    b, unit_tangent = b[:, None, :], unit_tangent[:, None, :]
 
     def sample(ts):
         angle = math.pi * ts[:, None]
-        return (-np.cos(angle) * b + np.sin(angle) * unit_tangent,)
+        return (_query_major(-np.cos(angle) * b + np.sin(angle) * unit_tangent),)
 
     return PathFn(geometry, sample, ((0.0, 1.0, True),), "polar-arc")
 
 
 def chart_segment_path(geometry: Geometry, a: np.ndarray, b: np.ndarray, axis: int) -> PathFn:
-    """Straight segment in the stereographic chart from pole e_axis, mapped
-    back to the sphere.  Stays off the pole; not constant speed."""
-    ya = stereo_project(a, axis)
-    yb = stereo_project(b, axis)
+    """Straight segments in the stereographic chart from pole e_axis between
+    the rows of two (N, ambient) arrays, mapped back to the sphere.  Stays
+    off the pole; not constant speed."""
+    ya = stereo_project(a, axis)[:, None, :]
+    yb = stereo_project(b, axis)[:, None, :]
 
     def sample(ts):
         t = ts[:, None]
-        return (stereo_unproject((1.0 - t) * ya + t * yb, axis),)
+        return (stereo_unproject(_query_major((1.0 - t) * ya + t * yb), axis),)
 
     return PathFn(geometry, sample, ((0.0, 1.0, False),), "chart-segment")
 
 
 def concat_paths(segments: Sequence[tuple[float, float, PathFn]], label: str = "concat") -> PathFn:
-    """Glue paths over consecutive parameter windows [(t0, t1, path), ...].
+    """Glue bundles of N paths over consecutive parameter windows [(t0, t1,
+    path), ...], path n of each bundle into path n of the result.
 
     Windows must tile [0, 1] in order; each sub-path is reparametrized to
     its window.  A time belongs to the first window whose end lies above
@@ -450,19 +513,28 @@ def concat_paths(segments: Sequence[tuple[float, float, PathFn]], label: str = "
 
     def sample(ts):
         window = np.searchsorted(ends, ts, side="right")
-        out = tuple(np.empty((len(ts), f.ambient)) for f in geometry.factors)
+        out = None
         for k, (t0, t1, path) in enumerate(segments):
             mask = window == k
-            if mask.any():
-                for block, rows in zip(out, path.sample((ts[mask] - t0) / (t1 - t0))):
-                    block[mask] = rows
-        return out
+            times = ts[mask]
+            if not len(times):
+                continue
+            rows = path.sample((times - t0) / (t1 - t0))
+            if out is None:  # N is the rows per time
+                count = len(rows[0]) // len(times)
+                out = tuple(np.empty((count, len(ts), f.ambient)) for f in geometry.factors)
+            for block, part in zip(out, rows):
+                block[:, mask] = part.reshape(count, len(times), -1)
+        if out is None:  # no times: no rows, whatever N is
+            return tuple(np.empty((0, f.ambient)) for f in geometry.factors)
+        return tuple(map(_query_major, out))
 
     return PathFn(geometry, sample, pieces, label)
 
 
 def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:
-    """Run two paths in parallel on a product geometry."""
+    """Run two bundles of N paths in parallel on a product geometry, path n
+    of each side together."""
     cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in left.pieces + right.pieces for t in (t0, t1)})
 
     def const_on(path, lo, hi):
@@ -478,15 +550,16 @@ def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:
 
 
 def mapped_path(path: PathFn, fn, geometry: Geometry, label: str = "mapped") -> PathFn:
-    """Push a path through a coordinate map; speed structure is not preserved.
+    """Push a bundle through a coordinate map; speed structure is not preserved.
 
-    ``fn`` maps a ConfigPoint whose blocks hold T rows to one on
-    ``geometry`` (a map written with numpy broadcasting does); blocks it
-    returns with a single row are repeated T times.
+    ``fn`` maps a ConfigPoint whose blocks hold the bundle's N * T rows to
+    one on ``geometry`` (a map written with numpy broadcasting does); blocks
+    it returns with a single row are repeated for every row.
     """
     pieces = tuple((t0, t1, False) for t0, t1, _ in path.pieces)
 
     def sample(ts):
-        return as_rows(geometry, fn(ConfigPoint(path.geometry, path.sample(ts))).parts, len(ts))
+        rows = path.sample(ts)
+        return as_rows(geometry, fn(ConfigPoint(path.geometry, rows)).parts, len(rows[0]))
 
     return PathFn(geometry, sample, pieces, label)

@@ -25,6 +25,12 @@ space and the constructions below realize the known minimal counts:
 ``decide``, so ``plan`` uses it and only bulk callers such as the verifier
 use ``decide_many``.
 
+Sections are built over rows: an elementary rule's section maps the
+(N, ambient) starts and goals of N queries to one bundle of N paths (see
+``geometry``).  ``leaf_rules`` names the elementary rule each leaf planner
+runs in a decision's section, and ``paths`` builds one bundle for
+decisions that share them; ``path`` is ``paths`` of one decision.
+
 Planners are immutable once built and planning is pure, so a planner may be
 shared freely across threads.
 """
@@ -46,7 +52,6 @@ from .geometry import (
     InvalidPoint,
     ParityError,
     PathFn,
-    antipode,
     as_rows,
     chart_segment_path,
     concat_geometry,
@@ -115,16 +120,18 @@ class PlannerRule:
     """One motion-planning rule: name, partition-of-unity weight, section.
 
     An elementary rule's ``weight`` maps a pair to [0, 1] and is positive
-    exactly where the rule applies; only ``Planner.path`` evaluates its
-    ``section``, after checking that weight.  ``weight_rows``, where given,
-    is the weight over (N, ambient) blocks of starts and goals, row for row
-    the float ``weight`` gives; without it ``decide_many`` calls ``weight``
-    per row.  Composite rules are names only.
+    exactly where the rule applies.  Its ``section`` maps the (N, ambient)
+    blocks of N queries' starts and goals to one bundle of N paths, path n
+    from start n to goal n; only ``Planner.paths`` evaluates it, after
+    checking every query's weight.  ``weight_rows``, where given, is the
+    weight over such blocks, row for row the float ``weight`` gives;
+    without it ``decide_many`` calls ``weight`` per row.  Composite rules
+    are names only.
     """
 
     name: str
     weight: Callable[[ConfigPoint, ConfigPoint], float] | None = None
-    section: Callable[[ConfigPoint, ConfigPoint], PathFn] | None = None
+    section: Callable[[Blocks, Blocks], PathFn] | None = None
     weight_rows: Callable[[Blocks, Blocks], np.ndarray] | None = None
 
 
@@ -156,9 +163,9 @@ class Planner:
     """An ordered rule system over a product geometry.
 
     ``decide`` computes a query's rule, weights and cell in one pass
-    (``decide_many`` does so for many queries over arrays) and ``path``
-    builds a rule's section from that decision; they are the only way a
-    rule is used.  ``point_sampler`` lets spaces with excluded loci
+    (``decide_many`` does so for many queries over arrays) and ``paths``
+    builds a rule's sections from such decisions as one bundle; they are
+    the only way a rule is used.  ``point_sampler`` lets spaces with excluded loci
     (e.g. the punctured plane) provide their own random points to verifiers.
     """
 
@@ -210,13 +217,37 @@ class Planner:
         ]
         return weights, decisions
 
-    def path(self, decision: Decision, index: int) -> PathFn:
-        """Section of the 1-based rule ``index`` at the decided query; raises
-        DomainMiss where the decision gives that rule weight 0."""
+    def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
+        """The 1-based rule each leaf planner runs in rule ``index``'s section
+        at the decided query, leaves in factor order; decisions with equal
+        leaf rules share one ``paths`` bundle."""
+        return (index,)
+
+    def paths(self, decisions: Sequence[Decision], index: int) -> PathFn:
+        """Sections of the 1-based rule ``index`` at the decided queries, as
+        one bundle (path n at decisions[n]); raises DomainMiss where a
+        decision does not cover that rule, and ValueError where the
+        decisions' ``leaf_rules`` differ."""
+        return self._paths(decisions, [index] * len(decisions))
+
+    def _paths(self, decisions: Sequence[Decision], indices: Sequence[int]) -> PathFn:
+        """``paths`` with rule indices[n] at decisions[n].  The indices may
+        differ above the leaves (a product's levels can pair the same
+        factor rules), but each leaf must run one rule."""
+        if len(set(indices)) != 1:
+            raise ValueError(f"{self.space}: the decisions run different leaf rules")
+        index = indices[0]
         rule = self.rules[index - 1]
-        if decision.weights[index - 1] <= 0.0:
+        if any(d.weights[index - 1] <= 0.0 for d in decisions):
             raise DomainMiss(f"{rule.name} rule does not cover this pair")
-        return rule.section(decision.a, decision.b)
+        return rule.section(
+            stack_points([d.a for d in decisions]), stack_points([d.b for d in decisions])
+        )
+
+    def path(self, decision: Decision, index: int) -> PathFn:
+        """Section of the 1-based rule ``index`` at the decided query: the
+        one-path bundle of ``paths``."""
+        return self._paths([decision], [index])
 
     def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
         """View of ``decide``, unused in tcplan; goes when ROADMAP item 5 drops its span."""
@@ -263,7 +294,7 @@ def straight_line_planner(dim: int) -> Planner:
     rule = PlannerRule(
         name="segment",
         weight=lambda a, b: 1.0,
-        section=lambda a, b: geodesic_path(a, b),
+        section=lambda a, b: geodesic_path(geometry, a, b),
         weight_rows=lambda a, b: np.ones(len(a[0])),
     )
     return Planner(space=f"convex:{dim}", geometry=geometry, rules=(rule,))
@@ -275,8 +306,9 @@ def _smaller(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.where(second < first, second, first)
 
 
-def _shortest_arc_rule(factor) -> PlannerRule:
+def _shortest_arc_rule(geometry) -> PlannerRule:
     """The first rule on circles and spheres: the shortest arc, for a != -b."""
+    factor = geometry.factors[0]
 
     def weight(a, b):
         return factor_distance(factor, a.parts[0], -b.parts[0]) / math.pi
@@ -284,7 +316,10 @@ def _shortest_arc_rule(factor) -> PlannerRule:
     def weight_rows(a, b):
         return factor_distances(factor, a[0], -b[0]) / math.pi
 
-    return PlannerRule("shortest-arc", weight, geodesic_path, weight_rows)
+    def section(a, b):
+        return geodesic_path(geometry, a, b)
+
+    return PlannerRule("shortest-arc", weight, section, weight_rows)
 
 
 def _distance_rule(factor, name, section) -> PlannerRule:
@@ -305,13 +340,17 @@ def circle_planner() -> Planner:
     factor = geometry.factors[0]
 
     def s_positive(a, b):
-        xa, xb = a.parts[0], b.parts[0]
-        start = math.atan2(xa[1], xa[0])
-        sweep = (math.atan2(xb[1], xb[0]) - start) % (2.0 * math.pi)
+        # math.atan2 and % per query: numpy's forms may differ in the last bit
+        starts, sweeps = [], []
+        for xa, xb in zip(a[0].tolist(), b[0].tolist()):
+            start = math.atan2(xa[1], xa[0])
+            starts.append(start)
+            sweeps.append((math.atan2(xb[1], xb[0]) - start) % (2.0 * math.pi))
+        start, sweep = np.array(starts)[:, None], np.array(sweeps)[:, None]
 
         def sample(ts):
-            angle = start + ts * sweep
-            return (np.stack((np.cos(angle), np.sin(angle)), axis=1),)
+            angle = (start + ts * sweep).reshape(-1, 1)
+            return (np.concatenate((np.cos(angle), np.sin(angle)), axis=1),)
 
         return PathFn(geometry, sample, ((0.0, 1.0, True),), "positive-arc")
 
@@ -319,7 +358,7 @@ def circle_planner() -> Planner:
         space="circle",
         geometry=geometry,
         rules=(
-            _shortest_arc_rule(factor),
+            _shortest_arc_rule(geometry),
             _distance_rule(factor, "positive-arc", s_positive),
         ),
     )
@@ -350,12 +389,13 @@ def sphere_planner(n: int) -> Planner:
         return v / np.linalg.norm(v)
 
     def s_two_stage(a, b):
-        to_antipode = geodesic_path(a, antipode(b))
-        sweep = polar_arc_path(geometry, b.parts[0], tangent_at(b.parts[0]))
+        (goals,) = b
+        to_antipode = geodesic_path(geometry, a, (-goals,))
+        sweep = polar_arc_path(geometry, goals, np.array([tangent_at(v) for v in goals]))
         return concat_paths([(0.0, 0.5, to_antipode), (0.5, 1.0, sweep)], "two-stage")
 
     if odd:
-        rules = [_shortest_arc_rule(factor), _distance_rule(factor, "two-stage", s_two_stage)]
+        rules = [_shortest_arc_rule(geometry), _distance_rule(factor, "two-stage", s_two_stage)]
     else:
         def w_two_stage(a, b):
             d_ab = factor_distance(factor, a.parts[0], b.parts[0])
@@ -379,10 +419,10 @@ def sphere_planner(n: int) -> Planner:
             return _smaller(d_a, factor_distances(factor, b[0], chart_pole)) / math.pi
 
         def s_chart(a, b):
-            return chart_segment_path(geometry, a.parts[0], b.parts[0], chart_axis)
+            return chart_segment_path(geometry, a[0], b[0], chart_axis)
 
         rules = [
-            _shortest_arc_rule(factor),
+            _shortest_arc_rule(geometry),
             PlannerRule("two-stage", w_two_stage, s_two_stage, w_two_stage_rows),
             PlannerRule("chart-segment", w_chart, s_chart, w_chart_rows),
         ]
@@ -500,7 +540,8 @@ class ProductPlanner(Planner):
     the section on a cell pairs the factor sections with the smallest
     indices in S and T, and a level's weight, the sum of clamped cell
     margins, is positive exactly on that level's cells.  One decision per
-    query builds the sections at every nesting level.
+    query builds the sections at every nesting level; queries whose cells
+    pick the same factor rules, down to the leaves, share one bundle.
     """
 
     def __init__(self, left: Planner, right: Planner):
@@ -550,13 +591,26 @@ class ProductPlanner(Planner):
         ]
         return weights, decisions
 
-    def path(self, decision: Decision, index: int) -> PathFn:
+    def _factor_rules(self, decision: Decision, index: int) -> tuple[int, int]:
+        """The 1-based left and right rules that rule ``index``'s section
+        pairs at the decided query: min S and min T of its cell."""
         cell = decision.cells.get(index + 1)
         if cell is None:
             raise DomainMiss(f"level-{index + 1} rule does not cover this pair")
-        (s, t), (left, right) = cell, decision.factors
+        s, t = cell
+        return min(s) + 1, min(t) + 1
+
+    def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
+        i, j = self._factor_rules(decision, index)
+        left, right = decision.factors
+        return self.left.leaf_rules(left, i) + self.right.leaf_rules(right, j)
+
+    def _paths(self, decisions: Sequence[Decision], indices: Sequence[int]) -> PathFn:
+        sides = [self._factor_rules(d, index) for d, index in zip(decisions, indices)]
         return pair_paths(
-            self.geometry, self.left.path(left, min(s) + 1), self.right.path(right, min(t) + 1)
+            self.geometry,
+            self.left._paths([d.factors[0] for d in decisions], [i for i, _ in sides]),
+            self.right._paths([d.factors[1] for d in decisions], [j for _, j in sides]),
         )
 
 
@@ -598,9 +652,11 @@ class TransferPlanner(Planner):
     preserved.
 
     Sections evaluate ``h`` and ``g`` over many times at once: ``h`` gets a
-    (T, 1) column of times and ``g`` a point whose blocks hold T rows, so
-    both are written with numpy broadcasting; a block they return as a
-    single point is repeated T times.
+    (T, 1) column of times and one point, ``g`` a point whose blocks hold
+    the rows of a whole bundle, so both are written with numpy
+    broadcasting; a block they return as a single point is repeated for
+    every row.  A bundle pushes the source bundle through ``g`` once and
+    slides along ``h`` query by query.
     """
 
     def __init__(
@@ -635,20 +691,24 @@ class TransferPlanner(Planner):
             for a, b, s in zip(a_points, b_points, sources)
         ]
 
-    def path(self, decision: Decision, index: int) -> PathFn:
-        a, b, h, geometry = decision.a, decision.b, self.h, self.geometry
-        source_path = self.source.path(decision.factors[0], index)
-        mid = mapped_path(source_path, self.g, geometry, "pushed")
+    def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
+        return self.source.leaf_rules(decision.factors[0], index)
 
-        def slide(point, backwards, label):
+    def _paths(self, decisions: Sequence[Decision], indices: Sequence[int]) -> PathFn:
+        h, geometry = self.h, self.geometry
+        source = self.source._paths([d.factors[0] for d in decisions], indices)
+        mid = mapped_path(source, self.g, geometry, "pushed")
+
+        def slide(points, backwards, label):
             def sample(ts):
                 t = (1.0 - ts if backwards else ts)[:, None]
-                return as_rows(geometry, h(t, point).parts, len(ts))
+                rows = [as_rows(geometry, h(t, point).parts, len(ts)) for point in points]
+                return tuple(map(np.concatenate, zip(*rows)))
 
             return PathFn(geometry, sample, ((0.0, 1.0, False),), label)
 
-        head = slide(a, False, "homotopy-in")
-        tail = slide(b, True, "homotopy-out")
+        head = slide([d.a for d in decisions], False, "homotopy-in")
+        tail = slide([d.b for d in decisions], True, "homotopy-out")
         return concat_paths(
             [(0.0, 1.0 / 3.0, head), (1.0 / 3.0, 2.0 / 3.0, mid), (2.0 / 3.0, 1.0, tail)],
             "transfer",

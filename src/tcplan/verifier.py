@@ -41,12 +41,12 @@ from .geometry import (
     ConfigPoint,
     Geometry,
     config_distances,
-    random_point,
+    random_points,
     row_norms,
     stack_points,
     tangent_perturb_rows,
 )
-from .planner_core import CoverageGap, DomainMiss, Planner
+from .planner_core import CoverageGap, Decision, DomainMiss, Planner
 
 DEFAULT_SPEED_TOL = 0.01
 MAX_PAIRS = 100_000
@@ -80,6 +80,8 @@ class VerifyConfig:
     pairs: int = 10_000
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("bad verify config: seed must be non-negative")
         if not 1 <= self.pairs <= MAX_PAIRS:
             # every query pair is built before checking starts
             raise ValueError(f"bad verify config: pairs must be positive and at most {MAX_PAIRS}")
@@ -227,41 +229,83 @@ def _worst(current: float, values: list[float]) -> float:
     ``<=`` check."""
     if any(map(math.isnan, values)):
         return math.nan
-    return max(current, *values)
+    return max((current, *values))
 
 
-def _speed_variation(path) -> float:
-    """Worst relative speed spread over the path's constant-speed pieces:
-    4 probes of step h = width / 64 per piece, all evaluated at once."""
+def _speed_probes(pieces) -> tuple[np.ndarray, list[float]]:
+    """The speed probes of a piece structure: 4 times per constant-speed
+    piece, then each one's step h = width / 64 later; and each piece's h."""
     steps, starts = [], []
-    for t0, t1, const in path.pieces:
+    for t0, t1, const in pieces:
         if not const or t1 - t0 < 1e-6:
             continue
         width = t1 - t0
         steps.append(width / 64.0)
         starts += [t0 + width * k / 5.0 for k in range(1, 5)]
+    probes = np.array(starts)
+    return np.concatenate((probes, np.repeat(steps, 4) + probes)), steps
+
+
+def _speed_spreads(geometry: Geometry, rows: Blocks, steps: list[float]) -> list[float]:
+    """Worst relative speed spread over the constant-speed pieces of each of
+    M paths, from their (M, probes, ambient) rows at ``_speed_probes``'
+    times; NaN for a path with a non-finite probe distance."""
+    count = len(rows[0])
+    if not steps:
+        return [0.0] * count
+    n = 4 * len(steps)
+    starts = [r[:, :n].reshape(-1, r.shape[2]) for r in rows]
+    ends = [r[:, n:].reshape(-1, r.shape[2]) for r in rows]
+    moved = config_distances(geometry, starts, ends).reshape(count, len(steps), 4)
+    speeds = moved / np.array(steps)[:, None]
+    top, low = speeds.max(axis=2), speeds.min(axis=2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        spread = np.where(top < 1e-9, 0.0, (top - low) / top)  # a constant piece counts 0
+    finite = np.isfinite(moved).all(axis=(1, 2))
+    return np.where(finite, spread.max(axis=1), math.nan).tolist()
+
+
+def _speed_variation(path) -> float:
+    """Worst relative speed spread over one path's constant-speed pieces:
+    ``_speed_spreads`` of a one-path bundle."""
+    probes, steps = _speed_probes(path.pieces)
     if not steps:
         return 0.0
-    probes = np.array(starts)
-    ends = np.repeat(steps, 4) + probes
-    rows = path.sample(np.concatenate((probes, ends)))
-    n = len(starts)
-    moved = config_distances(path.geometry, [r[:n] for r in rows], [r[n:] for r in rows]).tolist()
-    if not all(map(math.isfinite, moved)):
-        return math.nan
-    worst = 0.0
-    for i, h in enumerate(steps):
-        speeds = [d / h for d in moved[4 * i : 4 * i + 4]]
-        top = max(speeds)
-        if top < 1e-9:
-            continue  # constant piece
-        worst = max(worst, (top - min(speeds)) / top)
-    return worst
+    rows = path.sample(probes)
+    return _speed_spreads(path.geometry, tuple(r[None] for r in rows), steps)[0]
 
 
-def _stacked(samples: list[Blocks]) -> Blocks:
-    """Sampled paths of one geometry, their rows stacked factor by factor."""
-    return tuple(map(np.concatenate, zip(*samples)))
+def _sample_sections(
+    planner: Planner, decisions: list[Decision], ts: np.ndarray, probed: int = 0
+) -> tuple[Blocks, list[float]]:
+    """Each decision's section of its own rule sampled at ``ts``, as
+    (len(decisions) * T, ambient) blocks in decision order, and the speed
+    spreads of the first ``probed`` decisions' sections.
+
+    Decisions are grouped by (rule, leaf rules) in first-seen order, and
+    each group's bundle is built and sampled once: at ``ts``, and also at
+    its speed probes where the group holds a probed decision.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, d in enumerate(decisions):
+        groups.setdefault((d.index, planner.leaf_rules(d, d.index)), []).append(k)
+    geometry = planner.geometry
+    count = len(ts)
+    out = tuple(np.empty((len(decisions), count, f.ambient)) for f in geometry.factors)
+    spreads = []
+    for (index, _), members in groups.items():
+        bundle = planner.paths([decisions[k] for k in members], index)
+        checked = sum(k < probed for k in members)  # a prefix: members ascend
+        times, steps = ts, []
+        if checked:
+            probes, steps = _speed_probes(bundle.pieces)
+            times = np.concatenate((ts, probes))
+        rows = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
+        for block, r in zip(out, rows):
+            block[members] = r[:, :count]
+        if checked:
+            spreads += _speed_spreads(geometry, [r[:checked, count:] for r in rows], steps)
+    return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads
 
 
 def _perturbed(
@@ -276,17 +320,22 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     """Run the four checks over cfg.pairs random queries plus the adversarial
     injection; fully deterministic for a given (planner, cfg).
 
-    The queries go through in blocks of ``VERIFY_BATCH``: each block is
-    decided at once, its eligible queries' twins are drawn with one
-    generator call (which draws what one tangent_perturb call per point
-    would, in query order) and decided at once, and each check runs once
-    over the block's stacked rows.  Paths are built and sampled per query.
+    The random queries' points come from one ``random_points`` call.  The
+    queries go through in blocks of ``VERIFY_BATCH``.  Each block is decided
+    at once, and its covered queries' sections are built and sampled as one
+    bundle per (rule, leaf rules) group.  The twins of its eligible queries
+    are drawn with one generator call (which draws what one tangent_perturb
+    call per point would, in query order), decided at once, and sampled in
+    bundles grouped by their own decisions.  Each check runs once over the
+    block's stacked rows.
     """
     rng = np.random.default_rng(cfg.seed)
-    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
     queries = adversarial_pairs(planner, rng)
-    for _ in range(cfg.pairs):
-        queries.append((sampler(rng), sampler(rng)))
+    if planner.point_sampler is not None:
+        points = [planner.point_sampler(rng) for _ in range(2 * cfg.pairs)]
+    else:
+        points = random_points(planner.geometry, rng, 2 * cfg.pairs)
+    queries += zip(points[0::2], points[1::2])
 
     geometry = planner.geometry
     ts = np.array([i / (SAMPLES_PER_PATH - 1) for i in range(SAMPLES_PER_PATH)])
@@ -303,36 +352,36 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
 
     for first in range(0, len(queries), VERIFY_BATCH):
         block = queries[first : first + VERIFY_BATCH]
-        starts, goals, sampled = [], [], []
-        eligible = []  # (position in sampled, rule, cell) of each query whose twins are drawn
-        for (a, b), decision in zip(block, planner.decide_many(*zip(*block))):
+        covered = []
+        for decision in planner.decide_many(*zip(*block)):
             if decision is None:
                 uncovered += 1
-                continue
-            index = decision.index
-            usage[index] += 1
-            path = planner.path(decision, index)
-            if speed_checked < SPEED_CHECKS:
-                max_speed = _worst(max_speed, [_speed_variation(path)])
-                speed_checked += 1
-            if decision.weights[index - 1] >= MARGIN_ETA:
-                eligible.append((len(sampled), index, decision.cell))
-            starts.append(a)
-            goals.append(b)
-            sampled.append(path.sample(ts))
-        if not sampled:
+            else:
+                usage[decision.index] += 1
+                covered.append(decision)
+        if not covered:
             continue
+        probed = min(len(covered), SPEED_CHECKS - speed_checked)
+        sampled, spreads = _sample_sections(planner, covered, ts, probed)
+        max_speed = _worst(max_speed, spreads)
+        speed_checked += probed
+
+        starts, goals = [d.a for d in covered], [d.b for d in covered]
+        # (position, rule, cell) of each query whose twins are drawn
+        eligible = [
+            (k, d.index, d.cell) for k, d in enumerate(covered) if d.weights[d.index - 1] >= MARGIN_ETA
+        ]
+        del covered, decision  # free the block's decisions before its twins are decided
 
         # every path's first rows, then its last rows, against starts + goals
-        points = _stacked(sampled)
         last = SAMPLES_PER_PATH - 1
         first_last = tuple(
-            np.concatenate((rows[::SAMPLES_PER_PATH], rows[last::SAMPLES_PER_PATH])) for rows in points
+            np.concatenate((rows[::SAMPLES_PER_PATH], rows[last::SAMPLES_PER_PATH])) for rows in sampled
         )
         ends = stack_points(starts + goals)
         max_end = _worst(max_end, config_distances(geometry, first_last, ends).tolist())
         for slot in sphere_slots:
-            max_norm = _worst(max_norm, np.abs(row_norms(points[slot]) - 1.0).tolist())
+            max_norm = _worst(max_norm, np.abs(row_norms(sampled[slot]) - 1.0).tolist())
 
         if not eligible:
             continue
@@ -341,15 +390,18 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
             _perturbed(geometry, [starts[k] for k, *_ in eligible], normals[:, 0]),
             _perturbed(geometry, [goals[k] for k, *_ in eligible], normals[:, 1]),
         )
-        compared, twin_samples = [], []
+        compared, matched = [], []
         for (k, index, cell), twin in zip(eligible, twins):
             if twin is None:
                 uncovered += 1
             elif twin.index == index and twin.cell == cell:
-                compared.append(sampled[k])
-                twin_samples.append(planner.path(twin, index).sample(ts))
+                compared.append(k)
+                matched.append(twin)
         if compared:
-            gaps = config_distances(geometry, _stacked(compared), _stacked(twin_samples))
+            # the rows of the compared queries' paths, path by path
+            rows = (np.array(compared)[:, None] * SAMPLES_PER_PATH + np.arange(SAMPLES_PER_PATH)).ravel()
+            twin_sampled, _ = _sample_sections(planner, matched, ts)
+            gaps = config_distances(geometry, [p[rows] for p in sampled], twin_sampled)
             sups = gaps.reshape(len(compared), SAMPLES_PER_PATH).max(axis=1)
             max_ratio = _worst(max_ratio, (sups / DELTA).tolist())
             continuity_checked += len(compared)

@@ -121,16 +121,20 @@ def test_criterion_4_planner_contracts():
     assert (DELTA, MARGIN_ETA, TOLERANCE) == (1e-4, 0.1, 1e-9)
     start = time.monotonic()
     failures = []
+    times = []  # each planner's verify time
     for spec in specs:
         planner = build_planner(spec)
+        verify_start = time.monotonic()
         rep = verify_planner(planner, cfg)
+        times.append(f"{spec} {time.monotonic() - verify_start:.1f}s")
         if not rep.passed:
             failures.append(f"{spec}: checks failed {rep.as_dict()}")
             continue
         reconcile(planner, catalog_space(spec))
     elapsed = time.monotonic() - start
     report(4, not failures and elapsed < 120.0,
-           f"{len(specs)} planners verified and reconciled ({elapsed:.1f}s, budget 120s)"
+           f"{len(specs)} planners verified and reconciled ({elapsed:.1f}s, budget 120s: "
+           + ", ".join(times) + ")"
            + ("; " + "; ".join(failures) if failures else ""))
 
 

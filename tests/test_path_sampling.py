@@ -6,9 +6,14 @@ reference (as ``_exhaustive_tie_cells`` is kept for the tie cells).  Every
 row of ``PathFn.sample(ts)`` must equal it bit for bit, compared by
 ``float.hex``, and ``path(t)`` must be the row ``sample([t])[0]``.
 
+A bundle of N paths must give each path's rows exactly as that path's
+own one-path bundle gives them, whatever N is and whichever queries share
+the bundle.
+
 The last tests pin the facts the verifier's blocks rest on: ``np.vecdot``
 rows equal ``np.dot``, one generator draw of a block equals the draws made
-one at a time, and the block perturbation equals ``tangent_perturb``.
+one at a time (``random_points`` included), and the block perturbation
+equals ``tangent_perturb``.
 """
 
 import math
@@ -22,10 +27,12 @@ from tcplan.geometry import (
     config_distance,
     config_distances,
     even_vector_field,
+    geodesic_path,
     factor_distance,
     make_point,
     odd_vector_field,
     random_point,
+    random_points,
     row_norms,
     stack_points,
     stereo_project,
@@ -48,6 +55,8 @@ from tcplan.verifier import (
     _speed_variation,
     adversarial_pairs,
 )
+
+from test_planner_core import DECIDE_MANY_PLANNERS  # the planners of test_decide_many_matches_decide
 
 # -- the per-time formulas ---------------------------------------------------------
 
@@ -295,6 +304,114 @@ def test_every_path_kind_is_compared():
     assert max(ANGLES) > math.pi - 1e-6  # near-antipodal arcs
 
 
+# -- bundles against one-path bundles ----------------------------------------------
+
+
+def hexed_rows(parts):
+    return [[v.hex() for v in np.ravel(part).tolist()] for part in parts]
+
+
+def covering_groups(planner, decisions, index):
+    """The decisions whose rule ``index`` applies, each with its one-path
+    bundle, grouped by leaf rules in first-seen order."""
+    groups = {}
+    for d in decisions:
+        try:
+            single = planner.path(d, index)
+        except DomainMiss:
+            continue
+        groups.setdefault(planner.leaf_rules(d, index), []).append((d, single))
+    return groups
+
+
+@pytest.mark.parametrize("name", DECIDE_MANY_PLANNERS)
+def test_bundle_rows_equal_each_paths_own_rows(name):
+    """Every rule's bundle over all the queries it covers (adversarial,
+    random and near pairs, grouped by leaf rules) gives each query the
+    rows and pieces of its own one-path bundle, bit for bit."""
+    planner = DECIDE_MANY_PLANNERS[name]()
+    rng = np.random.default_rng(17)
+    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    pairs = adversarial_pairs(planner, rng) + [(sampler(rng), sampler(rng)) for _ in range(60)]
+    if planner.point_sampler is None:
+        pairs += near_pairs(planner, rng, 20)
+    decisions = [d for d in planner.decide_many(*zip(*pairs)) if d is not None]
+    shared = 0
+    for index in range(1, len(planner.rules) + 1):
+        for members in covering_groups(planner, decisions, index).values():
+            bundle = planner.paths([d for d, _ in members], index)
+            ts = VERIFY_TS + CLI_TS + CUT_TS + probe_times(bundle)
+            rows = bundle.sample(ts)
+            assert [r.shape for r in rows] == [
+                (len(members) * len(ts), f.ambient) for f in planner.geometry.factors
+            ]
+            for n, (_, single) in enumerate(members):
+                assert single.pieces == bundle.pieces
+                got = hexed_rows(r[n * len(ts) : (n + 1) * len(ts)] for r in rows)
+                assert got == hexed_rows(single.sample(ts)), (name, index, n)
+            shared += len(members) > 1
+    assert shared  # some bundle holds several queries
+
+
+def test_geodesic_bundle_mixes_near_equal_far_and_near_antipodal_rows():
+    """The near-equal chord is chosen row by row: a bundle mixing angles
+    below 1e-9, ordinary ones and ones within 1e-6 of pi gives every row
+    as its own one-row bundle and the per-time formula do."""
+    geometry = build_planner("product(sphere:2,circle,convex:2)").geometry
+    rng = np.random.default_rng(8)
+    starts = random_points(geometry, rng, 60)
+    goals = []
+    for k, a in enumerate(starts):
+        if k % 3 == 0:
+            goals.append(random_point(geometry, rng))
+            continue
+        parts = []  # a moved by 1e-12, its spheres flipped on every third query
+        for f, x in zip(geometry.factors, a.parts):
+            y = x + 1e-12 * rng.standard_normal(f.ambient)
+            parts.append(y if f.kind != "sphere" else _unit(-y if k % 3 == 2 else y))
+        goals.append(ConfigPoint(geometry, tuple(parts)))
+    angles = [angle for a, b in zip(starts, goals) for angle in ref_geodesic_angles(a, b)]
+    assert min(angles) < 1e-9 and max(angles) > math.pi - 1e-6
+    assert any(1e-9 < angle < 3.0 for angle in angles)
+    ts = np.array(VERIFY_TS + CLI_TS)
+    rows = geodesic_path(geometry, stack_points(starts), stack_points(goals)).sample(ts)
+    for n, (a, b) in enumerate(zip(starts, goals)):
+        single = geodesic_path(geometry, stack_points([a]), stack_points([b])).sample(ts)
+        reference = [np.array(block) for block in zip(*(ref_geodesic(a, b)(t) for t in ts))]
+        got = hexed_rows(r[n * len(ts) : (n + 1) * len(ts)] for r in rows)
+        assert got == hexed_rows(single) == hexed_rows(reference), n
+
+
+def ref_geodesic_angles(a, b):
+    """The arc angle ``ref_slerp`` takes on each sphere factor."""
+    angles = []
+    for f, x, y in zip(a.geometry.factors, a.parts, b.parts):
+        if f.kind == "sphere":
+            dot = float(np.dot(x, y))
+            angles.append(math.atan2(float(np.linalg.norm(x - dot * y)), dot))
+    return angles
+
+
+def test_paths_rejects_mixed_leaf_rules_and_uncovered_decisions():
+    planner = build_planner("torus:3")
+    decisions = planner.decide_many(*zip(*adversarial_pairs(planner, np.random.default_rng(4))))
+    seen = {}
+    for d in decisions:
+        seen.setdefault(d.index, {}).setdefault(planner.leaf_rules(d, d.index), d)
+    index, by_leaves = next((i, v) for i, v in seen.items() if len(v) > 1)
+    with pytest.raises(ValueError, match="different leaf rules"):
+        planner.paths(list(by_leaves.values()), index)
+    covered = next(d for d in decisions if d.weights[1] > 0.0)
+    uncovered = next(d for d in decisions if d.weights[1] == 0.0)
+    with pytest.raises(DomainMiss, match="does not cover"):
+        planner.paths([covered, uncovered], 2)
+    circle = build_planner("circle")
+    apart = circle.decide(make_point(circle.geometry, [1, 0]), make_point(circle.geometry, [0, 1]))
+    equal = circle.decide(*[make_point(circle.geometry, [0.6, 0.8])] * 2)
+    with pytest.raises(DomainMiss, match="does not cover"):
+        circle.paths([apart, equal], 2)
+
+
 def test_sample_path_rows_are_the_cli_samples():
     planner = build_planner("product(circle,sphere:3,sphere:2,convex:2)")
     for index, path, reference in every_section(planner, seed=3):
@@ -352,6 +469,21 @@ def test_one_block_draw_equals_the_sequential_draws(sizes):
     assert hexed_draws == [v.hex() for v in drawn.ravel().tolist()]
     assert sequential.bit_generator.state == block.bit_generator.state
     assert sequential.standard_normal(3).tolist() == block.standard_normal(3).tolist()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["sphere:2", "torus:4", "convex:3", "product(sphere:2,sphere:2)", "product(circle,convex:2)"],
+)
+def test_random_points_equal_the_sequential_draws(spec):
+    geometry = build_planner(spec).geometry
+    sequential, block = np.random.default_rng(3), np.random.default_rng(3)
+    expected = [random_point(geometry, sequential) for _ in range(301)]
+    got = random_points(geometry, block, 301)
+    assert [hexed(p.parts) for p in got] == [hexed(p.parts) for p in expected]
+    assert all(not part.flags.writeable for p in got for part in p.parts)
+    assert sequential.bit_generator.state == block.bit_generator.state
+    assert random_points(geometry, block, 0) == []
 
 
 class _Normals:

@@ -103,6 +103,20 @@ def test_verify_catalog_script_passes():
     assert all(" PASS " in line and "==tc" in line for line in lines)
 
 
+@pytest.mark.parametrize("argv", [["--pairs", "0"], ["--seed", "-5"]], ids=["pairs", "seed"])
+def test_verify_catalog_script_rejects_bad_arguments(argv):
+    """A bad argument exits 2 (not 1, "verification failed") with one line."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_catalog.py"), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert "bad verify config" in proc.stderr
+
+
 # The product planners of the plan-products benchmark workload; each query of
 # `plan_products_lines()` is one line of tests/golden/plan_products.txt.
 PLAN_SPECS = [

@@ -8,7 +8,16 @@ import pytest
 
 from tcplan import verifier
 from tcplan.catalog import catalog_space
-from tcplan.geometry import ConfigPoint, PathFn, geodesic_path, make_point
+from tcplan.geometry import (
+    ConfigPoint,
+    PathFn,
+    config_distances,
+    geodesic_path,
+    make_point,
+    random_point,
+    row_norms,
+    stack_points,
+)
 from tcplan.planner_core import (
     Planner,
     PlannerRule,
@@ -38,6 +47,9 @@ FAST = VerifyConfig(pairs=400)
 def test_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(pairs=0)
+    with pytest.raises(ValueError, match="^bad verify config: seed must be non-negative$"):
+        VerifyConfig(seed=-5)
+    assert VerifyConfig(seed=0).seed == 0
     with pytest.raises(ValueError):
         VerifyConfig(pairs=100_001)
     assert VerifyConfig(pairs=100_000).pairs == 100_000
@@ -98,12 +110,15 @@ def test_continuity_ratio_within_empirical_bound():
 
 def _spoiled_segment_planner(spoil):
     """One-rule convex:2 planner whose straight segments pass their sampled
-    rows through ``spoil(ts, rows)``."""
+    rows through ``spoil(ts, rows)``, ``ts`` holding each row's time."""
     geometry = straight_line_planner(2).geometry
 
     def section(a, b):
-        segment = geodesic_path(a, b)
-        return PathFn(geometry, lambda ts: (spoil(ts, segment.sample(ts)[0]),), segment.pieces)
+        segment = geodesic_path(geometry, a, b)
+        count = len(a[0])  # a bundle's rows run path by path
+        return PathFn(
+            geometry, lambda ts: (spoil(np.tile(ts, count), segment.sample(ts)[0]),), segment.pieces
+        )
 
     rule = PlannerRule("segment", lambda a, b: 1.0, section)
     return Planner("convex:2", geometry, (rule,))
@@ -134,6 +149,175 @@ def test_nan_at_one_time_fails_continuity():
     assert report.section_pass and report.geometry_pass and report.coverage_pass
     assert not report.continuity_pass and not report.passed
     assert math.isnan(report.max_continuity_ratio)
+
+
+# -- the per-query loop as the oracle of the bundled one ------------------------
+
+
+def _per_query_speed_variation(path) -> float:
+    steps, starts = [], []
+    for t0, t1, const in path.pieces:
+        if not const or t1 - t0 < 1e-6:
+            continue
+        width = t1 - t0
+        steps.append(width / 64.0)
+        starts += [t0 + width * k / 5.0 for k in range(1, 5)]
+    if not steps:
+        return 0.0
+    probes = np.array(starts)
+    ends = np.repeat(steps, 4) + probes
+    rows = path.sample(np.concatenate((probes, ends)))
+    n = len(starts)
+    moved = config_distances(path.geometry, [r[:n] for r in rows], [r[n:] for r in rows]).tolist()
+    if not all(map(math.isfinite, moved)):
+        return math.nan
+    worst = 0.0
+    for i, h in enumerate(steps):
+        speeds = [d / h for d in moved[4 * i : 4 * i + 4]]
+        top = max(speeds)
+        if top < 1e-9:
+            continue  # constant piece
+        worst = max(worst, (top - min(speeds)) / top)
+    return worst
+
+
+def _per_query_verify(planner, cfg):
+    """verify_planner as it ran before sections were built in bundles: the
+    points drawn one random_point at a time, and one path built, sampled
+    and speed-checked per query and per twin."""
+    stacked = lambda samples: tuple(map(np.concatenate, zip(*samples)))
+    samples_per_path = verifier.SAMPLES_PER_PATH
+    rng = np.random.default_rng(cfg.seed)
+    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    queries = adversarial_pairs(planner, rng)
+    for _ in range(cfg.pairs):
+        queries.append((sampler(rng), sampler(rng)))
+
+    geometry = planner.geometry
+    ts = np.array([i / (samples_per_path - 1) for i in range(samples_per_path)])
+    sphere_slots = [i for i, f in enumerate(geometry.factors) if f.kind == "sphere"]
+
+    max_end = 0.0
+    uncovered = 0
+    max_ratio = 0.0
+    continuity_checked = 0
+    max_norm = 0.0
+    max_speed = 0.0
+    speed_checked = 0
+    usage = {i + 1: 0 for i in range(len(planner.rules))}
+
+    for first in range(0, len(queries), verifier.VERIFY_BATCH):
+        block = queries[first : first + verifier.VERIFY_BATCH]
+        starts, goals, sampled = [], [], []
+        eligible = []  # (position in sampled, rule, cell) of each query whose twins are drawn
+        for (a, b), decision in zip(block, planner.decide_many(*zip(*block))):
+            if decision is None:
+                uncovered += 1
+                continue
+            index = decision.index
+            usage[index] += 1
+            path = planner.path(decision, index)
+            if speed_checked < verifier.SPEED_CHECKS:
+                max_speed = verifier._worst(max_speed, [_per_query_speed_variation(path)])
+                speed_checked += 1
+            if decision.weights[index - 1] >= verifier.MARGIN_ETA:
+                eligible.append((len(sampled), index, decision.cell))
+            starts.append(a)
+            goals.append(b)
+            sampled.append(path.sample(ts))
+        if not sampled:
+            continue
+
+        points = stacked(sampled)
+        last = samples_per_path - 1
+        first_last = tuple(
+            np.concatenate((rows[::samples_per_path], rows[last::samples_per_path])) for rows in points
+        )
+        ends = stack_points(starts + goals)
+        max_end = verifier._worst(max_end, config_distances(geometry, first_last, ends).tolist())
+        for slot in sphere_slots:
+            max_norm = verifier._worst(max_norm, np.abs(row_norms(points[slot]) - 1.0).tolist())
+
+        if not eligible:
+            continue
+        normals = rng.standard_normal((len(eligible), 2, geometry.ambient_dim))
+        twins = planner.decide_many(
+            verifier._perturbed(geometry, [starts[k] for k, *_ in eligible], normals[:, 0]),
+            verifier._perturbed(geometry, [goals[k] for k, *_ in eligible], normals[:, 1]),
+        )
+        compared, twin_samples = [], []
+        for (k, index, cell), twin in zip(eligible, twins):
+            if twin is None:
+                uncovered += 1
+            elif twin.index == index and twin.cell == cell:
+                compared.append(sampled[k])
+                twin_samples.append(planner.path(twin, index).sample(ts))
+        if compared:
+            gaps = config_distances(geometry, stacked(compared), stacked(twin_samples))
+            sups = gaps.reshape(len(compared), samples_per_path).max(axis=1)
+            max_ratio = verifier._worst(max_ratio, (sups / verifier.DELTA).tolist())
+            continuity_checked += len(compared)
+
+    return verifier.VerifyReport(
+        space=planner.space,
+        seed=cfg.seed,
+        pairs_checked=len(queries),
+        max_endpoint_error=max_end,
+        uncovered_pairs=uncovered,
+        max_continuity_ratio=max_ratio,
+        continuity_checked=continuity_checked,
+        max_norm_error=max_norm,
+        max_speed_variation=max_speed,
+        speed_checked=speed_checked,
+        rule_usage=usage,
+        section_pass=max_end <= TOLERANCE,
+        coverage_pass=uncovered == 0,
+        continuity_pass=math.isfinite(max_ratio) and max_ratio <= verifier.MAX_RATIO,
+        geometry_pass=max_norm <= TOLERANCE and max_speed < verifier.DEFAULT_SPEED_TOL,
+    )
+
+
+ORACLE_SPECS = [
+    "convex:3",
+    "circle",
+    "sphere:2",
+    "sphere:3",
+    "torus:2",
+    "torus:3",
+    "torus:4",
+    "product(sphere:2,sphere:2)",
+    "product(sphere:2,sphere:2,sphere:2)",
+    "product(circle,sphere:3,sphere:2,convex:2)",
+    "punctured-plane",
+]
+
+
+def _oracle_planner(spec):
+    return punctured_plane_planner() if spec == "punctured-plane" else build_planner(spec)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_verify_matches_the_per_query_loop(spec):
+    """Bundled sections give the per-query loop's report, byte for byte;
+    700 pairs span at least 3 blocks."""
+    planner = _oracle_planner(spec)
+    for seed in (1, 7, 42):
+        for pairs in (50, 700):
+            cfg = VerifyConfig(seed=seed, pairs=pairs)
+            got = json.dumps(verify_planner(planner, cfg).as_dict())
+            assert got == json.dumps(_per_query_verify(planner, cfg).as_dict()), (seed, pairs)
+    assert pairs + len(adversarial_pairs(planner, np.random.default_rng(seed))) > 2 * verifier.VERIFY_BATCH
+
+
+def test_twins_are_built_from_their_own_leaf_rules():
+    """At seed 42 and 1000 pairs, two torus:10 twins keep their query's rule
+    and top cell but switch a nested factor rule (ROADMAP item 1, defect A):
+    their sections must follow their own leaf rules, as per query."""
+    planner = build_planner("torus:10")
+    cfg = VerifyConfig(seed=42, pairs=1000)
+    report = verify_planner(planner, cfg)
+    assert json.dumps(report.as_dict()) == json.dumps(_per_query_verify(planner, cfg).as_dict())
+    assert round(report.max_continuity_ratio, 2) == 31415.93  # pi / DELTA
 
 
 # -- discontinuity demonstrations ----------------------------------------------
