@@ -39,6 +39,7 @@ from .geometry import ConfigPoint, Geometry, InvalidPoint, ParityError, PathFn, 
 from .planner_core import (
     CoverageGap,
     Decision,
+    Decisions,
     DomainMiss,
     HomotopyEndpointMismatch,
     LengthMismatch,

@@ -167,11 +167,13 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 def factor_distances(factor: Factor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """factor_distance row by row, bit for bit: chords through row_norms and
     math.asin per element (np.arcsin differs in the last bit on about 8% of
-    inputs)."""
+    inputs).  ``np.minimum`` clamps as ``_chord_arc`` does (a chord >= 2
+    halves to >= 1 exactly) and keeps a NaN."""
     chords = row_norms(xs - ys)
     if factor.kind != "sphere":
         return chords
-    return np.array([_chord_arc(c) for c in chords.tolist()], dtype=float)
+    half = np.minimum(chords / 2.0, 1.0)
+    return 2.0 * np.array(list(map(math.asin, half.tolist())), dtype=float)
 
 
 def config_distances(geometry: Geometry, xs: Blocks, ys: Blocks) -> np.ndarray:
@@ -217,9 +219,10 @@ def random_point(geometry: Geometry, rng: np.random.Generator) -> ConfigPoint:
     return ConfigPoint(geometry, tuple(parts))
 
 
-def random_points(geometry: Geometry, rng: np.random.Generator, count: int) -> list[ConfigPoint]:
-    """``count`` random_point calls in turn, bit for bit, leaving ``rng`` in
-    the same state.
+def random_points(geometry: Geometry, rng: np.random.Generator, count: int) -> Blocks:
+    """``count`` random_point calls in turn, bit for bit, as (count,
+    ambient) blocks (row k is the k-th point), leaving ``rng`` in the same
+    state.
 
     Where every factor is a sphere, or every factor convex, the points come
     from one draw: a generator's (count, ambient_dim) draw gives the values
@@ -229,7 +232,9 @@ def random_points(geometry: Geometry, rng: np.random.Generator, count: int) -> l
     """
     kinds = {factor.kind for factor in geometry.factors}
     if len(kinds) != 1:
-        return [random_point(geometry, rng) for _ in range(count)]
+        if not count:
+            return tuple(np.empty((0, f.ambient)) for f in geometry.factors)
+        return stack_points([random_point(geometry, rng) for _ in range(count)])
     shape = (count, geometry.ambient_dim)
     draws = rng.standard_normal(shape) if kinds == {"sphere"} else rng.uniform(-1.0, 1.0, shape)
     blocks, offset = [], 0
@@ -240,7 +245,7 @@ def random_points(geometry: Geometry, rng: np.random.Generator, count: int) -> l
             block = block / row_norms(block)[:, None]
         block.setflags(write=False)
         blocks.append(block)
-    return [ConfigPoint(geometry, parts) for parts in zip(*blocks)]
+    return tuple(blocks)
 
 
 def tangent_perturb(point: ConfigPoint, delta: float, rng: np.random.Generator) -> ConfigPoint:
@@ -299,48 +304,66 @@ def tangent_perturb_rows(
 # -- charts and tangent fields ---------------------------------------------------
 
 
+def _insert_column(rest: np.ndarray, axis: int, column) -> np.ndarray:
+    """``np.insert(rest, axis, column, axis=-1)`` for one value per point,
+    without its dispatch cost."""
+    out = np.empty(rest.shape[:-1] + (rest.shape[-1] + 1,))
+    out[..., :axis] = rest[..., :axis]
+    out[..., axis] = column
+    out[..., axis + 1 :] = rest[..., axis:]
+    return out
+
+
 def stereo_project(x: np.ndarray, axis: int) -> np.ndarray:
     """Stereographic chart from the pole +e_axis onto its equatorial plane,
     of a point or of each row of an (N, n + 1) array."""
-    return np.delete(x, axis, axis=-1) / (1.0 - x[..., axis, None])
+    rest = np.concatenate((x[..., :axis], x[..., axis + 1 :]), axis=-1)
+    return rest / (1.0 - x[..., axis, None])
 
 
 def stereo_unproject(y: np.ndarray, axis: int) -> np.ndarray:
     """Inverse chart, row by row: (T, n) chart points back onto the unit
     sphere minus the pole."""
     r2 = np.vecdot(y, y)
-    out = np.insert(2.0 * y, axis, r2 - 1.0, axis=1)
-    return out / (r2 + 1.0)[:, None]
+    return _insert_column(2.0 * y, axis, r2 - 1.0) / (r2 + 1.0)[:, None]
 
 
 def stereo_push(y: np.ndarray, e: np.ndarray, axis: int) -> np.ndarray:
-    """Differential of the inverse chart at y applied to the plane vector e.
+    """Differential of the inverse chart at y applied to the plane vector e,
+    at a point or at each row of an (N, n) array.
 
     Decays like 1/|y|^2, so pushing a constant chart field through yields a
-    tangent field on the sphere that vanishes only at the pole.
+    tangent field on the sphere that vanishes only at the pole.  The
+    square (1 + r2) ** 2 is Python's float power per point: numpy's square
+    differs from it in the last bit on some inputs.
     """
-    r2 = float(np.dot(y, y))
-    ye = float(np.dot(y, e))
-    term1 = np.insert(2.0 * e, axis, 2.0 * ye) / (1.0 + r2)
-    term2 = np.insert(2.0 * y, axis, r2 - 1.0) * (2.0 * ye) / (1.0 + r2) ** 2
+    r2 = np.vecdot(y, y)
+    ye = np.vecdot(y, e)
+    square = np.array([(1.0 + r) ** 2 for r in np.ravel(r2).tolist()]).reshape(np.shape(r2))
+    plane = np.empty_like(y)
+    plane[...] = 2.0 * e
+    term1 = _insert_column(plane, axis, 2.0 * ye) / (1.0 + r2)[..., None]
+    term2 = _insert_column(2.0 * y, axis, r2 - 1.0) * (2.0 * ye)[..., None] / square[..., None]
     return term1 - term2
 
 
 def odd_vector_field(x: np.ndarray, n: int) -> np.ndarray:
-    """Nowhere-zero unit tangent field on an odd sphere: swap coordinate pairs.
+    """Nowhere-zero unit tangent field on an odd sphere: swap coordinate pairs,
+    at a point or at each row of an (N, n + 1) array.
 
     v(x) = (-x2, x1, -x4, x3, ...); orthogonal to x and of the same norm.
     """
     if n % 2 == 0:
         raise ParityError(f"odd_vector_field needs odd n, got {n}")
     v = np.empty_like(x)
-    v[0::2] = -x[1::2]
-    v[1::2] = x[0::2]
+    v[..., 0::2] = -x[..., 1::2]
+    v[..., 1::2] = x[..., 0::2]
     return v
 
 
 def even_vector_field(x: np.ndarray, n: int) -> np.ndarray:
-    """Tangent field on an even sphere vanishing exactly at the pole e_(n+1).
+    """Tangent field on an even sphere vanishing exactly at the pole e_(n+1),
+    at a point or at each row of an (N, n + 1) array.
 
     Push the constant chart field e_1 through the inverse stereographic
     chart based at the pole; extend by zero at the pole itself.
@@ -348,12 +371,11 @@ def even_vector_field(x: np.ndarray, n: int) -> np.ndarray:
     if n % 2 == 1:
         raise ParityError(f"even_vector_field needs even n, got {n}")
     pole_axis = n  # last coordinate
-    if x[pole_axis] >= 1.0:
-        return np.zeros_like(x)
-    y = stereo_project(x, pole_axis)
     e = np.zeros(n)
     e[0] = 1.0
-    return stereo_push(y, e, pole_axis)
+    with np.errstate(invalid="ignore", divide="ignore"):  # the pole's own chart point
+        field = stereo_push(stereo_project(x, pole_axis), e, pole_axis)
+    return np.where((x[..., pole_axis] >= 1.0)[..., None], 0.0, field)
 
 
 # -- paths --------------------------------------------------------------------

@@ -19,17 +19,20 @@ space and the constructions below realize the known minimal counts:
 * any planner transfers along a homotopy equivalence (three-stage paths),
   e.g. from the circle to the punctured plane.
 
-``decide`` answers one query; ``decide_many`` answers many at once over
-(N, ambient) arrays and gives, row for row, the same decision (None where
-``decide`` raises CoverageGap).  A single query is cheaper through
-``decide``, so ``plan`` uses it and only bulk callers such as the verifier
-use ``decide_many``.
+``decide`` answers one query with a ``Decision``; ``decide_many`` answers
+N queries at once over (N, ambient) row blocks with a ``Decisions`` block,
+whose columns give, row for row, what ``decide`` gives (index 0 where it
+raises CoverageGap) and which builds no per-query object.  A single query
+is cheaper through ``decide``, so ``plan`` uses it and only bulk callers
+such as the verifier use ``decide_many``.
 
 Sections are built over rows: an elementary rule's section maps the
 (N, ambient) starts and goals of N queries to one bundle of N paths (see
-``geometry``).  ``leaf_rules`` names the elementary rule each leaf planner
-runs in a decision's section, and ``paths`` builds one bundle for
-decisions that share them; ``path`` is ``paths`` of one decision.
+``geometry``).  The rules the leaf planners run in a section, one per
+leaf, are its leaf rules, and ``bundle`` builds the sections of all
+queries that share them as one bundle.  ``leaf_rules`` names them for a
+``Decision`` and ``leaf_keys`` for rows of a ``Decisions`` block;
+``path`` is the one-row ``bundle`` of a decision.
 
 Planners are immutable once built and planning is pure, so a planner may be
 shared freely across threads.
@@ -66,6 +69,7 @@ from .geometry import (
     odd_vector_field,
     pair_paths,
     polar_arc_path,
+    row_norms,
     sphere_geometry,
     stack_points,
     vector_norm,
@@ -74,6 +78,7 @@ from .geometry import (
 __all__ = [
     "CoverageGap",
     "Decision",
+    "Decisions",
     "DomainMiss",
     "HomotopyEndpointMismatch",
     "LengthMismatch",
@@ -122,8 +127,8 @@ class PlannerRule:
     An elementary rule's ``weight`` maps a pair to [0, 1] and is positive
     exactly where the rule applies.  Its ``section`` maps the (N, ambient)
     blocks of N queries' starts and goals to one bundle of N paths, path n
-    from start n to goal n; only ``Planner.paths`` evaluates it, after
-    checking every query's weight.  ``weight_rows``, where given, is the
+    from start n to goal n; only ``Planner.bundle`` evaluates it, for
+    queries the rule covers.  ``weight_rows``, where given, is the
     weight over such blocks, row for row the float ``weight`` gives;
     without it ``decide_many`` calls ``weight`` per row.  Composite rules
     are names only.
@@ -158,15 +163,43 @@ class Decision:
     factors: tuple["Decision", ...] | None = None
 
 
+@dataclass(slots=True)
+class Decisions:
+    """A planner's decisions for N queries, as columns: ``decide`` of query
+    (a[n], b[n]) in row n.
+
+    ``a`` and ``b`` are the queries' (N, ambient) row blocks, ``index`` the
+    (N,) 1-based first applicable rules (0 where no rule applies) and
+    ``weights`` the (N, rules) normalized weights (meaningless in an
+    uncovered row).  A product node adds its left and right factor blocks
+    in ``factors`` and, for each row and level, the tie cell (S, T) of that
+    level: ``cells[n, level]`` holds the membership bits of S, then those
+    of T, packed into bytes (all zero where the level has no cell), so
+    equal keys on one level are equal cells however many rules there are;
+    ``factor_rules[n, level]`` is (min S + 1, min T + 1), the factor rules
+    the level's section pairs (0 where there is no cell).  A transfer node
+    adds its source block in ``factors`` and passes the source's cells on.
+    """
+
+    a: Blocks
+    b: Blocks
+    index: np.ndarray
+    weights: np.ndarray
+    factors: tuple["Decisions", ...] = ()
+    cells: np.ndarray | None = None
+    factor_rules: np.ndarray | None = None
+
+
 @dataclass
 class Planner:
     """An ordered rule system over a product geometry.
 
     ``decide`` computes a query's rule, weights and cell in one pass
-    (``decide_many`` does so for many queries over arrays) and ``paths``
-    builds a rule's sections from such decisions as one bundle; they are
-    the only way a rule is used.  ``point_sampler`` lets spaces with excluded loci
-    (e.g. the punctured plane) provide their own random points to verifiers.
+    (``decide_many`` does so for many queries over arrays) and ``bundle``
+    builds sections of queries that share leaf rules as one bundle; they
+    are the only way a rule is used.  ``point_sampler`` lets spaces with
+    excluded loci (e.g. the punctured plane) provide their own random
+    points to verifiers.
     """
 
     space: str
@@ -182,27 +215,24 @@ class Planner:
         total = sum(raw)
         return Decision(a, b, index, tuple(w / total for w in raw))
 
-    def decide_many(
-        self, a_points: Sequence[ConfigPoint], b_points: Sequence[ConfigPoint]
-    ) -> list[Decision | None]:
-        """``decide`` for each query (a_points[k], b_points[k]), bit for bit,
-        or None where it would raise CoverageGap."""
-        if not a_points:
-            return []
-        a_rows, b_rows = stack_points(a_points), stack_points(b_points)
-        return self._decide_rows(a_points, b_points, a_rows, b_rows)[1]
-
-    def _decide_rows(self, a_points, b_points, a_rows: Blocks, b_rows: Blocks):
-        """The normalized weights of every query as an (N, rules) array (rows
-        of uncovered queries are meaningless) and the decisions.
+    def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
+        """``decide`` of each query (a[n], b[n]) of two (N, ambient) row
+        blocks, bit for bit, with index 0 where it would raise CoverageGap.
 
         The arithmetic is ``decide``'s, elementwise: the rule weights as
-        columns, their sum as column adds from left to right."""
-        columns = [
-            r.weight_rows(a_rows, b_rows) if r.weight_rows is not None
-            else np.array([r.weight(a, b) for a, b in zip(a_points, b_points)], dtype=float)
-            for r in self.rules
-        ]
+        columns, their sum as column adds from left to right.  A rule
+        without ``weight_rows`` gets its points one row at a time."""
+        points = None
+        columns = []
+        for rule in self.rules:
+            if rule.weight_rows is not None:
+                columns.append(rule.weight_rows(a, b))
+                continue
+            if points is None:
+                points = [
+                    [ConfigPoint(self.geometry, row) for row in zip(*blocks)] for blocks in (a, b)
+                ]
+            columns.append(np.array([rule.weight(p, q) for p, q in zip(*points)], dtype=float))
         total = columns[0]
         for column in columns[1:]:
             total = total + column
@@ -210,44 +240,41 @@ class Planner:
         with np.errstate(invalid="ignore", divide="ignore"):
             weights = raw / total[:, None]
         applies = raw > 0.0
-        index = np.where(applies.any(axis=1), applies.argmax(axis=1) + 1, 0).tolist()
-        decisions = [
-            Decision(a, b, i, tuple(w)) if i else None
-            for a, b, i, w in zip(a_points, b_points, index, weights.tolist())
-        ]
-        return weights, decisions
+        index = np.where(applies.any(axis=1), applies.argmax(axis=1) + 1, 0)
+        return Decisions(a, b, index, weights)
+
+    @property
+    def leaf_count(self) -> int:
+        """The number of leaf planners, the length of a leaf-rule tuple."""
+        return 1
 
     def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
         """The 1-based rule each leaf planner runs in rule ``index``'s section
-        at the decided query, leaves in factor order; decisions with equal
-        leaf rules share one ``paths`` bundle."""
+        at the decided query, leaves in factor order; raises DomainMiss
+        where the decision does not cover that rule."""
+        if decision.weights[index - 1] <= 0.0:
+            raise DomainMiss(f"{self.rules[index - 1].name} rule does not cover this pair")
         return (index,)
 
-    def paths(self, decisions: Sequence[Decision], index: int) -> PathFn:
-        """Sections of the 1-based rule ``index`` at the decided queries, as
-        one bundle (path n at decisions[n]); raises DomainMiss where a
-        decision does not cover that rule, and ValueError where the
-        decisions' ``leaf_rules`` differ."""
-        return self._paths(decisions, [index] * len(decisions))
+    def leaf_keys(self, decisions: Decisions, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """``leaf_rules`` of the given rows of a block at their rules
+        ``index``, as a (len(rows), leaf_count) int array; each rule must
+        cover its row."""
+        return index[:, None]
 
-    def _paths(self, decisions: Sequence[Decision], indices: Sequence[int]) -> PathFn:
-        """``paths`` with rule indices[n] at decisions[n].  The indices may
-        differ above the leaves (a product's levels can pair the same
-        factor rules), but each leaf must run one rule."""
-        if len(set(indices)) != 1:
-            raise ValueError(f"{self.space}: the decisions run different leaf rules")
-        index = indices[0]
-        rule = self.rules[index - 1]
-        if any(d.weights[index - 1] <= 0.0 for d in decisions):
-            raise DomainMiss(f"{rule.name} rule does not cover this pair")
-        return rule.section(
-            stack_points([d.a for d in decisions]), stack_points([d.b for d in decisions])
-        )
+    def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
+        """The sections of N queries whose leaf planners run the 1-based
+        rules ``leaves``, from their (N, ambient) starts and goals, as one
+        bundle (path n from a[n] to b[n]).  The rules must cover every
+        query: ``path`` checks that for one query."""
+        return self.rules[leaves[0] - 1].section(a, b)
 
     def path(self, decision: Decision, index: int) -> PathFn:
-        """Section of the 1-based rule ``index`` at the decided query: the
-        one-path bundle of ``paths``."""
-        return self._paths([decision], [index])
+        """Section of the 1-based rule ``index`` at the decided query, the
+        one-row ``bundle`` of its leaf rules; raises DomainMiss where the
+        decision does not cover that rule."""
+        leaves = self.leaf_rules(decision, index)
+        return self.bundle(stack_points([decision.a]), stack_points([decision.b]), leaves)
 
     def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
         """View of ``decide``, unused in tcplan; goes when ROADMAP item 5 drops its span."""
@@ -384,14 +411,14 @@ def sphere_planner(n: int) -> Planner:
     pole[n] = 1.0  # B_0, zero of the even tangent field
     chart_axis = 0  # C = e_1, base point of the rule-3 chart
 
-    def tangent_at(vec: np.ndarray) -> np.ndarray:
-        v = odd_vector_field(vec, n) if odd else even_vector_field(vec, n)
-        return v / np.linalg.norm(v)
+    def tangent_at(rows: np.ndarray) -> np.ndarray:
+        v = odd_vector_field(rows, n) if odd else even_vector_field(rows, n)
+        return v / row_norms(v)[:, None]
 
     def s_two_stage(a, b):
         (goals,) = b
         to_antipode = geodesic_path(geometry, a, (-goals,))
-        sweep = polar_arc_path(geometry, goals, np.array([tangent_at(v) for v in goals]))
+        sweep = polar_arc_path(geometry, goals, tangent_at(goals))
         return concat_paths([(0.0, 0.5, to_antipode), (0.5, 1.0, sweep)], "two-stage")
 
     if odd:
@@ -501,8 +528,9 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     and q + 1 sorted positions, which end a tie group, so the order in
     which the sort puts tied indices does not matter.
 
-    Returns the (N, n + m + 1) raw level weights, each row's cells by level
-    (in ``_tie_cells``' order) and each row's argmax-cell level.
+    Returns the (N, n + m + 1) raw level weights; the (N, n + m + 1, bytes)
+    cell keys and (N, n + m + 1, 2) factor rules of ``Decisions``; and each
+    row's argmax-cell level.
     """
     count, n, m = f.shape[0], f.shape[1], g.shape[1]
     f_order = np.argsort(-f, axis=1)
@@ -519,16 +547,23 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     margin = fs[:, :, None] * gs[:, None, :] - outside
 
     rows, ps, qs = np.nonzero(margin > 0.0)
+    cell_levels = ps + qs + 2
     levels = np.zeros((count, n + m + 1))
-    levels[rows, ps + qs + 2] = margin[rows, ps, qs]
-    # the index sets of the top p + 1 sorted positions, ascending, by p and row
-    f_sets = [list(map(tuple, np.sort(f_order[:, : p + 1]).tolist())) for p in range(n)]
-    g_sets = [list(map(tuple, np.sort(g_order[:, : q + 1]).tolist())) for q in range(m)]
-    cells: list[dict] = [{} for _ in range(count)]
-    for r, p, q in zip(rows.tolist(), ps.tolist(), qs.tolist()):
-        cells[r][p + q + 2] = (f_sets[p][r], g_sets[q][r])
+    levels[rows, cell_levels] = margin[rows, ps, qs]
+    # S holds the indices whose sorted position is at most p, T likewise
+    f_rank = np.argsort(f_order, axis=1)[rows]
+    g_rank = np.argsort(g_order, axis=1)[rows]
+    keys = np.concatenate(
+        (np.packbits(f_rank <= ps[:, None], axis=1), np.packbits(g_rank <= qs[:, None], axis=1)),
+        axis=1,
+    )
+    cells = np.zeros((count, n + m + 1, keys.shape[1]), dtype=np.uint8)
+    cells[rows, cell_levels] = keys
+    factor_rules = np.zeros((count, n + m + 1, 2), dtype=np.int64)
+    factor_rules[rows, cell_levels, 0] = np.minimum.accumulate(f_order, axis=1)[rows, ps] + 1
+    factor_rules[rows, cell_levels, 1] = np.minimum.accumulate(g_order, axis=1)[rows, qs] + 1
     tops = (fs == fmax).sum(axis=1) + (gs == gmax).sum(axis=1)
-    return levels, cells, tops.tolist()
+    return levels, cells, factor_rules, tops
 
 
 class ProductPlanner(Planner):
@@ -561,56 +596,49 @@ class ProductPlanner(Planner):
         weights = tuple(w / total for w in levels[2:])
         return Decision(a, b, level - 1, weights, cells[level], cells, (left, right))
 
-    def _decide_rows(self, a_points, b_points, a_rows: Blocks, b_rows: Blocks):
+    def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
         """``decide`` over rows: the factors' weight arrays go through
-        ``_tie_cell_rows``, and a row is None where a factor's is."""
-        k, x, y = self.split, self.left.geometry, self.right.geometry
-        f, left = self.left._decide_rows(
-            [ConfigPoint(x, p.parts[:k]) for p in a_points],
-            [ConfigPoint(x, p.parts[:k]) for p in b_points],
-            a_rows[:k],
-            b_rows[:k],
-        )
-        g, right = self.right._decide_rows(
-            [ConfigPoint(y, p.parts[k:]) for p in a_points],
-            [ConfigPoint(y, p.parts[k:]) for p in b_points],
-            a_rows[k:],
-            b_rows[k:],
-        )
-        levels, cells, tops = _tie_cell_rows(f, g)
+        ``_tie_cell_rows``, and a row is uncovered where a factor's is."""
+        k = self.split
+        left = self.left.decide_many(a[:k], b[:k])
+        right = self.right.decide_many(a[k:], b[k:])
+        levels, cells, factor_rules, tops = _tie_cell_rows(left.weights, right.weights)
         total = levels[:, 2]
         for column in levels[:, 3:].T:
             total = total + column
         with np.errstate(invalid="ignore", divide="ignore"):
             weights = levels[:, 2:] / total[:, None]
-        decisions = [
-            None if fd is None or gd is None
-            else Decision(a, b, top - 1, tuple(w), row_cells[top], row_cells, (fd, gd))
-            for a, b, fd, gd, top, w, row_cells
-            in zip(a_points, b_points, left, right, tops, weights.tolist(), cells)
-        ]
-        return weights, decisions
+        index = np.where((left.index > 0) & (right.index > 0), tops - 1, 0)
+        return Decisions(a, b, index, weights, (left, right), cells, factor_rules)
 
-    def _factor_rules(self, decision: Decision, index: int) -> tuple[int, int]:
-        """The 1-based left and right rules that rule ``index``'s section
-        pairs at the decided query: min S and min T of its cell."""
+    @property
+    def leaf_count(self) -> int:
+        return self.left.leaf_count + self.right.leaf_count
+
+    def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
         cell = decision.cells.get(index + 1)
         if cell is None:
             raise DomainMiss(f"level-{index + 1} rule does not cover this pair")
-        s, t = cell
-        return min(s) + 1, min(t) + 1
+        (s, t), (left, right) = cell, decision.factors
+        return self.left.leaf_rules(left, min(s) + 1) + self.right.leaf_rules(right, min(t) + 1)
 
-    def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
-        i, j = self._factor_rules(decision, index)
-        left, right = decision.factors
-        return self.left.leaf_rules(left, i) + self.right.leaf_rules(right, j)
+    def leaf_keys(self, decisions: Decisions, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+        pairs = decisions.factor_rules[rows, index + 1]
+        left, right = decisions.factors
+        return np.concatenate(
+            (
+                self.left.leaf_keys(left, rows, pairs[:, 0]),
+                self.right.leaf_keys(right, rows, pairs[:, 1]),
+            ),
+            axis=1,
+        )
 
-    def _paths(self, decisions: Sequence[Decision], indices: Sequence[int]) -> PathFn:
-        sides = [self._factor_rules(d, index) for d, index in zip(decisions, indices)]
+    def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
+        k, split = self.split, self.left.leaf_count
         return pair_paths(
             self.geometry,
-            self.left._paths([d.factors[0] for d in decisions], [i for i, _ in sides]),
-            self.right._paths([d.factors[1] for d in decisions], [j for _, j in sides]),
+            self.left.bundle(a[:k], b[:k], leaves[:split]),
+            self.right.bundle(a[k:], b[k:], leaves[split:]),
         )
 
 
@@ -683,32 +711,44 @@ class TransferPlanner(Planner):
         source = self.source.decide(self.f(a), self.f(b))
         return Decision(a, b, source.index, source.weights, source.cell, factors=(source,))
 
-    def _decide_rows(self, a_points, b_points, a_rows, b_rows):
-        fa, fb = list(map(self.f, a_points)), list(map(self.f, b_points))
-        weights, sources = self.source._decide_rows(fa, fb, stack_points(fa), stack_points(fb))
-        return weights, [
-            None if s is None else Decision(a, b, s.index, s.weights, s.cell, factors=(s,))
-            for a, b, s in zip(a_points, b_points, sources)
-        ]
+    def _source_rows(self, rows: Blocks) -> Blocks:
+        """f of each row of a block, as the source planner's rows."""
+        points = [self.f(ConfigPoint(self.geometry, row)) for row in zip(*rows)]
+        if not points:
+            return tuple(np.empty((0, f.ambient)) for f in self.source.geometry.factors)
+        return stack_points(points)
+
+    def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
+        source = self.source.decide_many(self._source_rows(a), self._source_rows(b))
+        return Decisions(a, b, source.index, source.weights, (source,), source.cells)
+
+    @property
+    def leaf_count(self) -> int:
+        return self.source.leaf_count
 
     def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
         return self.source.leaf_rules(decision.factors[0], index)
 
-    def _paths(self, decisions: Sequence[Decision], indices: Sequence[int]) -> PathFn:
+    def leaf_keys(self, decisions: Decisions, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return self.source.leaf_keys(decisions.factors[0], rows, index)
+
+    def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
         h, geometry = self.h, self.geometry
-        source = self.source._paths([d.factors[0] for d in decisions], indices)
+        source = self.source.bundle(self._source_rows(a), self._source_rows(b), leaves)
         mid = mapped_path(source, self.g, geometry, "pushed")
 
-        def slide(points, backwards, label):
+        def slide(rows, backwards, label):
+            points = [ConfigPoint(geometry, row) for row in zip(*rows)]
+
             def sample(ts):
                 t = (1.0 - ts if backwards else ts)[:, None]
-                rows = [as_rows(geometry, h(t, point).parts, len(ts)) for point in points]
-                return tuple(map(np.concatenate, zip(*rows)))
+                out = [as_rows(geometry, h(t, point).parts, len(ts)) for point in points]
+                return tuple(map(np.concatenate, zip(*out)))
 
             return PathFn(geometry, sample, ((0.0, 1.0, False),), label)
 
-        head = slide([d.a for d in decisions], False, "homotopy-in")
-        tail = slide([d.b for d in decisions], True, "homotopy-out")
+        head = slide(a, False, "homotopy-in")
+        tail = slide(b, True, "homotopy-out")
         return concat_paths(
             [(0.0, 1.0 / 3.0, head), (1.0 / 3.0, 2.0 / 3.0, mid), (2.0 / 3.0, 1.0, tail)],
             "transfer",

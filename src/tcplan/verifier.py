@@ -15,6 +15,14 @@ geometry     sampled path points stay on their spheres within TOLERANCE,
              and segments declared constant-speed have sampled speed
              variation < 1%.
 
+The checks run over arrays.  The queries are stacked once into (N,
+ambient) row blocks and go through in blocks of ``VERIFY_BATCH`` rows: a
+block is decided at once into a ``Decisions`` block, its rows are grouped
+by rule and leaf rules (``Planner.leaf_keys``), and each group's sections
+are built and sampled as one bundle (``Planner.bundle``).  No per-query
+object is built, except the points of a planner's own ``point_sampler``
+and of rules without array weights.
+
 The continuity bound is an empirical regression guard, not a theorem: the
 modulus of any rule blows up at its domain boundary, which is exactly why
 several rules are needed in the first place; restricting to the weight
@@ -46,7 +54,7 @@ from .geometry import (
     stack_points,
     tangent_perturb_rows,
 )
-from .planner_core import CoverageGap, Decision, DomainMiss, Planner
+from .planner_core import CoverageGap, Decisions, DomainMiss, Planner
 
 DEFAULT_SPEED_TOL = 0.01
 MAX_PAIRS = 100_000
@@ -181,24 +189,26 @@ def _factor_pair_menu(factor, rng: np.random.Generator) -> list[tuple[np.ndarray
     return [(v, v.copy()), (v, w)]
 
 
-def _menu_combo(menus: list[list], index: int) -> tuple:
-    """Entry ``index`` of ``itertools.product(*menus)`` (last menu fastest),
-    without building the product."""
-    combo = []
+def _menu_digits(menus: list[list], index: int) -> list[int]:
+    """The position in each menu of entry ``index`` of
+    ``itertools.product(*menus)`` (last menu fastest), without building
+    the product."""
+    digits = []
     for menu in reversed(menus):
         index, digit = divmod(index, len(menu))
-        combo.append(menu[digit])
-    return tuple(reversed(combo))
+        digits.append(digit)
+    return digits[::-1]
 
 
-def adversarial_pairs(
+def adversarial_rows(
     planner: Planner, rng: np.random.Generator, cap: int = 512
-) -> list[tuple[ConfigPoint, ConfigPoint]]:
-    """Deterministic boundary-case queries injected ahead of random sampling."""
+) -> tuple[Blocks, Blocks]:
+    """Deterministic boundary-case queries injected ahead of random
+    sampling, as the row blocks of their starts and of their goals."""
     geometry = planner.geometry
     if planner.point_sampler is not None:
         pts = [planner.point_sampler(rng) for _ in range(8)]
-        return [(p, p) for p in pts] + list(zip(pts, reversed(pts)))
+        return stack_points(pts + pts), stack_points(pts + pts[::-1])
     menus = [_factor_pair_menu(f, rng) for f in geometry.factors]
     total = math.prod(len(menu) for menu in menus)
     keep = range(total)
@@ -211,13 +221,20 @@ def adversarial_pairs(
         keep = sorted(picked)
     elif total > cap:
         keep = sorted(int(i) for i in rng.choice(total, size=cap, replace=False))
-    out = []
-    for i in keep:
-        combo = _menu_combo(menus, i)
-        a = ConfigPoint(geometry, tuple(x for x, _ in combo))
-        b = ConfigPoint(geometry, tuple(y for _, y in combo))
-        out.append((a, b))
-    return out
+    digits = np.array([_menu_digits(menus, i) for i in keep])
+    return tuple(
+        tuple(np.array([pair[side] for pair in menu])[digits[:, k]] for k, menu in enumerate(menus))
+        for side in (0, 1)
+    )
+
+
+def adversarial_pairs(
+    planner: Planner, rng: np.random.Generator, cap: int = 512
+) -> list[tuple[ConfigPoint, ConfigPoint]]:
+    """``adversarial_rows`` as (start, goal) points."""
+    starts, goals = adversarial_rows(planner, rng, cap)
+    point = lambda row: ConfigPoint(planner.geometry, row)
+    return [(point(a), point(b)) for a, b in zip(zip(*starts), zip(*goals))]
 
 
 # -- the four checks --------------------------------------------------------------
@@ -276,66 +293,88 @@ def _speed_variation(path) -> float:
 
 
 def _sample_sections(
-    planner: Planner, decisions: list[Decision], ts: np.ndarray, probed: int = 0
+    planner: Planner, decisions: Decisions, rows: np.ndarray, ts: np.ndarray, probed: int = 0
 ) -> tuple[Blocks, list[float]]:
-    """Each decision's section of its own rule sampled at ``ts``, as
-    (len(decisions) * T, ambient) blocks in decision order, and the speed
-    spreads of the first ``probed`` decisions' sections.
+    """The section of each given row's own rule sampled at ``ts``, as
+    (len(rows) * T, ambient) blocks in the order of ``rows``, and the speed
+    spreads of the first ``probed`` rows' sections.
 
-    Decisions are grouped by (rule, leaf rules) in first-seen order, and
-    each group's bundle is built and sampled once: at ``ts``, and also at
-    its speed probes where the group holds a probed decision.
+    Rows are grouped by (rule, leaf rules) in first-seen order, and each
+    group's bundle is built and sampled once: at ``ts``, and also at its
+    speed probes where the group holds a probed row.
     """
-    groups: dict[tuple, list[int]] = {}
-    for k, d in enumerate(decisions):
-        groups.setdefault((d.index, planner.leaf_rules(d, d.index)), []).append(k)
+    index = decisions.index[rows]
+    keys = np.concatenate((index[:, None], planner.leaf_keys(decisions, rows, index)), axis=1)
+    _, firsts, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
     geometry = planner.geometry
     count = len(ts)
-    out = tuple(np.empty((len(decisions), count, f.ambient)) for f in geometry.factors)
+    out = tuple(np.empty((len(rows), count, f.ambient)) for f in geometry.factors)
     spreads = []
-    for (index, _), members in groups.items():
-        bundle = planner.paths([decisions[k] for k in members], index)
-        checked = sum(k < probed for k in members)  # a prefix: members ascend
+    for group in np.argsort(firsts):
+        members = np.flatnonzero(inverse == group)
+        picked = rows[members]
+        bundle = planner.bundle(
+            tuple(x[picked] for x in decisions.a),
+            tuple(x[picked] for x in decisions.b),
+            keys[firsts[group], 1:].tolist(),
+        )
+        checked = int(np.count_nonzero(members < probed))  # a prefix: members ascend
         times, steps = ts, []
         if checked:
             probes, steps = _speed_probes(bundle.pieces)
             times = np.concatenate((ts, probes))
-        rows = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
-        for block, r in zip(out, rows):
+        sampled = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
+        for block, r in zip(out, sampled):
             block[members] = r[:, :count]
         if checked:
-            spreads += _speed_spreads(geometry, [r[:checked, count:] for r in rows], steps)
+            spreads += _speed_spreads(geometry, [r[:checked, count:] for r in sampled], steps)
     return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads
 
 
-def _perturbed(
-    geometry: Geometry, points: list[ConfigPoint], normals: np.ndarray
-) -> list[ConfigPoint]:
-    """Each point moved by DELTA as tangent_perturb moves it with these normals."""
-    moved = tangent_perturb_rows(geometry, stack_points(points), DELTA, normals)
-    return [ConfigPoint(geometry, row) for row in zip(*moved)]
+def _same_cells(decisions: Decisions, rows: np.ndarray, twins: Decisions) -> np.ndarray:
+    """Whether each twin (row k of ``twins``, the twin of row rows[k]) has
+    the tie cell its query has at the query's decided level; true where
+    the planner has no cells."""
+    if decisions.cells is None:
+        return np.ones(len(rows), dtype=bool)
+    level = decisions.index[rows] + 1
+    mine = decisions.cells[rows, level]
+    theirs = twins.cells[np.arange(len(rows)), level]
+    return (mine == theirs).all(axis=1)
+
+
+def _query_rows(planner: Planner, rng: np.random.Generator, pairs: int) -> tuple[Blocks, Blocks]:
+    """The adversarial queries, then ``pairs`` random ones, as the row
+    blocks of their starts and of their goals."""
+    starts, goals = adversarial_rows(planner, rng)
+    if planner.point_sampler is not None:
+        points = stack_points([planner.point_sampler(rng) for _ in range(2 * pairs)])
+    else:
+        points = random_points(planner.geometry, rng, 2 * pairs)
+    return (
+        tuple(np.concatenate((x, p[0::2])) for x, p in zip(starts, points)),
+        tuple(np.concatenate((y, p[1::2])) for y, p in zip(goals, points)),
+    )
 
 
 def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> VerifyReport:
     """Run the four checks over cfg.pairs random queries plus the adversarial
     injection; fully deterministic for a given (planner, cfg).
 
-    The random queries' points come from one ``random_points`` call.  The
-    queries go through in blocks of ``VERIFY_BATCH``.  Each block is decided
-    at once, and its covered queries' sections are built and sampled as one
-    bundle per (rule, leaf rules) group.  The twins of its eligible queries
-    are drawn with one generator call (which draws what one tangent_perturb
-    call per point would, in query order), decided at once, and sampled in
-    bundles grouped by their own decisions.  Each check runs once over the
-    block's stacked rows.
+    The queries are stacked once into row blocks (the random ones from one
+    ``random_points`` call) and go through in blocks of ``VERIFY_BATCH``
+    rows.  Each block is decided at once into a ``Decisions`` block, and
+    its covered rows' sections are built and sampled as one bundle per
+    (rule, leaf rules) group.  The twins of its eligible rows are drawn
+    with one generator call (which draws what one tangent_perturb call per
+    point would, in query order), decided at once, and sampled in bundles
+    grouped by their own decisions.  Each check runs once over the block's
+    stacked rows.
     """
     rng = np.random.default_rng(cfg.seed)
-    queries = adversarial_pairs(planner, rng)
-    if planner.point_sampler is not None:
-        points = [planner.point_sampler(rng) for _ in range(2 * cfg.pairs)]
-    else:
-        points = random_points(planner.geometry, rng, 2 * cfg.pairs)
-    queries += zip(points[0::2], points[1::2])
+    starts, goals = _query_rows(planner, rng, cfg.pairs)
+    total = len(starts[0])
 
     geometry = planner.geometry
     ts = np.array([i / (SAMPLES_PER_PATH - 1) for i in range(SAMPLES_PER_PATH)])
@@ -348,68 +387,62 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     max_norm = 0.0
     max_speed = 0.0
     speed_checked = 0
-    usage: dict[int, int] = {i + 1: 0 for i in range(len(planner.rules))}
+    usage = np.zeros(len(planner.rules) + 1, dtype=np.int64)  # slot 0 counts uncovered rows
 
-    for first in range(0, len(queries), VERIFY_BATCH):
-        block = queries[first : first + VERIFY_BATCH]
-        covered = []
-        for decision in planner.decide_many(*zip(*block)):
-            if decision is None:
-                uncovered += 1
-            else:
-                usage[decision.index] += 1
-                covered.append(decision)
-        if not covered:
+    for first in range(0, total, VERIFY_BATCH):
+        block = slice(first, first + VERIFY_BATCH)
+        decisions = planner.decide_many(
+            tuple(x[block] for x in starts), tuple(x[block] for x in goals)
+        )
+        index = decisions.index
+        usage += np.bincount(index, minlength=len(usage))
+        covered = np.flatnonzero(index)
+        uncovered += len(index) - len(covered)
+        if not len(covered):
             continue
         probed = min(len(covered), SPEED_CHECKS - speed_checked)
-        sampled, spreads = _sample_sections(planner, covered, ts, probed)
+        sampled, spreads = _sample_sections(planner, decisions, covered, ts, probed)
         max_speed = _worst(max_speed, spreads)
         speed_checked += probed
-
-        starts, goals = [d.a for d in covered], [d.b for d in covered]
-        # (position, rule, cell) of each query whose twins are drawn
-        eligible = [
-            (k, d.index, d.cell) for k, d in enumerate(covered) if d.weights[d.index - 1] >= MARGIN_ETA
-        ]
-        del covered, decision  # free the block's decisions before its twins are decided
 
         # every path's first rows, then its last rows, against starts + goals
         last = SAMPLES_PER_PATH - 1
         first_last = tuple(
             np.concatenate((rows[::SAMPLES_PER_PATH], rows[last::SAMPLES_PER_PATH])) for rows in sampled
         )
-        ends = stack_points(starts + goals)
+        ends = tuple(
+            np.concatenate((a[covered], b[covered])) for a, b in zip(decisions.a, decisions.b)
+        )
         max_end = _worst(max_end, config_distances(geometry, first_last, ends).tolist())
         for slot in sphere_slots:
             max_norm = _worst(max_norm, np.abs(row_norms(sampled[slot]) - 1.0).tolist())
 
-        if not eligible:
+        # positions in ``covered`` of the rows whose twins are drawn
+        eligible = np.flatnonzero(decisions.weights[covered, index[covered] - 1] >= MARGIN_ETA)
+        if not len(eligible):
             continue
-        normals = rng.standard_normal((len(eligible), 2, geometry.ambient_dim))
-        twins = planner.decide_many(
-            _perturbed(geometry, [starts[k] for k, *_ in eligible], normals[:, 0]),
-            _perturbed(geometry, [goals[k] for k, *_ in eligible], normals[:, 1]),
-        )
-        compared, matched = [], []
-        for (k, index, cell), twin in zip(eligible, twins):
-            if twin is None:
-                uncovered += 1
-            elif twin.index == index and twin.cell == cell:
-                compared.append(k)
-                matched.append(twin)
-        if compared:
+        rows = covered[eligible]
+        normals = rng.standard_normal((len(rows), 2, geometry.ambient_dim))
+        twins = planner.decide_many(*(
+            tangent_perturb_rows(geometry, tuple(x[rows] for x in side), DELTA, normals[:, k])
+            for k, side in enumerate((decisions.a, decisions.b))
+        ))
+        uncovered += int(np.count_nonzero(twins.index == 0))
+        matched = np.flatnonzero((twins.index == index[rows]) & _same_cells(decisions, rows, twins))
+        if len(matched):
             # the rows of the compared queries' paths, path by path
-            rows = (np.array(compared)[:, None] * SAMPLES_PER_PATH + np.arange(SAMPLES_PER_PATH)).ravel()
-            twin_sampled, _ = _sample_sections(planner, matched, ts)
-            gaps = config_distances(geometry, [p[rows] for p in sampled], twin_sampled)
-            sups = gaps.reshape(len(compared), SAMPLES_PER_PATH).max(axis=1)
+            compared = eligible[matched]
+            path_rows = (compared[:, None] * SAMPLES_PER_PATH + np.arange(SAMPLES_PER_PATH)).ravel()
+            twin_sampled, _ = _sample_sections(planner, twins, matched, ts)
+            gaps = config_distances(geometry, [p[path_rows] for p in sampled], twin_sampled)
+            sups = gaps.reshape(len(matched), SAMPLES_PER_PATH).max(axis=1)
             max_ratio = _worst(max_ratio, (sups / DELTA).tolist())
-            continuity_checked += len(compared)
+            continuity_checked += len(matched)
 
     return VerifyReport(
         space=planner.space,
         seed=cfg.seed,
-        pairs_checked=len(queries),
+        pairs_checked=total,
         max_endpoint_error=max_end,
         uncovered_pairs=uncovered,
         max_continuity_ratio=max_ratio,
@@ -417,7 +450,7 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
         max_norm_error=max_norm,
         max_speed_variation=max_speed,
         speed_checked=speed_checked,
-        rule_usage=usage,
+        rule_usage=dict(enumerate(usage[1:].tolist(), 1)),
         section_pass=max_end <= TOLERANCE,
         coverage_pass=uncovered == 0,
         continuity_pass=math.isfinite(max_ratio) and max_ratio <= MAX_RATIO,

@@ -3,8 +3,10 @@ tolerance and prints a one-line verdict.  Run with `pytest -s` to see the
 lines; every numeric expectation here is exact arithmetic or a frozen
 closed-form value, never a tuned constant."""
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -113,20 +115,30 @@ def test_criterion_3_bounds_exactness():
     report(3, not failures, f"{len(expectations)} exact values" + ("; " + "; ".join(failures) if failures else ""))
 
 
+# One line per criterion-4 planner, in order: its report's as_dict() JSON
+# (written by tests/test_scripts.py).
+CRITERION_4_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_seed42_pairs10000.jsonl"
+
+
 def test_criterion_4_planner_contracts():
-    """Default-config verification and reconciliation across all planners."""
+    """Default-config verification and reconciliation across all planners,
+    each report byte-identical to its golden line."""
     specs = ["convex:3", "circle", "sphere:2", "sphere:3", "torus:2", "torus:3",
              "torus:4", "product(sphere:2,sphere:2)"]
     cfg = VerifyConfig(seed=42, pairs=10_000)
     assert (DELTA, MARGIN_ETA, TOLERANCE) == (1e-4, 0.1, 1e-9)
+    golden = CRITERION_4_GOLDEN.read_text().splitlines()
+    assert len(golden) == len(specs)
     start = time.monotonic()
     failures = []
     times = []  # each planner's verify time
-    for spec in specs:
+    for spec, line in zip(specs, golden):
         planner = build_planner(spec)
         verify_start = time.monotonic()
         rep = verify_planner(planner, cfg)
         times.append(f"{spec} {time.monotonic() - verify_start:.1f}s")
+        if json.dumps(rep.as_dict()) != line:
+            failures.append(f"{spec}: report differs from {CRITERION_4_GOLDEN.name}")
         if not rep.passed:
             failures.append(f"{spec}: checks failed {rep.as_dict()}")
             continue

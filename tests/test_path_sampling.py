@@ -12,8 +12,9 @@ the bundle.
 
 The last tests pin the facts the verifier's blocks rest on: ``np.vecdot``
 rows equal ``np.dot``, one generator draw of a block equals the draws made
-one at a time (``random_points`` included), and the block perturbation
-equals ``tangent_perturb``.
+one at a time (``random_points`` included), the block perturbation
+equals ``tangent_perturb``, and the row forms of the sphere distance and
+of the even-sphere tangent field equal their per-point formulas.
 """
 
 import math
@@ -23,12 +24,15 @@ import pytest
 
 from tcplan.geometry import (
     ConfigPoint,
+    Factor,
+    _chord_arc,
     antipode,
     config_distance,
     config_distances,
     even_vector_field,
     geodesic_path,
     factor_distance,
+    factor_distances,
     make_point,
     odd_vector_field,
     random_point,
@@ -36,6 +40,7 @@ from tcplan.geometry import (
     row_norms,
     stack_points,
     stereo_project,
+    stereo_push,
     tangent_perturb,
     tangent_perturb_rows,
     vector_norm,
@@ -51,12 +56,12 @@ from tcplan.planner_core import (
 from tcplan.verifier import (
     DELTA,
     SAMPLES_PER_PATH,
-    _perturbed,
     _speed_variation,
     adversarial_pairs,
 )
 
-from test_planner_core import DECIDE_MANY_PLANNERS  # the planners of test_decide_many_matches_decide
+# the planners of test_decide_many_matches_decide, and its reading of a block's rows
+from test_planner_core import DECIDE_MANY_PLANNERS, row_decision
 
 # -- the per-time formulas ---------------------------------------------------------
 
@@ -98,6 +103,21 @@ def ref_chart_segment(a, b, axis):
         return (np.insert(2.0 * y, axis, r2 - 1.0) / (r2 + 1.0),)
 
     return fn
+
+
+def ref_even_vector_field(x, n):
+    """The even-sphere tangent field at one point, as it was evaluated
+    before it took rows."""
+    if x[n] >= 1.0:
+        return np.zeros_like(x)
+    y = stereo_project(x, n)
+    e = np.zeros(n)
+    e[0] = 1.0
+    r2 = float(np.dot(y, y))
+    ye = float(np.dot(y, e))
+    term1 = np.insert(2.0 * e, n, 2.0 * ye) / (1.0 + r2)
+    term2 = np.insert(2.0 * y, n, r2 - 1.0) * (2.0 * ye) / (1.0 + r2) ** 2
+    return term1 - term2
 
 
 def ref_concat(segments):
@@ -156,7 +176,7 @@ def reference_path(planner, decision, index):
         return ref_positive_arc(x, y)
     if name == "two-stage":
         n = planner.geometry.factors[0].dim
-        field = odd_vector_field(y, n) if n % 2 else even_vector_field(y, n)
+        field = odd_vector_field(y, n) if n % 2 else ref_even_vector_field(y, n)
         sweep = ref_polar_arc(y, field / np.linalg.norm(field))
         return ref_concat([(0.0, 0.5, ref_geodesic(a, antipode(b))), (0.5, 1.0, sweep)])
     assert name == "chart-segment"
@@ -335,11 +355,14 @@ def test_bundle_rows_equal_each_paths_own_rows(name):
     pairs = adversarial_pairs(planner, rng) + [(sampler(rng), sampler(rng)) for _ in range(60)]
     if planner.point_sampler is None:
         pairs += near_pairs(planner, rng, 20)
-    decisions = [d for d in planner.decide_many(*zip(*pairs)) if d is not None]
+    block = planner.decide_many(*(stack_points(side) for side in zip(*pairs)))
+    decisions = [row_decision(planner, block, row) for row in range(len(pairs))]
+    decisions = [d for d in decisions if d is not None]
     shared = 0
     for index in range(1, len(planner.rules) + 1):
-        for members in covering_groups(planner, decisions, index).values():
-            bundle = planner.paths([d for d, _ in members], index)
+        for leaves, members in covering_groups(planner, decisions, index).items():
+            starts, goals = (stack_points(side) for side in zip(*((d.a, d.b) for d, _ in members)))
+            bundle = planner.bundle(starts, goals, leaves)
             ts = VERIFY_TS + CLI_TS + CUT_TS + probe_times(bundle)
             rows = bundle.sample(ts)
             assert [r.shape for r in rows] == [
@@ -359,7 +382,7 @@ def test_geodesic_bundle_mixes_near_equal_far_and_near_antipodal_rows():
     as its own one-row bundle and the per-time formula do."""
     geometry = build_planner("product(sphere:2,circle,convex:2)").geometry
     rng = np.random.default_rng(8)
-    starts = random_points(geometry, rng, 60)
+    starts = [ConfigPoint(geometry, row) for row in zip(*random_points(geometry, rng, 60))]
     goals = []
     for k, a in enumerate(starts):
         if k % 3 == 0:
@@ -392,24 +415,32 @@ def ref_geodesic_angles(a, b):
     return angles
 
 
-def test_paths_rejects_mixed_leaf_rules_and_uncovered_decisions():
+def test_leaf_keys_split_mixed_leaf_rules_and_path_rejects_uncovered_decisions():
+    """Rows of one rule whose leaves run different rules get different leaf
+    keys, each its decision's leaf rules, so they never share a bundle;
+    and ``path`` rejects a rule that does not cover the decision."""
     planner = build_planner("torus:3")
-    decisions = planner.decide_many(*zip(*adversarial_pairs(planner, np.random.default_rng(4))))
+    pairs = adversarial_pairs(planner, np.random.default_rng(4))
+    block = planner.decide_many(*(stack_points(side) for side in zip(*pairs)))
+    rows = np.arange(len(pairs))
+    keys = planner.leaf_keys(block, rows, block.index)
+    decisions = [row_decision(planner, block, row) for row in rows]
+    assert [tuple(k) for k in keys.tolist()] == [planner.leaf_rules(d, d.index) for d in decisions]
     seen = {}
-    for d in decisions:
-        seen.setdefault(d.index, {}).setdefault(planner.leaf_rules(d, d.index), d)
-    index, by_leaves = next((i, v) for i, v in seen.items() if len(v) > 1)
-    with pytest.raises(ValueError, match="different leaf rules"):
-        planner.paths(list(by_leaves.values()), index)
+    for d, key in zip(decisions, keys.tolist()):
+        seen.setdefault(d.index, set()).add(tuple(key))
+    assert any(len(keys) > 1 for keys in seen.values())
     covered = next(d for d in decisions if d.weights[1] > 0.0)
     uncovered = next(d for d in decisions if d.weights[1] == 0.0)
+    planner.path(covered, 2)
     with pytest.raises(DomainMiss, match="does not cover"):
-        planner.paths([covered, uncovered], 2)
+        planner.path(uncovered, 2)
     circle = build_planner("circle")
     apart = circle.decide(make_point(circle.geometry, [1, 0]), make_point(circle.geometry, [0, 1]))
     equal = circle.decide(*[make_point(circle.geometry, [0.6, 0.8])] * 2)
+    circle.path(apart, 2)
     with pytest.raises(DomainMiss, match="does not cover"):
-        circle.paths([apart, equal], 2)
+        circle.path(equal, 2)
 
 
 def test_sample_path_rows_are_the_cli_samples():
@@ -480,10 +511,12 @@ def test_random_points_equal_the_sequential_draws(spec):
     sequential, block = np.random.default_rng(3), np.random.default_rng(3)
     expected = [random_point(geometry, sequential) for _ in range(301)]
     got = random_points(geometry, block, 301)
-    assert [hexed(p.parts) for p in got] == [hexed(p.parts) for p in expected]
-    assert all(not part.flags.writeable for p in got for part in p.parts)
+    assert [hexed(row) for row in zip(*got)] == [hexed(p.parts) for p in expected]
+    assert all(not part.flags.writeable for p in expected for part in p.parts)
     assert sequential.bit_generator.state == block.bit_generator.state
-    assert random_points(geometry, block, 0) == []
+    assert [r.shape for r in random_points(geometry, block, 0)] == [
+        (0, f.ambient) for f in geometry.factors
+    ]
 
 
 class _Normals:
@@ -499,9 +532,10 @@ class _Normals:
 
 @pytest.mark.parametrize("spec", ["sphere:2", "sphere:3", "convex:3", "product(circle,convex:2)"])
 def test_block_perturbation_equals_tangent_perturb(spec):
-    """The verifier's twins: one (M, 2, ambient_dim) draw and _perturbed
-    on the starts and the goals give, bit for bit, the points that
-    tangent_perturb gives drawing start, goal, start, goal, ... in turn."""
+    """The verifier's twins: one (M, 2, ambient_dim) draw and
+    tangent_perturb_rows on the starts and the goals give, bit for bit,
+    the points that tangent_perturb gives drawing start, goal, start, goal,
+    ... in turn."""
     geometry = build_planner(spec).geometry
     rng = np.random.default_rng(31)
     starts = [random_point(geometry, rng) for _ in range(300)]
@@ -509,9 +543,10 @@ def test_block_perturbation_equals_tangent_perturb(spec):
     sequential, block = np.random.default_rng(9), np.random.default_rng(9)
     expected = [tangent_perturb(p, DELTA, sequential) for pair in zip(starts, goals) for p in pair]
     normals = block.standard_normal((300, 2, geometry.ambient_dim))
-    got = [p for pair in zip(_perturbed(geometry, starts, normals[:, 0]),
-                             _perturbed(geometry, goals, normals[:, 1])) for p in pair]
-    assert [hexed(p.parts) for p in got] == [hexed(p.parts) for p in expected]
+    moved = [tangent_perturb_rows(geometry, stack_points(points), DELTA, normals[:, side])
+             for side, points in enumerate((starts, goals))]
+    got = [row for pair in zip(*(zip(*rows) for rows in moved)) for row in pair]
+    assert [hexed(row) for row in got] == [hexed(p.parts) for p in expected]
     assert sequential.bit_generator.state == block.bit_generator.state
 
 
@@ -525,3 +560,44 @@ def test_block_perturbation_degenerate_draws():
     moved = tangent_perturb_rows(geometry, stack_points([point] * 3), DELTA, np.array(draws))
     assert [hexed(row) for row in zip(*moved)] == [hexed(p.parts) for p in expected]
     assert hexed(expected[0].parts) == hexed(point.parts)
+
+
+def test_sphere_distances_equal_chord_arc():
+    """factor_distances on a sphere gives, element for element, what
+    _chord_arc gives its chord: at 0, below 2, exactly 2 (where asin
+    clamps), past 2 and at NaN."""
+    rng = np.random.default_rng(21)
+    xs = rng.standard_normal((400, 3))
+    xs /= row_norms(xs)[:, None]
+    ys = rng.standard_normal((400, 3))
+    ys /= row_norms(ys)[:, None]
+    ys[:50] = xs[:50]  # chord 0
+    ys[50:100] = -xs[50:100] * (1.0 + 1e-12 * rng.random((50, 1)))  # chords at and past 2
+    ys[100] = np.nan
+    ys[101] = [0.0, 0.0, 1.0]
+    xs[101] = [0.0, 0.0, -1.0]  # chord exactly 2
+    chords = row_norms(xs - ys).tolist()
+    assert 0.0 in chords and 2.0 in chords and any(c > 2.0 for c in chords)
+    assert any(0.0 < c < 2.0 for c in chords) and any(math.isnan(c) for c in chords)
+    got = factor_distances(Factor("sphere", 2), xs, ys).tolist()
+    assert [d.hex() for d in got] == [_chord_arc(c).hex() for c in chords]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_even_field_rows_equal_the_per_point_formula(n):
+    """The even-sphere tangent field over rows gives, bit for bit, each
+    row's per-point field, at random points and at both poles; so does
+    stereo_push at chart points."""
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal((3000, n + 1))
+    xs /= row_norms(xs)[:, None]
+    xs[0], xs[1] = np.eye(n + 1)[n], -np.eye(n + 1)[n]  # the field's zero and the opposite pole
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows = even_vector_field(xs, n)
+    expected = [hexed([ref_even_vector_field(x, n)]) for x in xs]
+    assert [hexed([row]) for row in rows] == expected
+    assert [hexed([even_vector_field(x, n)]) for x in xs[:300]] == expected[:300]
+    assert not rows[0].any() and rows[1].any()
+    ys = stereo_project(xs[2:], n)
+    e = np.eye(n)[0]
+    assert hexed(stereo_push(ys, e, n)) == hexed([stereo_push(y, e, n) for y in ys])

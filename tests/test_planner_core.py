@@ -16,8 +16,10 @@ from tcplan.geometry import (
     odd_vector_field,
     pair_paths,
     random_point,
+    stack_points,
 )
 from tcplan.planner_core import (
+    Decision,
     DomainMiss,
     HomotopyEndpointMismatch,
     LengthMismatch,
@@ -32,6 +34,7 @@ from tcplan.planner_core import (
     sample_path,
     sphere_planner,
     straight_line_planner,
+    TransferPlanner,
     transfer_planner,
 )
 from tcplan.verifier import adversarial_pairs
@@ -345,10 +348,46 @@ def test_tie_cells_match_exhaustive_enumeration():
         assert list(cells.items()) == list(ref_cells.items()), (f, g)
         assert argmax == ref_argmax
         # the row form ``decide_many`` uses, on a one-row block
-        row_levels, row_cells, tops = planner_core._tie_cell_rows(np.array([f]), np.array([g]))
+        row_levels, keys, factor_rules, tops = planner_core._tie_cell_rows(
+            np.array([f]), np.array([g])
+        )
         assert [w.hex() for w in row_levels[0].tolist()] == [w.hex() for w in ref_levels], (f, g)
-        assert list(row_cells[0].items()) == list(ref_cells.items()), (f, g)
-        assert tops == [len(ref_argmax[0]) + len(ref_argmax[1])]
+        assert decode_cells(keys[0], len(f), len(g)) == ref_cells, (f, g)
+        assert factor_rules[0].tolist() == [
+            [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1] if k in ref_cells else [0, 0]
+            for k in range(len(f) + len(g) + 1)
+        ], (f, g)
+        assert tops.tolist() == [len(ref_argmax[0]) + len(ref_argmax[1])]
+
+
+def decode_cells(keys, n, m):
+    """The tie cells {level: (S, T)} of one row's (levels, bytes) cell keys
+    for factors of n and m rules: S's membership bits, then T's."""
+    split = (n + 7) // 8
+    cells = {}
+    for level, key in enumerate(keys):
+        if key.any():
+            s = np.flatnonzero(np.unpackbits(key[:split], count=n))
+            t = np.flatnonzero(np.unpackbits(key[split:], count=m))
+            cells[level] = (tuple(s.tolist()), tuple(t.tolist()))
+    return cells
+
+
+def test_cell_keys_tell_apart_cells_past_64_rules():
+    """A factor of 70 rules: two rows whose cells differ only in index 65
+    against 66 get different keys, as do their twins in any later index,
+    and the keys decode to the exact cells."""
+    f = np.full((3, 70), 1.0 / 72.0)
+    f[:, 0] = f[0, 65] = f[1, 66] = f[2, 69] = 2.0 / 72.0
+    g = np.array([[0.75, 0.25]] * 3)
+    levels, keys, factor_rules, tops = planner_core._tie_cell_rows(f, g)
+    assert tops.tolist() == [3, 3, 3]
+    cells = [decode_cells(k, 70, 2) for k in keys]
+    assert [c[3] for c in cells] == [((0, 65), (0,)), ((0, 66), (0,)), ((0, 69), (0,))]
+    assert not (keys[0, 3] == keys[1, 3]).all() and not (keys[1, 3] == keys[2, 3]).all()
+    assert factor_rules[:, 3].tolist() == [[1, 1]] * 3
+    for c, row in zip(cells, f.tolist()):
+        assert c == planner_core._tie_cells(tuple(row), (0.75, 0.25))[1]
 
 
 def test_tie_cells_polynomial_on_long_vectors():
@@ -443,12 +482,37 @@ def test_decision_path_matches_reanalysis(spec):
 # decide_many against decide, row by row, down every nesting level.
 
 
+def row_decision(planner, decisions, row):
+    """Row ``row`` of a ``Decisions`` block as a ``Decision``, its cells
+    decoded from their keys and its factor decisions from their blocks, or
+    None where the row is uncovered."""
+    if decisions.index[row] == 0:
+        return None
+    a, b = (ConfigPoint(planner.geometry, tuple(x[row] for x in blocks))
+            for blocks in (decisions.a, decisions.b))
+    index, weights = int(decisions.index[row]), tuple(decisions.weights[row].tolist())
+    if isinstance(planner, ProductPlanner):
+        n, m = len(planner.left.rules), len(planner.right.rules)
+        cells = decode_cells(decisions.cells[row], n, m)
+        assert decisions.factor_rules[row].tolist() == [
+            [min(cells[k][0]) + 1, min(cells[k][1]) + 1] if k in cells else [0, 0]
+            for k in range(n + m + 1)
+        ]
+        left, right = decisions.factors
+        factors = (row_decision(planner.left, left, row), row_decision(planner.right, right, row))
+        return Decision(a, b, index, weights, cells[index + 1], cells, factors)
+    if isinstance(planner, TransferPlanner):
+        source = row_decision(planner.source, decisions.factors[0], row)
+        return Decision(a, b, index, weights, source.cell, factors=(source,))
+    return Decision(a, b, index, weights)
+
+
 def _assert_same_decision(got, want):
     assert got.a.flat.tobytes() == want.a.flat.tobytes()
     assert got.b.flat.tobytes() == want.b.flat.tobytes()
     assert (got.index, got.cell) == (want.index, want.cell)
     assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
-    assert list((got.cells or {}).items()) == list((want.cells or {}).items())
+    assert (got.cells or {}) == (want.cells or {})
     assert len(got.factors or ()) == len(want.factors or ())
     for g, w in zip(got.factors or (), want.factors or ()):
         _assert_same_decision(g, w)
@@ -488,14 +552,16 @@ def test_decide_many_matches_decide(name):
     rng = np.random.default_rng(12)
     sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
     pairs = adversarial_pairs(planner, rng) + [(sampler(rng), sampler(rng)) for _ in range(300)]
-    starts, goals = [a for a, _ in pairs], [b for _, b in pairs]
+    starts, goals = stack_points([a for a, _ in pairs]), stack_points([b for _, b in pairs])
     want = [_decide_or_none(planner, a, b) for a, b in pairs]
-    got = planner.decide_many(starts, goals)
+    block = planner.decide_many(starts, goals)
+    got = [row_decision(planner, block, row) for row in range(len(pairs))]
     assert [d is None for d in got] == [d is None for d in want]
     for g, w in zip(got, want):
         if w is not None:
             _assert_same_decision(g, w)
-    assert planner.decide_many([], []) == []
+    empty = tuple(x[:0] for x in starts)
+    assert planner.decide_many(empty, empty).index.shape == (0,)
     if name.startswith(("torus", "product(sphere")):
         # the adversarial ties reach tie cells beyond the lowest level
         assert any(d.index > 1 for d in got)

@@ -90,6 +90,24 @@ def test_verify_across_blocks_matches_golden(line):
     assert verify_output(BLOCK_SPECS[line], BLOCK_PAIRS) == golden
 
 
+# Criterion 4 of tests/test_acceptance.py: each line of the golden file is the
+# `as_dict()` JSON of `verify_planner` at seed 42 and 10^4 pairs on one of
+# VERIFY_SPECS, in order.
+ACCEPTANCE_PAIRS = 10_000
+ACCEPTANCE_GOLDEN = ROOT / "tests" / "golden" / "verify_seed42_pairs10000.jsonl"
+
+
+def acceptance_reports():
+    """The lines of ACCEPTANCE_GOLDEN, computed in this process."""
+    from tcplan.planner_core import build_planner
+    from tcplan.verifier import VerifyConfig, verify_planner
+
+    cfg = VerifyConfig(seed=42, pairs=ACCEPTANCE_PAIRS)
+    return "".join(
+        json.dumps(verify_planner(build_planner(spec), cfg).as_dict()) + "\n" for spec in VERIFY_SPECS
+    )
+
+
 def test_verify_catalog_script_passes():
     """Every acceptance planner passes and reconciles (timings vary, unchecked)."""
     proc = subprocess.run(
@@ -242,11 +260,12 @@ def test_bounds_grammar_matches_golden():
 
 
 if __name__ == "__main__":
-    # Rewrite the verify, plan-products, bounds-grammar and discontinuity-demo
-    # golden files (only at a commit whose output is known good):
+    # Rewrite the verify, acceptance, plan-products, bounds-grammar and
+    # discontinuity-demo golden files (only at a commit whose output is known good):
     #     PYTHONPATH=src python tests/test_scripts.py
     VERIFY_GOLDEN.write_bytes(b"".join(verify_output(spec, 200) for spec in VERIFY_SPECS))
     BLOCK_GOLDEN.write_bytes(b"".join(verify_output(spec, BLOCK_PAIRS) for spec in BLOCK_SPECS))
+    ACCEPTANCE_GOLDEN.write_text(acceptance_reports())
     PLAN_GOLDEN.write_text("".join(line for spec in PLAN_SPECS
                                    for line in plan_products_lines(spec)))
     BOUNDS_GOLDEN.write_bytes(bounds_grammar_output())

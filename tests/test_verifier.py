@@ -17,6 +17,7 @@ from tcplan.geometry import (
     random_point,
     row_norms,
     stack_points,
+    tangent_perturb_rows,
 )
 from tcplan.planner_core import (
     Planner,
@@ -40,6 +41,8 @@ from tcplan.verifier import (
     sphere_antipodal_families,
     verify_planner,
 )
+
+from test_planner_core import row_decision  # a Decisions row read as the Decision decide gives
 
 FAST = VerifyConfig(pairs=400)
 
@@ -184,7 +187,7 @@ def _per_query_speed_variation(path) -> float:
 def _per_query_verify(planner, cfg):
     """verify_planner as it ran before sections were built in bundles: the
     points drawn one random_point at a time, and one path built, sampled
-    and speed-checked per query and per twin."""
+    and speed-checked per query and per twin, from each row's decision."""
     stacked = lambda samples: tuple(map(np.concatenate, zip(*samples)))
     samples_per_path = verifier.SAMPLES_PER_PATH
     rng = np.random.default_rng(cfg.seed)
@@ -196,6 +199,10 @@ def _per_query_verify(planner, cfg):
     geometry = planner.geometry
     ts = np.array([i / (samples_per_path - 1) for i in range(samples_per_path)])
     sphere_slots = [i for i, f in enumerate(geometry.factors) if f.kind == "sphere"]
+
+    def decide_rows(starts, goals):
+        block = planner.decide_many(starts, goals)
+        return [row_decision(planner, block, row) for row in range(len(block.index))]
 
     max_end = 0.0
     uncovered = 0
@@ -210,7 +217,7 @@ def _per_query_verify(planner, cfg):
         block = queries[first : first + verifier.VERIFY_BATCH]
         starts, goals, sampled = [], [], []
         eligible = []  # (position in sampled, rule, cell) of each query whose twins are drawn
-        for (a, b), decision in zip(block, planner.decide_many(*zip(*block))):
+        for (a, b), decision in zip(block, decide_rows(*(stack_points(side) for side in zip(*block)))):
             if decision is None:
                 uncovered += 1
                 continue
@@ -241,10 +248,11 @@ def _per_query_verify(planner, cfg):
         if not eligible:
             continue
         normals = rng.standard_normal((len(eligible), 2, geometry.ambient_dim))
-        twins = planner.decide_many(
-            verifier._perturbed(geometry, [starts[k] for k, *_ in eligible], normals[:, 0]),
-            verifier._perturbed(geometry, [goals[k] for k, *_ in eligible], normals[:, 1]),
-        )
+        twins = decide_rows(*(
+            tangent_perturb_rows(geometry, stack_points([ends[k] for k, *_ in eligible]), verifier.DELTA,
+                                 normals[:, side])
+            for side, ends in enumerate((starts, goals))
+        ))
         compared, twin_samples = [], []
         for (k, index, cell), twin in zip(eligible, twins):
             if twin is None:
