@@ -383,14 +383,6 @@ def even_vector_field(x: np.ndarray, n: int) -> np.ndarray:
 Piece = tuple[float, float, bool]  # (t0, t1, constant_speed)
 
 
-def as_rows(geometry: Geometry, parts, count: int) -> Blocks:
-    """A point's blocks, or blocks of ``count`` rows, as (count, ambient) arrays."""
-    return tuple(
-        part if part.shape == (count, f.ambient) else np.broadcast_to(part, (count, f.ambient))
-        for f, part in zip(geometry.factors, parts)
-    )
-
-
 class PathFn:
     """A bundle of N paths [0, 1] -> ConfigPoint with one declared piece
     structure, which all N paths share.
@@ -574,14 +566,8 @@ def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:
 def mapped_path(path: PathFn, fn, geometry: Geometry, label: str = "mapped") -> PathFn:
     """Push a bundle through a coordinate map; speed structure is not preserved.
 
-    ``fn`` maps a ConfigPoint whose blocks hold the bundle's N * T rows to
-    one on ``geometry`` (a map written with numpy broadcasting does); blocks
-    it returns with a single row are repeated for every row.
+    ``fn`` maps the bundle's sampled (N * T, ambient) blocks to blocks of
+    as many rows on ``geometry``, row for row.
     """
     pieces = tuple((t0, t1, False) for t0, t1, _ in path.pieces)
-
-    def sample(ts):
-        rows = path.sample(ts)
-        return as_rows(geometry, fn(ConfigPoint(path.geometry, rows)).parts, len(rows[0]))
-
-    return PathFn(geometry, sample, pieces, label)
+    return PathFn(geometry, lambda ts: fn(path.sample(ts)), pieces, label)

@@ -34,6 +34,11 @@ queries that share them as one bundle.  ``leaf_rules`` names them for a
 ``Decision`` and ``leaf_keys`` for rows of a ``Decisions`` block;
 ``path`` is the one-row ``bundle`` of a decision.
 
+Below ``decide`` everything takes row blocks: rule weights (``weight_rows``),
+sections, a transfer planner's maps f, g and h, and a planner's own
+``point_sampler``, which draws N points as (N, ambient) blocks the way
+``geometry.random_points`` does.
+
 Planners are immutable once built and planning is pure, so a planner may be
 shared freely across threads.
 """
@@ -55,11 +60,10 @@ from .geometry import (
     InvalidPoint,
     ParityError,
     PathFn,
-    as_rows,
     chart_segment_path,
     concat_geometry,
     concat_paths,
-    config_distance,
+    config_distances,
     convex_geometry,
     even_vector_field,
     factor_distance,
@@ -72,7 +76,6 @@ from .geometry import (
     row_norms,
     sphere_geometry,
     stack_points,
-    vector_norm,
 )
 
 __all__ = [
@@ -125,13 +128,12 @@ class PlannerRule:
     """One motion-planning rule: name, partition-of-unity weight, section.
 
     An elementary rule's ``weight`` maps a pair to [0, 1] and is positive
-    exactly where the rule applies.  Its ``section`` maps the (N, ambient)
-    blocks of N queries' starts and goals to one bundle of N paths, path n
-    from start n to goal n; only ``Planner.bundle`` evaluates it, for
-    queries the rule covers.  ``weight_rows``, where given, is the
-    weight over such blocks, row for row the float ``weight`` gives;
-    without it ``decide_many`` calls ``weight`` per row.  Composite rules
-    are names only.
+    exactly where the rule applies; ``decide`` calls it.  ``weight_rows``
+    is the same weight over the (N, ambient) blocks of N queries' starts
+    and goals, row for row the float ``weight`` gives; ``decide_many``
+    calls it.  The ``section`` maps such blocks to one bundle of N paths,
+    path n from start n to goal n; only ``Planner.bundle`` evaluates it,
+    for queries the rule covers.  Composite rules are names only.
     """
 
     name: str
@@ -197,15 +199,15 @@ class Planner:
     ``decide`` computes a query's rule, weights and cell in one pass
     (``decide_many`` does so for many queries over arrays) and ``bundle``
     builds sections of queries that share leaf rules as one bundle; they
-    are the only way a rule is used.  ``point_sampler`` lets spaces with
-    excluded loci (e.g. the punctured plane) provide their own random
-    points to verifiers.
+    are the only way a rule is used.  ``point_sampler(rng, count)`` lets
+    spaces with excluded loci (e.g. the punctured plane) provide their own
+    random points to verifiers, as (count, ambient) blocks.
     """
 
     space: str
     geometry: Geometry
     rules: tuple[PlannerRule, ...]
-    point_sampler: Callable[[np.random.Generator], ConfigPoint] | None = None
+    point_sampler: Callable[[np.random.Generator, int], Blocks] | None = None
 
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
         raw = tuple(r.weight(a, b) for r in self.rules)
@@ -219,20 +221,10 @@ class Planner:
         """``decide`` of each query (a[n], b[n]) of two (N, ambient) row
         blocks, bit for bit, with index 0 where it would raise CoverageGap.
 
-        The arithmetic is ``decide``'s, elementwise: the rule weights as
-        columns, their sum as column adds from left to right.  A rule
-        without ``weight_rows`` gets its points one row at a time."""
-        points = None
-        columns = []
-        for rule in self.rules:
-            if rule.weight_rows is not None:
-                columns.append(rule.weight_rows(a, b))
-                continue
-            if points is None:
-                points = [
-                    [ConfigPoint(self.geometry, row) for row in zip(*blocks)] for blocks in (a, b)
-                ]
-            columns.append(np.array([rule.weight(p, q) for p, q in zip(*points)], dtype=float))
+        The arithmetic is ``decide``'s, elementwise: the rules'
+        ``weight_rows`` as columns, their sum as column adds from left to
+        right."""
+        columns = [rule.weight_rows(a, b) for rule in self.rules]
         total = columns[0]
         for column in columns[1:]:
             total = total + column
@@ -277,12 +269,12 @@ class Planner:
         return self.bundle(stack_points([decision.a]), stack_points([decision.b]), leaves)
 
     def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
-        """View of ``decide``, unused in tcplan; goes when ROADMAP item 5 drops its span."""
+        """View of ``decide``, unused in tcplan; goes when ROADMAP item 7 drops its span."""
         return self.decide(a, b).weights
 
     def plan_info(self, a: ConfigPoint, b: ConfigPoint) -> tuple[int, tuple[float, ...], object]:
         """(index, weights, cell) view of ``decide``, unused in tcplan; goes
-        when ROADMAP item 5 drops its span."""
+        when ROADMAP item 7 drops its span."""
         decision = self.decide(a, b)
         return decision.index, decision.weights, decision.cell
 
@@ -672,54 +664,54 @@ class TransferPlanner(Planner):
     """Pull a planner on Y back to X along f: X -> Y, g: Y -> X.
 
     ``h`` is a homotopy on X with h(0, .) the identity and h(1, .) = g o f
-    (checked on ``check_points`` within ``_HOMOTOPY_TOL``).  The source
-    planner decides each query at (f(a), f(b)), so rule domains and weights
-    pull back through f x f; a section runs in three stages: slide the
-    start along the homotopy, traverse the Y-path pushed through g, then
-    slide back to the goal along the reversed homotopy.  Rule count is
-    preserved.
+    (checked on the rows of ``check_points`` within ``_HOMOTOPY_TOL``).
+    The source planner decides each query at (f(a), f(b)), so rule domains
+    and weights pull back through f x f; a section runs in three stages:
+    slide the start along the homotopy, traverse the Y-path pushed through
+    g, then slide back to the goal along the reversed homotopy.  Rule count
+    is preserved.
 
-    Sections evaluate ``h`` and ``g`` over many times at once: ``h`` gets a
-    (T, 1) column of times and one point, ``g`` a point whose blocks hold
-    the rows of a whole bundle, so both are written with numpy
-    broadcasting; a block they return as a single point is repeated for
-    every row.  A bundle pushes the source bundle through ``g`` once and
-    slides along ``h`` query by query.
+    The maps take row blocks: ``f`` and ``g`` map (N, ambient) blocks to
+    blocks of N rows, row for row, and ``h(t, rows)`` moves row n to time
+    t[n] of an (N, 1) column.  A bundle maps its starts and goals through
+    ``f`` once, pushes the source bundle's rows through ``g``, and slides
+    all its queries at all times in one ``h`` call.
     """
 
     def __init__(
         self,
         planner: Planner,
-        f: Callable[[ConfigPoint], ConfigPoint],
-        g: Callable[[ConfigPoint], ConfigPoint],
-        h: Callable[[float, ConfigPoint], ConfigPoint],
+        f: Callable[[Blocks], Blocks],
+        g: Callable[[Blocks], Blocks],
+        h: Callable[[np.ndarray, Blocks], Blocks],
         geometry: Geometry,
         space: str = "transfer",
-        check_points: Sequence[ConfigPoint] = (),
+        check_points: Blocks | None = None,
         point_sampler=None,
     ):
-        for x in check_points:
-            if config_distance(h(0.0, x), x) > _HOMOTOPY_TOL:
-                raise HomotopyEndpointMismatch(f"h(0, .) is not the identity at {x}")
-            if config_distance(h(1.0, x), g(f(x))) > _HOMOTOPY_TOL:
-                raise HomotopyEndpointMismatch(f"h(1, .) differs from g(f(.)) at {x}")
+        if check_points is not None:
+            count = len(check_points[0])
+            for time, end, fault in (
+                (0.0, check_points, "h(0, .) is not the identity"),
+                (1.0, g(f(check_points)), "h(1, .) differs from g(f(.))"),
+            ):
+                moved = config_distances(geometry, h(np.full((count, 1), time), check_points), end)
+                bad = np.flatnonzero(~(moved <= _HOMOTOPY_TOL))  # NaN fails
+                if len(bad):
+                    point = ConfigPoint(geometry, tuple(x[bad[0]] for x in check_points))
+                    raise HomotopyEndpointMismatch(f"{fault} at {point}")
         self.source, self.f, self.g, self.h = planner, f, g, h
         rules = tuple(PlannerRule(f"transfer({rule.name})") for rule in planner.rules)
         super().__init__(space, geometry, rules, point_sampler)
 
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
-        source = self.source.decide(self.f(a), self.f(b))
+        rows = self.f(stack_points([a, b]))  # one f call: the query as a two-row block
+        fa, fb = (ConfigPoint(self.source.geometry, tuple(x[k] for x in rows)) for k in (0, 1))
+        source = self.source.decide(fa, fb)
         return Decision(a, b, source.index, source.weights, source.cell, factors=(source,))
 
-    def _source_rows(self, rows: Blocks) -> Blocks:
-        """f of each row of a block, as the source planner's rows."""
-        points = [self.f(ConfigPoint(self.geometry, row)) for row in zip(*rows)]
-        if not points:
-            return tuple(np.empty((0, f.ambient)) for f in self.source.geometry.factors)
-        return stack_points(points)
-
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
-        source = self.source.decide_many(self._source_rows(a), self._source_rows(b))
+        source = self.source.decide_many(self.f(a), self.f(b))
         return Decisions(a, b, source.index, source.weights, (source,), source.cells)
 
     @property
@@ -734,16 +726,14 @@ class TransferPlanner(Planner):
 
     def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
         h, geometry = self.h, self.geometry
-        source = self.source.bundle(self._source_rows(a), self._source_rows(b), leaves)
+        source = self.source.bundle(self.f(a), self.f(b), leaves)
         mid = mapped_path(source, self.g, geometry, "pushed")
 
         def slide(rows, backwards, label):
-            points = [ConfigPoint(geometry, row) for row in zip(*rows)]
-
-            def sample(ts):
+            def sample(ts):  # query-major: row n * T + k is query n at ts[k]
                 t = (1.0 - ts if backwards else ts)[:, None]
-                out = [as_rows(geometry, h(t, point).parts, len(ts)) for point in points]
-                return tuple(map(np.concatenate, zip(*out)))
+                repeated = tuple(np.repeat(x, len(ts), axis=0) for x in rows)
+                return h(np.tile(t, (len(rows[0]), 1)), repeated)
 
             return PathFn(geometry, sample, ((0.0, 1.0, False),), label)
 
@@ -768,28 +758,26 @@ def punctured_plane_planner() -> Planner:
     circle = circle_planner()
     geometry = convex_geometry(2)
 
-    def to_circle(p: ConfigPoint) -> ConfigPoint:
-        v = p.parts[0]
-        return ConfigPoint(circle.geometry, (v / vector_norm(v),))
+    def to_circle(rows: Blocks) -> Blocks:
+        (v,) = rows
+        return (v / row_norms(v)[:, None],)
 
-    def from_circle(p: ConfigPoint) -> ConfigPoint:
-        return ConfigPoint(geometry, (np.asarray(p.parts[0], dtype=float),))
+    def from_circle(rows: Blocks) -> Blocks:
+        return rows
 
-    def radial_homotopy(t: float, p: ConfigPoint) -> ConfigPoint:
-        v = p.parts[0]
-        return ConfigPoint(geometry, ((1.0 - t) * v + t * v / vector_norm(v),))
+    def radial_homotopy(t: np.ndarray, rows: Blocks) -> Blocks:
+        (v,) = rows
+        return ((1.0 - t) * v + t * v / row_norms(v)[:, None],)
 
-    def sampler(rng: np.random.Generator) -> ConfigPoint:
-        radius = rng.uniform(0.2, 2.0)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        return ConfigPoint(
-            geometry, (np.array([radius * math.cos(angle), radius * math.sin(angle)]),)
-        )
+    def sampler(rng: np.random.Generator, count: int) -> Blocks:
+        # one draw holds each point's radius and angle in turn, as per-point
+        # draws would; math.cos and math.sin per point, since numpy's
+        # vectorized forms are not guaranteed to match them bit for bit
+        draws = rng.uniform((0.2, 0.0), (2.0, 2.0 * math.pi), (count, 2))
+        points = [(r * math.cos(angle), r * math.sin(angle)) for r, angle in draws.tolist()]
+        return (np.array(points).reshape(count, 2),)
 
-    checks = [
-        ConfigPoint(geometry, (np.array([x, y]),))
-        for x, y in [(1.0, 0.0), (0.5, 0.5), (-2.0, 0.25), (0.0, -0.3)]
-    ]
+    checks = (np.array([(1.0, 0.0), (0.5, 0.5), (-2.0, 0.25), (0.0, -0.3)]),)
     return transfer_planner(
         circle,
         to_circle,

@@ -20,8 +20,7 @@ ambient) row blocks and go through in blocks of ``VERIFY_BATCH`` rows: a
 block is decided at once into a ``Decisions`` block, its rows are grouped
 by rule and leaf rules (``Planner.leaf_keys``), and each group's sections
 are built and sampled as one bundle (``Planner.bundle``).  No per-query
-object is built, except the points of a planner's own ``point_sampler``
-and of rules without array weights.
+object is built: a planner's own ``point_sampler`` draws row blocks too.
 
 The continuity bound is an empirical regression guard, not a theorem: the
 modulus of any rule blows up at its domain boundary, which is exactly why
@@ -51,7 +50,6 @@ from .geometry import (
     config_distances,
     random_points,
     row_norms,
-    stack_points,
     tangent_perturb_rows,
 )
 from .planner_core import CoverageGap, Decisions, DomainMiss, Planner
@@ -207,8 +205,11 @@ def adversarial_rows(
     sampling, as the row blocks of their starts and of their goals."""
     geometry = planner.geometry
     if planner.point_sampler is not None:
-        pts = [planner.point_sampler(rng) for _ in range(8)]
-        return stack_points(pts + pts), stack_points(pts + pts[::-1])
+        points = planner.point_sampler(rng, 8)
+        return (
+            tuple(np.concatenate((x, x)) for x in points),
+            tuple(np.concatenate((x, x[::-1])) for x in points),
+        )
     menus = [_factor_pair_menu(f, rng) for f in geometry.factors]
     total = math.prod(len(menu) for menu in menus)
     keep = range(total)
@@ -348,10 +349,8 @@ def _query_rows(planner: Planner, rng: np.random.Generator, pairs: int) -> tuple
     """The adversarial queries, then ``pairs`` random ones, as the row
     blocks of their starts and of their goals."""
     starts, goals = adversarial_rows(planner, rng)
-    if planner.point_sampler is not None:
-        points = stack_points([planner.point_sampler(rng) for _ in range(2 * pairs)])
-    else:
-        points = random_points(planner.geometry, rng, 2 * pairs)
+    sampler = planner.point_sampler or (lambda r, count: random_points(planner.geometry, r, count))
+    points = sampler(rng, 2 * pairs)
     return (
         tuple(np.concatenate((x, p[0::2])) for x, p in zip(starts, points)),
         tuple(np.concatenate((y, p[1::2])) for y, p in zip(goals, points)),
@@ -363,8 +362,8 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     injection; fully deterministic for a given (planner, cfg).
 
     The queries are stacked once into row blocks (the random ones from one
-    ``random_points`` call) and go through in blocks of ``VERIFY_BATCH``
-    rows.  Each block is decided at once into a ``Decisions`` block, and
+    ``random_points`` or ``point_sampler`` call) and go through in blocks
+    of ``VERIFY_BATCH`` rows.  Each block is decided at once into a ``Decisions`` block, and
     its covered rows' sections are built and sampled as one bundle per
     (rule, leaf rules) group.  The twins of its eligible rows are drawn
     with one generator call (which draws what one tangent_perturb call per

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from tcplan.catalog import catalog_space, tc_bounds
-from tcplan.geometry import config_distance
+from tcplan.geometry import ConfigPoint, config_distance
 from tcplan.graded_algebra import canonical_divisor, tensor_square, zdcl
 from tcplan.planner_core import build_planner, plan, punctured_plane_planner
 from tcplan.verifier import (
@@ -192,12 +192,11 @@ def test_criterion_7_transfer_planner_end_to_end():
     """Homotopy-transferred planner on the punctured plane: full contract."""
     planner = punctured_plane_planner()
     ok = len(planner.rules) == 2
-    rng = np.random.default_rng(42)
+    (rows,) = planner.point_sampler(np.random.default_rng(42), 20_000)
+    points = [ConfigPoint(planner.geometry, (row,)) for row in rows]
     worst_end = 0.0
     min_radius = math.inf
-    for _ in range(10_000):
-        a = planner.point_sampler(rng)
-        b = planner.point_sampler(rng)
+    for a, b in zip(points[0::2], points[1::2]):
         result = plan(planner, a, b)
         worst_end = max(
             worst_end,

@@ -12,9 +12,10 @@ the bundle.
 
 The last tests pin the facts the verifier's blocks rest on: ``np.vecdot``
 rows equal ``np.dot``, one generator draw of a block equals the draws made
-one at a time (``random_points`` included), the block perturbation
-equals ``tangent_perturb``, and the row forms of the sphere distance and
-of the even-sphere tangent field equal their per-point formulas.
+one at a time (``random_points`` and the punctured plane's sampler
+included), the block perturbation equals ``tangent_perturb``, and the row
+forms of the sphere distance and of the even-sphere tangent field equal
+their per-point formulas.
 """
 
 import math
@@ -60,8 +61,9 @@ from tcplan.verifier import (
     adversarial_pairs,
 )
 
-# the planners of test_decide_many_matches_decide, and its reading of a block's rows
-from test_planner_core import DECIDE_MANY_PLANNERS, row_decision
+# the planners of test_decide_many_matches_decide, its reading of a block's
+# rows, and its one-point sampler
+from test_planner_core import DECIDE_MANY_PLANNERS, one_point_sampler, row_decision
 
 # -- the per-time formulas ---------------------------------------------------------
 
@@ -146,13 +148,19 @@ def ref_positive_arc(xa, xb):
 
 
 def ref_transfer(planner, decision, index):
-    a, b, g, h = decision.a, decision.b, planner.g, planner.h
-    source = reference_path(planner.source, decision.factors[0], index)
-    geometry = planner.source.geometry
+    """The punctured plane's transferred section, point by point: the
+    circle path between the retracted ends x / |x|, pushed back by the
+    inclusion, between radial slides (1 - t) x + t x / |x|."""
+    assert planner.space == "punctured-plane"
+    a, b = decision.a.parts[0], decision.b.parts[0]
+    slide = lambda t, v: ((1.0 - t) * v + t * v / vector_norm(v),)
+    circle = planner.source
+    retracted = (ConfigPoint(circle.geometry, (v / vector_norm(v),)) for v in (a, b))
+    source = reference_path(circle, circle.decide(*retracted), index)
     return ref_concat([
-        (0.0, 1.0 / 3.0, lambda t: h(t, a).parts),
-        (1.0 / 3.0, 2.0 / 3.0, lambda t: g(ConfigPoint(geometry, source(t))).parts),
-        (2.0 / 3.0, 1.0, lambda t: h(1.0 - t, b).parts),
+        (0.0, 1.0 / 3.0, lambda t: slide(t, a)),
+        (1.0 / 3.0, 2.0 / 3.0, source),
+        (2.0 / 3.0, 1.0, lambda t: slide(1.0 - t, b)),
     ])
 
 
@@ -262,7 +270,7 @@ def near_pairs(planner, rng, count):
 
 def queries(planner, seed):
     rng = np.random.default_rng(seed)
-    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    sampler = one_point_sampler(planner)
     pairs = adversarial_pairs(planner, rng, cap=64)
     pairs += [(sampler(rng), sampler(rng)) for _ in range(30)]
     if planner.point_sampler is None:
@@ -351,7 +359,7 @@ def test_bundle_rows_equal_each_paths_own_rows(name):
     rows and pieces of its own one-path bundle, bit for bit."""
     planner = DECIDE_MANY_PLANNERS[name]()
     rng = np.random.default_rng(17)
-    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    sampler = one_point_sampler(planner)
     pairs = adversarial_pairs(planner, rng) + [(sampler(rng), sampler(rng)) for _ in range(60)]
     if planner.point_sampler is None:
         pairs += near_pairs(planner, rng, 20)
@@ -517,6 +525,24 @@ def test_random_points_equal_the_sequential_draws(spec):
     assert [r.shape for r in random_points(geometry, block, 0)] == [
         (0, f.ambient) for f in geometry.factors
     ]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_punctured_plane_sampler_equals_the_per_point_draws(seed):
+    """The punctured plane's point_sampler gives, in one call, the points
+    that drawing a radius and then an angle per point gives, bit for bit,
+    and leaves the generator in the same state."""
+    sequential, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = []
+    for _ in range(2000):
+        radius = sequential.uniform(0.2, 2.0)
+        angle = sequential.uniform(0.0, 2.0 * math.pi)
+        expected.append([radius * math.cos(angle), radius * math.sin(angle)])
+    sampler = punctured_plane_planner().point_sampler
+    (rows,) = sampler(block, 2000)
+    assert hexed(rows) == hexed(expected)
+    assert sequential.bit_generator.state == block.bit_generator.state
+    assert sampler(block, 0)[0].shape == (0, 2)
 
 
 class _Normals:

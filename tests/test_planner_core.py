@@ -11,11 +11,13 @@ from tcplan.geometry import (
     InvalidPoint,
     ParityError,
     config_distance,
+    convex_geometry,
     even_vector_field,
     make_point,
     odd_vector_field,
     pair_paths,
     random_point,
+    row_norms,
     stack_points,
 )
 from tcplan.planner_core import (
@@ -44,6 +46,16 @@ EPS = 1e-9
 
 def pt(planner, *coords):
     return make_point(planner.geometry, list(coords))
+
+
+def one_point_sampler(planner):
+    """One random point per call: the planner's own ``point_sampler`` one
+    row at a time, else ``random_point``."""
+    if planner.point_sampler is None:
+        return lambda rng: random_point(planner.geometry, rng)
+    return lambda rng: ConfigPoint(
+        planner.geometry, tuple(x[0] for x in planner.point_sampler(rng, 1))
+    )
 
 
 def angle_of(point, factor=0):
@@ -526,13 +538,9 @@ def _decide_or_none(planner, a, b):
 
 
 def _shortest_arc_only():
-    """A circle planner missing its second rule, with a scalar weight only:
-    antipodal pairs are uncovered."""
+    """A circle planner missing its second rule: antipodal pairs are uncovered."""
     circle = circle_planner()
-    rule = circle.rules[0]
-    return planner_core.Planner(
-        "circle", circle.geometry, (planner_core.PlannerRule(rule.name, rule.weight, rule.section),)
-    )
+    return planner_core.Planner("circle", circle.geometry, circle.rules[:1])
 
 
 DECIDE_MANY_PLANNERS = {
@@ -550,7 +558,7 @@ DECIDE_MANY_PLANNERS = {
 def test_decide_many_matches_decide(name):
     planner = DECIDE_MANY_PLANNERS[name]()
     rng = np.random.default_rng(12)
-    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    sampler = one_point_sampler(planner)
     pairs = adversarial_pairs(planner, rng) + [(sampler(rng), sampler(rng)) for _ in range(300)]
     starts, goals = stack_points([a for a, _ in pairs]), stack_points([b for _, b in pairs])
     want = [_decide_or_none(planner, a, b) for a, b in pairs]
@@ -606,9 +614,10 @@ def test_punctured_plane_planner_has_two_rules():
 def test_punctured_plane_sections_avoid_origin():
     planner = punctured_plane_planner()
     rng = np.random.default_rng(5)
+    sampler = one_point_sampler(planner)
     for _ in range(100):
-        a = planner.point_sampler(rng)
-        b = planner.point_sampler(rng)
+        a = sampler(rng)
+        b = sampler(rng)
         result = plan(planner, a, b)
         assert config_distance(result.path(0.0), a) < EPS
         assert config_distance(result.path(1.0), b) < EPS
@@ -638,16 +647,25 @@ def test_transfer_identity_homotopy_reproduces_source():
         assert config_distance(transferred.path(tau), expected) < EPS
 
 
-def test_transfer_rejects_bad_homotopy():
-    circle = circle_planner()
-    with pytest.raises(HomotopyEndpointMismatch):
+@pytest.mark.parametrize(
+    "f, h, geometry, check, fault",
+    [
+        # h(0, .) flips the point
+        (lambda rows: rows, lambda t, rows: (-rows[0],), circle_planner().geometry, (1.0, 0.0),
+         r"h\(0, \.\) is not the identity at \(1, 0\)"),
+        # h is the identity at both ends, but g o f moves radius 2 to radius 1
+        (lambda rows: (rows[0] / row_norms(rows[0])[:, None],), lambda t, rows: rows,
+         convex_geometry(2), (2.0, 0.0), r"h\(1, \.\) differs from g\(f\(\.\)\) at \(2, 0\)"),
+        # a NaN distance is no proof of closeness
+        (lambda rows: rows, lambda t, rows: (np.full_like(rows[0], np.nan),),
+         circle_planner().geometry, (0.0, 1.0), r"h\(0, \.\) is not the identity at \(0, 1\)"),
+    ],
+    ids=["h0-not-identity", "h1-not-g-f", "h-nan"],
+)
+def test_transfer_rejects_bad_homotopy(f, h, geometry, check, fault):
+    with pytest.raises(HomotopyEndpointMismatch, match=fault):
         transfer_planner(
-            circle,
-            lambda p: p,
-            lambda p: p,
-            lambda t, p: ConfigPoint(p.geometry, (-p.parts[0],)),
-            circle.geometry,
-            check_points=[pt(circle, 1, 0)],
+            circle_planner(), f, lambda rows: rows, h, geometry, check_points=(np.array([check]),)
         )
 
 

@@ -14,12 +14,12 @@ from tcplan.geometry import (
     config_distances,
     geodesic_path,
     make_point,
-    random_point,
     row_norms,
     stack_points,
     tangent_perturb_rows,
 )
 from tcplan.planner_core import (
+    Decision,
     Planner,
     PlannerRule,
     arm_planner,
@@ -42,7 +42,8 @@ from tcplan.verifier import (
     verify_planner,
 )
 
-from test_planner_core import row_decision  # a Decisions row read as the Decision decide gives
+# a Decisions row read as the Decision decide gives, and one random point per call
+from test_planner_core import one_point_sampler, row_decision
 
 FAST = VerifyConfig(pairs=400)
 
@@ -123,7 +124,7 @@ def _spoiled_segment_planner(spoil):
             geometry, lambda ts: (spoil(np.tile(ts, count), segment.sample(ts)[0]),), segment.pieces
         )
 
-    rule = PlannerRule("segment", lambda a, b: 1.0, section)
+    rule = PlannerRule("segment", lambda a, b: 1.0, section, lambda a, b: np.ones(len(a[0])))
     return Planner("convex:2", geometry, (rule,))
 
 
@@ -186,12 +187,12 @@ def _per_query_speed_variation(path) -> float:
 
 def _per_query_verify(planner, cfg):
     """verify_planner as it ran before sections were built in bundles: the
-    points drawn one random_point at a time, and one path built, sampled
-    and speed-checked per query and per twin, from each row's decision."""
+    points drawn one at a time, and one path built, sampled and
+    speed-checked per query and per twin, from each row's decision."""
     stacked = lambda samples: tuple(map(np.concatenate, zip(*samples)))
     samples_per_path = verifier.SAMPLES_PER_PATH
     rng = np.random.default_rng(cfg.seed)
-    sampler = planner.point_sampler or (lambda r: random_point(planner.geometry, r))
+    sampler = one_point_sampler(planner)
     queries = adversarial_pairs(planner, rng)
     for _ in range(cfg.pairs):
         queries.append((sampler(rng), sampler(rng)))
@@ -315,6 +316,34 @@ def test_verify_matches_the_per_query_loop(spec):
             got = json.dumps(verify_planner(planner, cfg).as_dict())
             assert got == json.dumps(_per_query_verify(planner, cfg).as_dict()), (seed, pairs)
     assert pairs + len(adversarial_pairs(planner, np.random.default_rng(seed))) > 2 * verifier.VERIFY_BATCH
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["convex:3", "circle", "sphere:2", "sphere:3", "torus:2", "torus:3", "torus:4",
+     "product(sphere:2,sphere:2)", "punctured-plane"],
+)
+def test_verify_builds_no_per_query_points(monkeypatch, spec):
+    """The acceptance planners and the punctured plane verify over row
+    blocks only: no ConfigPoint and no Decision is built inside
+    verify_planner, over more than one block of queries."""
+    planner = _oracle_planner(spec)
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built.append(cls)
+            init(self, *args, **kwargs)
+
+        return __init__
+
+    for cls in (ConfigPoint, Decision):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    report = verify_planner(planner, VerifyConfig(pairs=300))
+    assert report.pairs_checked > verifier.VERIFY_BATCH and report.continuity_checked
+    assert built == []
 
 
 def test_twins_are_built_from_their_own_leaf_rules():
