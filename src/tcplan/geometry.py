@@ -88,7 +88,8 @@ def make_point(geometry: Geometry, coords, renormalize: bool = False) -> ConfigP
 
     Sphere blocks must have unit norm within 1e-9; with ``renormalize`` a
     norm within 1e-6 of 1 is projected back to the sphere (the tolerance
-    applied to user-typed coordinates) and anything worse is rejected.
+    applied to user-typed coordinates) and anything worse is rejected, a
+    NaN norm too.  A block whose squared norm overflows has norm inf.
     """
     if isinstance(coords, (list, tuple)) and coords and isinstance(coords[0], np.ndarray):
         flat = np.concatenate([np.asarray(p, dtype=float) for p in coords])
@@ -100,35 +101,24 @@ def make_point(geometry: Geometry, coords, renormalize: bool = False) -> ConfigP
         )
     parts = []
     offset = 0
-    for factor in geometry.factors:
-        block = flat[offset : offset + factor.ambient].copy()
-        offset += factor.ambient
-        if factor.kind == "sphere":
-            norm = float(np.linalg.norm(block))
-            if renormalize:
-                if abs(norm - 1.0) > INPUT_UNIT_TOL:
-                    raise InvalidPoint(
-                        f"sphere block {block.tolist()} has norm {norm:.9g}, not within "
-                        f"{INPUT_UNIT_TOL} of 1"
-                    )
-                block = block / norm
-            elif abs(norm - 1.0) > UNIT_TOL:
-                raise InvalidPoint(f"sphere block has norm {norm!r}, expected 1")
-        block.setflags(write=False)
-        parts.append(block)
+    with np.errstate(over="ignore"):
+        for factor in geometry.factors:
+            block = flat[offset : offset + factor.ambient].copy()
+            offset += factor.ambient
+            if factor.kind == "sphere":
+                norm = vector_norm(block)
+                if renormalize:
+                    if not abs(norm - 1.0) <= INPUT_UNIT_TOL:  # NaN fails
+                        raise InvalidPoint(
+                            f"sphere block {block.tolist()} has norm {norm:.9g}, not within "
+                            f"{INPUT_UNIT_TOL} of 1"
+                        )
+                    block = block / norm
+                elif not abs(norm - 1.0) <= UNIT_TOL:
+                    raise InvalidPoint(f"sphere block has norm {norm!r}, expected 1")
+            block.setflags(write=False)
+            parts.append(block)
     return ConfigPoint(geometry, tuple(parts))
-
-
-def antipode(point: ConfigPoint) -> ConfigPoint:
-    """Factor-wise antipode (sphere factors only)."""
-    parts = []
-    for factor, part in zip(point.geometry.factors, point.parts):
-        if factor.kind != "sphere":
-            raise InvalidPoint("antipode needs sphere factors")
-        flipped = -part
-        flipped.setflags(write=False)
-        parts.append(flipped)
-    return ConfigPoint(point.geometry, tuple(parts))
 
 
 # -- metric -------------------------------------------------------------------
@@ -142,15 +132,28 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float:
-    """Geodesic distance on a sphere factor, Euclidean on a convex factor.
+def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Geodesic distance on a sphere factor, Euclidean on a convex factor,
+    between two points (1-D blocks: a float) or row by row (a 2-D block:
+    an (N,) array, either side may be one point).
 
     Sphere distance goes through the chord, 2*asin(|x - y| / 2): symmetric
     configurations then produce bitwise-equal distances, which the product
-    planner's argmax tie detection relies on.
+    planner's argmax tie detection relies on.  Rows get, bit for bit, the
+    float a point gives: chords through row_norms and math.asin per element
+    (np.arcsin differs in the last bit on about 8% of inputs), with
+    ``np.minimum`` clamping as ``_chord_arc`` does (a chord >= 2 halves to
+    >= 1 exactly) and keeping a NaN.
     """
-    chord = vector_norm(x - y)
-    return _chord_arc(chord) if factor.kind == "sphere" else chord
+    diff = x - y
+    if diff.ndim == 1:
+        chord = vector_norm(diff)
+        return _chord_arc(chord) if factor.kind == "sphere" else chord
+    chords = row_norms(diff)
+    if factor.kind != "sphere":
+        return chords
+    half = np.minimum(chords / 2.0, 1.0)
+    return 2.0 * np.array(list(map(math.asin, half.tolist())), dtype=float)
 
 
 def _chord_arc(chord: float) -> float:
@@ -164,29 +167,17 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def factor_distances(factor: Factor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """factor_distance row by row, bit for bit: chords through row_norms and
-    math.asin per element (np.arcsin differs in the last bit on about 8% of
-    inputs).  ``np.minimum`` clamps as ``_chord_arc`` does (a chord >= 2
-    halves to >= 1 exactly) and keeps a NaN."""
-    chords = row_norms(xs - ys)
-    if factor.kind != "sphere":
-        return chords
-    half = np.minimum(chords / 2.0, 1.0)
-    return 2.0 * np.array(list(map(math.asin, half.tolist())), dtype=float)
-
-
 def config_distances(geometry: Geometry, xs: Blocks, ys: Blocks) -> np.ndarray:
     """Product distance row by row between two sets of (T, ambient) blocks:
     the root of the sum, in factor order, of the squared factor_distance.
 
     Each row gets, bit for bit, the float the scalar formulas give its
-    points: factor_distances per factor, and the first square taken as the
+    points: factor_distance per factor, and the first square taken as the
     sum's start, which 0.0 + d * d equals.
     """
     total = None
     for factor, x, y in zip(geometry.factors, xs, ys):
-        d = factor_distances(factor, x, y)
+        d = factor_distance(factor, x, y)
         total = d * d if total is None else total + d * d
     return np.sqrt(total)
 

@@ -34,10 +34,12 @@ queries that share them as one bundle.  ``leaf_rules`` names them for a
 ``Decision`` and ``leaf_keys`` for rows of a ``Decisions`` block;
 ``path`` is the one-row ``bundle`` of a decision.
 
-Below ``decide`` everything takes row blocks: rule weights (``weight_rows``),
-sections, a transfer planner's maps f, g and h, and a planner's own
-``point_sampler``, which draws N points as (N, ambient) blocks the way
-``geometry.random_points`` does.
+An elementary rule's weight is one function of per-factor blocks: a
+point's 1-D ``parts`` give a float, for ``decide``, and the (N, ambient) row
+blocks of N queries an (N,) array, for ``decide_many``.  Below ``decide``
+everything else takes row blocks: sections, a transfer planner's maps f, g
+and h, and a planner's own ``point_sampler``, which draws N points as (N,
+ambient) blocks the way ``geometry.random_points`` does.
 
 Planners are immutable once built and planning is pure, so a planner may be
 shared freely across threads.
@@ -52,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import SpaceSpec, canonical, fold, parse_spec
+from .catalog import SpaceSpec, UnsupportedParameter, canonical, fold, parse_spec
 from .geometry import (
     Blocks,
     ConfigPoint,
@@ -67,7 +69,6 @@ from .geometry import (
     convex_geometry,
     even_vector_field,
     factor_distance,
-    factor_distances,
     geodesic_path,
     mapped_path,
     odd_vector_field,
@@ -85,6 +86,7 @@ __all__ = [
     "DomainMiss",
     "HomotopyEndpointMismatch",
     "LengthMismatch",
+    "MAX_AMBIENT",
     "MAX_SAMPLES",
     "ParityError",
     "Planner",
@@ -128,18 +130,18 @@ class PlannerRule:
     """One motion-planning rule: name, partition-of-unity weight, section.
 
     An elementary rule's ``weight`` maps a pair to [0, 1] and is positive
-    exactly where the rule applies; ``decide`` calls it.  ``weight_rows``
-    is the same weight over the (N, ambient) blocks of N queries' starts
-    and goals, row for row the float ``weight`` gives; ``decide_many``
-    calls it.  The ``section`` maps such blocks to one bundle of N paths,
-    path n from start n to goal n; only ``Planner.bundle`` evaluates it,
-    for queries the rule covers.  Composite rules are names only.
+    exactly where the rule applies.  It takes the start's and goal's
+    per-factor blocks: a point's 1-D ``parts`` give a float (``decide``
+    calls it so), and the (N, ambient) blocks of N queries an (N,) array,
+    row for row that float (``decide_many`` calls it so).  The ``section``
+    maps such row blocks to one bundle of N paths, path n from start n to
+    goal n; only ``Planner.bundle`` evaluates it, for queries the rule
+    covers.  Composite rules are names only.
     """
 
     name: str
-    weight: Callable[[ConfigPoint, ConfigPoint], float] | None = None
+    weight: Callable[[Blocks, Blocks], float | np.ndarray] | None = None
     section: Callable[[Blocks, Blocks], PathFn] | None = None
-    weight_rows: Callable[[Blocks, Blocks], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ class Planner:
     point_sampler: Callable[[np.random.Generator, int], Blocks] | None = None
 
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
-        raw = tuple(r.weight(a, b) for r in self.rules)
+        raw = tuple(r.weight(a.parts, b.parts) for r in self.rules)
         index = next((i + 1 for i, w in enumerate(raw) if w > 0.0), 0)
         if index == 0:
             raise CoverageGap(f"{self.space}: no rule applies at ({a}, {b})")
@@ -221,10 +223,10 @@ class Planner:
         """``decide`` of each query (a[n], b[n]) of two (N, ambient) row
         blocks, bit for bit, with index 0 where it would raise CoverageGap.
 
-        The arithmetic is ``decide``'s, elementwise: the rules'
-        ``weight_rows`` as columns, their sum as column adds from left to
+        The arithmetic is ``decide``'s, elementwise: the rules' weights of
+        the row blocks as columns, their sum as column adds from left to
         right."""
-        columns = [rule.weight_rows(a, b) for rule in self.rules]
+        columns = [rule.weight(a, b) for rule in self.rules]
         total = columns[0]
         for column in columns[1:]:
             total = total + column
@@ -269,12 +271,12 @@ class Planner:
         return self.bundle(stack_points([decision.a]), stack_points([decision.b]), leaves)
 
     def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
-        """View of ``decide``, unused in tcplan; goes when ROADMAP item 7 drops its span."""
+        """View of ``decide``, unused in tcplan; goes when ROADMAP item 9 drops its span."""
         return self.decide(a, b).weights
 
     def plan_info(self, a: ConfigPoint, b: ConfigPoint) -> tuple[int, tuple[float, ...], object]:
         """(index, weights, cell) view of ``decide``, unused in tcplan; goes
-        when ROADMAP item 7 drops its span."""
+        when ROADMAP item 9 drops its span."""
         decision = self.decide(a, b)
         return decision.index, decision.weights, decision.cell
 
@@ -312,16 +314,18 @@ def straight_line_planner(dim: int) -> Planner:
     geometry = convex_geometry(dim)
     rule = PlannerRule(
         name="segment",
-        weight=lambda a, b: 1.0,
+        weight=lambda a, b: 1.0 if a[0].ndim == 1 else np.ones(len(a[0])),
         section=lambda a, b: geodesic_path(geometry, a, b),
-        weight_rows=lambda a, b: np.ones(len(a[0])),
     )
     return Planner(space=f"convex:{dim}", geometry=geometry, rules=(rule,))
 
 
-def _smaller(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Python's ``min(first, second)`` elementwise: ``second`` only where it
-    is strictly smaller, so NaN and signed zeros come out as they would."""
+def _smaller(first: float | np.ndarray, second: float | np.ndarray) -> float | np.ndarray:
+    """``min(first, second)`` of two floats, and elementwise of two arrays:
+    ``second`` only where it is strictly smaller, so NaN and signed zeros
+    come out as Python's ``min`` gives them."""
+    if isinstance(first, float):
+        return min(first, second)
     return np.where(second < first, second, first)
 
 
@@ -330,27 +334,21 @@ def _shortest_arc_rule(geometry) -> PlannerRule:
     factor = geometry.factors[0]
 
     def weight(a, b):
-        return factor_distance(factor, a.parts[0], -b.parts[0]) / math.pi
-
-    def weight_rows(a, b):
-        return factor_distances(factor, a[0], -b[0]) / math.pi
+        return factor_distance(factor, a[0], -b[0]) / math.pi
 
     def section(a, b):
         return geodesic_path(geometry, a, b)
 
-    return PlannerRule("shortest-arc", weight, section, weight_rows)
+    return PlannerRule("shortest-arc", weight, section)
 
 
 def _distance_rule(factor, name, section) -> PlannerRule:
     """A rule weighted by the factor distance from start to goal over pi."""
 
     def weight(a, b):
-        return factor_distance(factor, a.parts[0], b.parts[0]) / math.pi
+        return factor_distance(factor, a[0], b[0]) / math.pi
 
-    def weight_rows(a, b):
-        return factor_distances(factor, a[0], b[0]) / math.pi
-
-    return PlannerRule(name, weight, section, weight_rows)
+    return PlannerRule(name, weight, section)
 
 
 def circle_planner() -> Planner:
@@ -417,33 +415,23 @@ def sphere_planner(n: int) -> Planner:
         rules = [_shortest_arc_rule(geometry), _distance_rule(factor, "two-stage", s_two_stage)]
     else:
         def w_two_stage(a, b):
-            d_ab = factor_distance(factor, a.parts[0], b.parts[0])
-            d_pole = factor_distance(factor, b.parts[0], pole)
-            return min(d_ab, d_pole) / math.pi
-
-        def w_two_stage_rows(a, b):
-            d_ab = factor_distances(factor, a[0], b[0])
-            return _smaller(d_ab, factor_distances(factor, b[0], pole)) / math.pi
+            d_ab = factor_distance(factor, a[0], b[0])
+            return _smaller(d_ab, factor_distance(factor, b[0], pole)) / math.pi
 
         chart_pole = np.zeros(n + 1)
         chart_pole[chart_axis] = 1.0
 
         def w_chart(a, b):
-            d_a = factor_distance(factor, a.parts[0], chart_pole)
-            d_b = factor_distance(factor, b.parts[0], chart_pole)
-            return min(d_a, d_b) / math.pi
-
-        def w_chart_rows(a, b):
-            d_a = factor_distances(factor, a[0], chart_pole)
-            return _smaller(d_a, factor_distances(factor, b[0], chart_pole)) / math.pi
+            d_a = factor_distance(factor, a[0], chart_pole)
+            return _smaller(d_a, factor_distance(factor, b[0], chart_pole)) / math.pi
 
         def s_chart(a, b):
             return chart_segment_path(geometry, a[0], b[0], chart_axis)
 
         rules = [
             _shortest_arc_rule(geometry),
-            PlannerRule("two-stage", w_two_stage, s_two_stage, w_two_stage_rows),
-            PlannerRule("chart-segment", w_chart, s_chart, w_chart_rows),
+            PlannerRule("two-stage", w_two_stage, s_two_stage),
+            PlannerRule("chart-segment", w_chart, s_chart),
         ]
 
     return Planner(space=f"sphere:{n}", geometry=geometry, rules=tuple(rules))
@@ -799,17 +787,37 @@ _LEAF_PLANNERS = {
     "circle": lambda _: circle_planner(),
     "sphere": sphere_planner,
 }
+# Cap on a planner's coordinates, 4 * catalog.MAX_LEAVES; the verifier's
+# adversarial menus build (ambient, ambient) arrays.
+MAX_AMBIENT = 256
+
+
+def _leaf_ambient(leaf: SpaceSpec) -> int:
+    """Coordinates of a point of the leaf's planner (0 where it has none)."""
+    if leaf.kind == "circle":
+        return 2
+    if leaf.kind == "sphere":
+        return leaf.param + 1
+    return leaf.param if leaf.kind == "convex" else 0
 
 
 def build_planner(spec) -> Planner | None:
     """Planner for a catalog space expression, or None where none exists
     (higher-genus surfaces, complex projective spaces).  Factor planners
     are folded with product_planner in the nesting of the canonical form;
-    the planner's ``space`` is the expression as spelled."""
+    the planner's ``space`` is the expression as spelled.  A space whose
+    points would have more than ``MAX_AMBIENT`` coordinates raises
+    UnsupportedParameter before any planner is built."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    form = canonical(spec)
+    ambient = fold(form, _leaf_ambient, sum)
+    if ambient > MAX_AMBIENT:
+        raise UnsupportedParameter(
+            f"{spec} has {ambient} coordinates; planners take at most {MAX_AMBIENT}"
+        )
     planner = fold(
-        canonical(spec),
+        form,
         lambda leaf: _LEAF_PLANNERS.get(leaf.kind, lambda _: None)(leaf.param),
         lambda parts: None if any(p is None for p in parts) else reduce(product_planner, parts),
     )

@@ -11,7 +11,7 @@ import pytest
 
 from tcplan import cli
 from tcplan.cli import main
-from tcplan.planner_core import MAX_SAMPLES
+from tcplan.planner_core import MAX_AMBIENT, MAX_SAMPLES
 from tcplan.verifier import MAX_PAIRS, VerifyConfig
 from tcplan.catalog import catalog_space
 from tcplan.graded_algebra import algebra_to_presentation
@@ -84,6 +84,10 @@ def test_plan_rejects_bad_point(capsys):
     code, _, err = run(capsys, "plan", "circle", "--from", "1,1", "--to", "0,1")
     assert code == 2
     assert "norm" in err
+    # the squared norm overflows: rejected without a numpy warning
+    code, _, err = run(capsys, "plan", "circle", "--from", "1e308,1e308", "--to", "0,1")
+    assert code == 2
+    assert "norm" in err and len(err.strip().splitlines()) == 1
 
 
 def test_plan_rejects_wrong_dimension(capsys):
@@ -390,6 +394,10 @@ def test_quiet_flag_accepted_everywhere(capsys):
         ("bounds", "cpn:32"),
         ("bounds", "surface:2000"),
         ("bounds", "cpn:100000"),
+        ("verify", "sphere:1000000000000", "--pairs", "1"),
+        ("plan", "sphere:1000000000000", "--from", "1", "--to", "1"),
+        ("verify", "convex:1000000000000", "--pairs", "1"),
+        ("verify", f"sphere:{MAX_AMBIENT}", "--pairs", "1"),
     ],
 )
 def test_leaf_cap_is_exit_2(capsys, argv):
@@ -397,6 +405,17 @@ def test_leaf_cap_is_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def test_planner_dimension_cap_leaves_bounds_and_the_cap_itself(capsys):
+    """Only planners are capped: bounds takes any dimension, and a planner
+    with exactly MAX_AMBIENT coordinates plans."""
+    code, out, _ = run(capsys, "bounds", "sphere:1000000000000")
+    assert (code, json.loads(out)["upper"]) == (0, 3)
+    point = ",".join(["1"] + ["0"] * (MAX_AMBIENT - 1))
+    code, out, _ = run(capsys, "plan", f"sphere:{MAX_AMBIENT - 1}", "--from", point,
+                       "--to", point, "--samples", "2")
+    assert (code, json.loads(out)["rule_index"]) == (0, 1)
 
 
 def test_bounds_torus64_at_the_cap(capsys):

@@ -27,13 +27,11 @@ from tcplan.geometry import (
     ConfigPoint,
     Factor,
     _chord_arc,
-    antipode,
     config_distance,
     config_distances,
     even_vector_field,
     geodesic_path,
     factor_distance,
-    factor_distances,
     make_point,
     odd_vector_field,
     random_point,
@@ -186,7 +184,8 @@ def reference_path(planner, decision, index):
         n = planner.geometry.factors[0].dim
         field = odd_vector_field(y, n) if n % 2 else ref_even_vector_field(y, n)
         sweep = ref_polar_arc(y, field / np.linalg.norm(field))
-        return ref_concat([(0.0, 0.5, ref_geodesic(a, antipode(b))), (0.5, 1.0, sweep)])
+        to_antipode = ref_geodesic(a, ConfigPoint(b.geometry, (-y,)))
+        return ref_concat([(0.0, 0.5, to_antipode), (0.5, 1.0, sweep)])
     assert name == "chart-segment"
     return ref_chart_segment(x, y, 0)
 
@@ -589,7 +588,7 @@ def test_block_perturbation_degenerate_draws():
 
 
 def test_sphere_distances_equal_chord_arc():
-    """factor_distances on a sphere gives, element for element, what
+    """factor_distance of sphere rows gives, element for element, what
     _chord_arc gives its chord: at 0, below 2, exactly 2 (where asin
     clamps), past 2 and at NaN."""
     rng = np.random.default_rng(21)
@@ -605,7 +604,7 @@ def test_sphere_distances_equal_chord_arc():
     chords = row_norms(xs - ys).tolist()
     assert 0.0 in chords and 2.0 in chords and any(c > 2.0 for c in chords)
     assert any(0.0 < c < 2.0 for c in chords) and any(math.isnan(c) for c in chords)
-    got = factor_distances(Factor("sphere", 2), xs, ys).tolist()
+    got = factor_distance(Factor("sphere", 2), xs, ys).tolist()
     assert [d.hex() for d in got] == [_chord_arc(c).hex() for c in chords]
 
 

@@ -432,7 +432,7 @@ def _reference_weights(planner, a, b):
     if isinstance(planner, ProductPlanner):
         raw = tuple(_reference_cells(planner, a, b)[2][2:])
     else:
-        raw = tuple(rule.weight(a, b) for rule in planner.rules)
+        raw = tuple(rule.weight(a.parts, b.parts) for rule in planner.rules)
     total = sum(raw)
     return tuple(w / total for w in raw)
 
@@ -547,6 +547,7 @@ DECIDE_MANY_PLANNERS = {
     **{spec: (lambda spec=spec: build_planner(spec)) for spec in [
         "convex:3", "circle", "sphere:2", "sphere:3", "torus:2", "torus:3", "torus:4",
         "product(sphere:2,sphere:2)", "torus:6", "product(sphere:2,sphere:2,sphere:2)",
+        "sphere:4", "product(circle,sphere:3,sphere:2,convex:2)",
     ]},
     "punctured-plane": punctured_plane_planner,
     "gap": _shortest_arc_only,
@@ -769,5 +770,8 @@ def test_point_validation():
     planner = circle_planner()
     with pytest.raises(InvalidPoint):
         make_point(planner.geometry, [1.0, 1.0])
+    for renormalize in (False, True):
+        with pytest.raises(InvalidPoint):
+            make_point(planner.geometry, [math.nan, 0.0], renormalize=renormalize)
     ok = make_point(planner.geometry, [1.0 + 5e-7, 0.0], renormalize=True)
     assert abs(np.linalg.norm(ok.parts[0]) - 1.0) < 1e-12

@@ -115,7 +115,8 @@ def test_continuity_ratio_within_empirical_bound():
 def _spoiled_segment_planner(spoil):
     """One-rule convex:2 planner whose straight segments pass their sampled
     rows through ``spoil(ts, rows)``, ``ts`` holding each row's time."""
-    geometry = straight_line_planner(2).geometry
+    line = straight_line_planner(2)
+    geometry = line.geometry
 
     def section(a, b):
         segment = geodesic_path(geometry, a, b)
@@ -124,7 +125,7 @@ def _spoiled_segment_planner(spoil):
             geometry, lambda ts: (spoil(np.tile(ts, count), segment.sample(ts)[0]),), segment.pieces
         )
 
-    rule = PlannerRule("segment", lambda a, b: 1.0, section, lambda a, b: np.ones(len(a[0])))
+    rule = PlannerRule("segment", line.rules[0].weight, section)
     return Planner("convex:2", geometry, (rule,))
 
 
