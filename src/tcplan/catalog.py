@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache, partial, reduce, wraps
 from operator import itemgetter
 from typing import Callable, TypeVar
 
-from .graded_algebra import GradedAlgebra, tensor_product, validate_algebra, zdcl
+from .graded_algebra import GradedAlgebra, tensor_product, tensor_square, validate_algebra, zdcl
 
 
 class BadSpec(ValueError):
@@ -233,23 +233,29 @@ def fold(
 # -- cohomology presets --------------------------------------------------------
 
 # Presets of dimension at most MAX_LEAF_BASIS, the only ones a spec can name,
-# are memoized per parameter; callers share those instances and must not
-# mutate them.  Larger presets are rebuilt on each direct call, so a process
-# that once builds, say, cpn_algebra(200) does not keep it, its product memo
-# and its tensor square alive.  Product algebras are built per descriptor and
-# never shared.
+# are memoized per parameter together with their tensor squares, which an
+# algebra holds only weakly: the squares' product memos then serve every
+# request.  Callers share those instances and must not mutate them.  Larger
+# presets are rebuilt on each direct call, so a process that once builds,
+# say, cpn_algebra(200) does not keep it, its product memo and its tensor
+# square alive.  Product algebras are built per descriptor and never shared.
 
 
 def _preset(dim_of):
-    """Memoize a preset builder for the parameters where ``dim_of`` is small."""
+    """Memoize a preset builder, and pin the preset's tensor square, for the
+    parameters where ``dim_of`` is small."""
 
     def wrap(builder):
-        cached = lru_cache(maxsize=32)(builder)
+        @lru_cache(maxsize=32)
+        def cached(*args):
+            algebra = builder(*args)
+            return algebra, tensor_square(algebra)
 
         @wraps(builder)
         def build(*args):
-            small = dim_of(*args) <= MAX_LEAF_BASIS
-            return (cached if small else builder)(*args)
+            if dim_of(*args) <= MAX_LEAF_BASIS:
+                return cached(*args)[0]
+            return builder(*args)
 
         build.cache_clear = cached.cache_clear
         return build

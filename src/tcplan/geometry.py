@@ -86,10 +86,11 @@ class ConfigPoint:
 def make_point(geometry: Geometry, coords, renormalize: bool = False) -> ConfigPoint:
     """Build and validate a point from flat coordinates or per-factor parts.
 
-    Sphere blocks must have unit norm within 1e-9; with ``renormalize`` a
-    norm within 1e-6 of 1 is projected back to the sphere (the tolerance
-    applied to user-typed coordinates) and anything worse is rejected, a
-    NaN norm too.  A block whose squared norm overflows has norm inf.
+    Every coordinate must be finite, in every block.  Sphere blocks must
+    have unit norm within 1e-9; with ``renormalize`` a norm within 1e-6 of 1
+    is projected back to the sphere (the tolerance applied to user-typed
+    coordinates) and anything worse is rejected.  A block whose squared norm
+    overflows has norm inf.
     """
     if isinstance(coords, (list, tuple)) and coords and isinstance(coords[0], np.ndarray):
         flat = np.concatenate([np.asarray(p, dtype=float) for p in coords])
@@ -99,6 +100,8 @@ def make_point(geometry: Geometry, coords, renormalize: bool = False) -> ConfigP
         raise InvalidPoint(
             f"expected {geometry.ambient_dim} coordinates, got {flat.shape[0] if flat.ndim == 1 else flat.shape}"
         )
+    if not np.isfinite(flat).all():
+        raise InvalidPoint("every coordinate must be finite")
     parts = []
     offset = 0
     with np.errstate(over="ignore"):
@@ -108,13 +111,13 @@ def make_point(geometry: Geometry, coords, renormalize: bool = False) -> ConfigP
             if factor.kind == "sphere":
                 norm = vector_norm(block)
                 if renormalize:
-                    if not abs(norm - 1.0) <= INPUT_UNIT_TOL:  # NaN fails
+                    if abs(norm - 1.0) > INPUT_UNIT_TOL:
                         raise InvalidPoint(
                             f"sphere block {block.tolist()} has norm {norm:.9g}, not within "
                             f"{INPUT_UNIT_TOL} of 1"
                         )
                     block = block / norm
-                elif not abs(norm - 1.0) <= UNIT_TOL:
+                elif abs(norm - 1.0) > UNIT_TOL:
                     raise InvalidPoint(f"sphere block has norm {norm!r}, expected 1")
             block.setflags(write=False)
             parts.append(block)

@@ -19,16 +19,25 @@ On top of the ring arithmetic this module provides
 The sign rule (-1)^(pq) lives in ``koszul_sign`` alone: ``validate``, the
 completion of one-sided products and the tensor product all read it there.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` and no
-floating point enters any computation.  All values are immutable after
-construction and every operation is a pure function, so the module is safe
-for unrestricted concurrent use.
+Everything here is exact: a coefficient is an ``int`` where it is integral
+and a ``fractions.Fraction`` otherwise, never a float.  The two mix exactly
+and agree on ``==``, ``hash`` and ``str``, so an integral table, the catalog
+presets among them, multiplies in ``int`` arithmetic alone.  All values are
+immutable after construction and every operation is a pure function, so the
+module is safe for unrestricted concurrent use.
+
+No algebra refers to itself, so an algebra is freed by reference counting
+as soon as its last user drops it, without waiting for the cycle collector:
+a derived algebra computes its products through an overridden method, and
+an algebra refers to its cached tensor square only weakly (see
+``tensor_square``).
 """
 
 from __future__ import annotations
 
 import itertools
 import reprlib
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -58,20 +67,27 @@ class AlgebraMismatch(AlgebraError):
     """Operands belong to different algebras, or the wrong kind of algebra."""
 
 
-def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or 'p/q' string.
+Rational = int | Fraction  # an int where integral, a Fraction otherwise
+
+
+def _normal(q: Rational) -> Rational:
+    """``q`` as an int when it is integral, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def parse_rational(value) -> Rational:
+    """Parse an exact rational from an int, Fraction, or 'p/q' string:
+    an ``int`` when the value is integral, else a ``Fraction``.
 
     Decimal notation is rejected: coefficients must be exact.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return _normal(value)
     if isinstance(value, str):
         if "." in value or "e" in value.lower():
             raise AlgebraError(f"coefficient {value!r} is not a decimal-free rational")
         try:
-            return Fraction(value)
+            return _normal(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise AlgebraError(f"bad rational literal {value!r}: {exc}") from exc
     raise AlgebraError(f"coefficient {value!r} must be an int or a 'p/q' string")
@@ -82,7 +98,7 @@ def koszul_sign(p: int, q: int) -> int:
     return -1 if (p * q) % 2 else 1
 
 
-def _clean(coeffs: Mapping[str, Fraction]) -> dict[str, Fraction]:
+def _clean(coeffs: Mapping[str, Rational]) -> dict[str, Rational]:
     """Canonical sparse form: drop zero coefficients."""
     return {k: v for k, v in coeffs.items() if v != 0}
 
@@ -90,13 +106,17 @@ def _clean(coeffs: Mapping[str, Fraction]) -> dict[str, Fraction]:
 class GradedAlgebra:
     """A finite graded-commutative algebra over Q, given by structure constants.
 
-    ``products`` may be a full table (``dict[(label, label), dict]``) for
-    presented algebras, or a function computing one product at a time for
-    derived algebras (tensor products), in which case results are memoized.
-    Pairs absent from a table multiply to zero.
+    ``products`` is the full table (``dict[(label, label), dict]``) of a
+    presented algebra; pairs absent from it multiply to zero.  A derived
+    algebra (a tensor product) passes ``None`` and overrides
+    ``_compute_product``, whose results ``basis_product`` memoizes.  A
+    structure constant is an ``int`` where integral and a ``Fraction``
+    otherwise.
 
     Instances are immutable by convention; the memo cache only ever gains
     idempotently-computed entries, so shared use across threads is safe.
+    ``_square`` is a weak reference to the tensor square, which
+    ``tensor_square`` caches without keeping it alive.
     """
 
     def __init__(
@@ -113,13 +133,9 @@ class GradedAlgebra:
         self.name = name
         self.generators = generators
         self._index = {label: i for i, label in enumerate(self.labels)}
-        if callable(products):
-            self._table = None
-            self._product_fn = products
-        else:
-            self._table = products
-            self._product_fn = None
-        self._memo: dict[tuple[str, str], dict[str, Fraction]] = {}
+        self._table = products
+        self._memo: dict[tuple[str, str], dict[str, Rational]] = {}
+        self._square: weakref.ref | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -134,19 +150,23 @@ class GradedAlgebra:
     def positive_labels(self) -> tuple[str, ...]:
         return tuple(l for l in self.labels if self.degree[l] > 0)
 
-    def basis_product(self, left: str, right: str) -> dict[str, Fraction]:
+    def basis_product(self, left: str, right: str) -> dict[str, Rational]:
         """Structure constants of ``left * right`` as a sparse mapping."""
         if self._table is not None:
             return self._table.get((left, right), {})
         key = (left, right)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = self._product_fn(left, right)
+            hit = self._memo[key] = self._compute_product(left, right)
         return hit
+
+    def _compute_product(self, left: str, right: str) -> dict[str, Rational]:
+        """A derived algebra's product of two basis labels (no table given)."""
+        raise NotImplementedError(f"{self.name} has no product table")
 
     # -- element constructors ----------------------------------------------
 
-    def element(self, coeffs: Mapping[str, Fraction | int | str]) -> "AlgElement":
+    def element(self, coeffs: Mapping[str, Rational | str]) -> "AlgElement":
         out = {}
         for label, c in coeffs.items():
             if label not in self.degree:
@@ -181,9 +201,9 @@ class GradedAlgebra:
                 f"the unit {self.unit!r}, found {units}"
             )
         for b in self.labels:
-            if self.basis_product(self.unit, b) != {b: Fraction(1)} or self.basis_product(
+            if self.basis_product(self.unit, b) != {b: 1} or self.basis_product(
                 b, self.unit
-            ) != {b: Fraction(1)}:
+            ) != {b: 1}:
                 raise UnitMissing(f"{self.name}: unit law fails at ({self.unit!r}, {b!r})")
         for a, b in itertools.product(self.labels, repeat=2):
             prod = self.basis_product(a, b)
@@ -212,11 +232,14 @@ class AlgElement:
     """A sparse rational combination of basis labels of one algebra.
 
     Zero coefficients are never stored, so ``==`` is coefficient equality.
+    A coefficient is an ``int`` or a ``Fraction`` (never a float); ``3`` and
+    ``Fraction(3)`` are equal, hash alike and print alike, so ``==``,
+    ``hash`` and the printed forms do not depend on which one is stored.
     """
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: GradedAlgebra, coeffs: dict[str, Fraction]):
+    def __init__(self, algebra: GradedAlgebra, coeffs: dict[str, Rational]):
         self.algebra = algebra
         self.coeffs = coeffs
 
@@ -234,7 +257,7 @@ class AlgElement:
         self._check_same(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return AlgElement(self.algebra, _clean(out))
 
     def __neg__(self) -> "AlgElement":
@@ -251,11 +274,11 @@ class AlgElement:
 
     def __mul__(self, other: "AlgElement") -> "AlgElement":
         self._check_same(other)
-        out: dict[str, Fraction] = {}
+        out: dict[str, Rational] = {}
         for la, ca in self.coeffs.items():
             for lb, cb in other.coeffs.items():
                 for term, c in self.algebra.basis_product(la, lb).items():
-                    out[term] = out.get(term, Fraction(0)) + ca * cb * c
+                    out[term] = out.get(term, 0) + ca * cb * c
         return AlgElement(self.algebra, _clean(out))
 
     def __eq__(self, other) -> bool:
@@ -343,7 +366,7 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
     if not isinstance(unit, str):
         raise UnitMissing(f"the unit must be a basis label, got {reprlib.repr(unit)}")
 
-    given: dict[tuple[str, str], dict[str, Fraction]] = {}
+    given: dict[tuple[str, str], dict[str, Rational]] = {}
     for entry in _field(presentation, "products", Sequence, default=[]):
         left, right = _field(entry, "left", str), _field(entry, "right", str)
         if left not in degree or right not in degree:
@@ -361,9 +384,9 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
             if term not in degree:
                 raise AlgebraError(f"product ({left!r}, {right!r}) names unknown label {term!r}")
 
-    table: dict[tuple[str, str], dict[str, Fraction]] = {}
+    table: dict[tuple[str, str], dict[str, Rational]] = {}
     for b in degree:
-        table[(unit, b)] = table[(b, unit)] = {b: Fraction(1)}
+        table[(unit, b)] = table[(b, unit)] = {b: 1}
     table.update(given)
     for (a, b), value in given.items():
         if (b, a) not in given:
@@ -430,7 +453,7 @@ class TensorProductAlgebra(GradedAlgebra):
         super().__init__(
             basis,
             unit,
-            self._pair_product,
+            None,
             name=f"{left.name}(x){right.name}",
             generators=gens,
         )
@@ -438,15 +461,15 @@ class TensorProductAlgebra(GradedAlgebra):
     def pair_label(self, la: str, lb: str) -> str:
         return self._pair_label[(la, lb)]
 
-    def _pair_product(self, x: str, y: str) -> dict[str, Fraction]:
+    def _compute_product(self, x: str, y: str) -> dict[str, Rational]:
         l1, r1 = self.pair_of[x]
         l2, r2 = self.pair_of[y]
         sign = koszul_sign(self.right.degree[r1], self.left.degree[l2])
-        out: dict[str, Fraction] = {}
+        out: dict[str, Rational] = {}
         for tl, cl in self.left.basis_product(l1, l2).items():
             for tr, cr in self.right.basis_product(r1, r2).items():
                 label = self._pair_label[(tl, tr)]
-                out[label] = out.get(label, Fraction(0)) + sign * cl * cr
+                out[label] = out.get(label, 0) + sign * cl * cr
         return _clean(out)
 
     def simple(self, la: str, lb: str) -> AlgElement:
@@ -459,10 +482,18 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> TensorProductAlgebra:
 
 
 def tensor_square(a: GradedAlgebra) -> TensorProductAlgebra:
-    """The tensor square of ``a``, cached per algebra instance."""
-    cached = getattr(a, "_tensor_square_cache", None)
+    """The tensor square of ``a``, cached per algebra instance while it lives.
+
+    The square refers to ``a`` (as ``left`` and ``right``) and ``a`` to the
+    square only weakly, so the cache makes no reference cycle: the square,
+    with its product memo, lives as long as a caller holds it.  An owner
+    that keeps ``a`` for reuse keeps the square too (as the catalog's preset
+    memo does), so the memo survives across uses.
+    """
+    cached = a._square and a._square()
     if cached is None:
-        cached = a._tensor_square_cache = TensorProductAlgebra(a, a)
+        cached = TensorProductAlgebra(a, a)
+        a._square = weakref.ref(cached)
     return cached
 
 
@@ -484,22 +515,24 @@ def cup_hom(z: AlgElement) -> AlgElement:
     if not isinstance(t, TensorProductAlgebra) or t.left is not t.right:
         raise AlgebraMismatch("cup_hom needs an element of a tensor square")
     a = t.left
-    out: dict[str, Fraction] = {}
+    out: dict[str, Rational] = {}
     for label, c in z.coeffs.items():
         la, lb = t.pair_of[label]
         for term, s in a.basis_product(la, lb).items():
-            out[term] = out.get(term, Fraction(0)) + c * s
+            out[term] = out.get(term, 0) + c * s
     return AlgElement(a, _clean(out))
 
 
 # -- exact nullspace ----------------------------------------------------------
 
 
-def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def rational_nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Rational]]:
     """Basis of the nullspace of a rational matrix, by fraction-exact RREF.
 
-    Returns one vector per free column, with a 1 in the free position; the
-    order follows the column order, so results are deterministic.
+    Entries are ints or Fractions; so are the results, an int where
+    integral.  Returns one vector per free column, with a 1 in the free
+    position; the order follows the column order, so results are
+    deterministic.
     """
     m = [row[:] for row in rows]
     nrows = len(m)
@@ -514,8 +547,9 @@ def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Frac
         if pivot_row is None:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
+        pivot = m[rank][col]
+        if pivot != 1:
+            m[rank] = [_normal(Fraction(v, pivot)) for v in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col] != 0:
                 factor = m[r][col]
@@ -527,10 +561,10 @@ def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Frac
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = 1
         for r, c in pivots:
-            vec[c] = -m[r][free]
+            vec[c] = _normal(-m[r][free])
         basis.append(vec)
     return basis
 
@@ -555,7 +589,7 @@ def zero_divisor_basis(a: GradedAlgebra) -> list[AlgElement]:
         cols = by_degree[deg]
         targets = target_by_degree.get(deg, [])
         row_index = {t: i for i, t in enumerate(targets)}
-        matrix = [[Fraction(0)] * len(cols) for _ in targets]
+        matrix = [[0] * len(cols) for _ in targets]
         for j, label in enumerate(cols):
             la, lb = square.pair_of[label]
             for term, c in a.basis_product(la, lb).items():

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -5,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcplan.graded_algebra import (
+    AlgElement,
     AlgebraError,
     AlgebraMismatch,
     AssociativityViolation,
     CommutativityViolation,
     GradingViolation,
     UnitMissing,
+    algebra_to_presentation,
     canonical_divisor,
     cup_hom,
     rational_nullspace,
@@ -25,6 +29,7 @@ from tcplan.catalog import (
     point_algebra,
     sphere_algebra,
     surface_algebra,
+    tc_bounds,
 )
 
 
@@ -328,6 +333,102 @@ def test_nullspace_on_known_matrix():
     assert len(basis) == 2
     for vec in basis:
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
+
+
+def test_nullspace_of_an_int_matrix_is_exact():
+    basis = rational_nullspace([[2, 1]], 2)
+    assert basis == [[Fraction(-1, 2), 1]]
+    assert [type(v) for v in basis[0]] == [Fraction, int]
+
+
+# -- coefficient types ----------------------------------------------------------------
+
+COEFFICIENT_SPECS = [
+    "sphere:2",
+    "sphere:3",
+    "torus:2",
+    "surface:2",
+    "cpn:3",
+    "product(cpn:2,sphere:3)",
+    "product(sphere:2,surface:2)",
+]
+
+
+@pytest.mark.parametrize("spec", COEFFICIENT_SPECS)
+@pytest.mark.parametrize("mode", ["canonical", "exhaustive"])
+def test_integral_algebras_keep_int_coefficients(spec, mode):
+    result = zdcl(catalog_space(spec).algebra, mode=mode, max_len=4)
+    assert result.length > 0
+    for element in (*result.witness, result.product_value):
+        assert all(type(c) is int for c in element.coeffs.values()), (spec, element)
+
+
+def test_rational_constants_stay_exact_fractions():
+    algebra = validate_algebra(
+        {
+            "basis": [{"name": "1", "degree": 0}, {"name": "a", "degree": 2},
+                      {"name": "b", "degree": 4}],
+            "unit": "1",
+            "products": [{"left": "a", "right": "a", "result": [{"name": "b", "coeff": "1/2"}]}],
+        }
+    )
+    assert algebra.basis_product("a", "a") == {"b": Fraction(1, 2)}
+    result = zdcl(algebra)
+    assert result.product_value.coeffs
+    assert all(isinstance(c, (int, Fraction)) for c in result.product_value.coeffs.values())
+    assert any(type(c) is Fraction for c in result.product_value.coeffs.values())
+    # a Fraction whose denominator is 1 is read as an int
+    two = algebra.element({"a": Fraction(4, 2), "b": "3/1"})
+    assert [type(c) for c in two.coeffs.values()] == [int, int]
+
+
+def test_int_and_fraction_coefficients_compare_and_hash_alike():
+    algebra = sphere_algebra(2)
+    as_int = AlgElement(algebra, {"u": 3})
+    as_fraction = AlgElement(algebra, {"u": Fraction(3)})
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert repr(as_int) == repr(as_fraction) == "3*u"
+    assert as_int.as_strings() == as_fraction.as_strings() == {"u": "3"}
+
+
+# -- lifetimes ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_product_algebras_are_freed_without_the_cycle_collector(no_cycle_collector):
+    descriptor = catalog_space("product(cpn:2,sphere:3)")
+    algebra = descriptor.algebra
+    square = tensor_square(algebra)
+    tc_bounds(descriptor)
+    assert square._memo  # the bounds search multiplied in this square
+    refs = [weakref.ref(algebra), weakref.ref(square)]
+    del descriptor, algebra, square
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_file_algebras_are_freed_without_the_cycle_collector(no_cycle_collector):
+    algebra = validate_algebra(algebra_to_presentation(catalog_space("torus:2").algebra))
+    result = zdcl(algebra, mode="exhaustive")
+    square = result.product_value.algebra
+    assert square is tensor_square(algebra)
+    refs = [weakref.ref(algebra), weakref.ref(square)]
+    del algebra, result, square
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_preset_squares_are_kept(no_cycle_collector):
+    ref = weakref.ref(tensor_square(sphere_algebra(2)))
+    assert ref() is not None
+    assert ref() is tensor_square(sphere_algebra(2))
 
 
 # -- cup-length search ---------------------------------------------------------------

@@ -775,3 +775,23 @@ def test_point_validation():
             make_point(planner.geometry, [math.nan, 0.0], renormalize=renormalize)
     ok = make_point(planner.geometry, [1.0 + 5e-7, 0.0], renormalize=True)
     assert abs(np.linalg.norm(ok.parts[0]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec,coords",
+    [
+        ("convex:2", [math.nan, 0.0]),
+        ("convex:2", [math.inf, 0.0]),
+        ("convex:2", [0.0, -math.inf]),
+        ("circle", [math.inf, 0.0]),
+        ("product(circle,convex:2)", [1.0, 0.0, 0.0, math.nan]),
+        ("product(convex:1,sphere:2)", [math.inf, 0.0, 0.0, 1.0]),
+    ],
+)
+def test_point_validation_rejects_non_finite_coordinates(spec, coords):
+    geometry = build_planner(spec).geometry
+    parts = np.split(np.asarray(coords), np.cumsum([f.ambient for f in geometry.factors])[:-1])
+    for given in (coords, parts):
+        for renormalize in (False, True):
+            with pytest.raises(InvalidPoint, match="finite"):
+                make_point(geometry, given, renormalize=renormalize)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -259,9 +260,67 @@ def test_bounds_grammar_matches_golden():
     assert bounds_grammar_output() == BOUNDS_GOLDEN.read_bytes()
 
 
+# `tcplan algebra --file` over the presentations of the bounds-mixed algebra
+# requests (each written by `algebra_to_presentation`) and one presentation
+# with non-integral structure constants.  Each line of
+# tests/golden/algebra_file.jsonl is the stdout of one file in canonical, then
+# --exhaustive, mode at --max-len 4: the witness and product coefficients.
+ALGEBRA_SPECS = [
+    "sphere:2",
+    "sphere:3",
+    "torus:2",
+    "surface:2",
+    "cpn:2",
+    "cpn:3",
+    "cpn:5",
+    "product(sphere:2,sphere:3)",
+]
+RATIONAL_PRESENTATION = {
+    "name": "rational",
+    "basis": [
+        {"name": "1", "degree": 0},
+        {"name": "x", "degree": 1},
+        {"name": "y", "degree": 1},
+        {"name": "a", "degree": 2},
+        {"name": "b", "degree": 4},
+        {"name": "c", "degree": 6},
+        {"name": "A", "degree": 2},
+    ],
+    "unit": "1",
+    "products": [
+        {"left": "x", "right": "y", "result": [{"name": "A", "coeff": "3/2"}]},
+        {"left": "a", "right": "a", "result": [{"name": "b", "coeff": "2"}]},
+        {"left": "a", "right": "b", "result": [{"name": "c", "coeff": "1/3"}]},
+    ],
+}
+ALGEBRA_GOLDEN = ROOT / "tests" / "golden" / "algebra_file.jsonl"
+
+
+def algebra_file_output(tmp_dir):
+    from tcplan.catalog import catalog_space
+    from tcplan.cli import main
+    from tcplan.graded_algebra import algebra_to_presentation
+
+    presentations = [algebra_to_presentation(catalog_space(s).algebra) for s in ALGEBRA_SPECS]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for i, data in enumerate(presentations + [RATIONAL_PRESENTATION]):
+            path = Path(tmp_dir) / f"algebra-{i}.json"
+            path.write_text(json.dumps(data))
+            for mode in ([], ["--exhaustive"]):
+                argv = ["algebra", "--file", str(path), "--max-len", "4", *mode]
+                assert main(argv) == 0, argv
+    return out.getvalue().encode()
+
+
+def test_algebra_file_matches_golden(tmp_path):
+    """Cup-length witnesses and their exact coefficients are part of the output contract."""
+    assert algebra_file_output(tmp_path) == ALGEBRA_GOLDEN.read_bytes()
+
+
 if __name__ == "__main__":
-    # Rewrite the verify, acceptance, plan-products, bounds-grammar and
-    # discontinuity-demo golden files (only at a commit whose output is known good):
+    # Rewrite the verify, acceptance, plan-products, bounds-grammar, algebra-file
+    # and discontinuity-demo golden files (only at a commit whose output is known good):
     #     PYTHONPATH=src python tests/test_scripts.py
     VERIFY_GOLDEN.write_bytes(b"".join(verify_output(spec, 200) for spec in VERIFY_SPECS))
     BLOCK_GOLDEN.write_bytes(b"".join(verify_output(spec, BLOCK_PAIRS) for spec in BLOCK_SPECS))
@@ -269,4 +328,6 @@ if __name__ == "__main__":
     PLAN_GOLDEN.write_text("".join(line for spec in PLAN_SPECS
                                    for line in plan_products_lines(spec)))
     BOUNDS_GOLDEN.write_bytes(bounds_grammar_output())
+    with tempfile.TemporaryDirectory() as tmp:
+        ALGEBRA_GOLDEN.write_bytes(algebra_file_output(tmp))
     DEMO_GOLDEN.write_bytes(discontinuity_demo_output())
