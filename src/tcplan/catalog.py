@@ -112,67 +112,84 @@ def parse_spec(text: str) -> SpaceSpec:
     expanded unbounded; products nested deeper than that are rejected too,
     and so is a leaf with more than ``MAX_LEAF_BASIS`` cohomology classes.
     """
-    i = 0
-    leaves = depth = 0
+    reader = _SpecReader(text)
+    spec = reader.parse_one()
+    reader.skip_ws()
+    if reader.i != len(text):
+        raise BadSpec("trailing input", reader.i)
+    return spec
 
-    def skip_ws():
-        nonlocal i
+
+class _SpecReader:
+    """``parse_spec``'s recursive descent: the text, the position ``i``, and
+    the leaves and product depth read so far.  Its methods refer to no
+    closure, so a parse leaves no reference cycle behind."""
+
+    __slots__ = ("text", "i", "leaves", "depth")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.i = self.leaves = self.depth = 0
+
+    def skip_ws(self):
+        text, i = self.text, self.i
         while i < len(text) and text[i].isspace():
             i += 1
+        self.i = i
 
-    def parse_int() -> int:
-        nonlocal i
-        skip_ws()
-        start = i
+    def parse_int(self) -> int:
+        self.skip_ws()
+        text, start = self.text, self.i
+        i = start
         if i < len(text) and text[i] == "-":
             i += 1
         while i < len(text) and text[i].isdigit():
             i += 1
+        self.i = i
         if i == start or text[start:i] == "-":
             raise BadSpec("expected an integer", start)
         return int(text[start:i])
 
-    def parse_name() -> tuple[str, int]:
-        nonlocal i
-        skip_ws()
-        start = i
+    def parse_name(self) -> tuple[str, int]:
+        self.skip_ws()
+        text, start = self.text, self.i
+        i = start
         while i < len(text) and (text[i].isalnum() or text[i] == "_"):
             i += 1
+        self.i = i
         if i == start:
             raise BadSpec("expected a space name", start)
         return text[start:i], start
 
-    def expect(ch: str):
-        nonlocal i
-        skip_ws()
-        if i >= len(text) or text[i] != ch:
-            raise BadSpec(f"expected {ch!r}", i)
-        i += 1
+    def expect(self, ch: str):
+        self.skip_ws()
+        if self.i >= len(self.text) or self.text[self.i] != ch:
+            raise BadSpec(f"expected {ch!r}", self.i)
+        self.i += 1
 
-    def parse_one() -> SpaceSpec:
-        nonlocal i, leaves, depth
-        name, start = parse_name()
+    def parse_one(self) -> SpaceSpec:
+        name, start = self.parse_name()
         if name == "product":
-            depth += 1
-            if depth > MAX_LEAVES:  # every product adds a leaf
+            self.depth += 1
+            if self.depth > MAX_LEAVES:  # every product adds a leaf
                 raise UnsupportedParameter(f"products nested more than {MAX_LEAVES} deep")
-            expect("(")
-            factors = [parse_one()]
-            skip_ws()
-            while i < len(text) and text[i] == ",":
-                i += 1
-                factors.append(parse_one())
-                skip_ws()
-            expect(")")
+            self.expect("(")
+            factors = [self.parse_one()]
+            self.skip_ws()
+            while self.i < len(self.text) and self.text[self.i] == ",":
+                self.i += 1
+                factors.append(self.parse_one())
+                self.skip_ws()
+            self.expect(")")
             if len(factors) < 2:
                 raise BadSpec("product needs at least two factors", start)
-            depth -= 1
+            self.depth -= 1
             return SpaceSpec("product", factors=tuple(factors))
         if name == "circle":
             spec = SpaceSpec("circle")
         elif name in _PARAM_KINDS:
-            expect(":")
-            value = parse_int()
+            self.expect(":")
+            value = self.parse_int()
             if value < _PARAM_KINDS[name]:
                 raise UnsupportedParameter(
                     f"{name}:{value} is out of range (need >= {_PARAM_KINDS[name]})"
@@ -184,18 +201,12 @@ def parse_spec(text: str) -> SpaceSpec:
             spec = SpaceSpec(name, param=value)
         else:
             raise BadSpec(f"unknown space name {name!r}", start)
-        leaves += _circle_count(spec) or 1
-        if leaves > MAX_LEAVES:
+        self.leaves += _circle_count(spec) or 1
+        if self.leaves > MAX_LEAVES:
             raise UnsupportedParameter(
                 f"space has more than {MAX_LEAVES} leaves (torus:n counts n)"
             )
         return spec
-
-    spec = parse_one()
-    skip_ws()
-    if i != len(text):
-        raise BadSpec("trailing input", i)
-    return spec
 
 
 def canonical(spec: SpaceSpec) -> SpaceSpec:

@@ -540,20 +540,27 @@ def concat_paths(segments: Sequence[tuple[float, float, PathFn]], label: str = "
     return PathFn(geometry, sample, pieces, label)
 
 
+def merge_pieces(structures: Sequence[Sequence[Piece]]) -> tuple[Piece, ...]:
+    """The piece structure of paths run in parallel, one per structure:
+    cut at every piece end of every structure, and constant-speed where
+    every structure is.  Merging in one step equals merging pairwise in
+    any nesting, since each interval between consecutive cuts lies inside
+    one piece of every partial merge."""
+    cuts = sorted({0.0, 1.0} | {t for pieces in structures for t0, t1, _ in pieces for t in (t0, t1)})
+
+    def const_on(pieces, lo, hi):
+        return all(const or p1 <= lo or p0 >= hi for p0, p1, const in pieces)
+
+    return tuple(
+        (lo, hi, all(const_on(pieces, lo, hi) for pieces in structures))
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+
+
 def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:
     """Run two bundles of N paths in parallel on a product geometry, path n
     of each side together."""
-    cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in left.pieces + right.pieces for t in (t0, t1)})
-
-    def const_on(path, lo, hi):
-        return all(
-            const or p1 <= lo or p0 >= hi for p0, p1, const in path.pieces
-        )
-
-    pieces = tuple(
-        (lo, hi, const_on(left, lo, hi) and const_on(right, lo, hi))
-        for lo, hi in zip(cuts, cuts[1:])
-    )
+    pieces = merge_pieces((left.pieces, right.pieces))
     return PathFn(geometry, lambda ts: left.sample(ts) + right.sample(ts), pieces, "pair")
 
 

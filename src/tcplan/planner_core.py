@@ -32,7 +32,9 @@ Sections are built over rows: an elementary rule's section maps the
 leaf, are its leaf rules, and ``bundle`` builds the sections of all
 queries that share them as one bundle.  ``leaf_rules`` names them for a
 ``Decision`` and ``leaf_keys`` for rows of a ``Decisions`` block;
-``path`` is the one-row ``bundle`` of a decision.
+``path`` is the one-row ``bundle`` of a decision.  A product section runs
+its factors at equal times, so bulk callers build it from the bundles of
+its ``leaf_units``, the elementary and transfer planners of the tree.
 
 An elementary rule's weight is one function of per-factor blocks: a
 point's 1-D ``parts`` give a float, for ``decide``, and the (N, ambient) row
@@ -255,6 +257,16 @@ class Planner:
         ``index``, as a (len(rows), leaf_count) int array; each rule must
         cover its row."""
         return index[:, None]
+
+    @property
+    def leaf_units(self) -> tuple[tuple["Planner", slice, slice], ...]:
+        """The non-product nodes of the planner tree in factor order, each
+        with its slice of the geometry's factors and of the ``leaf_keys``
+        columns: an elementary planner, or a transfer planner with the
+        columns of its source.  The factors of a product section run at
+        equal times, so its rows are, unit by unit, the rows of the unit's
+        ``bundle`` on its factor blocks and key columns."""
+        return ((self, slice(0, len(self.geometry.factors)), slice(0, self.leaf_count)),)
 
     def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
         """The sections of N queries whose leaf planners run the 1-based
@@ -613,7 +625,19 @@ class ProductPlanner(Planner):
             axis=1,
         )
 
+    @property
+    def leaf_units(self) -> tuple[tuple[Planner, slice, slice], ...]:
+        k, split = self.split, self.left.leaf_count
+        shift = lambda s, by: slice(s.start + by, s.stop + by)
+        return self.left.leaf_units + tuple(
+            (unit, shift(factors, k), shift(columns, split))
+            for unit, factors, columns in self.right.leaf_units
+        )
+
     def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
+        """The factor bundles run in parallel (``pair_paths``).  Only
+        ``path``, and a transfer planner over a product, build a product
+        bundle: the verifier builds sections leaf unit by leaf unit."""
         k, split = self.split, self.left.leaf_count
         return pair_paths(
             self.geometry,

@@ -17,10 +17,13 @@ geometry     sampled path points stay on their spheres within TOLERANCE,
 
 The checks run over arrays.  The queries are stacked once into (N,
 ambient) row blocks and go through in blocks of ``VERIFY_BATCH`` rows: a
-block is decided at once into a ``Decisions`` block, its rows are grouped
-by rule and leaf rules (``Planner.leaf_keys``), and each group's sections
-are built and sampled as one bundle (``Planner.bundle``).  No per-query
-object is built: a planner's own ``point_sampler`` draws row blocks too.
+block is decided at once into a ``Decisions`` block, and its sections are
+built leaf unit by leaf unit (``Planner.leaf_units``).  The factors of a
+product section run at equal times, so a unit's rows depend only on its
+own leaf rules (``Planner.leaf_keys``): the rows that share them are built
+and sampled as one unit bundle (``Planner.bundle``), and no product bundle
+is built.  No per-query object is built: a planner's own
+``point_sampler`` draws row blocks too.
 
 The continuity bound is an empirical regression guard, not a theorem: the
 modulus of any rule blows up at its domain boundary, which is exactly why
@@ -47,7 +50,9 @@ from .geometry import (
     Blocks,
     ConfigPoint,
     Geometry,
+    PathFn,
     config_distances,
+    merge_pieces,
     random_points,
     row_norms,
     tangent_perturb_rows,
@@ -293,44 +298,121 @@ def _speed_variation(path) -> float:
     return _speed_spreads(path.geometry, tuple(r[None] for r in rows), steps)[0]
 
 
+def _unit_groups(
+    unit: Planner, decisions: Decisions, rows: np.ndarray, factors: slice, keys: np.ndarray
+) -> tuple[list[tuple[np.ndarray, PathFn]], np.ndarray]:
+    """The given rows of a block grouped by one leaf unit's ``keys`` (its
+    columns of ``leaf_keys``): each group's positions in ``rows``,
+    ascending, with the unit bundle of their sections on the unit's
+    ``factors``; and the group of each row."""
+    if keys.shape[1] == 1:
+        values, inverse = np.unique(keys[:, 0], return_inverse=True)
+        values = values[:, None]
+    else:
+        values, inverse = np.unique(keys, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+    a, b = decisions.a[factors], decisions.b[factors]
+    groups = []
+    for group, leaves in enumerate(values.tolist()):
+        members = np.flatnonzero(inverse == group)
+        picked = rows[members]
+        bundle = unit.bundle(tuple(x[picked] for x in a), tuple(x[picked] for x in b), leaves)
+        groups.append((members, bundle))
+    return groups, inverse
+
+
+def _sample_group(
+    bundle: PathFn, members: np.ndarray, times: np.ndarray, blocks: Blocks, count: int
+) -> list[np.ndarray]:
+    """Sample a group's bundle at ``times``, put its first ``count`` times
+    into the members' rows of the (rows, count, ambient) ``blocks``, and
+    return its (members, times, ambient) samples."""
+    sampled = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
+    for block, r in zip(blocks, sampled):
+        block[members] = r[:, :count]
+    return sampled
+
+
+def _piece_classes(units: list[tuple], probed: int) -> list[tuple[np.ndarray, tuple]]:
+    """The first ``probed`` rows of a product block grouped by the piece
+    structure of their sections, the merge of their units' bundles'
+    pieces: each class's rows and pieces.  ``units`` holds each leaf
+    unit's factors, groups and row groups (``_unit_groups``)."""
+    structures, ids = [], []
+    for _, groups, inverse in units:
+        seen: dict[tuple, int] = {}
+        numbered = [seen.setdefault(bundle.pieces, len(seen)) for _, bundle in groups]
+        structures.append(list(seen))
+        ids.append(np.array(numbered)[inverse[:probed]])
+    combos, inverse = np.unique(np.stack(ids, axis=1), axis=0, return_inverse=True)
+    classes: dict[tuple, int] = {}
+    numbers = [
+        classes.setdefault(merge_pieces([structures[u][i] for u, i in enumerate(combo)]), len(classes))
+        for combo in combos.tolist()
+    ]
+    row_class = np.array(numbers)[inverse.ravel()]
+    return [(np.flatnonzero(row_class == c), pieces) for c, pieces in enumerate(classes)]
+
+
 def _sample_sections(
     planner: Planner, decisions: Decisions, rows: np.ndarray, ts: np.ndarray, probed: int = 0
 ) -> tuple[Blocks, list[float]]:
     """The section of each given row's own rule sampled at ``ts``, as
     (len(rows) * T, ambient) blocks in the order of ``rows``, and the speed
-    spreads of the first ``probed`` rows' sections.
+    spreads of the first ``probed`` rows' sections, one per row in an order
+    of their own.
 
-    Rows are grouped by (rule, leaf rules) in first-seen order, and each
-    group's bundle is built and sampled once: at ``ts``, and also at its
-    speed probes where the group holds a probed row.
+    Sections are built leaf unit by leaf unit (``Planner.leaf_units``): a
+    unit's rows of a section depend only on the unit's own leaf rules.  The
+    rows are grouped by each unit's key columns of ``leaf_keys``, and each
+    group's unit bundle is built and sampled once.  A planner that is its
+    own unit samples a group holding a probed row also at the speed probes
+    of its bundle's pieces.  On a product the probed rows fall into classes
+    by the merge of their units' pieces (``merge_pieces``, as the product's
+    own bundle would have them); a unit bundle holding a probed row is
+    sampled at ``ts`` and at the probes of every class, and the spreads are
+    taken once per class.
     """
     index = decisions.index[rows]
-    keys = np.concatenate((index[:, None], planner.leaf_keys(decisions, rows, index)), axis=1)
-    _, firsts, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
+    keys = planner.leaf_keys(decisions, rows, index)
     geometry = planner.geometry
     count = len(ts)
     out = tuple(np.empty((len(rows), count, f.ambient)) for f in geometry.factors)
-    spreads = []
-    for group in np.argsort(firsts):
-        members = np.flatnonzero(inverse == group)
-        picked = rows[members]
-        bundle = planner.bundle(
-            tuple(x[picked] for x in decisions.a),
-            tuple(x[picked] for x in decisions.b),
-            keys[firsts[group], 1:].tolist(),
-        )
-        checked = int(np.count_nonzero(members < probed))  # a prefix: members ascend
-        times, steps = ts, []
-        if checked:
+    units = [
+        (factors, *_unit_groups(unit, decisions, rows, factors, keys[:, columns]))
+        for unit, factors, columns in planner.leaf_units
+    ]
+    if len(units) == 1:  # each group is a class of its own
+        [(_, groups, _)] = units
+        spreads = []
+        for members, bundle in groups:
+            checked = int(np.count_nonzero(members < probed))  # a prefix: members ascend
+            if not checked:
+                _sample_group(bundle, members, ts, out, count)
+                continue
             probes, steps = _speed_probes(bundle.pieces)
-            times = np.concatenate((ts, probes))
-        sampled = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
-        for block, r in zip(out, sampled):
-            block[members] = r[:, :count]
-        if checked:
+            sampled = _sample_group(bundle, members, np.concatenate((ts, probes)), out, count)
             spreads += _speed_spreads(geometry, [r[:checked, count:] for r in sampled], steps)
-    return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads
+        return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads
+
+    times, checks = ts, []  # all probe times; each class's rows, probe columns and steps
+    for members, pieces in _piece_classes(units, probed) if probed else ():
+        probes, steps = _speed_probes(pieces)
+        if steps:  # a class without constant-speed pieces reads 0
+            start = len(times) - count
+            checks.append((members, slice(start, start + len(probes)), steps))
+            times = np.concatenate((times, probes))
+    probe_rows = tuple(np.empty((probed, len(times) - count, f.ambient)) for f in geometry.factors)
+    for factors, groups, _ in units:
+        for members, bundle in groups:
+            checked = int(np.count_nonzero(members < probed)) if checks else 0
+            sampled = _sample_group(bundle, members, times if checked else ts, out[factors], count)
+            for block, r in zip(probe_rows[factors], sampled if checked else ()):
+                block[members[:checked]] = r[:checked, count:]
+    spreads = np.zeros(probed)
+    for members, columns, steps in checks:
+        spreads[members] = _speed_spreads(geometry, [p[members, columns] for p in probe_rows], steps)
+    return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads.tolist()
 
 
 def _same_cells(decisions: Decisions, rows: np.ndarray, twins: Decisions) -> np.ndarray:
@@ -363,13 +445,14 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
 
     The queries are stacked once into row blocks (the random ones from one
     ``random_points`` or ``point_sampler`` call) and go through in blocks
-    of ``VERIFY_BATCH`` rows.  Each block is decided at once into a ``Decisions`` block, and
-    its covered rows' sections are built and sampled as one bundle per
-    (rule, leaf rules) group.  The twins of its eligible rows are drawn
-    with one generator call (which draws what one tangent_perturb call per
-    point would, in query order), decided at once, and sampled in bundles
-    grouped by their own decisions.  Each check runs once over the block's
-    stacked rows.
+    of ``VERIFY_BATCH`` rows.  Each block is decided at once into a
+    ``Decisions`` block, and its covered rows' sections are built and
+    sampled by ``_sample_sections``: one bundle per leaf unit and leaf
+    rule, speed-probed rows included.  The twins of its eligible rows are
+    drawn with one generator call (which draws what one tangent_perturb
+    call per point would, in query order), decided at once, and sampled in
+    bundles grouped by their own decisions.  Each check runs once over the
+    block's stacked rows.
     """
     rng = np.random.default_rng(cfg.seed)
     starts, goals = _query_rows(planner, rng, cfg.pairs)

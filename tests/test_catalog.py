@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -40,6 +41,40 @@ def test_parse_errors_carry_position(bad):
     with pytest.raises(BadSpec) as err:
         parse_spec(bad)
     assert "position" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("sphere", "expected ':' (at position 6)"),
+        ("sphere:-", "expected an integer (at position 7)"),
+        ("blob:2", "unknown space name 'blob' (at position 0)"),
+        ("product(circle)", "product needs at least two factors (at position 0)"),
+        ("  ", "expected a space name (at position 2)"),
+        ("product(circle sphere:2)", "expected ')' (at position 15)"),
+        ("product)", "expected '(' (at position 7)"),
+        ("convex : 2 ,", "trailing input (at position 11)"),
+    ],
+)
+def test_parse_error_messages(bad, message):
+    with pytest.raises(BadSpec) as err:
+        parse_spec(bad)
+    assert str(err.value) == message
+    assert err.value.position == int(message.rsplit(" ", 1)[1][:-1])
+
+
+def test_parse_leaves_no_reference_cycle():
+    """A parse frees everything it builds by reference counting alone, so
+    a bounds request leaves nothing for the cycle collector."""
+    specs = ["product(product(circle, sphere:2), torus:3)", "product(circle,product(cpn:2,convex:1))"]
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(100):
+            parse_spec(specs[k % 2])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_out_of_range_parameters():

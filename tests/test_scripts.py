@@ -56,10 +56,10 @@ VERIFY_SPECS = [
 VERIFY_GOLDEN = ROOT / "tests" / "golden" / "verify_seed42_pairs200.jsonl"
 
 
-def verify_output(spec, pairs):
-    """`tcplan verify <spec> --seed 42 --pairs <pairs>` stdout."""
+def verify_output(spec, pairs, seed=42):
+    """`tcplan verify <spec> --seed <seed> --pairs <pairs>` stdout."""
     return subprocess.run(
-        [sys.executable, "-m", "tcplan.cli", "verify", spec, "--seed", "42", "--pairs", str(pairs)],
+        [sys.executable, "-m", "tcplan.cli", "verify", spec, "--seed", str(seed), "--pairs", str(pairs)],
         capture_output=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -89,6 +89,26 @@ def test_verify_across_blocks_matches_golden(line):
     golden = BLOCK_GOLDEN.read_bytes().splitlines(keepends=True)[line]
     assert json.loads(golden)["pairs_checked"] > 2 * VERIFY_BATCH
     assert verify_output(BLOCK_SPECS[line], BLOCK_PAIRS) == golden
+
+
+# A deep and a mixed product, where a full leaf-rule tuple is shared by
+# fewest queries: each line of the golden file is the `tcplan verify <spec>
+# --seed <seed> --pairs 2000` stdout, for each spec and then each seed.
+DEEP_SPECS = [
+    "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)",
+    "product(circle,sphere:3,sphere:2,convex:2)",
+]
+DEEP_SEEDS = (1, 42)
+DEEP_PAIRS = 2000
+DEEP_GOLDEN = ROOT / "tests" / "golden" / "verify_deep_pairs2000.jsonl"
+DEEP_RUNS = list(itertools.product(DEEP_SPECS, DEEP_SEEDS))
+
+
+@pytest.mark.parametrize("line", range(len(DEEP_RUNS)), ids=[f"{s}-{n}" for s, n in DEEP_RUNS])
+def test_verify_deep_products_match_golden(line):
+    spec, seed = DEEP_RUNS[line]
+    golden = DEEP_GOLDEN.read_bytes().splitlines(keepends=True)[line]
+    assert verify_output(spec, DEEP_PAIRS, seed) == golden
 
 
 # Criterion 4 of tests/test_acceptance.py: each line of the golden file is the
@@ -324,6 +344,7 @@ if __name__ == "__main__":
     #     PYTHONPATH=src python tests/test_scripts.py
     VERIFY_GOLDEN.write_bytes(b"".join(verify_output(spec, 200) for spec in VERIFY_SPECS))
     BLOCK_GOLDEN.write_bytes(b"".join(verify_output(spec, BLOCK_PAIRS) for spec in BLOCK_SPECS))
+    DEEP_GOLDEN.write_bytes(b"".join(verify_output(s, DEEP_PAIRS, n) for s, n in DEEP_RUNS))
     ACCEPTANCE_GOLDEN.write_text(acceptance_reports())
     PLAN_GOLDEN.write_text("".join(line for spec in PLAN_SPECS
                                    for line in plan_products_lines(spec)))

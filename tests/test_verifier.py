@@ -22,12 +22,16 @@ from tcplan.planner_core import (
     Decision,
     Planner,
     PlannerRule,
+    ProductPlanner,
+    TransferPlanner,
     arm_planner,
     build_planner,
     circle_planner,
+    product_planner,
     punctured_plane_planner,
     sphere_planner,
     straight_line_planner,
+    transfer_planner,
 )
 from tcplan.verifier import (
     TOLERANCE,
@@ -43,7 +47,7 @@ from tcplan.verifier import (
 )
 
 # a Decisions row read as the Decision decide gives, and one random point per call
-from test_planner_core import one_point_sampler, row_decision
+from test_planner_core import DECIDE_MANY_PLANNERS, one_point_sampler, row_decision
 
 FAST = VerifyConfig(pairs=400)
 
@@ -356,6 +360,151 @@ def test_twins_are_built_from_their_own_leaf_rules():
     report = verify_planner(planner, cfg)
     assert json.dumps(report.as_dict()) == json.dumps(_per_query_verify(planner, cfg).as_dict())
     assert round(report.max_continuity_ratio, 2) == 31415.93  # pi / DELTA
+
+
+# -- leaf-unit sampling against full-tuple bundles --------------------------------
+
+
+def _full_tuple_sample_sections(planner, decisions, rows, ts, probed=0):
+    """``verifier._sample_sections`` as it ran before sections were built
+    leaf unit by leaf unit: one full product bundle per (rule, leaf rules)
+    group, sampled at its own speed probes where it holds a probed row."""
+    index = decisions.index[rows]
+    keys = np.concatenate((index[:, None], planner.leaf_keys(decisions, rows, index)), axis=1)
+    _, firsts, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    geometry = planner.geometry
+    count = len(ts)
+    out = tuple(np.empty((len(rows), count, f.ambient)) for f in geometry.factors)
+    spreads = []
+    for group in np.argsort(firsts):
+        members = np.flatnonzero(inverse == group)
+        picked = rows[members]
+        bundle = planner.bundle(
+            tuple(x[picked] for x in decisions.a),
+            tuple(x[picked] for x in decisions.b),
+            keys[firsts[group], 1:].tolist(),
+        )
+        checked = int(np.count_nonzero(members < probed))  # a prefix: members ascend
+        times, steps = ts, []
+        if checked:
+            probes, steps = verifier._speed_probes(bundle.pieces)
+            times = np.concatenate((ts, probes))
+        sampled = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
+        for block, r in zip(out, sampled):
+            block[members] = r[:, :count]
+        if checked:
+            spreads += verifier._speed_spreads(geometry, [r[:checked, count:] for r in sampled], steps)
+    return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads
+
+
+def _identity_transfer(planner):
+    """``planner`` pulled back along identity maps: a transfer unit whose
+    key has a column per leaf of its source."""
+    same = lambda rows: rows
+    return transfer_planner(planner, same, same, lambda t, rows: rows, planner.geometry, "identity")
+
+
+def _nan_after_half(ts, rows):
+    rows[ts > 0.5] = np.nan  # every piece structure probes a later time
+    return rows
+
+
+SAMPLING_PLANNERS = {
+    **DECIDE_MANY_PLANNERS,
+    "product(punctured-plane,sphere:2)": lambda: product_planner(
+        punctured_plane_planner(), sphere_planner(2)
+    ),
+    "product(identity(torus:2),sphere:3)": lambda: product_planner(
+        _identity_transfer(build_planner("torus:2")), sphere_planner(3)
+    ),
+    "product(sphere:2,nan-segment)": lambda: product_planner(
+        sphere_planner(2), _spoiled_segment_planner(_nan_after_half)
+    ),
+}
+
+
+def _sampling_blocks(planner, seed):
+    """Covered query rows of one block and the covered rows of their
+    twins' block, as verify_planner draws them."""
+    rng = np.random.default_rng(seed)
+    decisions = planner.decide_many(*verifier._query_rows(planner, rng, 250))
+    covered = np.flatnonzero(decisions.index)
+    eligible = covered[decisions.weights[covered, decisions.index[covered] - 1] >= verifier.MARGIN_ETA]
+    normals = rng.standard_normal((len(eligible), 2, planner.geometry.ambient_dim))
+    twins = planner.decide_many(*(
+        tangent_perturb_rows(planner.geometry, tuple(x[eligible] for x in side), verifier.DELTA,
+                             normals[:, k])
+        for k, side in enumerate((decisions.a, decisions.b))
+    ))
+    return (decisions, covered), (twins, np.flatnonzero(twins.index))
+
+
+@pytest.mark.parametrize("name", SAMPLING_PLANNERS)
+def test_leaf_unit_sampling_matches_full_tuple_bundles(name):
+    """Every row block and every speed spread of the leaf-unit sampling
+    equals the full-tuple bundles' bit for bit, on blocks that are probed,
+    unprobed and partly probed, and on twin blocks."""
+    planner = SAMPLING_PLANNERS[name]()
+    ts = np.array([i / (verifier.SAMPLES_PER_PATH - 1) for i in range(verifier.SAMPLES_PER_PATH)])
+    hexed = lambda spreads: sorted(map(float.hex, spreads))  # classes come in their own order
+    (decisions, covered), (twins, twin_rows) = _sampling_blocks(planner, seed=5)
+    assert len(covered) > 2 * len(planner.rules) and len(twin_rows)
+    for block, rows, probed in [
+        (decisions, covered, 0),
+        (decisions, covered, len(covered) // 3),
+        (decisions, covered, len(covered)),
+        (decisions, covered[::-1], 17),
+        (twins, twin_rows, 0),
+        (twins, twin_rows, len(twin_rows)),
+    ]:
+        got, got_spreads = verifier._sample_sections(planner, block, rows, ts, probed)
+        want, want_spreads = _full_tuple_sample_sections(planner, block, rows, ts, probed)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (name, probed)
+        assert len(got_spreads) == probed
+        assert hexed(got_spreads) == hexed(want_spreads), (name, probed)
+    if name.startswith("product(sphere:2,nan"):
+        assert "nan" in hexed(got_spreads)
+
+
+def _unit_rules(planner):
+    return sum(len(unit.rules) for unit, _, _ in planner.leaf_units)
+
+
+@pytest.mark.parametrize("spec", ["torus:10", "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)"])
+def test_verify_builds_one_bundle_per_unit_rule(monkeypatch, spec):
+    """A block's sections, speed-probed rows included, take at most one
+    bundle per rule of each leaf unit, and no product bundle: pair_paths
+    is never called inside verify_planner."""
+    planner = build_planner(spec)
+    bundles, per_call, paired = [], [], []
+
+    def counted(cls):
+        bundle = cls.bundle
+
+        def wrapper(self, *args):
+            bundles.append(cls)
+            return bundle(self, *args)
+
+        return wrapper
+
+    for cls in (Planner, ProductPlanner, TransferPlanner):
+        monkeypatch.setattr(cls, "bundle", counted(cls))
+    sample_sections = verifier._sample_sections
+
+    def sampled(*args):
+        bundles.clear()
+        out = sample_sections(*args)
+        per_call.append(len(bundles))
+        return out
+
+    monkeypatch.setattr(verifier, "_sample_sections", sampled)
+    for module in ("tcplan.geometry", "tcplan.planner_core"):
+        monkeypatch.setattr(f"{module}.pair_paths", lambda *args: paired.append(args))
+    report = verify_planner(planner, VerifyConfig(seed=42, pairs=1000))
+    assert report.speed_checked == verifier.SPEED_CHECKS and len(per_call) > 8
+    assert max(per_call) <= _unit_rules(planner) == {"torus:10": 20}.get(spec, 15)
+    assert paired == [] and set(bundles) == {Planner}
 
 
 # -- discontinuity demonstrations ----------------------------------------------
