@@ -557,13 +557,6 @@ def merge_pieces(structures: Sequence[Sequence[Piece]]) -> tuple[Piece, ...]:
     )
 
 
-def pair_paths(geometry: Geometry, left: PathFn, right: PathFn) -> PathFn:
-    """Run two bundles of N paths in parallel on a product geometry, path n
-    of each side together."""
-    pieces = merge_pieces((left.pieces, right.pieces))
-    return PathFn(geometry, lambda ts: left.sample(ts) + right.sample(ts), pieces, "pair")
-
-
 def mapped_path(path: PathFn, fn, geometry: Geometry, label: str = "mapped") -> PathFn:
     """Push a bundle through a coordinate map; speed structure is not preserved.
 

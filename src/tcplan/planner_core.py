@@ -33,8 +33,12 @@ leaf, are its leaf rules, and ``bundle`` builds the sections of all
 queries that share them as one bundle.  ``leaf_rules`` names them for a
 ``Decision`` and ``leaf_keys`` for rows of a ``Decisions`` block;
 ``path`` is the one-row ``bundle`` of a decision.  A product section runs
-its factors at equal times, so bulk callers build it from the bundles of
-its ``leaf_units``, the elementary and transfer planners of the tree.
+its factors at equal times, so it is built from the bundles of its
+``leaf_units``, the elementary and transfer planners of the tree, with no
+bundle per product node: a product's ``bundle`` builds one per distinct
+unit and leaf rules, over the stacked rows of every unit that shares them
+(``build_planner`` shares a tree's equal leaves), and the verifier one per
+unit and leaf rules.
 
 An elementary rule's weight is one function of per-factor blocks: a
 point's 1-D ``parts`` give a float, for ``decide``, and the (N, ambient) row
@@ -50,8 +54,9 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,8 +78,8 @@ from .geometry import (
     factor_distance,
     geodesic_path,
     mapped_path,
+    merge_pieces,
     odd_vector_field,
-    pair_paths,
     polar_arc_path,
     row_norms,
     sphere_geometry,
@@ -239,7 +244,7 @@ class Planner:
         index = np.where(applies.any(axis=1), applies.argmax(axis=1) + 1, 0)
         return Decisions(a, b, index, weights)
 
-    @property
+    @cached_property
     def leaf_count(self) -> int:
         """The number of leaf planners, the length of a leaf-rule tuple."""
         return 1
@@ -258,14 +263,15 @@ class Planner:
         cover its row."""
         return index[:, None]
 
-    @property
+    @cached_property
     def leaf_units(self) -> tuple[tuple["Planner", slice, slice], ...]:
         """The non-product nodes of the planner tree in factor order, each
         with its slice of the geometry's factors and of the ``leaf_keys``
         columns: an elementary planner, or a transfer planner with the
         columns of its source.  The factors of a product section run at
         equal times, so its rows are, unit by unit, the rows of the unit's
-        ``bundle`` on its factor blocks and key columns."""
+        ``bundle`` on its factor blocks and key columns.  Computed once per
+        planner, as is ``leaf_count``."""
         return ((self, slice(0, len(self.geometry.factors)), slice(0, self.leaf_count)),)
 
     def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
@@ -312,10 +318,12 @@ def sample_times(n: int) -> list[float]:
 
 
 def sample_path(path: PathFn, n: int) -> list[tuple[float, ConfigPoint]]:
-    """The path at ``sample_times(n)``, evaluated at once, one point per time."""
+    """The path at ``sample_times(n)``, evaluated at once, one point per
+    time: each block is split into its rows once, and a time's point takes
+    its row of every block."""
     ts = sample_times(n)
-    blocks = path.sample(ts)
-    return [(t, ConfigPoint(path.geometry, tuple(b[k] for b in blocks))) for k, t in enumerate(ts)]
+    points = zip(*map(list, path.sample(ts)))
+    return [(t, ConfigPoint(path.geometry, parts)) for t, parts in zip(ts, points)]
 
 
 # -- elementary planners --------------------------------------------------------
@@ -455,12 +463,22 @@ def sphere_planner(n: int) -> Planner:
 def _threshold_sets(values: tuple[float, ...]):
     """{i : values[i] >= theta} for each distinct value theta, from the
     largest down, as (ascending indices, theta, the next value below theta
-    or None)."""
-    sets, theta = [], max(values)
-    while theta is not None:
-        below = max((v for v in values if v < theta), default=None)
-        sets.append((tuple(i for i, v in enumerate(values) if v >= theta), theta, below))
-        theta = below
+    or None).
+
+    One stable descending sort orders the indices; its tie groups are the
+    distinct values, each led by its first index in input order, the one
+    ``max`` would pick (so 0.0 and -0.0 come out as ``max`` gives them)."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    sets, kept, start = [], [], 0
+    while start < len(order):
+        theta, end = values[order[start]], start + 1
+        while end < len(order) and values[order[end]] == theta:
+            end += 1
+        for i in order[start:end]:
+            insort(kept, i)
+        below = values[order[end]] if end < len(order) else None
+        sets.append((tuple(kept), theta, below))
+        start = end
     return sets
 
 
@@ -564,11 +582,12 @@ class ProductPlanner(Planner):
     For a query, the factor decisions give normalized weights on each side,
     and their argmax sets S, T (grouped at exact equality) select the tie
     cell W(S, T) at level |S| + |T|.  Rules are the levels k = 2, ..., n + m;
-    the section on a cell pairs the factor sections with the smallest
-    indices in S and T, and a level's weight, the sum of clamped cell
-    margins, is positive exactly on that level's cells.  One decision per
-    query builds the sections at every nesting level; queries whose cells
-    pick the same factor rules, down to the leaves, share one bundle.
+    the section on a cell runs the factor sections with the smallest
+    indices in S and T in parallel, and a level's weight, the sum of
+    clamped cell margins, is positive exactly on that level's cells.  One
+    decision per query picks the factor rules at every nesting level, down
+    to the leaf rules; queries that share those share one bundle, built
+    flat over the tree's ``leaf_units`` rather than node by node.
     """
 
     def __init__(self, left: Planner, right: Planner):
@@ -603,7 +622,7 @@ class ProductPlanner(Planner):
         index = np.where((left.index > 0) & (right.index > 0), tops - 1, 0)
         return Decisions(a, b, index, weights, (left, right), cells, factor_rules)
 
-    @property
+    @cached_property
     def leaf_count(self) -> int:
         return self.left.leaf_count + self.right.leaf_count
 
@@ -625,7 +644,7 @@ class ProductPlanner(Planner):
             axis=1,
         )
 
-    @property
+    @cached_property
     def leaf_units(self) -> tuple[tuple[Planner, slice, slice], ...]:
         k, split = self.split, self.left.leaf_count
         shift = lambda s, by: slice(s.start + by, s.stop + by)
@@ -635,15 +654,42 @@ class ProductPlanner(Planner):
         )
 
     def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
-        """The factor bundles run in parallel (``pair_paths``).  Only
-        ``path``, and a transfer planner over a product, build a product
-        bundle: the verifier builds sections leaf unit by leaf unit."""
-        k, split = self.split, self.left.leaf_count
-        return pair_paths(
-            self.geometry,
-            self.left.bundle(a[:k], b[:k], leaves[:split]),
-            self.right.bundle(a[k:], b[k:], leaves[split:]),
-        )
+        """The leaf units' bundles run in parallel, built flat: one unit
+        bundle per distinct (leaf unit, its leaf rules), over the factor
+        rows of every unit that shares them stacked unit after unit.  With
+        G units of N queries stacked, unit g's rows at T times are rows g N
+        T .. (g + 1) N T - 1 of that bundle's samples, bit for bit its own
+        bundle's, since a bundle's rows do not depend on N; each factor
+        gets its rows as a slice.  The pieces are the one-step merge of the
+        unit bundles' pieces.  Only ``path``, and a transfer planner over a
+        product, build a product bundle: the verifier builds sections leaf
+        unit by leaf unit."""
+        groups: dict[tuple, tuple[Planner, tuple[int, ...], list[slice]]] = {}
+        for unit, factors, columns in self.leaf_units:
+            rules = tuple(leaves[columns])
+            groups.setdefault((id(unit), rules), (unit, rules, []))[2].append(factors)
+
+        def stacked(blocks: Blocks, spans: list[slice]) -> Blocks:
+            if len(spans) == 1:
+                return blocks[spans[0]]
+            return tuple(np.concatenate(rows) for rows in zip(*(blocks[s] for s in spans)))
+
+        parts = [
+            (unit.bundle(stacked(a, spans), stacked(b, spans), rules), spans)
+            for unit, rules, spans in groups.values()
+        ]
+        count, width = len(a[0]), len(self.geometry.factors)
+
+        def sample(ts):
+            out, span = [None] * width, count * len(ts)
+            for bundle, spans in parts:
+                rows = bundle.sample(ts)
+                for g, factors in enumerate(spans):
+                    out[factors] = [r[g * span : (g + 1) * span] for r in rows]
+            return tuple(out)
+
+        pieces = merge_pieces([bundle.pieces for bundle, _ in parts])
+        return PathFn(self.geometry, sample, pieces, "product")
 
 
 product_planner = ProductPlanner
@@ -726,7 +772,7 @@ class TransferPlanner(Planner):
         source = self.source.decide_many(self.f(a), self.f(b))
         return Decisions(a, b, source.index, source.weights, (source,), source.cells)
 
-    @property
+    @cached_property
     def leaf_count(self) -> int:
         return self.source.leaf_count
 
@@ -829,8 +875,12 @@ def build_planner(spec) -> Planner | None:
     """Planner for a catalog space expression, or None where none exists
     (higher-genus surfaces, complex projective spaces).  Factor planners
     are folded with product_planner in the nesting of the canonical form;
-    the planner's ``space`` is the expression as spelled.  A space whose
-    points would have more than ``MAX_AMBIENT`` coordinates raises
+    the planner's ``space`` is the expression as spelled.  Each distinct
+    canonical leaf is built once per call and shared by every factor that
+    names it (planners are immutable), so torus:8's eight circles are one
+    planner and a product bundle stacks them into one unit bundle; the
+    returned planner itself is always a new object.  A space whose points
+    would have more than ``MAX_AMBIENT`` coordinates raises
     UnsupportedParameter before any planner is built."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -842,7 +892,7 @@ def build_planner(spec) -> Planner | None:
         )
     planner = fold(
         form,
-        lambda leaf: _LEAF_PLANNERS.get(leaf.kind, lambda _: None)(leaf.param),
+        cache(lambda leaf: _LEAF_PLANNERS.get(leaf.kind, lambda _: None)(leaf.param)),
         lambda parts: None if any(p is None for p in parts) else reduce(product_planner, parts),
     )
     if planner is not None:

@@ -325,7 +325,7 @@ def test_every_path_kind_is_compared():
         for _, path, _ in every_section(planner, seed=0)
     }
     assert labels >= {
-        "geodesic", "two-stage", "chart-segment", "positive-arc", "pair", "transfer"
+        "geodesic", "two-stage", "chart-segment", "positive-arc", "product", "transfer"
     }
     assert min(ANGLES) < 1e-9  # the near-equal branch
     assert max(ANGLES) > math.pi - 1e-6  # near-antipodal arcs

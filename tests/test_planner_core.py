@@ -1,21 +1,23 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcplan import planner_core
+from tcplan import planner_core, verifier
 from tcplan.geometry import (
     ConfigPoint,
     InvalidPoint,
     ParityError,
+    PathFn,
     config_distance,
     convex_geometry,
     even_vector_field,
     make_point,
+    merge_pieces,
     odd_vector_field,
-    pair_paths,
     random_point,
     row_norms,
     stack_points,
@@ -25,6 +27,7 @@ from tcplan.planner_core import (
     DomainMiss,
     HomotopyEndpointMismatch,
     LengthMismatch,
+    Planner,
     arm_planner,
     build_planner,
     circle_planner,
@@ -372,6 +375,30 @@ def test_tie_cells_match_exhaustive_enumeration():
         assert tops.tolist() == [len(ref_argmax[0]) + len(ref_argmax[1])]
 
 
+def _threshold_sets_by_max(values):
+    """``planner_core._threshold_sets`` in its two-pass form: ``max`` for
+    each threshold and for the value below it."""
+    sets, theta = [], max(values)
+    while theta is not None:
+        below = max((v for v in values if v < theta), default=None)
+        sets.append((tuple(i for i, v in enumerate(values) if v >= theta), theta, below))
+        theta = below
+    return sets
+
+
+def test_threshold_sets_match_max_form():
+    """The one-sort threshold sets equal the two-pass form on tie-heavy
+    vectors, each theta and value below it down to the sign of a zero."""
+    rng = random.Random(19)
+    pool = [0.0, -0.0, 0.25, 0.5, 1.0]
+    for _ in range(10_000):
+        values = tuple(
+            rng.choice(pool) if rng.random() < 0.8 else rng.random()
+            for _ in range(rng.randint(1, 9))
+        )
+        assert repr(planner_core._threshold_sets(values)) == repr(_threshold_sets_by_max(values))
+
+
 def decode_cells(keys, n, m):
     """The tie cells {level: (S, T)} of one row's (levels, bytes) cell keys
     for factors of n and m rules: S's membership bits, then T's."""
@@ -426,6 +453,14 @@ def _reference_cells(planner, a, b):
     g = _reference_weights(planner.right, ay, by)
     levels, cells, _ = _exhaustive_tie_cells(f, g)
     return (ax, bx), (ay, by), levels, cells
+
+
+def pair_paths(geometry, left, right):
+    """Two bundles of N paths run in parallel on a product geometry, path
+    n of each side together: a product node's bundle as it was built node
+    by node, the oracle of the flat ``ProductPlanner.bundle``."""
+    pieces = merge_pieces((left.pieces, right.pieces))
+    return PathFn(geometry, lambda ts: left.sample(ts) + right.sample(ts), pieces, "pair")
 
 
 def _reference_weights(planner, a, b):
@@ -590,6 +625,94 @@ def test_plan_analyzes_each_product_node_once(monkeypatch, n):
     monkeypatch.setattr(planner_core, "_tie_cells", lambda f, g: calls.append(1) or tie_cells(f, g))
     sample_path(plan(planner, a, b).path, 17)
     assert len(calls) == n - 1
+
+
+def _nested_bundle(self, a, b, leaves):
+    """``ProductPlanner.bundle`` node by node: each factor's bundle on its
+    rows and leaf rules, the two paired."""
+    k, split = self.split, self.left.leaf_count
+    return pair_paths(
+        self.geometry,
+        self.left.bundle(a[:k], b[:k], leaves[:split]),
+        self.right.bundle(a[k:], b[k:], leaves[split:]),
+    )
+
+
+def _identity_transfer(planner):
+    same = lambda rows: rows
+    return transfer_planner(planner, same, same, lambda t, rows: rows, planner.geometry, "identity")
+
+
+BUNDLE_PLANNERS = {
+    **{
+        name: make
+        for name, make in DECIDE_MANY_PLANNERS.items()
+        if name.startswith(("torus", "product"))
+    },
+    "product(torus:2,product(sphere:2,circle))": lambda: build_planner(
+        "product(torus:2,product(sphere:2,circle))"
+    ),
+    "product(punctured-plane,torus:2)": lambda: product_planner(
+        punctured_plane_planner(), build_planner("torus:2")
+    ),
+    "identity(torus:2)": lambda: _identity_transfer(build_planner("torus:2")),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLE_PLANNERS)
+def test_product_bundle_matches_nested_pairs(monkeypatch, name):
+    """The flat product bundle of every leaf-rule group, over 1, 5 and 40
+    of its queries, has the pieces and, bit for bit, the rows of the
+    bundle paired node by node."""
+    planner = BUNDLE_PLANNERS[name]()
+    decisions = planner.decide_many(*verifier._query_rows(planner, np.random.default_rng(23), 200))
+    rows = np.flatnonzero(decisions.index)
+    keys = planner.leaf_keys(decisions, rows, decisions.index[rows])
+    groups = {}
+    for row, leaves in zip(rows, keys.tolist()):
+        groups.setdefault(tuple(leaves), []).append(row)
+    ts = np.concatenate((np.linspace(0.0, 1.0, 17), [1.0 / 3.0, 2.0 / 3.0]))
+
+    def sampled(bundle):
+        samples = bundle.sample(ts)
+        return bundle.pieces, [r.shape for r in samples], [r.tobytes() for r in samples]
+
+    for leaves, members in groups.items():
+        for count in (1, 5, 40):
+            picked = np.array(members)[np.arange(count) % len(members)]
+            a, b = (tuple(x[picked] for x in side) for side in (decisions.a, decisions.b))
+            flat = sampled(planner.bundle(a, b, leaves))
+            with monkeypatch.context() as patched:
+                patched.setattr(ProductPlanner, "bundle", _nested_bundle)
+                assert flat == sampled(planner.bundle(a, b, leaves)), (leaves, count)
+    assert len(groups) > 1
+
+
+@pytest.mark.parametrize(
+    "spec, most",
+    [("torus:8", 2), ("product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)", 3)],
+)
+def test_plan_builds_one_bundle_per_leaf_rule(monkeypatch, spec, most):
+    """``build_planner`` shares equal leaves, so a product section takes
+    one leaf bundle per distinct leaf rule, not one per leaf."""
+    assert len({id(unit) for unit, _, _ in build_planner("torus:3").leaf_units}) == 1
+    planner = build_planner(spec)
+    (leaf,) = {id(unit) for unit, _, _ in planner.leaf_units}
+    built, counts = [], []
+    bundle = Planner.bundle
+    monkeypatch.setattr(
+        Planner, "bundle", lambda self, *args: built.append(id(self)) or bundle(self, *args)
+    )
+    starts, goals = verifier._query_rows(planner, np.random.default_rng(31), 100)
+    for row in range(len(starts[0])):
+        a, b = (
+            ConfigPoint(planner.geometry, tuple(x[row] for x in side)) for side in (starts, goals)
+        )
+        built.clear()
+        sample_path(plan(planner, a, b).path, 17)
+        assert set(built) == {leaf}
+        counts.append(len(built))
+    assert max(counts) == most
 
 
 def test_arm_rule_counts():

@@ -474,10 +474,10 @@ def _unit_rules(planner):
 @pytest.mark.parametrize("spec", ["torus:10", "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)"])
 def test_verify_builds_one_bundle_per_unit_rule(monkeypatch, spec):
     """A block's sections, speed-probed rows included, take at most one
-    bundle per rule of each leaf unit, and no product bundle: pair_paths
-    is never called inside verify_planner."""
+    bundle per rule of each leaf unit, and no product bundle is built
+    inside verify_planner."""
     planner = build_planner(spec)
-    bundles, per_call, paired = [], [], []
+    bundles, per_call = [], []
 
     def counted(cls):
         bundle = cls.bundle
@@ -499,12 +499,10 @@ def test_verify_builds_one_bundle_per_unit_rule(monkeypatch, spec):
         return out
 
     monkeypatch.setattr(verifier, "_sample_sections", sampled)
-    for module in ("tcplan.geometry", "tcplan.planner_core"):
-        monkeypatch.setattr(f"{module}.pair_paths", lambda *args: paired.append(args))
     report = verify_planner(planner, VerifyConfig(seed=42, pairs=1000))
     assert report.speed_checked == verifier.SPEED_CHECKS and len(per_call) > 8
     assert max(per_call) <= _unit_rules(planner) == {"torus:10": 20}.get(spec, 15)
-    assert paired == [] and set(bundles) == {Planner}
+    assert set(bundles) == {Planner}
 
 
 # -- discontinuity demonstrations ----------------------------------------------
