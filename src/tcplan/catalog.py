@@ -47,10 +47,22 @@ built: the search in its tensor square could only return S again.
 The cohomology presets a spec can name are built and validated once per
 process and then shared, together with their lazily filled product memos
 and tensor squares.
+
+The cup-lengths that ``tc_bounds`` has to search are memoized per process
+too, keyed by the node's canonical form as text: ``torus:2``,
+``product(circle,circle)`` and ``surface:1`` share one entry, and a hit
+builds no algebra, no tensor square and runs no search.  The memo keeps the
+``MAX_CUP_LENGTHS`` = 4,096 most recently used forms.  A form longer than
+``MAX_CUP_LENGTH_KEY`` = 1,280 characters is searched every time and never
+stored; every spec whose parameters have at most two digits fits (64 leaves
+of at most 10 characters, 63 product nodes with their commas: 1,270).  So an
+entry takes at most about 1.4 KB, and a full memo at most about 5.8 MB.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial, reduce, wraps
 from operator import itemgetter
@@ -455,6 +467,42 @@ class BoundsReport:
         }
 
 
+# -- searched cup-lengths -------------------------------------------------------
+
+# The memo of searched cup-lengths (see the module docstring): its cap, past
+# which the least recently used form is dropped, and the longest form kept.
+MAX_CUP_LENGTHS = 4096
+MAX_CUP_LENGTH_KEY = 1280
+_cup_lengths: OrderedDict[str, int] = OrderedDict()
+_cup_lengths_lock = threading.Lock()
+
+
+def _cup_length(descriptor: SpaceDescriptor) -> int:
+    """``zdcl(descriptor.algebra).length``, memoized per process by the
+    descriptor's canonical form; a hit never builds the algebra."""
+    key = str(descriptor.form)
+    with _cup_lengths_lock:
+        length = _cup_lengths.get(key)
+        if length is not None:
+            _cup_lengths.move_to_end(key)
+            return length
+    length = zdcl(descriptor.algebra).length
+    if len(key) <= MAX_CUP_LENGTH_KEY:
+        with _cup_lengths_lock:
+            _cup_lengths[key] = length
+            while len(_cup_lengths) > MAX_CUP_LENGTHS:
+                _cup_lengths.popitem(last=False)
+    return length
+
+
+def _clear_cup_lengths() -> None:
+    with _cup_lengths_lock:
+        _cup_lengths.clear()
+
+
+_cup_length.cache_clear = _clear_cup_lengths
+
+
 def _tc_bounds(descriptor: SpaceDescriptor) -> tuple[BoundsReport, int]:
     """The bounds report and the zero-divisor cup-length behind it."""
     factors = [_tc_bounds(f) for f in descriptor.factors]
@@ -472,7 +520,7 @@ def _tc_bounds(descriptor: SpaceDescriptor) -> tuple[BoundsReport, int]:
 
     cup_length = sum(length for _, length in factors)
     if not factors or cup_length + 1 != upper:
-        cup_length = zdcl(descriptor.algebra).length
+        cup_length = _cup_length(descriptor)
 
     lowers: list[tuple[int, str]] = []
     if descriptor.contractible:
@@ -501,6 +549,8 @@ def tc_bounds(descriptor: SpaceDescriptor) -> BoundsReport:
     The upper bound ``descriptor.rules``, where set, is witnessed by the
     space's explicit planner (``build_planner`` has that many rules); product
     factors contribute their own rule counts when the product inequality is
-    applied recursively.
+    applied recursively.  A cup-length that has to be searched comes from
+    the per-process memo of the module docstring when the descriptor's
+    canonical form was searched before, whatever its spelling.
     """
     return _tc_bounds(descriptor)[0]

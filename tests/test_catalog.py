@@ -1,5 +1,8 @@
 import gc
 import itertools
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -418,3 +421,108 @@ def test_product_algebra_reuses_the_factor_algebras(monkeypatch):
         "product(product(cpn:1,cpn:2),cpn:3)", 13, 25, "cup-length lower bound",
         "product inequality", False,
     )
+
+
+# -- memo of searched cup-lengths ---------------------------------------------
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The algebras that ``tc_bounds`` hands to the cup-length search."""
+    algebras = []
+    zdcl = catalog.zdcl
+
+    def recording_zdcl(algebra, *args, **kwargs):
+        algebras.append(algebra)
+        return zdcl(algebra, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
+    return algebras
+
+
+def test_spellings_of_one_form_share_the_searched_cup_length(searched):
+    first = tc_bounds(catalog_space("torus:2"))
+    assert len(searched) == 1  # the circle leaf; the product meets its rule count
+    searched.clear()
+    for spec in ("product(circle,circle)", "surface:1"):
+        assert tc_bounds(catalog_space(spec)) == replace(first, space=spec)
+    assert searched == []
+
+
+def test_open_bracket_is_searched_once(searched):
+    first = catalog_space("product(cpn:2,sphere:3)")
+    report = tc_bounds(first)
+    assert (report.lower, report.upper, report.exact) == (6, 10, False)
+    assert searched[-1] is first.algebra
+    searched.clear()
+    again = catalog_space("product(cpn:2,sphere:3)")
+    assert tc_bounds(again) == report
+    assert searched == []
+    assert "algebra" not in again.__dict__  # a hit builds no product algebra
+
+
+def test_memo_keeps_the_most_recently_used_forms(monkeypatch, searched):
+    monkeypatch.setattr(catalog, "MAX_CUP_LENGTHS", 3)
+    for n in range(1, 7):
+        tc_bounds(catalog_space(f"sphere:{n}"))
+        assert len(catalog._cup_lengths) == min(n, 3)
+    assert list(catalog._cup_lengths) == ["sphere:4", "sphere:5", "sphere:6"]
+    tc_bounds(catalog_space("sphere:4"))  # a hit makes sphere:4 the most recent
+    tc_bounds(catalog_space("sphere:7"))
+    assert list(catalog._cup_lengths) == ["sphere:6", "sphere:4", "sphere:7"]
+    searched.clear()
+    report = tc_bounds(catalog_space("sphere:1"))  # evicted: searched again
+    assert len(searched) == 1
+    assert (report.lower, report.upper) == (2, 2)
+    assert list(catalog._cup_lengths) == ["sphere:4", "sphere:7", "sphere:1"]
+
+
+def test_cache_clear_empties_the_memo(searched):
+    tc_bounds(catalog_space("product(cpn:1,convex:1)"))
+    assert catalog._cup_lengths
+    catalog._cup_length.cache_clear()
+    assert not catalog._cup_lengths
+    searched.clear()
+    tc_bounds(catalog_space("product(cpn:1,convex:1)"))
+    assert len(searched) == 3  # both leaves and the product
+
+
+def test_overlong_forms_are_searched_every_time(searched):
+    spec = "convex:" + "9" * catalog.MAX_CUP_LENGTH_KEY
+    reports = [tc_bounds(catalog_space(spec)) for _ in range(2)]
+    assert len(searched) == 2
+    assert not catalog._cup_lengths
+    assert (reports[0].lower, reports[0].upper, reports[0].exact) == (1, 1, True)
+    assert reports[0] == reports[1]
+
+
+def test_threads_share_the_memo_under_its_cap(monkeypatch):
+    """Threads that hit, fill and evict one small memo at once get the
+    single-threaded reports and leave it within its cap."""
+    specs = [f"sphere:{n}" for n in range(1, 9)] + [f"cpn:{n}" for n in range(1, 5)]
+    expected = {spec: tc_bounds(catalog_space(spec)) for spec in specs}
+    catalog._cup_length.cache_clear()
+    monkeypatch.setattr(catalog, "MAX_CUP_LENGTHS", 4)
+    results, errors = [], []
+
+    def worker(offset):
+        try:
+            for k in range(300):
+                spec = specs[(offset + k) % len(specs)]
+                results.append(tc_bounds(catalog_space(spec)) == expected[spec])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 8 * 300 and all(results)
+    assert len(catalog._cup_lengths) <= 4

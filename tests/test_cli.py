@@ -462,7 +462,8 @@ def _in_process(argv):
 
 
 def test_one_process_sequence_matches_fresh_calls():
-    """The cached parser keeps no state from one call to the next."""
+    """The cached parser keeps no state from one call to the next, and
+    memoized cup-lengths give every spelling its own report."""
     sequence = [
         ["bounds", "sphere:2"],
         ["plan", "sphere:2", "--from", "1,0,0", "--to", "-1,0,0", "--samples", "5"],
@@ -474,6 +475,11 @@ def test_one_process_sequence_matches_fresh_calls():
         ["algebra"],
         ["plan", "circle", "--from", "1,0", "--to", "0,1", "--format", "csv", "--quiet"],
         ["bounds", "torus:3", "--quiet"],
+        ["bounds", "torus:2"],
+        ["bounds", "product(circle,circle)"],
+        ["bounds", "surface:1"],
+        ["bounds", "product(cpn:2,sphere:3)"],
+        ["bounds", "product(cpn:2,sphere:3)"],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     for argv in sequence:
@@ -481,4 +487,4 @@ def test_one_process_sequence_matches_fresh_calls():
                                capture_output=True, text=True, env=env)
         assert _in_process(argv) == (fresh.returncode, fresh.stdout), argv
     codes = [_in_process(argv)[0] for argv in sequence]
-    assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 0, 0]
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0]
