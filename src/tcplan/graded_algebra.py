@@ -341,11 +341,12 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
 
     This function only reads and completes the data.  It checks its shape: a
     non-empty basis of distinct string labels with int degrees >= 0, a
-    string unit, product entries naming known labels once each, and exact
-    rational coefficients.  Then it fills the table, so presentations stay
-    small: absent entries are zero, products with the unit default to the
-    unit law, and a pair given on one side only gets its other side through
-    ``koszul_sign``.  ``GradedAlgebra.validate`` checks every law.
+    string unit, product entries naming known labels once each, result
+    terms naming each label at most once, and exact rational coefficients.
+    Then it fills the table, so presentations stay small: absent entries
+    are zero, products with the unit default to the unit law, and a pair
+    given on one side only gets its other side through ``koszul_sign``.
+    ``GradedAlgebra.validate`` checks every law.
     """
     basis_raw = _field(presentation, "basis", Sequence, default=None)
     if not basis_raw:
@@ -374,12 +375,13 @@ def validate_algebra(presentation: Mapping, name: str | None = None) -> GradedAl
         key = (left, right)
         if key in given:
             raise AlgebraError(f"duplicate product entry for ({left!r}, {right!r})")
-        given[key] = _clean(
-            {
-                _field(t, "name", str): parse_rational(_field(t, "coeff"))
-                for t in _field(entry, "result", Sequence, default=[])
-            }
-        )
+        terms: dict[str, Rational] = {}
+        for t in _field(entry, "result", Sequence, default=[]):
+            term = _field(t, "name", str)
+            if term in terms:
+                raise AlgebraError(f"product ({left!r}, {right!r}) names term {term!r} twice")
+            terms[term] = parse_rational(_field(t, "coeff"))
+        given[key] = _clean(terms)
         for term in given[key]:
             if term not in degree:
                 raise AlgebraError(f"product ({left!r}, {right!r}) names unknown label {term!r}")

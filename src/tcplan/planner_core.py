@@ -14,8 +14,9 @@ space and the constructions below realize the known minimal counts:
   that is nowhere zero (odd) or vanishes at a single pole (even), plus a
   stereographic-chart rule for the even-dimensional leftover pair;
 * products: the two factor planners combine into n + m - 1 rules indexed
-  by tie level, giving n + 1 rules for the planar n-bar arm (a torus) and
-  2n + 1 for the spatial arm (a product of 2-spheres);
+  by tie level (a query's rule is its lowest level with a positive cell,
+  the argmax cell's unless that cell's margin rounds to 0), giving n + 1
+  rules for the planar n-bar arm (a torus), 2n + 1 for the spatial arm;
 * any planner transfers along a homotopy equivalence (three-stage paths),
   e.g. from the circle to the punctured plane.
 
@@ -160,10 +161,11 @@ class PlanResult:
 @dataclass(slots=True)
 class Decision:
     """A planner's decision for one query (a, b): the first applicable 1-based
-    rule, the normalized weights and the rule's tie cell (None outside
-    products), which a verifier perturbs within.  Composite planners keep
-    the cells of every level and the factor or source decisions, from which
-    their sections are built."""
+    rule (on a product, the lowest level with a positive cell: the argmax
+    cell's level unless that cell's margin rounds to 0), the normalized
+    weights and the rule's tie cell (None outside products), which a
+    verifier perturbs within.  Composite planners keep every level's cell
+    and the factor or source decisions, from which their sections are built."""
 
     a: ConfigPoint
     b: ConfigPoint
@@ -220,29 +222,32 @@ class Planner:
 
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
         raw = tuple(r.weight(a.parts, b.parts) for r in self.rules)
+        return Decision(a, b, *self._first_positive(a, b, raw))
+
+    def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
+        """``decide`` of each query (a[n], b[n]) of two (N, ambient) row
+        blocks, bit for bit, with index 0 where it would raise CoverageGap."""
+        raw = np.stack([rule.weight(a, b) for rule in self.rules], axis=1)
+        return Decisions(a, b, *self._first_positive_rows(raw))
+
+    def _first_positive(self, a: ConfigPoint, b: ConfigPoint, raw: Sequence[float]):
+        """How every node decides from raw rule weights: the 1-based index of
+        the first positive one (else CoverageGap) and the weights over their sum."""
         index = next((i + 1 for i, w in enumerate(raw) if w > 0.0), 0)
         if index == 0:
             raise CoverageGap(f"{self.space}: no rule applies at ({a}, {b})")
         total = sum(raw)
-        return Decision(a, b, index, tuple(w / total for w in raw))
+        return index, tuple(w / total for w in raw)
 
-    def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
-        """``decide`` of each query (a[n], b[n]) of two (N, ambient) row
-        blocks, bit for bit, with index 0 where it would raise CoverageGap.
-
-        The arithmetic is ``decide``'s, elementwise: the rules' weights of
-        the row blocks as columns, their sum as column adds from left to
-        right."""
-        columns = [rule.weight(a, b) for rule in self.rules]
-        total = columns[0]
-        for column in columns[1:]:
-            total = total + column
-        raw = np.stack(columns, axis=1)
+    @staticmethod
+    def _first_positive_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_first_positive`` of each row of an (N, rules) array, summing its
+        columns from left to right; index 0 where that raises."""
+        total = reduce(np.add, raw.T)
         with np.errstate(invalid="ignore", divide="ignore"):
             weights = raw / total[:, None]
         applies = raw > 0.0
-        index = np.where(applies.any(axis=1), applies.argmax(axis=1) + 1, 0)
-        return Decisions(a, b, index, weights)
+        return np.where(applies.any(axis=1), applies.argmax(axis=1) + 1, 0), weights
 
     @cached_property
     def leaf_count(self) -> int:
@@ -505,8 +510,9 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     outer, T inner), since nested sets grow with their bitmasks.
 
     Returns the raw per-level weights (the clamped cell margins, with an
-    empty outside treated as comparing against zero), the containing cell
-    per level, and the argmax cell.
+    empty outside treated as comparing against zero) and each level's cell.
+    The rule is the lowest level with a positive cell: the argmax cell's
+    level unless that cell's margin rounds to 0.
     """
     f_sets, g_sets = _threshold_sets(f), _threshold_sets(g)
     fmax, gmax = f_sets[0][1], g_sets[0][1]
@@ -520,7 +526,7 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
             if margin > 0.0:
                 level = len(s) + len(t)
                 levels[level], cells[level] = margin, (s, t)
-    return levels, cells, (f_sets[0][0], g_sets[0][0])
+    return levels, cells
 
 
 def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
@@ -538,9 +544,10 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     and q + 1 sorted positions, which end a tie group, so the order in
     which the sort puts tied indices does not matter.
 
-    Returns the (N, n + m + 1) raw level weights; the (N, n + m + 1, bytes)
-    cell keys and (N, n + m + 1, 2) factor rules of ``Decisions``; and each
-    row's argmax-cell level.
+    Returns the (N, n + m + 1) raw level weights, and the (N, n + m + 1,
+    bytes) cell keys and (N, n + m + 1, 2) factor rules of ``Decisions``.
+    A row's rule is its lowest level with a positive cell, the argmax
+    cell's level unless that cell's margin rounds to 0.
     """
     count, n, m = f.shape[0], f.shape[1], g.shape[1]
     f_order = np.argsort(-f, axis=1)
@@ -572,22 +579,21 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     factor_rules = np.zeros((count, n + m + 1, 2), dtype=np.int64)
     factor_rules[rows, cell_levels, 0] = np.minimum.accumulate(f_order, axis=1)[rows, ps] + 1
     factor_rules[rows, cell_levels, 1] = np.minimum.accumulate(g_order, axis=1)[rows, qs] + 1
-    tops = (fs == fmax).sum(axis=1) + (gs == gmax).sum(axis=1)
-    return levels, cells, factor_rules, tops
+    return levels, cells, factor_rules
 
 
 class ProductPlanner(Planner):
     """Combine planners on X and Y into n + m - 1 rules on X x Y.
 
-    For a query, the factor decisions give normalized weights on each side,
-    and their argmax sets S, T (grouped at exact equality) select the tie
-    cell W(S, T) at level |S| + |T|.  Rules are the levels k = 2, ..., n + m;
-    the section on a cell runs the factor sections with the smallest
-    indices in S and T in parallel, and a level's weight, the sum of
-    clamped cell margins, is positive exactly on that level's cells.  One
-    decision per query picks the factor rules at every nesting level, down
-    to the leaf rules; queries that share those share one bundle, built
-    flat over the tree's ``leaf_units`` rather than node by node.
+    For a query, the factor decisions give normalized weights on each side.
+    Rules are the levels k = 2, ..., n + m, a level's weight the clamped
+    margin of its one tie cell W(S, T), |S| + |T| = k, whose section runs
+    the factor sections with the smallest indices in S and T in parallel.
+    As at every node, the rule is the first with positive weight: the
+    lowest level with a positive cell, the argmax cell's level unless that
+    cell's margin rounds to 0.  One decision per query picks the factor
+    rules at every nesting level, down to the leaf rules; queries sharing
+    those share one bundle, built flat over ``leaf_units``, not by node.
     """
 
     def __init__(self, left: Planner, right: Planner):
@@ -602,24 +608,17 @@ class ProductPlanner(Planner):
         k, x, y = self.split, self.left.geometry, self.right.geometry
         left = self.left.decide(ConfigPoint(x, a.parts[:k]), ConfigPoint(x, b.parts[:k]))
         right = self.right.decide(ConfigPoint(y, a.parts[k:]), ConfigPoint(y, b.parts[k:]))
-        levels, cells, (s0, t0) = _tie_cells(left.weights, right.weights)
-        level, total = len(s0) + len(t0), sum(levels[2:])
-        weights = tuple(w / total for w in levels[2:])
-        return Decision(a, b, level - 1, weights, cells[level], cells, (left, right))
+        levels, cells = _tie_cells(left.weights, right.weights)
+        index, weights = self._first_positive(a, b, levels[2:])
+        return Decision(a, b, index, weights, cells[index + 1], cells, (left, right))
 
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
-        """``decide`` over rows: the factors' weight arrays go through
-        ``_tie_cell_rows``, and a row is uncovered where a factor's is."""
+        """``decide`` over rows; an uncovered factor row's NaN weights give no positive level."""
         k = self.split
         left = self.left.decide_many(a[:k], b[:k])
         right = self.right.decide_many(a[k:], b[k:])
-        levels, cells, factor_rules, tops = _tie_cell_rows(left.weights, right.weights)
-        total = levels[:, 2]
-        for column in levels[:, 3:].T:
-            total = total + column
-        with np.errstate(invalid="ignore", divide="ignore"):
-            weights = levels[:, 2:] / total[:, None]
-        index = np.where((left.index > 0) & (right.index > 0), tops - 1, 0)
+        levels, cells, factor_rules = _tie_cell_rows(left.weights, right.weights)
+        index, weights = self._first_positive_rows(levels[:, 2:])
         return Decisions(a, b, index, weights, (left, right), cells, factor_rules)
 
     @cached_property

@@ -80,6 +80,23 @@ def test_plan_sphere_pole_pair(capsys):
     assert payload["rule_index"] == 3
 
 
+def test_plan_near_tie_takes_first_positive_level(capsys):
+    # The left factor's top two weights are one float apart, so the argmax
+    # tie cell's margin rounds to 0 and level 3 is the first positive one.
+    start = [-0.003473771544450412, -0.6326747964650465, 0.7744097977357782,
+             -0.8984244256428054, -0.16002731640923568, 0.408931301579194]
+    goal = [0.9700579107124438, 0.2281599743512405, 0.08325068148820043,
+            -0.8769798336371238, -0.34437803708436854, -0.3351270489944372]
+    code, out, _ = run(capsys, "plan", "product(sphere:2,sphere:2)",
+                       "--from", ",".join(map(repr, start)), "--to", ",".join(map(repr, goal)))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rule_index"] == 2
+    samples = payload["samples"]
+    assert max(abs(x - y) for x, y in zip(samples[0][1:], start)) < 1e-9
+    assert max(abs(x - y) for x, y in zip(samples[-1][1:], goal)) < 1e-9
+
+
 def test_plan_rejects_bad_point(capsys):
     code, _, err = run(capsys, "plan", "circle", "--from", "1,1", "--to", "0,1")
     assert code == 2
@@ -231,6 +248,22 @@ def test_algebra_invalid_file_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "algebra", "--file", str(bad))
     assert code == 2
     assert "sign rule" in err
+
+
+def test_algebra_file_term_named_twice_is_exit_2(capsys, tmp_path):
+    # read as one term, u * v would be -A and certify a lower bound of 3
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps({
+        "basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 1},
+                  {"name": "v", "degree": 1}, {"name": "A", "degree": 2}],
+        "unit": "1",
+        "products": [{"left": "u", "right": "v", "result": [
+            {"name": "A", "coeff": "1"}, {"name": "A", "coeff": "-1"}]}],
+    }))
+    for command in ("algebra", "bounds"):
+        code, out, err = run(capsys, command, "--file", str(bad))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "('u', 'v')" in err and "'A' twice" in err
 
 
 def test_bounds_from_algebra_file(capsys, algebra_file):

@@ -341,7 +341,8 @@ def _exhaustive_tie_cells(f, g):
 
 
 def _random_weights(rng, size):
-    """Normalized weights with a positive maximum, often tied or zero."""
+    """Normalized weights with a positive maximum, often tied or zero, and
+    now and then with a second maximum one float below the first."""
     while True:
         if rng.random() < 0.75:
             raw = rng.choice([0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 0.5], size=size)
@@ -349,30 +350,69 @@ def _random_weights(rng, size):
             raw = rng.random(size) * (rng.random(size) < 0.8)
         if raw.max() > 0.0:
             total = float(sum(raw.tolist()))
-            return tuple(w / total for w in raw.tolist())
+            weights = [w / total for w in raw.tolist()]
+            if size > 1 and rng.random() < 0.2:
+                top = int(np.argmax(weights))
+                other = int(rng.choice([i for i in range(size) if i != top]))
+                weights[other] = math.nextafter(weights[top], 0.0)
+            return tuple(weights)
+
+
+# Weights of a product(sphere:2,sphere:2) query whose left factor has its
+# top two weights one float apart: the argmax cell ((0,), (2,)) has level
+# 2, and its margin rounds to 0.
+NEAR_TIE_F = (0.4619083838369422, 0.46190838383694216, 0.07618323232611578)
+NEAR_TIE_G = (0.40723127714826884, 0.13611547588622874, 0.45665324696550247)
+
+# Planners' shared decision rule, called on raw level weights directly.
+DECIDER = Planner("tie cells", convex_geometry(1), ())
+
+
+def _first_positive_level(levels):
+    """The lowest level of positive weight."""
+    return next(k for k, w in enumerate(levels) if w > 0.0)
+
+
+def _decided_level(levels):
+    """The level a product decides from its raw level weights."""
+    return DECIDER._first_positive(None, None, levels[2:])[0] + 1
+
+
+def _decided_row_levels(levels):
+    """``_decided_level`` of each row of an (N, levels) array."""
+    return (Planner._first_positive_rows(levels[:, 2:])[0] + 1).tolist()
+
+
+def _check_tie_cells(f, g):
+    """``_tie_cells`` and ``_tie_cell_rows`` of one query against the
+    exhaustive reference; returns the reference levels."""
+    levels, cells = planner_core._tie_cells(f, g)
+    ref_levels, ref_cells, _ = _exhaustive_tie_cells(f, g)
+    assert [w.hex() for w in levels] == [w.hex() for w in ref_levels], (f, g)
+    assert list(cells.items()) == list(ref_cells.items()), (f, g)
+    level = _first_positive_level(ref_levels)
+    assert _decided_level(levels) == level, (f, g)
+    assert level in cells, (f, g)
+    # the row form ``decide_many`` uses, on a one-row block
+    row_levels, keys, factor_rules = planner_core._tie_cell_rows(np.array([f]), np.array([g]))
+    assert [w.hex() for w in row_levels[0].tolist()] == [w.hex() for w in ref_levels], (f, g)
+    assert decode_cells(keys[0], len(f), len(g)) == ref_cells, (f, g)
+    assert factor_rules[0].tolist() == [
+        [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1] if k in ref_cells else [0, 0]
+        for k in range(len(f) + len(g) + 1)
+    ], (f, g)
+    assert _decided_row_levels(row_levels) == [level], (f, g)
+    return ref_levels
 
 
 def test_tie_cells_match_exhaustive_enumeration():
+    ref_levels = _check_tie_cells(NEAR_TIE_F, NEAR_TIE_G)
+    assert ref_levels[2] == 0.0 and _first_positive_level(ref_levels) == 3
     rng = np.random.default_rng(2024)
     for _ in range(20_000):
         f = _random_weights(rng, int(rng.integers(1, 10)))
         g = _random_weights(rng, int(rng.integers(1, 6)))
-        levels, cells, argmax = planner_core._tie_cells(f, g)
-        ref_levels, ref_cells, ref_argmax = _exhaustive_tie_cells(f, g)
-        assert [w.hex() for w in levels] == [w.hex() for w in ref_levels], (f, g)
-        assert list(cells.items()) == list(ref_cells.items()), (f, g)
-        assert argmax == ref_argmax
-        # the row form ``decide_many`` uses, on a one-row block
-        row_levels, keys, factor_rules, tops = planner_core._tie_cell_rows(
-            np.array([f]), np.array([g])
-        )
-        assert [w.hex() for w in row_levels[0].tolist()] == [w.hex() for w in ref_levels], (f, g)
-        assert decode_cells(keys[0], len(f), len(g)) == ref_cells, (f, g)
-        assert factor_rules[0].tolist() == [
-            [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1] if k in ref_cells else [0, 0]
-            for k in range(len(f) + len(g) + 1)
-        ], (f, g)
-        assert tops.tolist() == [len(ref_argmax[0]) + len(ref_argmax[1])]
+        _check_tie_cells(f, g)
 
 
 def _threshold_sets_by_max(values):
@@ -419,23 +459,24 @@ def test_cell_keys_tell_apart_cells_past_64_rules():
     f = np.full((3, 70), 1.0 / 72.0)
     f[:, 0] = f[0, 65] = f[1, 66] = f[2, 69] = 2.0 / 72.0
     g = np.array([[0.75, 0.25]] * 3)
-    levels, keys, factor_rules, tops = planner_core._tie_cell_rows(f, g)
-    assert tops.tolist() == [3, 3, 3]
+    levels, keys, factor_rules = planner_core._tie_cell_rows(f, g)
     cells = [decode_cells(k, 70, 2) for k in keys]
     assert [c[3] for c in cells] == [((0, 65), (0,)), ((0, 66), (0,)), ((0, 69), (0,))]
     assert not (keys[0, 3] == keys[1, 3]).all() and not (keys[1, 3] == keys[2, 3]).all()
     assert factor_rules[:, 3].tolist() == [[1, 1]] * 3
-    for c, row in zip(cells, f.tolist()):
-        assert c == planner_core._tie_cells(tuple(row), (0.75, 0.25))[1]
+    ref = [planner_core._tie_cells(tuple(row), (0.75, 0.25)) for row in f.tolist()]
+    assert cells == [ref_cells for _, ref_cells in ref]
+    assert _decided_row_levels(levels) == [_first_positive_level(lv) for lv, _ in ref] == [3] * 3
 
 
 def test_tie_cells_polynomial_on_long_vectors():
     """40 + 40 distinct weights: 2^78 supersets, a few hundred upward-closed ones."""
     rng = np.random.default_rng(40)
     f, g = (tuple(rng.permutation(np.arange(1, 41) / 820.0).tolist()) for _ in range(2))
-    levels, cells, (s0, t0) = planner_core._tie_cells(f, g)
-    assert (s0, t0) == ((f.index(max(f)),), (g.index(max(g)),))
-    assert cells and sum(levels) > 0.0
+    levels, cells = planner_core._tie_cells(f, g)
+    assert _decided_level(levels) == _first_positive_level(levels) == 2
+    assert cells[2] == ((f.index(max(f)),), (g.index(max(g)),))
+    assert sum(levels) > 0.0
     for level, (s, t) in cells.items():
         assert len(s) + len(t) == level
         assert min(f[i] for i in s) > max((f[i] for i in range(40) if i not in s), default=0.0)
@@ -590,12 +631,49 @@ DECIDE_MANY_PLANNERS = {
 }
 
 
+# (start, goal) coordinates of queries whose left factor has its top two
+# weights one float apart and whose argmax tie cell's margin rounds to 0:
+# the ``tcplan plan`` replay of test_cli, then three found by random search.
+NEAR_TIE_QUERIES = {
+    "product(sphere:2,sphere:2)": [
+        (
+            [-0.003473771544450412, -0.6326747964650465, 0.7744097977357782,
+             -0.8984244256428054, -0.16002731640923568, 0.408931301579194],
+            [0.9700579107124438, 0.2281599743512405, 0.08325068148820043,
+             -0.8769798336371238, -0.34437803708436854, -0.3351270489944372],
+        ),
+        (
+            [-0.5970282195741988, -0.7782126466512592, -0.19478804281604303,
+             -0.24106819782639366, -0.347306137195445, -0.9062364873823574],
+            [0.7977309645557336, -0.601571985731748, -0.04167078319086794,
+             -0.32488195376728574, 0.8705316658781843, 0.36962999718597583],
+        ),
+        (
+            [0.6469022703533384, 0.7350775566302071, 0.20292471103899776,
+             -0.9460009020560223, 0.3136765935311036, 0.08178806746656135],
+            [0.3770691890626945, -0.07704280561229909, -0.9229752070142444,
+             -0.4448358179960248, -0.21564529702597132, 0.8692630217019404],
+        ),
+        (
+            [-0.6784471618815797, 0.687443390429296, -0.2590965717447914,
+             -0.269583632169087, 0.3401533905869935, 0.9008997370066743],
+            [0.5300775970447941, 0.21388349993872757, -0.8205312849399327,
+             0.44863192441431726, -0.8370745276863313, 0.31310642199579974],
+        ),
+    ],
+}
+
+
 @pytest.mark.parametrize("name", DECIDE_MANY_PLANNERS)
 def test_decide_many_matches_decide(name):
     planner = DECIDE_MANY_PLANNERS[name]()
     rng = np.random.default_rng(12)
     sampler = one_point_sampler(planner)
     pairs = adversarial_pairs(planner, rng) + [(sampler(rng), sampler(rng)) for _ in range(300)]
+    pairs += [
+        (make_point(planner.geometry, a), make_point(planner.geometry, b))
+        for a, b in NEAR_TIE_QUERIES.get(name, [])
+    ]
     starts, goals = stack_points([a for a, _ in pairs]), stack_points([b for _, b in pairs])
     want = [_decide_or_none(planner, a, b) for a, b in pairs]
     block = planner.decide_many(starts, goals)
@@ -604,6 +682,12 @@ def test_decide_many_matches_decide(name):
     for g, w in zip(got, want):
         if w is not None:
             _assert_same_decision(g, w)
+    # a covered row's rule has positive weight and, on a product, a tie cell
+    for row in np.flatnonzero(block.index):
+        index = block.index[row]
+        assert block.weights[row, index - 1] > 0.0
+        if block.factor_rules is not None:
+            assert block.factor_rules[row, index + 1].all()
     empty = tuple(x[:0] for x in starts)
     assert planner.decide_many(empty, empty).index.shape == (0,)
     if name.startswith(("torus", "product(sphere")):
