@@ -101,8 +101,10 @@ class SpaceSpec:
 
 _PARAM_KINDS = {"sphere": 1, "surface": 0, "cpn": 1, "torus": 1, "convex": 1}
 MAX_LEAVES = 64
-# Cap on a leaf's cohomology basis: its preset goes through cubic validate()
-# before any bound is taken.  Every preset under the cap is memoized.
+# Cap on a leaf's cohomology basis: its preset goes through validate() before
+# any bound is taken, and the associativity triples validate() keeps still
+# grow cubically for cpn:n (C(n, 3) of them; none for a surface).  Every
+# preset under the cap is memoized.
 MAX_LEAF_BASIS = 32
 # Cohomology basis size of the leaf presets that grow with their parameter.
 _BASIS_SIZE = {"surface": lambda genus: 2 * genus + 2, "cpn": lambda n: n + 1}

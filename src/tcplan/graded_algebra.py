@@ -190,9 +190,14 @@ class GradedAlgebra:
         """Check the unit law, grading, graded commutativity and associativity.
 
         Raises the matching violation naming the offending basis pair or
-        triple.  Quadratic (cubic for associativity) in the basis size, so
-        meant for desk-scale algebras; derived tensor algebras of small
-        presentations are still fine.
+        triple.  The unit, grading and commutativity checks are at most
+        quadratic in the basis size.  Associativity is checked only on the
+        triples that can fail once those pass: none of ``a, b, c`` is the
+        unit (the unit law makes such a triple associate), and
+        ``|a| + |b| + |c|`` is at most the top degree (no basis class lives
+        above it, so the grading check leaves both sides zero).  The
+        triples go in ``itertools.product`` order, so the first violation
+        found is the first one among all triples.
         """
         units = [l for l in self.labels if self.degree[l] == 0]
         if units != [self.unit]:
@@ -220,7 +225,11 @@ class GradedAlgebra:
                 raise CommutativityViolation(
                     f"{self.name}: ({a!r}, {b!r}) vs ({b!r}, {a!r}) violate the sign rule"
                 )
-        for a, b, c in itertools.product(self.labels, repeat=3):
+        rest = [l for l in self.labels if l != self.unit]
+        top = self.top_degree
+        for a, b, c in itertools.product(rest, repeat=3):
+            if self.degree[a] + self.degree[b] + self.degree[c] > top:
+                continue
             left = self.basis_element(a) * self.basis_element(b) * self.basis_element(c)
             right = self.basis_element(a) * (self.basis_element(b) * self.basis_element(c))
             if left != right:
@@ -427,8 +436,10 @@ def algebra_to_presentation(algebra: GradedAlgebra) -> dict:
 class TensorProductAlgebra(GradedAlgebra):
     """Tensor product of two graded algebras with the Koszul sign rule.
 
-    Basis labels are formal pairs; ``pair_of`` maps a label back to its
-    (left, right) constituents and ``pair_label`` goes the other way.
+    Basis labels are formal pairs spelled ``left⊗right``; ``pair_of`` maps a
+    label back to its (left, right) constituents and ``pair_label`` goes the
+    other way.  Two pairs with one spelling (``a`` with ``a⊗a`` and ``a⊗a``
+    with ``a``) raise AlgebraError.
     Products are computed lazily from the factors and memoized, which keeps
     large tensor squares (e.g. of a rank-64 torus algebra) usable without
     materializing a 4096 x 4096 table.
@@ -443,6 +454,11 @@ class TensorProductAlgebra(GradedAlgebra):
         for la in left.labels:
             for lb in right.labels:
                 label = f"{la}⊗{lb}"
+                if label in self.pair_of:
+                    raise AlgebraError(
+                        f"tensor label {label!r} names both {self.pair_of[label]!r} and "
+                        f"{(la, lb)!r}; rename the basis labels that contain '⊗'"
+                    )
                 self.pair_of[label] = (la, lb)
                 self._pair_label[(la, lb)] = label
                 basis.append((label, left.degree[la] + right.degree[lb]))

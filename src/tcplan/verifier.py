@@ -234,15 +234,6 @@ def adversarial_rows(
     )
 
 
-def adversarial_pairs(
-    planner: Planner, rng: np.random.Generator, cap: int = 512
-) -> list[tuple[ConfigPoint, ConfigPoint]]:
-    """``adversarial_rows`` as (start, goal) points."""
-    starts, goals = adversarial_rows(planner, rng, cap)
-    point = lambda row: ConfigPoint(planner.geometry, row)
-    return [(point(a), point(b)) for a, b in zip(zip(*starts), zip(*goals))]
-
-
 # -- the four checks --------------------------------------------------------------
 
 
@@ -286,16 +277,6 @@ def _speed_spreads(geometry: Geometry, rows: Blocks, steps: list[float]) -> list
         spread = np.where(top < 1e-9, 0.0, (top - low) / top)  # a constant piece counts 0
     finite = np.isfinite(moved).all(axis=(1, 2))
     return np.where(finite, spread.max(axis=1), math.nan).tolist()
-
-
-def _speed_variation(path) -> float:
-    """Worst relative speed spread over one path's constant-speed pieces:
-    ``_speed_spreads`` of a one-path bundle."""
-    probes, steps = _speed_probes(path.pieces)
-    if not steps:
-        return 0.0
-    rows = path.sample(probes)
-    return _speed_spreads(path.geometry, tuple(r[None] for r in rows), steps)[0]
 
 
 def _unit_groups(

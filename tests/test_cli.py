@@ -310,6 +310,33 @@ def test_bounds_file_bad_dim_is_exit_2(capsys, tmp_path, dim):
     assert "dim" in err
 
 
+def test_tensor_labels_that_spell_alike_are_exit_2(capsys, tmp_path):
+    """H(T^2) with a basis label containing '⊗': ('a', 'a⊗a') and ('a⊗a', 'a')
+    both spell 'a⊗a⊗a' in the tensor square, which once merged them into one
+    basis class and certified lower 4 > TC(T^2) = 3."""
+    def torus(label):
+        return {
+            "basis": [{"name": "1", "degree": 0}, {"name": "a", "degree": 1},
+                      {"name": label, "degree": 1}, {"name": "b", "degree": 2}],
+            "unit": "1",
+            "products": [{"left": "a", "right": label, "result": [{"name": "b", "coeff": "1"}]}],
+            "dim": 2,
+        }
+
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(torus("a⊗a")))
+    for argv in (["bounds"], ["algebra"], ["algebra", "--exhaustive"]):
+        code, out, err = run(capsys, *argv, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "('a', 'a⊗a')" in err and "('a⊗a', 'a')" in err
+
+    path.write_text(json.dumps(torus("c")))
+    code, out, _ = run(capsys, "bounds", "--file", str(path))
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["lower"], payload["upper"], payload["exact"]) == (3, 5, False)
+
+
 def test_algebra_file_top_level_list_is_exit_2(capsys, tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text(json.dumps([{"name": "1", "degree": 0}]))

@@ -1,4 +1,7 @@
+import copy
 import gc
+import itertools
+import random
 import weakref
 from fractions import Fraction
 
@@ -12,11 +15,13 @@ from tcplan.graded_algebra import (
     AlgebraMismatch,
     AssociativityViolation,
     CommutativityViolation,
+    GradedAlgebra,
     GradingViolation,
     UnitMissing,
     algebra_to_presentation,
     canonical_divisor,
     cup_hom,
+    koszul_sign,
     rational_nullspace,
     tensor_square,
     validate_algebra,
@@ -205,6 +210,163 @@ def test_decimal_coefficients_rejected():
                 "products": [{"left": "u", "right": "u", "result": [{"name": "u", "coeff": "0.5"}]}],
             }
         )
+
+
+# -- associativity on the triples that can fail ------------------------------------
+
+def all_triples_validate(algebra):
+    """``GradedAlgebra.validate`` with associativity checked on every basis
+    triple: the reference for ``validate``, which skips the triples that
+    hold the unit or sum past the top degree."""
+    units = [l for l in algebra.labels if algebra.degree[l] == 0]
+    if units != [algebra.unit]:
+        raise UnitMissing(
+            f"{algebra.name}: expected exactly one degree-0 basis element equal to "
+            f"the unit {algebra.unit!r}, found {units}"
+        )
+    for b in algebra.labels:
+        if algebra.basis_product(algebra.unit, b) != {b: 1} or algebra.basis_product(
+            b, algebra.unit
+        ) != {b: 1}:
+            raise UnitMissing(f"{algebra.name}: unit law fails at ({algebra.unit!r}, {b!r})")
+    for a, b in itertools.product(algebra.labels, repeat=2):
+        prod = algebra.basis_product(a, b)
+        want = algebra.degree[a] + algebra.degree[b]
+        for term, c in prod.items():
+            if c != 0 and algebra.degree[term] != want:
+                raise GradingViolation(
+                    f"{algebra.name}: ({a!r}, {b!r}) has term {term!r} of degree "
+                    f"{algebra.degree[term]}, expected {want}"
+                )
+        sign = koszul_sign(algebra.degree[a], algebra.degree[b])
+        flipped = {k: sign * v for k, v in algebra.basis_product(b, a).items()}
+        if {k: v for k, v in prod.items() if v != 0} != {k: v for k, v in flipped.items() if v != 0}:
+            raise CommutativityViolation(
+                f"{algebra.name}: ({a!r}, {b!r}) vs ({b!r}, {a!r}) violate the sign rule"
+            )
+    for a, b, c in itertools.product(algebra.labels, repeat=3):
+        x, y, z = (algebra.basis_element(l) for l in (a, b, c))
+        if x * y * z != x * (y * z):
+            raise AssociativityViolation(f"{algebra.name}: ({a!r}, {b!r}, {c!r})")
+    return algebra
+
+
+def unvalidated(presentation):
+    """The algebra ``validate_algebra`` reads from a presentation, before
+    ``GradedAlgebra.validate`` runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GradedAlgebra, "validate", lambda self: self)
+        return validate_algebra(presentation)
+
+
+def outcome(check, algebra):
+    """None when ``check`` passes, else the class and message it raised."""
+    try:
+        check(algebra)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def mutate(presentation, rng):
+    """One to three seeded edits of an exported presentation: a changed
+    coefficient, an added term of any degree, a unit row that breaks the
+    unit law, or a product of two labels replaced on both sides, by the
+    sign rule, with a combination of the classes in its degree (degrees,
+    signs and the unit stay, associativity may break)."""
+    data = copy.deepcopy(presentation)
+    degree = {entry["name"]: entry["degree"] for entry in data["basis"]}
+    unit = data["unit"]
+    labels = [l for l in degree if l != unit]
+    for _ in range(rng.randint(1, 3)):
+        products = data["products"]
+        edit = rng.choices(("coeff", "term", "unit", "paired"), weights=(2, 2, 1, 5))[0]
+        if edit == "coeff" and any(p["result"] for p in products):
+            entry = rng.choice([p for p in products if p["result"]])
+            rng.choice(entry["result"])["coeff"] = rng.choice(["0", "2", "-1", "1/2"])
+        elif edit == "term":
+            a, b, t = (rng.choice(labels) for _ in range(3))
+            entry = next((p for p in products if (p["left"], p["right"]) == (a, b)), None)
+            if entry is None:
+                entry = {"left": a, "right": b, "result": []}
+                products.append(entry)
+            if all(term["name"] != t for term in entry["result"]):
+                entry["result"].append({"name": t, "coeff": rng.choice(["1", "-2"])})
+        elif edit == "unit" and all(unit not in (p["left"], p["right"]) for p in products):
+            b = rng.choice(labels)
+            products.append({"left": unit, "right": b, "result": [{"name": b, "coeff": "2"}]})
+        elif edit == "paired":
+            a, b = rng.choice(labels), rng.choice(labels)
+            targets = [t for t in labels if degree[t] == degree[a] + degree[b]]
+            if not targets or (a == b and degree[a] % 2):
+                continue
+            terms = {t: rng.choice([1, -1, 2, 3]) for t in rng.sample(targets, rng.randint(1, len(targets)))}
+            sign = koszul_sign(degree[a], degree[b])
+            data["products"] = [p for p in products if {p["left"], p["right"]} != {a, b}]
+            for left, right, s in {(a, b, 1), (b, a, sign)}:
+                result = [{"name": t, "coeff": str(s * c)} for t, c in terms.items()]
+                data["products"].append({"left": left, "right": right, "result": result})
+    return data
+
+
+ORACLE_SPECS = ["sphere:2", "torus:3", "surface:2", "cpn:4", "product(sphere:2,sphere:3)",
+                "product(cpn:2,circle)", "product(surface:2,sphere:2)"]
+
+
+def test_filtered_associativity_matches_all_triples():
+    """Seeded mutations of catalog presentations: ``validate`` passes exactly
+    where the all-triples reference passes, and otherwise raises the same
+    class with the same message, so it names the same first failing triple."""
+    rng = random.Random(1)
+    presentations = [algebra_to_presentation(catalog_space(s).algebra) for s in ORACLE_SPECS]
+    seen = set()
+    for _ in range(1000):
+        algebra = unvalidated(mutate(rng.choice(presentations), rng))
+        expected = outcome(all_triples_validate, algebra)
+        assert outcome(GradedAlgebra.validate, algebra) == expected
+        seen.add(expected and expected[0])
+    assert seen == {
+        None, UnitMissing, GradingViolation, CommutativityViolation, AssociativityViolation
+    }
+
+
+def test_planted_violation_in_a_kept_triple_is_named():
+    """In H(CP^4), u * u^2 = 2 u^3 on both sides keeps degrees, signs and the
+    unit, and (u u) u^2 = u^4 differs from u (u u^2) = 2 u^4.  That triple sums
+    to the top degree 8, the largest the check keeps."""
+    presentation = algebra_to_presentation(cpn_algebra(4))
+    for entry in presentation["products"]:
+        if {entry["left"], entry["right"]} == {"u", "u^2"}:
+            entry["result"] = [{"name": "u^3", "coeff": "2"}]
+    with pytest.raises(AssociativityViolation, match=r"\('u', 'u', 'u\^2'\)$") as caught:
+        validate_algebra(presentation)
+    assert outcome(all_triples_validate, unvalidated(presentation)) == (
+        AssociativityViolation, str(caught.value)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, triples", [("surface:15", 0), ("cpn:31", 4495), ("torus:5", 3125)]
+)
+def test_validate_multiplies_only_the_triples_that_can_fail(monkeypatch, spec, triples):
+    """Each checked triple costs 4 multiplications.  No surface triple can
+    fail (three non-unit classes sum past degree 2); H(CP^31) keeps the
+    C(31, 3) triples of u-powers summing to at most u^31; H(T^5) keeps the
+    triples of nonempty sets of circles, 5 circles or fewer in all: sizes
+    (1, 1, 1), (1, 1, 2), (1, 1, 3) and (1, 2, 2) in any order, that is
+    125 + 750 + 750 + 1500."""
+    algebra = unvalidated(algebra_to_presentation(catalog_space(spec).algebra))
+    calls = 0
+    multiply = AlgElement.__mul__
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return multiply(x, y)
+
+    monkeypatch.setattr(AlgElement, "__mul__", counted)
+    algebra.validate()
+    assert calls == 4 * triples
 
 
 # -- multiplication --------------------------------------------------------------

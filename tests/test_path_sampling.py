@@ -52,16 +52,12 @@ from tcplan.planner_core import (
     punctured_plane_planner,
     sample_path,
 )
-from tcplan.verifier import (
-    DELTA,
-    SAMPLES_PER_PATH,
-    _speed_variation,
-    adversarial_pairs,
-)
+from tcplan.verifier import DELTA, SAMPLES_PER_PATH
 
 # the planners of test_decide_many_matches_decide, its reading of a block's
 # rows, and its one-point sampler
 from test_planner_core import DECIDE_MANY_PLANNERS, one_point_sampler, row_decision
+from verifier_helpers import adversarial_pairs, speed_variation
 
 # -- the per-time formulas ---------------------------------------------------------
 
@@ -313,7 +309,7 @@ def test_sample_rows_equal_the_per_time_formulas(spec, planner):
         for t in CUT_TS + VERIFY_TS[1:2]:
             assert hexed(path(t).parts) == hexed(r[0] for r in path.sample([t]))
             assert hexed(path(t).parts) == hexed(reference(t))
-        assert _speed_variation(path).hex() == ref_speed_variation(path, path).hex()
+        assert speed_variation(path).hex() == ref_speed_variation(path, path).hex()
     assert kinds  # every planner has at least one covered rule
 
 

@@ -42,7 +42,8 @@ from tcplan.planner_core import (
     TransferPlanner,
     transfer_planner,
 )
-from tcplan.verifier import adversarial_pairs
+
+from verifier_helpers import adversarial_pairs
 
 EPS = 1e-9
 

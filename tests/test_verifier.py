@@ -38,7 +38,6 @@ from tcplan.verifier import (
     FamilyLeavesDomain,
     Mismatch,
     VerifyConfig,
-    adversarial_pairs,
     circle_antipodal_families,
     demonstrate_discontinuity,
     reconcile,
@@ -48,6 +47,7 @@ from tcplan.verifier import (
 
 # a Decisions row read as the Decision decide gives, and one random point per call
 from test_planner_core import DECIDE_MANY_PLANNERS, one_point_sampler, row_decision
+from verifier_helpers import adversarial_pairs
 
 FAST = VerifyConfig(pairs=400)
 
