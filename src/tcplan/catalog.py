@@ -19,11 +19,11 @@ planner complexity where known and the rule count of the explicit planner.
 ``fold`` evaluates a canonical form bottom-up into a tree of descriptors, one
 per node, and one product step combines the factor descriptors: dimensions
 add, rule counts combine as sum - (k - 1), and so does the exact complexity
-of any product of leaves whose value is known.
-Each such leaf has TC = zcl + 1 (convex pieces 0 + 1, odd spheres 1 + 1,
-even spheres 2 + 1, surfaces of genus >= 2 4 + 1), so the superadditive
-cup-length below gives sum - (k - 1) from below, as the product inequality
-does from above.  A descriptor builds its algebra, the Kuenneth product of
+of any product of leaves.
+Each leaf has TC = zcl + 1 (convex pieces 0 + 1, odd spheres 1 + 1, even
+spheres 2 + 1, surfaces of genus >= 2 4 + 1, CP^n 2n + 1), so the
+superadditive cup-length below gives sum - (k - 1) from below, as the product
+inequality does from above.  A descriptor builds its algebra, the Kuenneth product of
 the leaf presets, only on first access.
 
 ``tc_bounds`` combines every available estimate:
@@ -408,12 +408,16 @@ def _sphere(form: SpaceSpec, n: int) -> SpaceDescriptor:
 
 # One row per canonical leaf kind: the leaf form's descriptor.
 # A surface of genus >= 2 has TC 5: its cup-length bound meets the dimension bound.
+# CP^n has cat n + 1 (Cornea-Lupton-Oprea-Tanre) and TC 2n + 1
+# (Farber-Tabachnikov-Yuzvinsky): its cup-length bound meets the category bound.
 _LEAVES: dict[str, Callable[[SpaceSpec], SpaceDescriptor]] = {
     "convex": lambda f: _leaf(f, f.param, point_algebra, True, 1, 1, 1),
     "circle": lambda f: _sphere(f, 1),
     "sphere": lambda f: _sphere(f, f.param),
     "surface": lambda f: _leaf(f, 2, partial(surface_algebra, f.param), False, 3, 5, None),
-    "cpn": lambda f: _leaf(f, 2 * f.param, partial(cpn_algebra, f.param), False, None, None, None),
+    "cpn": lambda f: _leaf(
+        f, 2 * f.param, partial(cpn_algebra, f.param), False, f.param + 1, 2 * f.param + 1, None
+    ),
 }
 
 

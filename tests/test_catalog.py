@@ -20,6 +20,8 @@ from tcplan.catalog import (
 )
 from tcplan.graded_algebra import GradedAlgebra, tensor_product, zdcl
 
+from catalog_helpers import open_cpn
+
 
 # -- parser -----------------------------------------------------------------
 
@@ -118,10 +120,12 @@ def test_catalog_dimensions_and_known_values(spec, dim, tc):
     assert d.known_tc == tc
 
 
-def test_cpn_has_no_exact_value():
+def test_cpn_has_an_exact_value():
+    # cat(CP^n) = n + 1 and TC(CP^n) = 2n + 1 (Farber-Tabachnikov-Yuzvinsky)
     d = catalog_space("cpn:2")
     assert d.geometry_dim == 4
-    assert d.known_tc is None
+    assert (d.cat, d.known_tc, d.rules) == (3, 5, None)
+    assert catalog_space("product(cpn:2,cpn:3)").known_tc == 11
 
 
 def test_mixed_product_has_exact_value():
@@ -219,10 +223,10 @@ def test_bounds_planless_product_inequality():
     assert report.upper_provenance == "product inequality"
 
 
-def test_bounds_cpn2_not_exact():
+def test_bounds_cpn2_exact_via_category():
     report = tc_bounds(catalog_space("cpn:2"))
-    assert (report.lower, report.upper, report.exact) == (5, 9, False)
-    assert report.upper_provenance == "dimension bound"
+    assert (report.lower, report.upper, report.exact) == (5, 5, True)
+    assert report.upper_provenance == "category bound"
 
 
 def test_bounds_surface2_exact_via_dimension():
@@ -381,14 +385,14 @@ def test_open_bracket_still_searches_the_product(monkeypatch):
         return zdcl(algebra, *args, **kwargs)
 
     monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
-    descriptor = catalog_space("product(cpn:1,convex:1)")
+    descriptor = open_cpn(catalog_space("product(cpn:1,convex:1)"))
     report = tc_bounds(descriptor)
     assert (report.lower, report.upper, report.exact) == (3, 5, False)
     assert searched[-1] is descriptor.algebra
 
 
 def test_descriptor_tree_serves_the_factor_reports(monkeypatch):
-    descriptor = catalog_space("product(torus:2,product(sphere:2,cpn:1))")
+    descriptor = open_cpn(catalog_space("product(torus:2,product(sphere:2,cpn:1))"))
     calls = []
     build = catalog.catalog_space
     monkeypatch.setattr(catalog, "catalog_space", lambda spec: calls.append(spec) or build(spec))
@@ -414,7 +418,7 @@ def test_product_algebra_reuses_the_factor_algebras(monkeypatch):
     calls = []
     counted = lambda a, b: calls.append(1) or tensor_product(a, b)
     monkeypatch.setattr(catalog, "tensor_product", counted)
-    descriptor = catalog_space("product(product(cpn:1,cpn:2),cpn:3)")
+    descriptor = open_cpn(catalog_space("product(product(cpn:1,cpn:2),cpn:3)"))
     report = tc_bounds(descriptor)
     assert len(calls) == 2
     assert report == catalog.BoundsReport(
@@ -449,12 +453,12 @@ def test_spellings_of_one_form_share_the_searched_cup_length(searched):
 
 
 def test_open_bracket_is_searched_once(searched):
-    first = catalog_space("product(cpn:2,sphere:3)")
+    first = open_cpn(catalog_space("product(cpn:2,sphere:3)"))
     report = tc_bounds(first)
     assert (report.lower, report.upper, report.exact) == (6, 10, False)
     assert searched[-1] is first.algebra
     searched.clear()
-    again = catalog_space("product(cpn:2,sphere:3)")
+    again = open_cpn(catalog_space("product(cpn:2,sphere:3)"))
     assert tc_bounds(again) == report
     assert searched == []
     assert "algebra" not in again.__dict__  # a hit builds no product algebra
@@ -477,12 +481,12 @@ def test_memo_keeps_the_most_recently_used_forms(monkeypatch, searched):
 
 
 def test_cache_clear_empties_the_memo(searched):
-    tc_bounds(catalog_space("product(cpn:1,convex:1)"))
+    tc_bounds(open_cpn(catalog_space("product(cpn:1,convex:1)")))
     assert catalog._cup_lengths
     catalog._cup_length.cache_clear()
     assert not catalog._cup_lengths
     searched.clear()
-    tc_bounds(catalog_space("product(cpn:1,convex:1)"))
+    tc_bounds(open_cpn(catalog_space("product(cpn:1,convex:1)")))
     assert len(searched) == 3  # both leaves and the product
 
 

@@ -34,7 +34,7 @@ def test_bounds_cpn3(capsys):
     code, out, _ = run(capsys, "bounds", "cpn:3")
     payload = json.loads(out)
     assert code == 0
-    assert (payload["lower"], payload["upper"], payload["exact"]) == (7, 13, False)
+    assert (payload["lower"], payload["upper"], payload["exact"]) == (7, 7, True)
 
 
 def test_bounds_convex(capsys):

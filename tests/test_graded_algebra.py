@@ -37,6 +37,7 @@ from tcplan.catalog import (
     tc_bounds,
 )
 
+from catalog_helpers import open_cpn
 
 # -- independent oracles -------------------------------------------------------
 
@@ -567,7 +568,7 @@ def no_cycle_collector():
 
 
 def test_product_algebras_are_freed_without_the_cycle_collector(no_cycle_collector):
-    descriptor = catalog_space("product(cpn:2,sphere:3)")
+    descriptor = open_cpn(catalog_space("product(cpn:2,sphere:3)"))
     algebra = descriptor.algebra
     square = tensor_square(algebra)
     tc_bounds(descriptor)
