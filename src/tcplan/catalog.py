@@ -22,9 +22,9 @@ add, rule counts combine as sum - (k - 1), and so does the exact complexity
 of any product of leaves.
 Each leaf has TC = zcl + 1 (convex pieces 0 + 1, odd spheres 1 + 1, even
 spheres 2 + 1, surfaces of genus >= 2 4 + 1, CP^n 2n + 1), so the
-superadditive cup-length below gives sum - (k - 1) from below, as the product
-inequality does from above.  A descriptor builds its algebra, the Kuenneth product of
-the leaf presets, only on first access.
+superadditive cup-length below gives sum - (k - 1) from below, as the
+product inequality does from above.  A descriptor builds its algebra, the
+Kuenneth product of the leaf presets, only on first access.
 
 ``tc_bounds`` combines every available estimate:
 
@@ -42,33 +42,25 @@ cup-length is superadditive, zcl(A (x) B) >= zcl(A) + zcl(B): by Kuenneth,
 the product (z (x) 1)(1 (x) w) of nonzero zero-divisor products z and w is
 nonzero.  So the sum S of the factor cup-lengths is certified, and when
 S + 1 already meets the best upper bound the product's algebra is never
-built: the search in its tensor square could only return S again.
+built: the search in its tensor square could only return S again.  Every
+leaf closes at zcl + 1, so for every catalog spec S + 1 meets the product
+inequality; only a hand-built descriptor with an open bracket has its
+product algebra searched, and that search is not kept.
 
-The cohomology presets a spec can name are built and validated once per
-process and then shared, together with their lazily filled product memos
-and tensor squares.
-
-The cup-lengths that ``tc_bounds`` has to search are memoized per process
-too, keyed by the node's canonical form as text: ``torus:2``,
-``product(circle,circle)`` and ``surface:1`` share one entry, and a hit
-builds no algebra, no tensor square and runs no search.  The memo keeps the
-``MAX_CUP_LENGTHS`` = 4,096 most recently used forms.  A form longer than
-``MAX_CUP_LENGTH_KEY`` = 1,280 characters is searched every time and never
-stored; every spec whose parameters have at most two digits fits (64 leaves
-of at most 10 characters, 63 product nodes with their commas: 1,270).  So an
-entry takes at most about 1.4 KB, and a full memo at most about 5.8 MB.
+A process reuses what two kinds of ``functools.lru_cache`` hold: each preset
+builder keeps its 32 most recently used presets, shared by every
+descriptor, and ``_cup_length`` keeps the searched cup-length of each leaf
+preset, so a leaf is searched once per process.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial, reduce, wraps
+from functools import cached_property, lru_cache, partial, reduce
 from operator import itemgetter
 from typing import Callable, TypeVar
 
-from .graded_algebra import GradedAlgebra, tensor_product, tensor_square, validate_algebra, zdcl
+from .graded_algebra import GradedAlgebra, tensor_product, validate_algebra, zdcl
 
 
 class BadSpec(ValueError):
@@ -103,8 +95,7 @@ _PARAM_KINDS = {"sphere": 1, "surface": 0, "cpn": 1, "torus": 1, "convex": 1}
 MAX_LEAVES = 64
 # Cap on a leaf's cohomology basis: its preset goes through validate() before
 # any bound is taken, and the associativity triples validate() keeps still
-# grow cubically for cpn:n (C(n, 3) of them; none for a surface).  Every
-# preset under the cap is memoized.
+# grow cubically for cpn:n (C(n, 3) of them; none for a surface).
 MAX_LEAF_BASIS = 32
 # Cohomology basis size of the leaf presets that grow with their parameter.
 _BASIS_SIZE = {"surface": lambda genus: 2 * genus + 2, "cpn": lambda n: n + 1}
@@ -257,38 +248,12 @@ def fold(
 
 # -- cohomology presets --------------------------------------------------------
 
-# Presets of dimension at most MAX_LEAF_BASIS, the only ones a spec can name,
-# are memoized per parameter together with their tensor squares, which an
-# algebra holds only weakly: the squares' product memos then serve every
-# request.  Callers share those instances and must not mutate them.  Larger
-# presets are rebuilt on each direct call, so a process that once builds,
-# say, cpn_algebra(200) does not keep it, its product memo and its tensor
-# square alive.  Product algebras are built per descriptor and never shared.
+# Each builder keeps its 32 most recently used presets.  Callers share those
+# instances and must not mutate them.  Product algebras are built per
+# descriptor and never shared.
 
 
-def _preset(dim_of):
-    """Memoize a preset builder, and pin the preset's tensor square, for the
-    parameters where ``dim_of`` is small."""
-
-    def wrap(builder):
-        @lru_cache(maxsize=32)
-        def cached(*args):
-            algebra = builder(*args)
-            return algebra, tensor_square(algebra)
-
-        @wraps(builder)
-        def build(*args):
-            if dim_of(*args) <= MAX_LEAF_BASIS:
-                return cached(*args)[0]
-            return builder(*args)
-
-        build.cache_clear = cached.cache_clear
-        return build
-
-    return wrap
-
-
-@_preset(lambda: 1)
+@lru_cache(maxsize=32)
 def point_algebra() -> GradedAlgebra:
     """H of a point: Q in degree 0, generated by nothing."""
     algebra = validate_algebra(
@@ -299,7 +264,7 @@ def point_algebra() -> GradedAlgebra:
     return algebra
 
 
-@_preset(lambda n: 2)
+@lru_cache(maxsize=32)
 def sphere_algebra(n: int) -> GradedAlgebra:
     """H of the n-sphere: one generator u in degree n with u*u = 0."""
     algebra = validate_algebra(
@@ -314,7 +279,7 @@ def sphere_algebra(n: int) -> GradedAlgebra:
     return algebra
 
 
-@_preset(_BASIS_SIZE["cpn"])
+@lru_cache(maxsize=32)
 def cpn_algebra(n: int) -> GradedAlgebra:
     """H of complex projective n-space: truncated polynomial ring on u, |u| = 2."""
     labels = ["1"] + [f"u^{k}" if k > 1 else "u" for k in range(1, n + 1)]
@@ -335,7 +300,7 @@ def cpn_algebra(n: int) -> GradedAlgebra:
     return algebra
 
 
-@_preset(_BASIS_SIZE["surface"])
+@lru_cache(maxsize=32)
 def surface_algebra(genus: int) -> GradedAlgebra:
     """H of a closed orientable surface of genus >= 2, as a symplectic system.
 
@@ -475,38 +440,11 @@ class BoundsReport:
 
 # -- searched cup-lengths -------------------------------------------------------
 
-# The memo of searched cup-lengths (see the module docstring): its cap, past
-# which the least recently used form is dropped, and the longest form kept.
-MAX_CUP_LENGTHS = 4096
-MAX_CUP_LENGTH_KEY = 1280
-_cup_lengths: OrderedDict[str, int] = OrderedDict()
-_cup_lengths_lock = threading.Lock()
 
-
-def _cup_length(descriptor: SpaceDescriptor) -> int:
-    """``zdcl(descriptor.algebra).length``, memoized per process by the
-    descriptor's canonical form; a hit never builds the algebra."""
-    key = str(descriptor.form)
-    with _cup_lengths_lock:
-        length = _cup_lengths.get(key)
-        if length is not None:
-            _cup_lengths.move_to_end(key)
-            return length
-    length = zdcl(descriptor.algebra).length
-    if len(key) <= MAX_CUP_LENGTH_KEY:
-        with _cup_lengths_lock:
-            _cup_lengths[key] = length
-            while len(_cup_lengths) > MAX_CUP_LENGTHS:
-                _cup_lengths.popitem(last=False)
-    return length
-
-
-def _clear_cup_lengths() -> None:
-    with _cup_lengths_lock:
-        _cup_lengths.clear()
-
-
-_cup_length.cache_clear = _clear_cup_lengths
+@lru_cache(maxsize=128)  # room for every preset the four builders keep
+def _cup_length(algebra: GradedAlgebra) -> int:
+    """``zdcl(algebra).length`` of a shared leaf preset, kept per process."""
+    return zdcl(algebra).length
 
 
 def _tc_bounds(descriptor: SpaceDescriptor) -> tuple[BoundsReport, int]:
@@ -524,9 +462,12 @@ def _tc_bounds(descriptor: SpaceDescriptor) -> tuple[BoundsReport, int]:
         uppers.append((2 * descriptor.cat - 1, "category bound"))
     upper, upper_why = min(uppers, key=itemgetter(0))  # first of equals wins
 
-    cup_length = sum(length for _, length in factors)
-    if not factors or cup_length + 1 != upper:
-        cup_length = _cup_length(descriptor)
+    if not factors:
+        cup_length = _cup_length(descriptor.algebra)
+    else:
+        cup_length = sum(length for _, length in factors)
+        if cup_length + 1 != upper:
+            cup_length = zdcl(descriptor.algebra).length
 
     lowers: list[tuple[int, str]] = []
     if descriptor.contractible:
@@ -555,8 +496,7 @@ def tc_bounds(descriptor: SpaceDescriptor) -> BoundsReport:
     The upper bound ``descriptor.rules``, where set, is witnessed by the
     space's explicit planner (``build_planner`` has that many rules); product
     factors contribute their own rule counts when the product inequality is
-    applied recursively.  A cup-length that has to be searched comes from
-    the per-process memo of the module docstring when the descriptor's
-    canonical form was searched before, whatever its spelling.
+    applied recursively.  A leaf's cup-length is searched once per preset
+    and process (see the module docstring).
     """
     return _tc_bounds(descriptor)[0]

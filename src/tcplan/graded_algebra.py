@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import reprlib
+import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -499,19 +500,23 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> TensorProductAlgebra:
     return TensorProductAlgebra(a, b)
 
 
+_square_lock = threading.Lock()
+
+
 def tensor_square(a: GradedAlgebra) -> TensorProductAlgebra:
     """The tensor square of ``a``, cached per algebra instance while it lives.
 
     The square refers to ``a`` (as ``left`` and ``right``) and ``a`` to the
     square only weakly, so the cache makes no reference cycle: the square,
-    with its product memo, lives as long as a caller holds it.  An owner
-    that keeps ``a`` for reuse keeps the square too (as the catalog's preset
-    memo does), so the memo survives across uses.
+    with its product memo, lives only as long as a caller holds it.  Threads
+    that search one algebra at once get one square, whose elements they can
+    combine.
     """
-    cached = a._square and a._square()
-    if cached is None:
-        cached = TensorProductAlgebra(a, a)
-        a._square = weakref.ref(cached)
+    with _square_lock:
+        cached = a._square and a._square()
+        if cached is None:
+            cached = TensorProductAlgebra(a, a)
+            a._square = weakref.ref(cached)
     return cached
 
 

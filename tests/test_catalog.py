@@ -1,8 +1,10 @@
 import gc
 import itertools
+import json
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from tcplan.catalog import (
     surface_algebra,
     tc_bounds,
 )
-from tcplan.graded_algebra import GradedAlgebra, tensor_product, zdcl
+from tcplan.graded_algebra import GradedAlgebra, TensorProductAlgebra, tensor_product, zdcl
 
 from catalog_helpers import open_cpn
 
@@ -250,8 +252,9 @@ def test_lower_is_one_only_for_contractible():
 
 def test_known_tc_inside_bounds_for_whole_catalog():
     specs = ["circle", "sphere:2", "sphere:3", "sphere:4", "torus:2", "torus:4",
-             "surface:0", "surface:1", "surface:2", "convex:3",
-             "product(sphere:2,sphere:2)", "product(sphere:3,sphere:3)"]
+             "surface:0", "surface:1", "surface:2", "convex:3", "cpn:1", "cpn:4",
+             "product(sphere:2,sphere:2)", "product(sphere:3,sphere:3)",
+             "product(cpn:2,sphere:2)"]
     for spec in specs:
         d = catalog_space(spec)
         report = tc_bounds(d)
@@ -346,11 +349,6 @@ def test_presets_built_and_validated_once(monkeypatch):
     )
 
 
-def test_large_presets_are_not_kept():
-    assert cpn_algebra(31) is cpn_algebra(31)
-    assert cpn_algebra(32) is not cpn_algebra(32)
-
-
 def test_contractible_factor_adds_no_generators(monkeypatch):
     searched = []
     zdcl = catalog.zdcl
@@ -376,19 +374,68 @@ def test_contractible_factor_adds_no_generators(monkeypatch):
     assert (report.lower, report.upper) == (torus_report.lower, torus_report.upper)
 
 
-def test_open_bracket_still_searches_the_product(monkeypatch):
-    searched = []
+# -- searched cup-lengths -----------------------------------------------------
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The algebras that ``tc_bounds`` hands to the cup-length search."""
+    algebras = []
     zdcl = catalog.zdcl
 
     def recording_zdcl(algebra, *args, **kwargs):
-        searched.append(algebra)
+        algebras.append(algebra)
         return zdcl(algebra, *args, **kwargs)
 
     monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
+    return algebras
+
+
+def leaf_algebras(descriptor):
+    if not descriptor.factors:
+        return [descriptor.algebra]
+    return [a for factor in descriptor.factors for a in leaf_algebras(factor)]
+
+
+def test_grammar_specs_search_only_leaf_presets_once(searched):
+    """Every catalog bracket closes at zcl + 1, so no product algebra is
+    searched, and each leaf preset is searched at most once per process.  A
+    leaf added with an open bracket fails this test: its products would be
+    searched on every request."""
+    for preset in (point_algebra, sphere_algebra, cpn_algebra, surface_algebra):
+        preset.cache_clear()
+    golden = Path(__file__).parent / "golden" / "bounds_grammar.jsonl"
+    specs = [json.loads(line)["space"] for line in golden.read_text().splitlines()]
+    assert len(specs) == 574
+    leaves = {}
+    for spec in specs:
+        descriptor = catalog_space(spec)
+        tc_bounds(descriptor)
+        leaves.update((id(a), a) for a in leaf_algebras(descriptor))
+    assert searched
+    assert all(not isinstance(a, TensorProductAlgebra) for a in searched)
+    assert all(leaves.get(id(a)) is a for a in searched)
+    assert len({id(a) for a in searched}) == len(searched)
+
+
+def test_deep_cpn_product_closes_without_a_product_search(searched):
+    report = tc_bounds(catalog_space("product(cpn:31,cpn:31,cpn:31)"))
+    assert (report.lower, report.upper, report.exact) == (187, 187, True)
+    assert searched == [cpn_algebra(31)]
+
+
+def test_open_bracket_still_searches_the_product(searched):
+    """A hand-built descriptor whose bracket stays open reaches the product
+    search: it runs in the product's own algebra and is not kept, while the
+    leaves' cup-lengths are."""
     descriptor = open_cpn(catalog_space("product(cpn:1,convex:1)"))
     report = tc_bounds(descriptor)
     assert (report.lower, report.upper, report.exact) == (3, 5, False)
-    assert searched[-1] is descriptor.algebra
+    assert searched == [cpn_algebra(1), point_algebra(), descriptor.algebra]
+    searched.clear()
+    again = open_cpn(catalog_space("product(cpn:1,convex:1)"))
+    assert tc_bounds(again) == report
+    assert searched == [again.algebra]
+    assert again.algebra is not descriptor.algebra
 
 
 def test_descriptor_tree_serves_the_factor_reports(monkeypatch):
@@ -427,91 +474,39 @@ def test_product_algebra_reuses_the_factor_algebras(monkeypatch):
     )
 
 
-# -- memo of searched cup-lengths ---------------------------------------------
-
-@pytest.fixture
-def searched(monkeypatch):
-    """The algebras that ``tc_bounds`` hands to the cup-length search."""
-    algebras = []
-    zdcl = catalog.zdcl
-
-    def recording_zdcl(algebra, *args, **kwargs):
-        algebras.append(algebra)
-        return zdcl(algebra, *args, **kwargs)
-
-    monkeypatch.setattr(catalog, "zdcl", recording_zdcl)
-    return algebras
-
-
 def test_spellings_of_one_form_share_the_searched_cup_length(searched):
     first = tc_bounds(catalog_space("torus:2"))
-    assert len(searched) == 1  # the circle leaf; the product meets its rule count
+    assert searched == [sphere_algebra(1)]  # the circle leaf; the product meets its rule count
     searched.clear()
     for spec in ("product(circle,circle)", "surface:1"):
         assert tc_bounds(catalog_space(spec)) == replace(first, space=spec)
     assert searched == []
 
 
-def test_open_bracket_is_searched_once(searched):
-    first = open_cpn(catalog_space("product(cpn:2,sphere:3)"))
-    report = tc_bounds(first)
-    assert (report.lower, report.upper, report.exact) == (6, 10, False)
-    assert searched[-1] is first.algebra
-    searched.clear()
-    again = open_cpn(catalog_space("product(cpn:2,sphere:3)"))
-    assert tc_bounds(again) == report
-    assert searched == []
-    assert "algebra" not in again.__dict__  # a hit builds no product algebra
-
-
-def test_memo_keeps_the_most_recently_used_forms(monkeypatch, searched):
-    monkeypatch.setattr(catalog, "MAX_CUP_LENGTHS", 3)
-    for n in range(1, 7):
-        tc_bounds(catalog_space(f"sphere:{n}"))
-        assert len(catalog._cup_lengths) == min(n, 3)
-    assert list(catalog._cup_lengths) == ["sphere:4", "sphere:5", "sphere:6"]
-    tc_bounds(catalog_space("sphere:4"))  # a hit makes sphere:4 the most recent
-    tc_bounds(catalog_space("sphere:7"))
-    assert list(catalog._cup_lengths) == ["sphere:6", "sphere:4", "sphere:7"]
-    searched.clear()
-    report = tc_bounds(catalog_space("sphere:1"))  # evicted: searched again
-    assert len(searched) == 1
-    assert (report.lower, report.upper) == (2, 2)
-    assert list(catalog._cup_lengths) == ["sphere:4", "sphere:7", "sphere:1"]
-
-
 def test_cache_clear_empties_the_memo(searched):
-    tc_bounds(open_cpn(catalog_space("product(cpn:1,convex:1)")))
-    assert catalog._cup_lengths
+    tc_bounds(catalog_space("product(cpn:1,convex:1)"))
+    assert catalog._cup_length.cache_info().currsize == 2
     catalog._cup_length.cache_clear()
-    assert not catalog._cup_lengths
+    assert catalog._cup_length.cache_info().currsize == 0
     searched.clear()
-    tc_bounds(open_cpn(catalog_space("product(cpn:1,convex:1)")))
-    assert len(searched) == 3  # both leaves and the product
+    tc_bounds(catalog_space("product(cpn:1,convex:1)"))
+    assert searched == [cpn_algebra(1), point_algebra()]  # both leaves, no product
 
 
-def test_overlong_forms_are_searched_every_time(searched):
-    spec = "convex:" + "9" * catalog.MAX_CUP_LENGTH_KEY
-    reports = [tc_bounds(catalog_space(spec)) for _ in range(2)]
-    assert len(searched) == 2
-    assert not catalog._cup_lengths
-    assert (reports[0].lower, reports[0].upper, reports[0].exact) == (1, 1, True)
-    assert reports[0] == reports[1]
-
-
-def test_threads_share_the_memo_under_its_cap(monkeypatch):
-    """Threads that hit, fill and evict one small memo at once get the
-    single-threaded reports and leave it within its cap."""
-    specs = [f"sphere:{n}" for n in range(1, 9)] + [f"cpn:{n}" for n in range(1, 5)]
+def test_threads_share_the_memo_under_its_cap():
+    """Threads that hit, fill and evict the leaf caches at once get the
+    single-threaded reports and leave the cup-length cache within its cap."""
+    cap = catalog._cup_length.cache_parameters()["maxsize"]
+    # more spheres than either cache holds, so both evict while threads read
+    specs = [f"sphere:{n}" for n in range(1, cap + 33)] + [f"cpn:{n}" for n in range(1, 5)]
     expected = {spec: tc_bounds(catalog_space(spec)) for spec in specs}
     catalog._cup_length.cache_clear()
-    monkeypatch.setattr(catalog, "MAX_CUP_LENGTHS", 4)
     results, errors = [], []
 
     def worker(offset):
         try:
             for k in range(300):
-                spec = specs[(offset + k) % len(specs)]
+                spec = specs[(offset * 23 + k) % len(specs)]
                 results.append(tc_bounds(catalog_space(spec)) == expected[spec])
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -529,4 +524,4 @@ def test_threads_share_the_memo_under_its_cap(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(results) == 8 * 300 and all(results)
-    assert len(catalog._cup_lengths) <= 4
+    assert catalog._cup_length.cache_info().currsize <= cap

@@ -2,6 +2,8 @@ import copy
 import gc
 import itertools
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -588,10 +590,31 @@ def test_file_algebras_are_freed_without_the_cycle_collector(no_cycle_collector)
     assert [ref() for ref in refs] == [None, None]
 
 
-def test_preset_squares_are_kept(no_cycle_collector):
-    ref = weakref.ref(tensor_square(sphere_algebra(2)))
-    assert ref() is not None
-    assert ref() is tensor_square(sphere_algebra(2))
+def test_threads_share_one_tensor_square():
+    """Threads that ask at once for the square of one algebra, as parallel
+    searches of one shared preset do, all get the same instance."""
+    presentation = algebra_to_presentation(cpn_algebra(6))
+    algebras = [validate_algebra(presentation) for _ in range(40)]
+    barrier = threading.Barrier(8)
+    squares = [[] for _ in algebras]
+
+    def worker():
+        for algebra, seen in zip(algebras, squares):
+            barrier.wait(timeout=30)
+            seen.append(tensor_square(algebra))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(seen) == 8 and all(s is seen[0] for s in seen) for seen in squares)
 
 
 # -- cup-length search ---------------------------------------------------------------
