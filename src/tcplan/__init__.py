@@ -30,7 +30,7 @@ from .graded_algebra import (
     ZdclResult,
     canonical_divisor,
     cup_hom,
-    tensor_square,
+    tensor_product,
     validate_algebra,
     zdcl,
     zero_divisor_basis,

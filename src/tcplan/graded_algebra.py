@@ -28,17 +28,14 @@ module is safe for unrestricted concurrent use.
 
 No algebra refers to itself, so an algebra is freed by reference counting
 as soon as its last user drops it, without waiting for the cycle collector:
-a derived algebra computes its products through an overridden method, and
-an algebra refers to its cached tensor square only weakly (see
-``tensor_square``).
+a derived algebra computes its products through an overridden method.  No
+algebra caches its tensor square: each cup-length search builds its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import reprlib
-import threading
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -116,8 +113,6 @@ class GradedAlgebra:
 
     Instances are immutable by convention; the memo cache only ever gains
     idempotently-computed entries, so shared use across threads is safe.
-    ``_square`` is a weak reference to the tensor square, which
-    ``tensor_square`` caches without keeping it alive.
     """
 
     def __init__(
@@ -136,7 +131,6 @@ class GradedAlgebra:
         self._index = {label: i for i, label in enumerate(self.labels)}
         self._table = products
         self._memo: dict[tuple[str, str], dict[str, Rational]] = {}
-        self._square: weakref.ref | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -500,47 +494,30 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> TensorProductAlgebra:
     return TensorProductAlgebra(a, b)
 
 
-_square_lock = threading.Lock()
+def _base(square: GradedAlgebra, caller: str) -> GradedAlgebra:
+    """The algebra ``A`` of a tensor square ``A (x) A``; AlgebraMismatch if
+    ``square`` is any other algebra."""
+    if not isinstance(square, TensorProductAlgebra) or square.left is not square.right:
+        raise AlgebraMismatch(f"{caller} needs a tensor square, got {square.name}")
+    return square.left
 
 
-def tensor_square(a: GradedAlgebra) -> TensorProductAlgebra:
-    """The tensor square of ``a``, cached per algebra instance while it lives.
-
-    The square refers to ``a`` (as ``left`` and ``right``) and ``a`` to the
-    square only weakly, so the cache makes no reference cycle: the square,
-    with its product memo, lives only as long as a caller holds it.  Threads
-    that search one algebra at once get one square, whose elements they can
-    combine.
-    """
-    with _square_lock:
-        cached = a._square and a._square()
-        if cached is None:
-            cached = TensorProductAlgebra(a, a)
-            a._square = weakref.ref(cached)
-    return cached
-
-
-def canonical_divisor(a: GradedAlgebra, label: str) -> AlgElement:
-    """The element ``1 (x) x - x (x) 1`` of the tensor square, for basis label x.
+def canonical_divisor(square: TensorProductAlgebra, label: str) -> AlgElement:
+    """The element ``1 (x) x - x (x) 1`` of ``square = A (x) A``, for label x of A.
 
     It always lies in the kernel of the multiplication homomorphism, and the
     known sharp lower-bound witnesses are products of these.
     """
-    square = tensor_square(a)
-    return square.element(
-        {square.pair_label(a.unit, label): 1, square.pair_label(label, a.unit): -1}
-    )
+    unit = _base(square, "canonical_divisor").unit
+    return square.element({square.pair_label(unit, label): 1, square.pair_label(label, unit): -1})
 
 
 def cup_hom(z: AlgElement) -> AlgElement:
     """Multiplication homomorphism of a tensor square: ``a (x) b`` maps to ``a b``."""
-    t = z.algebra
-    if not isinstance(t, TensorProductAlgebra) or t.left is not t.right:
-        raise AlgebraMismatch("cup_hom needs an element of a tensor square")
-    a = t.left
+    a = _base(z.algebra, "cup_hom")
     out: dict[str, Rational] = {}
     for label, c in z.coeffs.items():
-        la, lb = t.pair_of[label]
+        la, lb = z.algebra.pair_of[label]
         for term, s in a.basis_product(la, lb).items():
             out[term] = out.get(term, 0) + c * s
     return AlgElement(a, _clean(out))
@@ -592,14 +569,14 @@ def rational_nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Rati
     return basis
 
 
-def zero_divisor_basis(a: GradedAlgebra) -> list[AlgElement]:
-    """Exact basis of the kernel of cup_hom on the tensor square of ``a``.
+def zero_divisor_basis(square: TensorProductAlgebra) -> list[AlgElement]:
+    """Exact basis of the kernel of cup_hom on ``square = A (x) A``.
 
     Computed degreewise: within each degree the homomorphism is a rational
-    matrix from tensor-pair labels to the algebra's labels, and the kernel
+    matrix from tensor-pair labels to the labels of ``A``, and the kernel
     is its exact nullspace.
     """
-    square = tensor_square(a)
+    a = _base(square, "zero_divisor_basis")
     by_degree: dict[int, list[str]] = {}
     for label in square.labels:
         by_degree.setdefault(square.degree[label], []).append(label)
@@ -658,8 +635,9 @@ def zdcl(a: GradedAlgebra, mode: str = "canonical", max_len: int | None = None) 
     (nondecreasing index sequences), pruning any partial product that is
     already zero; finite dimensionality kills every product whose degree
     exceeds the tensor square's top degree, so the search terminates fast.
+    Each call builds its own square, where the witness and value live.
     """
-    square = tensor_square(a)
+    square = TensorProductAlgebra(a, a)
     if max_len is None:
         max_len = max(1, 2 * a.top_degree)
     if max_len < 1:
@@ -667,9 +645,9 @@ def zdcl(a: GradedAlgebra, mode: str = "canonical", max_len: int | None = None) 
 
     if mode == "canonical":
         gens = a.positive_labels() if a.generators is None else a.generators
-        factors = [canonical_divisor(a, g) for g in gens]
+        factors = [canonical_divisor(square, g) for g in gens]
     elif mode == "exhaustive":
-        factors = zero_divisor_basis(a)
+        factors = zero_divisor_basis(square)
     else:
         raise AlgebraError(f"unknown zdcl mode {mode!r}")
 

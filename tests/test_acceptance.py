@@ -12,7 +12,7 @@ import numpy as np
 
 from tcplan.catalog import catalog_space, tc_bounds
 from tcplan.geometry import ConfigPoint, config_distance
-from tcplan.graded_algebra import canonical_divisor, tensor_square, zdcl
+from tcplan.graded_algebra import canonical_divisor, tensor_product, zdcl
 from tcplan.planner_core import build_planner, plan, punctured_plane_planner
 from tcplan.verifier import (
     DELTA,
@@ -43,8 +43,9 @@ def test_criterion_1_algebraic_identities():
 
     def square_of_divisor_on_sphere(n, coeff):
         algebra = catalog_space(f"sphere:{n}").algebra
-        a = canonical_divisor(algebra, "u")
-        expected = tensor_square(algebra).simple("u", "u").scale(coeff)
+        square = tensor_product(algebra, algebra)
+        a = canonical_divisor(square, "u")
+        expected = square.simple("u", "u").scale(coeff)
         return a * a == expected
 
     timed(lambda: square_of_divisor_on_sphere(2, -2))
@@ -52,23 +53,24 @@ def test_criterion_1_algebraic_identities():
 
     def projective_power(n):
         algebra = catalog_space(f"cpn:{n}").algebra
-        a = canonical_divisor(algebra, "u")
-        power = tensor_square(algebra).one
+        square = tensor_product(algebra, algebra)
+        a = canonical_divisor(square, "u")
+        power = square.one
         for _ in range(2 * n):
             power = power * a
         top = "u" if n == 1 else f"u^{n}"
         coeff = (-1) ** n * math.comb(2 * n, n)
-        return power == tensor_square(algebra).simple(top, top).scale(coeff)
+        return power == square.simple(top, top).scale(coeff)
 
     for n in range(1, 5):
         timed(lambda n=n: projective_power(n))
 
     def genus2_witness():
         sigma = catalog_space("surface:2").algebra
-        square = tensor_square(sigma)
+        square = tensor_product(sigma, sigma)
         product = square.one
         for g in ("u1", "v1", "u2", "v2"):
-            product = product * canonical_divisor(sigma, g)
+            product = product * canonical_divisor(square, g)
         return product == square.simple("A", "A").scale(2)
 
     timed(genus2_witness)

@@ -19,13 +19,14 @@ from tcplan.graded_algebra import (
     CommutativityViolation,
     GradedAlgebra,
     GradingViolation,
+    TensorProductAlgebra,
     UnitMissing,
     algebra_to_presentation,
     canonical_divisor,
     cup_hom,
     koszul_sign,
     rational_nullspace,
-    tensor_square,
+    tensor_product,
     validate_algebra,
     zdcl,
     zero_divisor_basis,
@@ -68,7 +69,7 @@ def sphere_cup_kernel_dim(n):
 
     The tensor basis is the four pairs over {1, u}; multiplication sends
     (u^a, u^b) to u^(a+b), truncated above degree n.  Entirely independent
-    of the tensor_square/cup_hom code path.
+    of the tensor_product/cup_hom code path.
     """
     pairs = [(a, b) for a in (0, 1) for b in (0, 1)]
     targets = [0, 1]  # exponents of u
@@ -401,7 +402,8 @@ def test_algebra_mismatch():
 
 def test_tensor_sign_rule_on_circle():
     # (1 (x) u) * (u (x) 1) picks up (-1)^(|u||u|) = -1
-    square = tensor_square(sphere_algebra(1))
+    s = sphere_algebra(1)
+    square = tensor_product(s, s)
     got = square.simple("1", "u") * square.simple("u", "1")
     assert got == square.simple("u", "u").scale(-1)
 
@@ -409,13 +411,14 @@ def test_tensor_sign_rule_on_circle():
 @pytest.mark.parametrize("n,coeff", [(2, -2), (3, 0), (4, -2), (5, 0)])
 def test_canonical_divisor_square(n, coeff):
     s = sphere_algebra(n)
-    square = tensor_square(s)
-    a = canonical_divisor(s, "u")
+    square = tensor_product(s, s)
+    a = canonical_divisor(square, "u")
     assert a * a == square.simple("u", "u").scale(coeff)
 
 
 def test_tensor_unit_law():
-    square = tensor_square(sphere_algebra(2))
+    s = sphere_algebra(2)
+    square = tensor_product(s, s)
     for label in square.labels:
         assert square.one * square.basis_element(label) == square.basis_element(label)
 
@@ -425,7 +428,8 @@ def test_tensor_unit_law():
              lambda: surface_algebra(2)]
 )
 def test_tensor_square_passes_validation(make):
-    tensor_square(make()).validate()
+    algebra = make()
+    tensor_product(algebra, algebra).validate()
 
 
 # -- cup homomorphism --------------------------------------------------------------
@@ -433,12 +437,12 @@ def test_tensor_square_passes_validation(make):
 def test_cup_kills_canonical_divisor():
     for n in (1, 2, 3):
         s = sphere_algebra(n)
-        assert cup_hom(canonical_divisor(s, "u")).is_zero
+        assert cup_hom(canonical_divisor(tensor_product(s, s), "u")).is_zero
 
 
 def test_cup_on_units_and_squares():
     s = sphere_algebra(4)
-    square = tensor_square(s)
+    square = tensor_product(s, s)
     assert cup_hom(square.one) == s.one
     assert cup_hom(square.simple("u", "u")).is_zero  # u^2 = 0
 
@@ -456,7 +460,7 @@ def test_cup_hom_is_multiplicative(make):
     import random
 
     algebra = make()
-    square = tensor_square(algebra)
+    square = tensor_product(algebra, algebra)
     rng = random.Random(7)
 
     def sparse():
@@ -472,20 +476,22 @@ def test_cup_hom_is_multiplicative(make):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_sphere_kernel_dimension_matches_brute_force(n):
-    assert len(zero_divisor_basis(sphere_algebra(n))) == sphere_cup_kernel_dim(n) == 2
+    s = sphere_algebra(n)
+    assert len(zero_divisor_basis(tensor_product(s, s))) == sphere_cup_kernel_dim(n) == 2
 
 
 def test_point_kernel_trivial():
-    assert zero_divisor_basis(point_algebra()) == []
+    p = point_algebra()
+    assert zero_divisor_basis(tensor_product(p, p)) == []
 
 
 def test_kernel_contains_named_divisors():
     s = sphere_algebra(2)
-    square = tensor_square(s)
-    basis = zero_divisor_basis(s)
+    square = tensor_product(s, s)
+    basis = zero_divisor_basis(square)
     for z in basis:
         assert cup_hom(z).is_zero
-    named = {canonical_divisor(s, "u"), square.simple("u", "u")}
+    named = {canonical_divisor(square, "u"), square.simple("u", "u")}
     # dimension 2 and both named elements are killed, hence they span the kernel
     assert len(basis) == 2
     for z in named:
@@ -571,12 +577,13 @@ def no_cycle_collector():
 
 def test_product_algebras_are_freed_without_the_cycle_collector(no_cycle_collector):
     descriptor = open_cpn(catalog_space("product(cpn:2,sphere:3)"))
-    algebra = descriptor.algebra
-    square = tensor_square(algebra)
     tc_bounds(descriptor)
-    assert square._memo  # the bounds search multiplied in this square
+    algebra = descriptor.algebra
+    result = zdcl(algebra)
+    square = result.product_value.algebra
+    assert square.left is algebra and square._memo  # the search multiplied in its square
     refs = [weakref.ref(algebra), weakref.ref(square)]
-    del descriptor, algebra, square
+    del descriptor, algebra, result, square
     assert [ref() for ref in refs] == [None, None]
 
 
@@ -584,24 +591,78 @@ def test_file_algebras_are_freed_without_the_cycle_collector(no_cycle_collector)
     algebra = validate_algebra(algebra_to_presentation(catalog_space("torus:2").algebra))
     result = zdcl(algebra, mode="exhaustive")
     square = result.product_value.algebra
-    assert square is tensor_square(algebra)
+    assert square.left is algebra and square._memo  # the search multiplied in its square
     refs = [weakref.ref(algebra), weakref.ref(square)]
     del algebra, result, square
     assert [ref() for ref in refs] == [None, None]
 
 
-def test_threads_share_one_tensor_square():
-    """Threads that ask at once for the square of one algebra, as parallel
-    searches of one shared preset do, all get the same instance."""
-    presentation = algebra_to_presentation(cpn_algebra(6))
+@pytest.mark.parametrize("mode", ["canonical", "exhaustive"])
+def test_each_search_builds_its_own_square(mode, monkeypatch):
+    algebra = cpn_algebra(2)
+    built = []
+    init = TensorProductAlgebra.__init__
+
+    def counting_init(self, left, right):
+        built.append((left, right))
+        init(self, left, right)
+
+    monkeypatch.setattr(TensorProductAlgebra, "__init__", counting_init)
+    first = zdcl(algebra, mode=mode)
+    second = zdcl(algebra, mode=mode)
+    assert built == [(algebra, algebra)] * 2
+    squares = [first.product_value.algebra, second.product_value.algebra]
+    assert squares[0] is not squares[1]
+    for result, square in zip((first, second), squares):
+        assert square.left is square.right is algebra
+        assert all(w.algebra is square for w in result.witness)
+    square = tensor_product(algebra, algebra)
+    assert canonical_divisor(square, "u").algebra is square
+    assert all(z.algebra is square for z in zero_divisor_basis(square))
+
+
+def _copy_of(algebra):
+    return validate_algebra(algebra_to_presentation(algebra))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sphere_algebra(2),
+        lambda: tensor_product(sphere_algebra(2), _copy_of(sphere_algebra(2))),
+    ],
+)
+def test_divisors_need_a_tensor_square(make):
+    """Only a square A (x) A, one algebra on both sides, has these divisors."""
+    algebra = make()
+    with pytest.raises(AlgebraMismatch):
+        canonical_divisor(algebra, "u")
+    with pytest.raises(AlgebraMismatch):
+        zero_divisor_basis(algebra)
+
+
+def test_threads_searching_shared_algebras_get_the_serial_results():
+    """Threads that search the same algebras at once, as parallel requests
+    for one shared preset do, each get the single-threaded result."""
+    presentation = algebra_to_presentation(cpn_algebra(2))
+
+    def summary(result):
+        return (
+            result.length,
+            [w.as_strings() for w in result.witness],
+            result.product_value.as_strings(),
+        )
+
+    modes = ("canonical", "exhaustive")
+    expected = [summary(zdcl(validate_algebra(presentation), mode=m)) for m in modes]
     algebras = [validate_algebra(presentation) for _ in range(40)]
     barrier = threading.Barrier(8)
-    squares = [[] for _ in algebras]
+    seen = []
 
     def worker():
-        for algebra, seen in zip(algebras, squares):
+        for algebra in algebras:
             barrier.wait(timeout=30)
-            seen.append(tensor_square(algebra))
+            seen.append([summary(zdcl(algebra, mode=m)) for m in modes])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -614,7 +675,8 @@ def test_threads_share_one_tensor_square():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert all(len(seen) == 8 and all(s is seen[0] for s in seen) for seen in squares)
+    assert len(seen) == 8 * len(algebras)
+    assert all(got == expected for got in seen)
 
 
 # -- cup-length search ---------------------------------------------------------------
@@ -630,13 +692,13 @@ def test_zdcl_even_sphere_with_witness():
     s = sphere_algebra(2)
     result = zdcl(s, mode="canonical")
     assert result.length == 2
-    assert result.product_value == tensor_square(s).simple("u", "u").scale(-2)
+    assert result.product_value == result.product_value.algebra.simple("u", "u").scale(-2)
 
 
 def test_zdcl_genus2():
     sigma = surface_algebra(2)
     result = zdcl(sigma, mode="canonical")
-    square = tensor_square(sigma)
+    square = result.product_value.algebra
     assert result.length == 4
     assert result.product_value == square.simple("A", "A").scale(2)
 
@@ -645,7 +707,7 @@ def test_zdcl_cp2():
     cp2 = cpn_algebra(2)
     result = zdcl(cp2, mode="canonical")
     assert result.length == 4
-    assert result.product_value == tensor_square(cp2).simple("u^2", "u^2").scale(6)
+    assert result.product_value == result.product_value.algebra.simple("u^2", "u^2").scale(6)
 
 
 def test_zdcl_torus_exhaustive_is_two():
