@@ -191,8 +191,9 @@ class GradedAlgebra:
         unit (the unit law makes such a triple associate), and
         ``|a| + |b| + |c|`` is at most the top degree (no basis class lives
         above it, so the grading check leaves both sides zero).  The
-        triples go in ``itertools.product`` order, so the first violation
-        found is the first one among all triples.
+        labels are walked by degree, so each loop stops at the first label
+        that takes the sum past the top; of the failing triples, the one
+        with the smallest basis indices, the first in basis order, is named.
         """
         units = [l for l in self.labels if self.degree[l] == 0]
         if units != [self.unit]:
@@ -220,15 +221,22 @@ class GradedAlgebra:
                 raise CommutativityViolation(
                     f"{self.name}: ({a!r}, {b!r}) vs ({b!r}, {a!r}) violate the sign rule"
                 )
-        rest = [l for l in self.labels if l != self.unit]
-        top = self.top_degree
-        for a, b, c in itertools.product(rest, repeat=3):
-            if self.degree[a] + self.degree[b] + self.degree[c] > top:
-                continue
-            left = self.basis_element(a) * self.basis_element(b) * self.basis_element(c)
-            right = self.basis_element(a) * (self.basis_element(b) * self.basis_element(c))
-            if left != right:
-                raise AssociativityViolation(f"{self.name}: ({a!r}, {b!r}, {c!r})")
+        index, top = self._index, self.top_degree
+        rest = sorted((self.degree[l], index[l], l) for l in self.labels if l != self.unit)
+        failing = []
+        for da, _, a in rest:
+            for db, _, b in rest:
+                if da + db > top:
+                    break
+                for dc, _, c in rest:
+                    if da + db + dc > top:
+                        break
+                    x, y, z = map(self.basis_element, (a, b, c))
+                    if x * y * z != x * (y * z):
+                        failing.append((index[a], index[b], index[c]))
+        if failing:
+            a, b, c = (self.labels[i] for i in min(failing))
+            raise AssociativityViolation(f"{self.name}: ({a!r}, {b!r}, {c!r})")
         return self
 
 

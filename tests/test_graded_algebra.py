@@ -373,6 +373,28 @@ def test_validate_multiplies_only_the_triples_that_can_fail(monkeypatch, spec, t
     assert calls == 4 * triples
 
 
+class CountingDict(dict):
+    """A dict that counts its ``[]`` lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_validate_does_not_walk_the_skipped_triples():
+    """In a flat algebra of 100 degree-1 classes every non-unit triple sums
+    past the top degree 1, so ``validate`` keeps none of the 10^6 triples and
+    should not enumerate them: it looks degrees up O(b^2) times, for the unit,
+    grading and commutativity checks, not once per skipped triple."""
+    basis = [{"name": "1", "degree": 0}] + [{"name": f"x{i}", "degree": 1} for i in range(100)]
+    algebra = validate_algebra({"basis": basis, "unit": "1"})
+    algebra.degree = CountingDict(algebra.degree)
+    algebra.validate()
+    assert 0 < algebra.degree.lookups <= 10 * algebra.dim**2
+
+
 # -- multiplication --------------------------------------------------------------
 
 def test_unit_law():
