@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -48,14 +49,29 @@ def _fail(message: str) -> int:
     return 2
 
 
+# Classes of a presentation file, unit included: the tensor square each
+# search builds holds the square of this many labels.  128 leaves room for
+# the 120 classes of the configuration space F(R^m, 5).
+MAX_PRESENTATION_BASIS = 128
+
+
 def _load_algebra(path: str):
-    """The validated algebra of a presentation file, and the file's raw data."""
+    """The validated algebra of a presentation file, and the file's raw data.
+    A basis of more than ``MAX_PRESENTATION_BASIS`` classes is rejected
+    before it is validated."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise AlgebraError(f"{path}: JSON nested too deeply") from None
-    return validate_algebra(data, name=_field(data, "name", str, default=path)), data
+    name = _field(data, "name", str, default=path)
+    basis = _field(data, "basis", Sequence, default=())
+    if len(basis) > MAX_PRESENTATION_BASIS:
+        raise AlgebraError(
+            f"{path}: the basis has {len(basis)} classes; "
+            f"a presentation file takes at most {MAX_PRESENTATION_BASIS}, unit included"
+        )
+    return validate_algebra(data, name=name), data
 
 
 def _parse_floats(text: str, what: str) -> list[float]:

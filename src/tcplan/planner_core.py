@@ -25,7 +25,11 @@ N queries at once over (N, ambient) row blocks with a ``Decisions`` block,
 whose columns give, row for row, what ``decide`` gives (index 0 where it
 raises CoverageGap) and which builds no per-query object.  A single query
 is cheaper through ``decide``, so ``plan`` uses it and only bulk callers
-such as the verifier use ``decide_many``.
+such as the verifier use ``decide_many``.  ``decide`` unwraps the query's
+points to their ``parts`` once, and every node below decides on parts
+tuples; a product node keeps, per level, only what its section reads (the
+factor rules the level's cell pairs), and a decision's tie cells are
+decoded from its factor weights when they are read.
 
 Sections are built over rows: an elementary rule's section maps the
 (N, ambient) starts and goals of N queries to one bundle of N paths (see
@@ -55,7 +59,6 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from typing import Callable, Sequence
@@ -84,7 +87,6 @@ from .geometry import (
     polar_arc_path,
     row_norms,
     sphere_geometry,
-    stack_points,
 )
 
 __all__ = [
@@ -158,22 +160,44 @@ class PlanResult:
     path: PathFn
 
 
+Parts = tuple[np.ndarray, ...]  # a point's 1-D blocks, one per factor
+
+
 @dataclass(slots=True)
 class Decision:
-    """A planner's decision for one query (a, b): the first applicable 1-based
-    rule (on a product, the lowest level with a positive cell: the argmax
-    cell's level unless that cell's margin rounds to 0), the normalized
-    weights and the rule's tie cell (None outside products), which a
-    verifier perturbs within.  Composite planners keep every level's cell
-    and the factor or source decisions, from which their sections are built."""
+    """A planner's decision for one query, whose start and goal ``a`` and
+    ``b`` are the points' ``parts``: the first applicable 1-based rule (on a
+    product, the lowest level with a positive cell: the argmax cell's level
+    unless that cell's margin rounds to 0) and the normalized weights.
+    Composite planners keep the factor or source decisions, from which
+    their sections are built, and a product the ``ties`` of ``_tie_cells``:
+    (min S + 1, min T + 1, |S|) for the cell (S, T) of each level that has
+    one, the factor rules its section pairs and the size that fixes S.
 
-    a: ConfigPoint
-    b: ConfigPoint
+    ``cells``, every level's cell (None outside products), and ``cell``, the
+    rule's cell (a transfer's is its source's; None on an elementary
+    planner), which a verifier perturbs within, are decoded from the factor
+    decisions' weights when read."""
+
+    a: Parts
+    b: Parts
     index: int
     weights: tuple[float, ...]
-    cell: object = None
-    cells: dict | None = None
     factors: tuple["Decision", ...] | None = None
+    ties: dict[int, tuple[int, int, int]] | None = None
+
+    @property
+    def cells(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None:
+        if self.ties is None:
+            return None
+        left, right = self.factors
+        return _tie_cell_sets(left.weights, right.weights, self.ties)
+
+    @property
+    def cell(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        if self.ties is not None:
+            return self.cells[self.index + 1]
+        return self.factors[0].cell if self.factors else None
 
 
 @dataclass(slots=True)
@@ -207,8 +231,9 @@ class Decisions:
 class Planner:
     """An ordered rule system over a product geometry.
 
-    ``decide`` computes a query's rule, weights and cell in one pass
-    (``decide_many`` does so for many queries over arrays) and ``bundle``
+    ``decide`` computes a query's rule, weights and, on a product, the
+    factor rules of each tie cell in one pass (``decide_many`` does so for
+    many queries over arrays, with the cells as keys) and ``bundle``
     builds sections of queries that share leaf rules as one bundle; they
     are the only way a rule is used.  ``point_sampler(rng, count)`` lets
     spaces with excluded loci (e.g. the punctured plane) provide their own
@@ -221,7 +246,12 @@ class Planner:
     point_sampler: Callable[[np.random.Generator, int], Blocks] | None = None
 
     def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
-        raw = tuple(r.weight(a.parts, b.parts) for r in self.rules)
+        """The decision for one query; its points are unwrapped here, once,
+        and every node decides on their ``parts``."""
+        return self._decide(a.parts, b.parts)
+
+    def _decide(self, a: Parts, b: Parts) -> Decision:
+        raw = tuple(r.weight(a, b) for r in self.rules)
         return Decision(a, b, *self._first_positive(a, b, raw))
 
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
@@ -230,14 +260,18 @@ class Planner:
         raw = np.stack([rule.weight(a, b) for rule in self.rules], axis=1)
         return Decisions(a, b, *self._first_positive_rows(raw))
 
-    def _first_positive(self, a: ConfigPoint, b: ConfigPoint, raw: Sequence[float]):
+    def _first_positive(self, a: Parts, b: Parts, raw: Sequence[float]):
         """How every node decides from raw rule weights: the 1-based index of
-        the first positive one (else CoverageGap) and the weights over their sum."""
-        index = next((i + 1 for i, w in enumerate(raw) if w > 0.0), 0)
-        if index == 0:
+        the first positive one (else CoverageGap, naming the node's own
+        points) and the weights over their sum."""
+        for index, w in enumerate(raw, 1):
+            if w > 0.0:
+                break
+        else:
+            a, b = (ConfigPoint(self.geometry, parts) for parts in (a, b))
             raise CoverageGap(f"{self.space}: no rule applies at ({a}, {b})")
         total = sum(raw)
-        return index, tuple(w / total for w in raw)
+        return index, tuple([w / total for w in raw])
 
     @staticmethod
     def _first_positive_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +325,8 @@ class Planner:
         one-row ``bundle`` of its leaf rules; raises DomainMiss where the
         decision does not cover that rule."""
         leaves = self.leaf_rules(decision, index)
-        return self.bundle(stack_points([decision.a]), stack_points([decision.b]), leaves)
+        one_row = lambda parts: tuple(part[None] for part in parts)
+        return self.bundle(one_row(decision.a), one_row(decision.b), leaves)
 
     def weights(self, a: ConfigPoint, b: ConfigPoint) -> tuple[float, ...]:
         """View of ``decide``, unused in tcplan; goes when ROADMAP item 9 drops its span."""
@@ -465,25 +500,31 @@ def sphere_planner(n: int) -> Planner:
 # -- product combination ---------------------------------------------------------
 
 
+def _descending(values: tuple[float, ...]) -> list[int]:
+    """The indices of ``values`` in one stable descending sort."""
+    return sorted(range(len(values)), key=values.__getitem__, reverse=True)
+
+
 def _threshold_sets(values: tuple[float, ...]):
     """{i : values[i] >= theta} for each distinct value theta, from the
-    largest down, as (ascending indices, theta, the next value below theta
-    or None).
+    largest down, as (its size, its least index + 1, theta, the next value
+    below theta or None).  The set itself is the first ``size`` indices of
+    ``_descending(values)``.
 
-    One stable descending sort orders the indices; its tie groups are the
-    distinct values, each led by its first index in input order, the one
-    ``max`` would pick (so 0.0 and -0.0 come out as ``max`` gives them)."""
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    sets, kept, start = [], [], 0
-    while start < len(order):
-        theta, end = values[order[start]], start + 1
-        while end < len(order) and values[order[end]] == theta:
-            end += 1
-        for i in order[start:end]:
-            insort(kept, i)
-        below = values[order[end]] if end < len(order) else None
-        sets.append((tuple(kept), theta, below))
-        start = end
+    The sort's tie groups are the distinct values, each led by its first
+    index in input order, the one ``max`` would pick (so 0.0 and -0.0 come
+    out as ``max`` gives them); a running minimum over the sorted indices
+    gives each set's least index."""
+    order = _descending(values)
+    theta, least, sets = values[order[0]], order[0], []
+    for size in range(1, len(order)):
+        i = order[size]
+        if values[i] != theta:
+            sets.append((size, least + 1, theta, values[i]))
+            theta = values[i]
+        if i < least:
+            least = i
+    sets.append((len(order), least + 1, theta, None))
     return sets
 
 
@@ -510,23 +551,37 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     outer, T inner), since nested sets grow with their bitmasks.
 
     Returns the raw per-level weights (the clamped cell margins, with an
-    empty outside treated as comparing against zero) and each level's cell.
-    The rule is the lowest level with a positive cell: the argmax cell's
-    level unless that cell's margin rounds to 0.
+    empty outside treated as comparing against zero) and, for each level
+    with a cell (S, T), what a section reads of it: (min S + 1, min T + 1),
+    the factor rules it pairs, then |S|, from which ``_tie_cell_sets``
+    decodes the cell.  The rule is the lowest level with a positive cell:
+    the argmax cell's level unless that cell's margin rounds to 0.
     """
     f_sets, g_sets = _threshold_sets(f), _threshold_sets(g)
-    fmax, gmax = f_sets[0][1], g_sets[0][1]
+    fmax, gmax = f_sets[0][2], g_sets[0][2]
     levels = [0.0] * (len(f) + len(g) + 1)
-    cells: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for s, min_f, out_f in f_sets:
+    ties: dict[int, tuple[int, int, int]] = {}
+    for size_s, rule_s, min_f, out_f in f_sets:
         outside_f = 0.0 if out_f is None else max(0.0, out_f * gmax)
-        for t, min_g, out_g in g_sets:
+        for size_t, rule_t, min_g, out_g in g_sets:
             outside = outside_f if out_g is None else max(outside_f, fmax * out_g)
             margin = min_f * min_g - outside
             if margin > 0.0:
-                level = len(s) + len(t)
-                levels[level], cells[level] = margin, (s, t)
-    return levels, cells
+                level = size_s + size_t
+                levels[level], ties[level] = margin, (rule_s, rule_t, size_s)
+    return levels, ties
+
+
+def _tie_cell_sets(f: tuple[float, ...], g: tuple[float, ...], ties: dict):
+    """The cells (S, T), by level, of ``ties`` from ``_tie_cells(f, g)``, as
+    ascending index tuples: S is the first |S| indices of f's descending
+    sort and T the first level - |S| of g's.  A cell's sets end tie groups,
+    so the order of tied indices does not matter."""
+    f_order, g_order = _descending(f), _descending(g)
+    return {
+        level: (tuple(sorted(f_order[:size])), tuple(sorted(g_order[: level - size])))
+        for level, (_, _, size) in ties.items()
+    }
 
 
 def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
@@ -604,13 +659,13 @@ class ProductPlanner(Planner):
         geometry = concat_geometry(left.geometry, right.geometry)
         super().__init__(f"product({left.space},{right.space})", geometry, rules)
 
-    def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
-        k, x, y = self.split, self.left.geometry, self.right.geometry
-        left = self.left.decide(ConfigPoint(x, a.parts[:k]), ConfigPoint(x, b.parts[:k]))
-        right = self.right.decide(ConfigPoint(y, a.parts[k:]), ConfigPoint(y, b.parts[k:]))
-        levels, cells = _tie_cells(left.weights, right.weights)
+    def _decide(self, a: Parts, b: Parts) -> Decision:
+        k = self.split
+        left = self.left._decide(a[:k], b[:k])
+        right = self.right._decide(a[k:], b[k:])
+        levels, ties = _tie_cells(left.weights, right.weights)
         index, weights = self._first_positive(a, b, levels[2:])
-        return Decision(a, b, index, weights, cells[index + 1], cells, (left, right))
+        return Decision(a, b, index, weights, (left, right), ties)
 
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
         """``decide`` over rows; an uncovered factor row's NaN weights give no positive level."""
@@ -626,11 +681,11 @@ class ProductPlanner(Planner):
         return self.left.leaf_count + self.right.leaf_count
 
     def leaf_rules(self, decision: Decision, index: int) -> tuple[int, ...]:
-        cell = decision.cells.get(index + 1)
-        if cell is None:
+        tie = decision.ties.get(index + 1)
+        if tie is None:
             raise DomainMiss(f"level-{index + 1} rule does not cover this pair")
-        (s, t), (left, right) = cell, decision.factors
-        return self.left.leaf_rules(left, min(s) + 1) + self.right.leaf_rules(right, min(t) + 1)
+        (rule_s, rule_t, _), (left, right) = tie, decision.factors
+        return self.left.leaf_rules(left, rule_s) + self.right.leaf_rules(right, rule_t)
 
     def leaf_keys(self, decisions: Decisions, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
         pairs = decisions.factor_rules[rows, index + 1]
@@ -652,10 +707,22 @@ class ProductPlanner(Planner):
             for unit, factors, columns in self.right.leaf_units
         )
 
+    @cached_property
+    def unit_spans(self) -> tuple[tuple[Planner, tuple[tuple[slice, slice], ...]], ...]:
+        """``leaf_units`` grouped by their planner, in order of first
+        appearance: each distinct unit planner with the factor and column
+        slices of every unit it runs.  Computed once per planner."""
+        groups: dict[int, tuple[Planner, list[tuple[slice, slice]]]] = {}
+        for unit, factors, columns in self.leaf_units:
+            groups.setdefault(id(unit), (unit, []))[1].append((factors, columns))
+        return tuple((unit, tuple(spans)) for unit, spans in groups.values())
+
     def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
         """The leaf units' bundles run in parallel, built flat: one unit
         bundle per distinct (leaf unit, its leaf rules), over the factor
-        rows of every unit that shares them stacked unit after unit.  With
+        rows of every unit that shares them stacked unit after unit; the
+        units come grouped by planner (``unit_spans``), so a call only
+        splits each planner's units by their leaf rules.  With
         G units of N queries stacked, unit g's rows at T times are rows g N
         T .. (g + 1) N T - 1 of that bundle's samples, bit for bit its own
         bundle's, since a bundle's rows do not depend on N; each factor
@@ -663,20 +730,20 @@ class ProductPlanner(Planner):
         unit bundles' pieces.  Only ``path``, and a transfer planner over a
         product, build a product bundle: the verifier builds sections leaf
         unit by leaf unit."""
-        groups: dict[tuple, tuple[Planner, tuple[int, ...], list[slice]]] = {}
-        for unit, factors, columns in self.leaf_units:
-            rules = tuple(leaves[columns])
-            groups.setdefault((id(unit), rules), (unit, rules, []))[2].append(factors)
-
         def stacked(blocks: Blocks, spans: list[slice]) -> Blocks:
             if len(spans) == 1:
                 return blocks[spans[0]]
             return tuple(np.concatenate(rows) for rows in zip(*(blocks[s] for s in spans)))
 
-        parts = [
-            (unit.bundle(stacked(a, spans), stacked(b, spans), rules), spans)
-            for unit, rules, spans in groups.values()
-        ]
+        parts = []
+        for unit, slices in self.unit_spans:
+            groups: dict[tuple[int, ...], list[slice]] = {}
+            for factors, columns in slices:
+                groups.setdefault(tuple(leaves[columns]), []).append(factors)
+            parts += [
+                (unit.bundle(stacked(a, spans), stacked(b, spans), rules), spans)
+                for rules, spans in groups.items()
+            ]
         count, width = len(a[0]), len(self.geometry.factors)
 
         def sample(ts):
@@ -761,11 +828,10 @@ class TransferPlanner(Planner):
         rules = tuple(PlannerRule(f"transfer({rule.name})") for rule in planner.rules)
         super().__init__(space, geometry, rules, point_sampler)
 
-    def decide(self, a: ConfigPoint, b: ConfigPoint) -> Decision:
-        rows = self.f(stack_points([a, b]))  # one f call: the query as a two-row block
-        fa, fb = (ConfigPoint(self.source.geometry, tuple(x[k] for x in rows)) for k in (0, 1))
-        source = self.source.decide(fa, fb)
-        return Decision(a, b, source.index, source.weights, source.cell, factors=(source,))
+    def _decide(self, a: Parts, b: Parts) -> Decision:
+        rows = self.f(tuple(map(np.array, zip(a, b))))  # one f call: the query as a two-row block
+        source = self.source._decide(*(tuple(x[k] for x in rows) for k in (0, 1)))
+        return Decision(a, b, source.index, source.weights, (source,))
 
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
         source = self.source.decide_many(self.f(a), self.f(b))

@@ -548,3 +548,29 @@ def test_one_process_sequence_matches_fresh_calls():
         assert _in_process(argv) == (fresh.returncode, fresh.stdout), argv
     codes = [_in_process(argv)[0] for argv in sequence]
     assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0]
+
+
+def _flat_presentation(classes):
+    """The unit and ``classes`` degree-1 classes, every product zero."""
+    basis = [{"name": "1", "degree": 0}] + [{"name": f"x{i}", "degree": 1} for i in range(classes)]
+    return {"basis": basis, "unit": "1"}
+
+
+def test_presentation_file_at_the_class_cap_runs(capsys, tmp_path):
+    path = tmp_path / "at_cap.json"
+    path.write_text(json.dumps(_flat_presentation(127)))
+    for command in ("algebra", "bounds"):
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+
+def test_presentation_file_past_the_class_cap_is_exit_2(capsys, tmp_path, monkeypatch):
+    """One class past the cap of 128 exits 2 with one line, before validation."""
+    path = tmp_path / "past_cap.json"
+    path.write_text(json.dumps(_flat_presentation(128)))
+    monkeypatch.setattr(cli, "validate_algebra", lambda *args, **kwargs: pytest.fail("validated"))
+    for command in ("algebra", "bounds"):
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "129 classes" in err and "at most 128" in err

@@ -146,7 +146,7 @@ def ref_transfer(planner, decision, index):
     circle path between the retracted ends x / |x|, pushed back by the
     inclusion, between radial slides (1 - t) x + t x / |x|."""
     assert planner.space == "punctured-plane"
-    a, b = decision.a.parts[0], decision.b.parts[0]
+    (a,), (b,) = decision.a, decision.b
     slide = lambda t, v: ((1.0 - t) * v + t * v / vector_norm(v),)
     circle = planner.source
     retracted = (ConfigPoint(circle.geometry, (v / vector_norm(v),)) for v in (a, b))
@@ -169,7 +169,7 @@ def reference_path(planner, decision, index):
         )
     if isinstance(planner, TransferPlanner):
         return ref_transfer(planner, decision, index)
-    a, b = decision.a, decision.b
+    a, b = (ConfigPoint(planner.geometry, parts) for parts in (decision.a, decision.b))
     x, y = a.parts[0], b.parts[0]
     name = planner.rules[index - 1].name
     if name in ("segment", "shortest-arc"):
@@ -364,7 +364,9 @@ def test_bundle_rows_equal_each_paths_own_rows(name):
     shared = 0
     for index in range(1, len(planner.rules) + 1):
         for leaves, members in covering_groups(planner, decisions, index).items():
-            starts, goals = (stack_points(side) for side in zip(*((d.a, d.b) for d, _ in members)))
+            starts, goals = (
+                tuple(map(np.array, zip(*side))) for side in zip(*((d.a, d.b) for d, _ in members))
+            )
             bundle = planner.bundle(starts, goals, leaves)
             ts = VERIFY_TS + CLI_TS + CUT_TS + probe_times(bundle)
             rows = bundle.sample(ts)

@@ -384,12 +384,20 @@ def _decided_row_levels(levels):
     return (Planner._first_positive_rows(levels[:, 2:])[0] + 1).tolist()
 
 
+def _ties(cells):
+    """The ``ties`` of tie cells {level: (S, T)}: (min S + 1, min T + 1, |S|)."""
+    return {level: (min(s) + 1, min(t) + 1, len(s)) for level, (s, t) in cells.items()}
+
+
 def _check_tie_cells(f, g):
-    """``_tie_cells`` and ``_tie_cell_rows`` of one query against the
-    exhaustive reference; returns the reference levels."""
-    levels, cells = planner_core._tie_cells(f, g)
+    """``_tie_cells``, its cells as ``_tie_cell_sets`` decodes them, and
+    ``_tie_cell_rows`` of one query against the exhaustive reference;
+    returns the reference levels."""
+    levels, ties = planner_core._tie_cells(f, g)
+    cells = planner_core._tie_cell_sets(f, g, ties)
     ref_levels, ref_cells, _ = _exhaustive_tie_cells(f, g)
     assert [w.hex() for w in levels] == [w.hex() for w in ref_levels], (f, g)
+    assert list(ties.items()) == list(_ties(ref_cells).items()), (f, g)
     assert list(cells.items()) == list(ref_cells.items()), (f, g)
     level = _first_positive_level(ref_levels)
     assert _decided_level(levels) == level, (f, g)
@@ -417,8 +425,9 @@ def test_tie_cells_match_exhaustive_enumeration():
 
 
 def _threshold_sets_by_max(values):
-    """``planner_core._threshold_sets`` in its two-pass form: ``max`` for
-    each threshold and for the value below it."""
+    """``planner_core._threshold_sets`` in its two-pass form, each set as
+    its ascending indices: ``max`` for each threshold and for the value
+    below it."""
     sets, theta = [], max(values)
     while theta is not None:
         below = max((v for v in values if v < theta), default=None)
@@ -437,7 +446,12 @@ def test_threshold_sets_match_max_form():
             rng.choice(pool) if rng.random() < 0.8 else rng.random()
             for _ in range(rng.randint(1, 9))
         )
-        assert repr(planner_core._threshold_sets(values)) == repr(_threshold_sets_by_max(values))
+        sets = planner_core._threshold_sets(values)
+        order = planner_core._descending(values)
+        got = [(tuple(sorted(order[:size])), theta, below) for size, _, theta, below in sets]
+        want = _threshold_sets_by_max(values)
+        assert repr(got) == repr(want)
+        assert [least for _, least, _, _ in sets] == [min(s) + 1 for s, _, _ in want]
 
 
 def decode_cells(keys, n, m):
@@ -466,7 +480,10 @@ def test_cell_keys_tell_apart_cells_past_64_rules():
     assert not (keys[0, 3] == keys[1, 3]).all() and not (keys[1, 3] == keys[2, 3]).all()
     assert factor_rules[:, 3].tolist() == [[1, 1]] * 3
     ref = [planner_core._tie_cells(tuple(row), (0.75, 0.25)) for row in f.tolist()]
-    assert cells == [ref_cells for _, ref_cells in ref]
+    assert cells == [
+        planner_core._tie_cell_sets(tuple(row), (0.75, 0.25), ties)
+        for row, (_, ties) in zip(f.tolist(), ref)
+    ]
     assert _decided_row_levels(levels) == [_first_positive_level(lv) for lv, _ in ref] == [3] * 3
 
 
@@ -474,7 +491,9 @@ def test_tie_cells_polynomial_on_long_vectors():
     """40 + 40 distinct weights: 2^78 supersets, a few hundred upward-closed ones."""
     rng = np.random.default_rng(40)
     f, g = (tuple(rng.permutation(np.arange(1, 41) / 820.0).tolist()) for _ in range(2))
-    levels, cells = planner_core._tie_cells(f, g)
+    levels, ties = planner_core._tie_cells(f, g)
+    cells = planner_core._tie_cell_sets(f, g, ties)
+    assert ties == _ties(cells)
     assert _decided_level(levels) == _first_positive_level(levels) == 2
     assert cells[2] == ((f.index(max(f)),), (g.index(max(g)),))
     assert sum(levels) > 0.0
@@ -542,7 +561,9 @@ def _covers(planner, decision, index):
     "spec",
     [
         "torus:4",
+        "torus:8",
         "product(sphere:2,sphere:2,sphere:2)",
+        "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)",
         "product(circle,sphere:3,sphere:2,convex:2)",
     ],
 )
@@ -572,13 +593,13 @@ def test_decision_path_matches_reanalysis(spec):
 
 
 def row_decision(planner, decisions, row):
-    """Row ``row`` of a ``Decisions`` block as a ``Decision``, its cells
-    decoded from their keys and its factor decisions from their blocks, or
-    None where the row is uncovered."""
+    """Row ``row`` of a ``Decisions`` block as a ``Decision``, its ties read
+    from its cell keys and factor rules and its factor decisions from their
+    blocks, or None where the row is uncovered; the cells its factor
+    weights give must be the cells its keys hold."""
     if decisions.index[row] == 0:
         return None
-    a, b = (ConfigPoint(planner.geometry, tuple(x[row] for x in blocks))
-            for blocks in (decisions.a, decisions.b))
+    a, b = (tuple(x[row] for x in blocks) for blocks in (decisions.a, decisions.b))
     index, weights = int(decisions.index[row]), tuple(decisions.weights[row].tolist())
     if isinstance(planner, ProductPlanner):
         n, m = len(planner.left.rules), len(planner.right.rules)
@@ -589,19 +610,25 @@ def row_decision(planner, decisions, row):
         ]
         left, right = decisions.factors
         factors = (row_decision(planner.left, left, row), row_decision(planner.right, right, row))
-        return Decision(a, b, index, weights, cells[index + 1], cells, factors)
+        ties = {
+            k: (*decisions.factor_rules[row, k].tolist(), len(s)) for k, (s, _) in cells.items()
+        }
+        decision = Decision(a, b, index, weights, factors, ties)
+        assert decision.cells == cells
+        return decision
     if isinstance(planner, TransferPlanner):
         source = row_decision(planner.source, decisions.factors[0], row)
-        return Decision(a, b, index, weights, source.cell, factors=(source,))
+        return Decision(a, b, index, weights, (source,))
     return Decision(a, b, index, weights)
 
 
 def _assert_same_decision(got, want):
-    assert got.a.flat.tobytes() == want.a.flat.tobytes()
-    assert got.b.flat.tobytes() == want.b.flat.tobytes()
+    assert np.concatenate(got.a).tobytes() == np.concatenate(want.a).tobytes()
+    assert np.concatenate(got.b).tobytes() == np.concatenate(want.b).tobytes()
     assert (got.index, got.cell) == (want.index, want.cell)
     assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
     assert (got.cells or {}) == (want.cells or {})
+    assert (got.ties or {}) == (want.ties or {})
     assert len(got.factors or ()) == len(want.factors or ())
     for g, w in zip(got.factors or (), want.factors or ()):
         _assert_same_decision(g, w)
@@ -625,6 +652,9 @@ DECIDE_MANY_PLANNERS = {
         "convex:3", "circle", "sphere:2", "sphere:3", "torus:2", "torus:3", "torus:4",
         "product(sphere:2,sphere:2)", "torus:6", "product(sphere:2,sphere:2,sphere:2)",
         "sphere:4", "product(circle,sphere:3,sphere:2,convex:2)",
+        # the deepest trees plan-products times
+        "torus:8", "product(sphere:2,sphere:2,sphere:2,sphere:2)",
+        "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)",
     ]},
     "punctured-plane": punctured_plane_planner,
     "gap": _shortest_arc_only,
@@ -705,11 +735,55 @@ def test_plan_analyzes_each_product_node_once(monkeypatch, n):
     rng = np.random.default_rng(n)
     a = random_point(planner.geometry, rng)
     b = random_point(planner.geometry, rng)
-    calls = []
-    tie_cells = planner_core._tie_cells
+    calls, decoded = [], []
+    tie_cells, tie_cell_sets = planner_core._tie_cells, planner_core._tie_cell_sets
     monkeypatch.setattr(planner_core, "_tie_cells", lambda f, g: calls.append(1) or tie_cells(f, g))
+    monkeypatch.setattr(
+        planner_core, "_tie_cell_sets", lambda *args: decoded.append(1) or tie_cell_sets(*args)
+    )
     sample_path(plan(planner, a, b).path, 17)
     assert len(calls) == n - 1
+    assert decoded == []  # no cell is decoded unless it is read
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "torus:8",
+        "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)",
+        "product(circle,sphere:3,sphere:2,convex:2)",
+        "punctured-plane",
+    ],
+)
+def test_decide_builds_no_points(monkeypatch, spec):
+    """``decide`` unwraps the query's points once: no node below the top,
+    product or transfer, builds a ConfigPoint, on random queries and on
+    queries with equal or antipodal factors."""
+    planner = punctured_plane_planner() if spec == "punctured-plane" else build_planner(spec)
+    rng = np.random.default_rng(8)
+    sampler = one_point_sampler(planner)
+    pairs = [(sampler(rng), sampler(rng)) for _ in range(20)]
+    pairs += [(a, make_point(planner.geometry, [-x for x in a.parts])) for a, _ in pairs[:5]]
+    pairs += [(a, a) for a, _ in pairs[:5]]
+    built = []
+    init = ConfigPoint.__init__
+    monkeypatch.setattr(
+        ConfigPoint, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+    )
+    for a, b in pairs:
+        planner.decide(a, b)
+    assert built == []
+
+
+def test_nested_coverage_gap_names_the_factor_and_its_points():
+    """A gap in a factor planner raises CoverageGap naming the factor's own
+    space and its halves of the query."""
+    planner = product_planner(_shortest_arc_only(), circle_planner())
+    a, b = pt(planner, 1, 0, 0, 1), pt(planner, -1, 0, 0.6, 0.8)
+    for call in (planner.decide, lambda a, b: plan(planner, a, b)):
+        with pytest.raises(planner_core.CoverageGap) as raised:
+            call(a, b)
+        assert str(raised.value) == "circle: no rule applies at ((1, 0), (-1, 0))"
 
 
 def _nested_bundle(self, a, b, leaves):
