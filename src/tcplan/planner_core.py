@@ -29,7 +29,9 @@ such as the verifier use ``decide_many``.  ``decide`` unwraps the query's
 points to their ``parts`` once, and every node below decides on parts
 tuples; a product node keeps, per level, only what its section reads (the
 factor rules the level's cell pairs), and a decision's tie cells are
-decoded from its factor weights when they are read.
+decoded from its factor weights when they are read.  A product's
+``decide_many`` runs each distinct leaf planner once, over the stacked rows
+of every leaf that shares it, and combines its nodes bottom-up.
 
 Sections are built over rows: an elementary rule's section maps the
 (N, ambient) starts and goals of N queries to one bundle of N paths (see
@@ -209,13 +211,13 @@ class Decisions:
     (N,) 1-based first applicable rules (0 where no rule applies) and
     ``weights`` the (N, rules) normalized weights (meaningless in an
     uncovered row).  A product node adds its left and right factor blocks
-    in ``factors`` and, for each row and level, the tie cell (S, T) of that
-    level: ``cells[n, level]`` holds the membership bits of S, then those
-    of T, packed into bytes (all zero where the level has no cell), so
-    equal keys on one level are equal cells however many rules there are;
-    ``factor_rules[n, level]`` is (min S + 1, min T + 1), the factor rules
-    the level's section pairs (0 where there is no cell).  A transfer node
-    adds its source block in ``factors`` and passes the source's cells on.
+    in ``factors`` and, as ``Decision.ties`` does for one query, what a
+    section reads of each row's tie cells: ``ties[n, level]`` is (min S +
+    1, min T + 1, |S|) for the cell (S, T) of that level, the factor rules
+    the level's section pairs and the size that fixes S (all 0 where the
+    level has no cell).  The cells themselves are decoded from the factor
+    blocks' weights where they are read (``verifier._cell_members``).  A
+    transfer node adds its source block in ``factors``.
     """
 
     a: Blocks
@@ -223,8 +225,18 @@ class Decisions:
     index: np.ndarray
     weights: np.ndarray
     factors: tuple["Decisions", ...] = ()
-    cells: np.ndarray | None = None
-    factor_rules: np.ndarray | None = None
+    ties: np.ndarray | None = None
+
+    def rows(self, span: slice) -> "Decisions":
+        """The decisions of the rows ``span``, down every factor block."""
+        return Decisions(
+            tuple(x[span] for x in self.a),
+            tuple(x[span] for x in self.b),
+            self.index[span],
+            self.weights[span],
+            tuple(f.rows(span) for f in self.factors),
+            None if self.ties is None else self.ties[span],
+        )
 
 
 @dataclass
@@ -233,9 +245,9 @@ class Planner:
 
     ``decide`` computes a query's rule, weights and, on a product, the
     factor rules of each tie cell in one pass (``decide_many`` does so for
-    many queries over arrays, with the cells as keys) and ``bundle``
-    builds sections of queries that share leaf rules as one bundle; they
-    are the only way a rule is used.  ``point_sampler(rng, count)`` lets
+    many queries over arrays) and ``bundle`` builds sections of queries
+    that share leaf rules as one bundle; they are the only way a rule is
+    used.  ``point_sampler(rng, count)`` lets
     spaces with excluded loci (e.g. the punctured plane) provide their own
     random points to verifiers, as (count, ambient) blocks.
     """
@@ -259,6 +271,12 @@ class Planner:
         blocks, bit for bit, with index 0 where it would raise CoverageGap."""
         raw = np.stack([rule.weight(a, b) for rule in self.rules], axis=1)
         return Decisions(a, b, *self._first_positive_rows(raw))
+
+    def _combine(self, a: Blocks, b: Blocks, units) -> Decisions:
+        """This node's decisions on the row blocks ``a`` and ``b`` of its
+        factors, from the decisions of its leaf units, which ``units``
+        yields in ``leaf_units`` order: a unit takes its own."""
+        return next(units)
 
     def _first_positive(self, a: Parts, b: Parts, raw: Sequence[float]):
         """How every node decides from raw rule weights: the 1-based index of
@@ -599,10 +617,13 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     and q + 1 sorted positions, which end a tie group, so the order in
     which the sort puts tied indices does not matter.
 
-    Returns the (N, n + m + 1) raw level weights, and the (N, n + m + 1,
-    bytes) cell keys and (N, n + m + 1, 2) factor rules of ``Decisions``.
-    A row's rule is its lowest level with a positive cell, the argmax
-    cell's level unless that cell's margin rounds to 0.
+    Returns the (N, n + m + 1) raw level weights and the (N, n + m + 1, 3)
+    ``ties`` of ``Decisions``: per level with a cell, its factor rules (the
+    least index of each of the top p + 1 and q + 1 sorted positions, plus
+    1) and |S| = p + 1.  No cell's members are built: a reader decodes
+    them from f and g and |S|.  A row's rule is its lowest level with a
+    positive cell, the argmax cell's level unless that cell's margin rounds
+    to 0.
     """
     count, n, m = f.shape[0], f.shape[1], g.shape[1]
     f_order = np.argsort(-f, axis=1)
@@ -610,31 +631,36 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     fs = np.take_along_axis(f, f_order, axis=1)
     gs = np.take_along_axis(g, g_order, axis=1)
     fmax, gmax = fs[:, :1], gs[:, :1]
-    outside_f = np.zeros((count, n, 1))
-    below_f = fs[:, 1:, None] * gmax[:, :, None]
-    outside_f[:, :-1] = np.where(below_f > 0.0, below_f, 0.0)
-    outside = np.repeat(outside_f, m, axis=2)
-    below_g = (fmax * gs[:, 1:])[:, None, :]
-    outside[:, :, :-1] = np.where(below_g > outside_f, below_g, outside_f)
-    margin = fs[:, :, None] * gs[:, None, :] - outside
+    # margins as (row, q, p): on a left-deep chain the left side is long
+    outside_f = np.zeros((count, 1, n))
+    below_f = (fs[:, 1:] * gmax)[:, None, :]
+    outside_f[:, :, :-1] = np.where(below_f > 0.0, below_f, 0.0)
+    below_g = (fmax * gs[:, 1:])[:, :, None]
+    outside = np.empty((count, m, n))
+    outside[:, :-1] = np.where(below_g > outside_f, below_g, outside_f)
+    outside[:, -1:] = outside_f
+    margin = fs[:, None, :] * gs[:, :, None] - outside
 
-    rows, ps, qs = np.nonzero(margin > 0.0)
-    cell_levels = ps + qs + 2
-    levels = np.zeros((count, n + m + 1))
-    levels[rows, cell_levels] = margin[rows, ps, qs]
-    # S holds the indices whose sorted position is at most p, T likewise
-    f_rank = np.argsort(f_order, axis=1)[rows]
-    g_rank = np.argsort(g_order, axis=1)[rows]
-    keys = np.concatenate(
-        (np.packbits(f_rank <= ps[:, None], axis=1), np.packbits(g_rank <= qs[:, None], axis=1)),
-        axis=1,
-    )
-    cells = np.zeros((count, n + m + 1, keys.shape[1]), dtype=np.uint8)
-    cells[rows, cell_levels] = keys
-    factor_rules = np.zeros((count, n + m + 1, 2), dtype=np.int64)
-    factor_rules[rows, cell_levels, 0] = np.minimum.accumulate(f_order, axis=1)[rows, ps] + 1
-    factor_rules[rows, cell_levels, 1] = np.minimum.accumulate(g_order, axis=1)[rows, qs] + 1
-    return levels, cells, factor_rules
+    cells = np.flatnonzero(margin > 0.0)
+    rows, rest = np.divmod(cells, m * n)
+    qs, ps = np.divmod(rest, n)
+    width = n + m + 1
+    at = rows * width + ps + qs + 2  # (row, level) as a flat position
+    levels = np.zeros(count * width)
+    levels[at] = margin.ravel()[cells]
+    ties = np.zeros((count * width, 3), dtype=np.int64)
+    ties[at, 0] = np.minimum.accumulate(f_order, axis=1).ravel()[rows * n + ps] + 1
+    ties[at, 1] = np.minimum.accumulate(g_order, axis=1).ravel()[rows * m + qs] + 1
+    ties[at, 2] = ps + 1
+    return levels.reshape(count, width), ties.reshape(count, width, 3)
+
+
+def _stacked(blocks: Blocks, spans: Sequence[slice]) -> Blocks:
+    """The factor blocks of ``spans``, each span's rows after the last's: a
+    span's own blocks where there is one."""
+    if len(spans) == 1:
+        return blocks[spans[0]]
+    return tuple(np.concatenate(rows) for rows in zip(*(blocks[s] for s in spans)))
 
 
 class ProductPlanner(Planner):
@@ -668,13 +694,27 @@ class ProductPlanner(Planner):
         return Decision(a, b, index, weights, (left, right), ties)
 
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
-        """``decide`` over rows; an uncovered factor row's NaN weights give no positive level."""
+        """``decide`` over rows; an uncovered factor row's NaN weights give no
+        positive level.  Each distinct leaf unit planner decides once, over
+        the factor rows of every unit that runs it stacked unit after unit
+        (``unit_spans``), and each unit takes back its rows as a slice: a
+        leaf decides row by row, so they are its own decisions bit for bit.
+        The product nodes then combine those slices bottom-up."""
+        count, decided = len(a[0]), {}
+        for unit, spans in self.unit_spans:
+            factors = [f for f, _ in spans]
+            block = unit.decide_many(_stacked(a, factors), _stacked(b, factors))
+            for g, f in enumerate(factors):
+                decided[f.start] = block.rows(slice(g * count, (g + 1) * count))
+        return self._combine(a, b, (decided[f.start] for _, f, _ in self.leaf_units))
+
+    def _combine(self, a: Blocks, b: Blocks, units) -> Decisions:
         k = self.split
-        left = self.left.decide_many(a[:k], b[:k])
-        right = self.right.decide_many(a[k:], b[k:])
-        levels, cells, factor_rules = _tie_cell_rows(left.weights, right.weights)
+        left = self.left._combine(a[:k], b[:k], units)
+        right = self.right._combine(a[k:], b[k:], units)
+        levels, ties = _tie_cell_rows(left.weights, right.weights)
         index, weights = self._first_positive_rows(levels[:, 2:])
-        return Decisions(a, b, index, weights, (left, right), cells, factor_rules)
+        return Decisions(a, b, index, weights, (left, right), ties)
 
     @cached_property
     def leaf_count(self) -> int:
@@ -688,7 +728,7 @@ class ProductPlanner(Planner):
         return self.left.leaf_rules(left, rule_s) + self.right.leaf_rules(right, rule_t)
 
     def leaf_keys(self, decisions: Decisions, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-        pairs = decisions.factor_rules[rows, index + 1]
+        pairs = decisions.ties[rows, index + 1]
         left, right = decisions.factors
         return np.concatenate(
             (
@@ -730,18 +770,13 @@ class ProductPlanner(Planner):
         unit bundles' pieces.  Only ``path``, and a transfer planner over a
         product, build a product bundle: the verifier builds sections leaf
         unit by leaf unit."""
-        def stacked(blocks: Blocks, spans: list[slice]) -> Blocks:
-            if len(spans) == 1:
-                return blocks[spans[0]]
-            return tuple(np.concatenate(rows) for rows in zip(*(blocks[s] for s in spans)))
-
         parts = []
         for unit, slices in self.unit_spans:
             groups: dict[tuple[int, ...], list[slice]] = {}
             for factors, columns in slices:
                 groups.setdefault(tuple(leaves[columns]), []).append(factors)
             parts += [
-                (unit.bundle(stacked(a, spans), stacked(b, spans), rules), spans)
+                (unit.bundle(_stacked(a, spans), _stacked(b, spans), rules), spans)
                 for rules, spans in groups.items()
             ]
         count, width = len(a[0]), len(self.geometry.factors)
@@ -754,7 +789,7 @@ class ProductPlanner(Planner):
                     out[factors] = [r[g * span : (g + 1) * span] for r in rows]
             return tuple(out)
 
-        pieces = merge_pieces([bundle.pieces for bundle, _ in parts])
+        pieces = merge_pieces(tuple(bundle.pieces for bundle, _ in parts))
         return PathFn(self.geometry, sample, pieces, "product")
 
 
@@ -835,7 +870,7 @@ class TransferPlanner(Planner):
 
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
         source = self.source.decide_many(self.f(a), self.f(b))
-        return Decisions(a, b, source.index, source.weights, (source,), source.cells)
+        return Decisions(a, b, source.index, source.weights, (source,))
 
     @cached_property
     def leaf_count(self) -> int:

@@ -22,8 +22,11 @@ built leaf unit by leaf unit (``Planner.leaf_units``).  The factors of a
 product section run at equal times, so a unit's rows depend only on its
 own leaf rules (``Planner.leaf_keys``): the rows that share them are built
 and sampled as one unit bundle (``Planner.bundle``), and no product bundle
-is built.  No per-query object is built: a planner's own
-``point_sampler`` draws row blocks too.
+is built.  A twin is compared with its query on the rule and on the tie
+cell at the query's decided level; the cells are decoded from the factor
+weights for the compared rows at that level only (``_cell_members``).  No
+per-query object is built: a planner's own ``point_sampler`` draws row
+blocks too.
 
 The continuity bound is an empirical regression guard, not a theorem: the
 modulus of any rule blows up at its domain boundary, which is exactly why
@@ -192,15 +195,18 @@ def _factor_pair_menu(factor, rng: np.random.Generator) -> list[tuple[np.ndarray
     return [(v, v.copy()), (v, w)]
 
 
-def _menu_digits(menus: list[list], index: int) -> list[int]:
-    """The position in each menu of entry ``index`` of
-    ``itertools.product(*menus)`` (last menu fastest), without building
-    the product."""
-    digits = []
-    for menu in reversed(menus):
-        index, digit = divmod(index, len(menu))
-        digits.append(digit)
-    return digits[::-1]
+def _menu_digit_columns(menus: list[list], keep: np.ndarray) -> np.ndarray:
+    """The position in each menu of each entry ``keep`` of
+    ``itertools.product(*menus)`` (last menu fastest), without building the
+    product: one floor division and one remainder per menu over all of
+    ``keep`` at once, as a (len(keep), len(menus)) int array.  ``keep``
+    holds int64, or Python ints (object dtype) past a C long."""
+    digits = np.empty((len(keep), len(menus)), dtype=np.int64)
+    for k in range(len(menus) - 1, -1, -1):
+        size = len(menus[k])
+        digits[:, k] = keep % size
+        keep = keep // size
+    return digits
 
 
 def adversarial_rows(
@@ -217,17 +223,18 @@ def adversarial_rows(
         )
     menus = [_factor_pair_menu(f, rng) for f in geometry.factors]
     total = math.prod(len(menu) for menu in menus)
-    keep = range(total)
     if total > _INT64_MAX:
         # past a C long for rng.choice: exact Python ints from a seeded stream
         draw = random.Random(int(rng.integers(_INT64_MAX)))
         picked: set[int] = set()
         while len(picked) < min(cap, total):
             picked.add(draw.randrange(total))
-        keep = sorted(picked)
+        keep = np.array(sorted(picked), dtype=object)
     elif total > cap:
-        keep = sorted(int(i) for i in rng.choice(total, size=cap, replace=False))
-    digits = np.array([_menu_digits(menus, i) for i in keep])
+        keep = np.sort(rng.choice(total, size=cap, replace=False).astype(np.int64))
+    else:
+        keep = np.arange(total, dtype=np.int64)
+    digits = _menu_digit_columns(menus, keep)
     return tuple(
         tuple(np.array([pair[side] for pair in menu])[digits[:, k]] for k, menu in enumerate(menus))
         for side in (0, 1)
@@ -285,9 +292,13 @@ def _unit_groups(
     """The given rows of a block grouped by one leaf unit's ``keys`` (its
     columns of ``leaf_keys``): each group's positions in ``rows``,
     ascending, with the unit bundle of their sections on the unit's
-    ``factors``; and the group of each row."""
+    ``factors``; and the group of each row.  A single key column holds
+    1-based rules, so its groups are the nonzero counts of a bincount and a
+    row's group the rank of its rule among them."""
     if keys.shape[1] == 1:
-        values, inverse = np.unique(keys[:, 0], return_inverse=True)
+        column = keys[:, 0]
+        values = np.flatnonzero(np.bincount(column))
+        inverse = np.searchsorted(values, column)
         values = values[:, None]
     else:
         values, inverse = np.unique(keys, axis=0, return_inverse=True)
@@ -328,7 +339,9 @@ def _piece_classes(units: list[tuple], probed: int) -> list[tuple[np.ndarray, tu
     combos, inverse = np.unique(np.stack(ids, axis=1), axis=0, return_inverse=True)
     classes: dict[tuple, int] = {}
     numbers = [
-        classes.setdefault(merge_pieces([structures[u][i] for u, i in enumerate(combo)]), len(classes))
+        classes.setdefault(
+            merge_pieces(tuple(structures[u][i] for u, i in enumerate(combo))), len(classes)
+        )
         for combo in combos.tolist()
     ]
     row_class = np.array(numbers)[inverse.ravel()]
@@ -396,16 +409,46 @@ def _sample_sections(
     return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads.tolist()
 
 
+def _top_members(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each row's threshold set of ``sizes`` members, as an (R, n) bool
+    mask: the indices whose weight is at least the row's size-th largest,
+    none where the size is 0.  Only for sizes that end a tie group, as a
+    cell's do, so the mask has exactly that many members."""
+    ranked = -np.sort(-weights, axis=1)  # descending, NaN last as in _tie_cell_rows
+    theta = ranked[np.arange(len(sizes)), np.maximum(sizes - 1, 0)]
+    return (weights >= theta[:, None]) & (sizes > 0)[:, None]
+
+
+def _cell_members(
+    decisions: Decisions, rows: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The tie cell (S, T) of each given row at its level, as (R, n) and (R,
+    m) membership masks (both empty where the level has no cell), decoded
+    as ``Decision.cells`` decodes one query's: S is the threshold set of
+    the left factor's weights with |S| members, T the right's with level -
+    |S|.  A transfer node's cells are its source's; None where no product
+    node is reached."""
+    while decisions.ties is None:
+        if not decisions.factors:
+            return None
+        decisions = decisions.factors[0]
+    left, right = decisions.factors
+    size_s = decisions.ties[rows, levels, 2]
+    size_t = np.where(size_s > 0, levels - size_s, 0)
+    return _top_members(left.weights[rows], size_s), _top_members(right.weights[rows], size_t)
+
+
 def _same_cells(decisions: Decisions, rows: np.ndarray, twins: Decisions) -> np.ndarray:
     """Whether each twin (row k of ``twins``, the twin of row rows[k]) has
     the tie cell its query has at the query's decided level; true where
-    the planner has no cells."""
-    if decisions.cells is None:
-        return np.ones(len(rows), dtype=bool)
+    the planner has no cells.  Only these rows' cells at that level are
+    decoded."""
     level = decisions.index[rows] + 1
-    mine = decisions.cells[rows, level]
-    theirs = twins.cells[np.arange(len(rows)), level]
-    return (mine == theirs).all(axis=1)
+    mine = _cell_members(decisions, rows, level)
+    if mine is None:
+        return np.ones(len(rows), dtype=bool)
+    theirs = _cell_members(twins, np.arange(len(rows)), level)
+    return (mine[0] == theirs[0]).all(axis=1) & (mine[1] == theirs[1]).all(axis=1)
 
 
 def _query_rows(planner: Planner, rng: np.random.Generator, pairs: int) -> tuple[Blocks, Blocks]:

@@ -19,6 +19,7 @@ their per-point formulas.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from tcplan.geometry import (
     geodesic_path,
     factor_distance,
     make_point,
+    merge_pieces,
     odd_vector_field,
     random_point,
     random_points,
@@ -624,3 +626,29 @@ def test_even_field_rows_equal_the_per_point_formula(n):
     ys = stereo_project(xs[2:], n)
     e = np.eye(n)[0]
     assert hexed(stereo_push(ys, e, n)) == hexed([stereo_push(y, e, n) for y in ys])
+
+
+def _random_pieces(rng):
+    """A random piece structure of [0, 1]: cuts from a small grid, each
+    piece constant-speed or not."""
+    grid = [k / 12 for k in range(1, 12)] + [1 / 64, 1 / 3 + 1 / 64]
+    cuts = [0.0, *sorted(rng.sample(grid, rng.randint(0, 4))), 1.0]
+    return tuple((t0, t1, rng.random() < 0.5) for t0, t1 in zip(cuts, cuts[1:]))
+
+
+def test_merge_pieces_memo_equals_an_uncached_merge_and_stays_bounded():
+    """The memoized merge gives the uncached merge's structure on random
+    structures, repeats included, and holds no more than its bound."""
+    rng = random.Random(6)
+    bound = merge_pieces.cache_parameters()["maxsize"]
+    merge_pieces.cache_clear()
+    seen = []
+    for _ in range(2 * bound):
+        structures = tuple(_random_pieces(rng) for _ in range(rng.randint(1, 4)))
+        if seen and rng.random() < 0.3:
+            structures = rng.choice(seen)
+        seen.append(structures)
+        assert repr(merge_pieces(structures)) == repr(merge_pieces.__wrapped__(structures))
+    info = merge_pieces.cache_info()
+    assert info.hits and info.misses > bound
+    assert info.currsize == bound

@@ -24,6 +24,7 @@ from tcplan.geometry import (
 )
 from tcplan.planner_core import (
     Decision,
+    Decisions,
     DomainMiss,
     HomotopyEndpointMismatch,
     LengthMismatch,
@@ -403,11 +404,12 @@ def _check_tie_cells(f, g):
     assert _decided_level(levels) == level, (f, g)
     assert level in cells, (f, g)
     # the row form ``decide_many`` uses, on a one-row block
-    row_levels, keys, factor_rules = planner_core._tie_cell_rows(np.array([f]), np.array([g]))
+    row_levels, block = tie_block(np.array([f]), np.array([g]))
     assert [w.hex() for w in row_levels[0].tolist()] == [w.hex() for w in ref_levels], (f, g)
-    assert decode_cells(keys[0], len(f), len(g)) == ref_cells, (f, g)
-    assert factor_rules[0].tolist() == [
-        [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1] if k in ref_cells else [0, 0]
+    assert decode_cells(block, 0) == ref_cells, (f, g)
+    assert block.ties[0].tolist() == [
+        [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1, len(ref_cells[k][0])]
+        if k in ref_cells else [0, 0, 0]
         for k in range(len(f) + len(g) + 1)
     ], (f, g)
     assert _decided_row_levels(row_levels) == [level], (f, g)
@@ -454,31 +456,42 @@ def test_threshold_sets_match_max_form():
         assert [least for _, least, _, _ in sets] == [min(s) + 1 for s, _, _ in want]
 
 
-def decode_cells(keys, n, m):
-    """The tie cells {level: (S, T)} of one row's (levels, bytes) cell keys
-    for factors of n and m rules: S's membership bits, then T's."""
-    split = (n + 7) // 8
-    cells = {}
-    for level, key in enumerate(keys):
-        if key.any():
-            s = np.flatnonzero(np.unpackbits(key[:split], count=n))
-            t = np.flatnonzero(np.unpackbits(key[split:], count=m))
-            cells[level] = (tuple(s.tolist()), tuple(t.tolist()))
-    return cells
+def tie_block(f, g):
+    """The raw level weights and a product node's ``Decisions`` over (N, n)
+    and (N, m) factor weight arrays, combined as ``decide_many`` combines
+    them (its factor blocks hold weights only)."""
+    levels, ties = planner_core._tie_cell_rows(f, g)
+    factor = lambda w: Decisions((), (), np.ones(len(w), dtype=np.int64), w)
+    index, weights = Planner._first_positive_rows(levels[:, 2:])
+    return levels, Decisions((), (), index, weights, (factor(f), factor(g)), ties)
+
+
+def decode_cells(decisions, row):
+    """The tie cells {level: (S, T)} of one row of a product's ``Decisions``
+    block, decoded at every level from the row's factor weights and ties,
+    as the verifier decodes them."""
+    levels = np.arange(decisions.ties.shape[1])
+    s, t = verifier._cell_members(decisions, np.full(len(levels), row), levels)
+    return {
+        int(k): (tuple(np.flatnonzero(s[k]).tolist()), tuple(np.flatnonzero(t[k]).tolist()))
+        for k in levels
+        if s[k].any()
+    }
 
 
 def test_cell_keys_tell_apart_cells_past_64_rules():
     """A factor of 70 rules: two rows whose cells differ only in index 65
-    against 66 get different keys, as do their twins in any later index,
-    and the keys decode to the exact cells."""
+    against 66 have different cells, as do their twins in any later index,
+    and their ties decode to the exact cells."""
     f = np.full((3, 70), 1.0 / 72.0)
     f[:, 0] = f[0, 65] = f[1, 66] = f[2, 69] = 2.0 / 72.0
     g = np.array([[0.75, 0.25]] * 3)
-    levels, keys, factor_rules = planner_core._tie_cell_rows(f, g)
-    cells = [decode_cells(k, 70, 2) for k in keys]
+    levels, block = tie_block(f, g)
+    cells = [decode_cells(block, row) for row in range(3)]
     assert [c[3] for c in cells] == [((0, 65), (0,)), ((0, 66), (0,)), ((0, 69), (0,))]
-    assert not (keys[0, 3] == keys[1, 3]).all() and not (keys[1, 3] == keys[2, 3]).all()
-    assert factor_rules[:, 3].tolist() == [[1, 1]] * 3
+    assert verifier._same_cells(block, np.arange(3), block).all()
+    assert not verifier._same_cells(block, np.arange(2), block.rows(slice(1, 3))).any()
+    assert block.ties[:, 3].tolist() == [[1, 1, 2]] * 3
     ref = [planner_core._tie_cells(tuple(row), (0.75, 0.25)) for row in f.tolist()]
     assert cells == [
         planner_core._tie_cell_sets(tuple(row), (0.75, 0.25), ties)
@@ -594,25 +607,23 @@ def test_decision_path_matches_reanalysis(spec):
 
 def row_decision(planner, decisions, row):
     """Row ``row`` of a ``Decisions`` block as a ``Decision``, its ties read
-    from its cell keys and factor rules and its factor decisions from their
-    blocks, or None where the row is uncovered; the cells its factor
-    weights give must be the cells its keys hold."""
+    from the block's ties and its factor decisions from their blocks, or
+    None where the row is uncovered; the cells the verifier decodes from
+    the block must be the cells ``Decision`` decodes."""
     if decisions.index[row] == 0:
         return None
     a, b = (tuple(x[row] for x in blocks) for blocks in (decisions.a, decisions.b))
     index, weights = int(decisions.index[row]), tuple(decisions.weights[row].tolist())
     if isinstance(planner, ProductPlanner):
         n, m = len(planner.left.rules), len(planner.right.rules)
-        cells = decode_cells(decisions.cells[row], n, m)
-        assert decisions.factor_rules[row].tolist() == [
-            [min(cells[k][0]) + 1, min(cells[k][1]) + 1] if k in cells else [0, 0]
+        cells = decode_cells(decisions, row)
+        assert decisions.ties[row].tolist() == [
+            [min(cells[k][0]) + 1, min(cells[k][1]) + 1, len(cells[k][0])] if k in cells else [0, 0, 0]
             for k in range(n + m + 1)
         ]
         left, right = decisions.factors
         factors = (row_decision(planner.left, left, row), row_decision(planner.right, right, row))
-        ties = {
-            k: (*decisions.factor_rules[row, k].tolist(), len(s)) for k, (s, _) in cells.items()
-        }
+        ties = {k: tuple(decisions.ties[row, k].tolist()) for k in cells}
         decision = Decision(a, b, index, weights, factors, ties)
         assert decision.cells == cells
         return decision
@@ -717,8 +728,8 @@ def test_decide_many_matches_decide(name):
     for row in np.flatnonzero(block.index):
         index = block.index[row]
         assert block.weights[row, index - 1] > 0.0
-        if block.factor_rules is not None:
-            assert block.factor_rules[row, index + 1].all()
+        if block.ties is not None:
+            assert block.ties[row, index + 1].all()
     empty = tuple(x[:0] for x in starts)
     assert planner.decide_many(empty, empty).index.shape == (0,)
     if name.startswith(("torus", "product(sphere")):
@@ -727,6 +738,46 @@ def test_decide_many_matches_decide(name):
         assert any(len(d.cell[0]) > 1 or len(d.cell[1]) > 1 for d in got)
     if "gap" in name:
         assert any(d is None for d in got) and any(d is not None for d in got)
+
+
+@pytest.mark.parametrize(
+    "spec, leaves",
+    [
+        ("torus:10", 1),
+        ("product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)", 1),
+        ("product(circle,sphere:3,sphere:2,convex:2)", 4),
+    ],
+)
+def test_product_decides_each_shared_leaf_planner_once(monkeypatch, spec, leaves):
+    """Each top-level product ``decide_many`` of a verify run, queries and
+    twins, makes one leaf ``decide_many`` call per distinct leaf planner,
+    over the rows of every leaf that shares it, and calls no nested
+    product's ``decide_many``."""
+    planner = build_planner(spec)
+    calls = []
+
+    def counted(cls):
+        decide_many = cls.decide_many
+
+        def wrapper(self, a, b):
+            calls.append((cls, self, len(a[0])))
+            return decide_many(self, a, b)
+
+        return wrapper
+
+    for cls in (Planner, ProductPlanner):
+        monkeypatch.setattr(cls, "decide_many", counted(cls))
+    verifier.verify_planner(planner, verifier.VerifyConfig(seed=42, pairs=600))
+    tops = [k for k, (cls, _, _) in enumerate(calls) if cls is ProductPlanner]
+    assert len(tops) > 4 and all(calls[k][1] is planner for k in tops)
+    shares = {id(unit): len(spans) for unit, spans in planner.unit_spans}
+    for start, stop in zip(tops, tops[1:] + [len(calls)]):
+        rows = calls[start][2]
+        leaf_calls = calls[start + 1 : stop]
+        assert len(leaf_calls) == len({id(unit) for _, unit, _ in leaf_calls}) == leaves
+        assert [count for _, unit, count in leaf_calls] == [
+            shares[id(unit)] * rows for _, unit, _ in leaf_calls
+        ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -92,8 +92,9 @@ def test_verify_across_blocks_matches_golden(line):
 
 
 # A deep and a mixed product, where a full leaf-rule tuple is shared by
-# fewest queries, and a left-deep chain over one shared leaf: each line of the golden file is the `tcplan verify <spec>
-# --seed <seed> --pairs 2000` stdout, for each spec and then each seed.
+# fewest queries, and a left-deep chain over one shared leaf: each line of
+# the golden file is the `tcplan verify <spec> --seed <seed> --pairs 2000`
+# stdout, for each spec and then each seed.
 DEEP_SPECS = [
     "product(sphere:2,sphere:2,sphere:2,sphere:2,sphere:2)",
     "product(circle,sphere:3,sphere:2,convex:2)",

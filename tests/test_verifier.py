@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -46,8 +47,8 @@ from tcplan.verifier import (
 )
 
 # a Decisions row read as the Decision decide gives, and one random point per call
-from test_planner_core import DECIDE_MANY_PLANNERS, one_point_sampler, row_decision
-from verifier_helpers import adversarial_pairs
+from test_planner_core import DECIDE_MANY_PLANNERS, one_point_sampler, row_decision, tie_block
+from verifier_helpers import adversarial_pairs, menu_digits, packed_same_cells, packed_tie_cell_rows
 
 FAST = VerifyConfig(pairs=400)
 
@@ -467,6 +468,86 @@ def test_leaf_unit_sampling_matches_full_tuple_bundles(name):
         assert "nan" in hexed(got_spreads)
 
 
+# -- tie cells decoded where they are read, against packed keys -------------------
+
+
+def _tie_heavy_weights(rng, count, size):
+    """(count, size) normalized weight rows drawn mostly from a small pool,
+    so that rows tie often, a fifth of them with a second maximum one float
+    below the first."""
+    raw = rng.choice([0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 0.5], size=(count, size))
+    raw[:, 0] += raw.sum(axis=1) == 0.0  # a positive maximum
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    if size > 1:
+        near = np.flatnonzero(rng.random(count) < 0.2)
+        top = weights[near].argmax(axis=1)
+        other = (top + rng.integers(1, size, len(near))) % size
+        weights[near, other] = np.nextafter(weights[near, top], 0.0)
+    return weights
+
+
+def _twin_weights(rng, weights):
+    """Twin rows of ``weights``: per row the same, one entry changed and the
+    row renormalized, a fresh row, or a NaN row (an uncovered factor)."""
+    count, size = weights.shape
+    twins = weights.copy()
+    kind = rng.choice(4, size=count, p=[0.4, 0.3, 0.2, 0.1])
+    changed = np.flatnonzero(kind == 1)
+    twins[changed, rng.integers(0, size, len(changed))] = rng.choice([0.1, 0.25, 0.5], len(changed))
+    twins[changed] /= twins[changed].sum(axis=1, keepdims=True)
+    fresh = np.flatnonzero(kind == 2)
+    twins[fresh] = _tie_heavy_weights(rng, len(fresh), size)
+    twins[kind == 3] = np.nan
+    return twins
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (9, 5), (41, 2), (70, 3), (66, 66)])
+def test_same_cells_match_packed_keys_on_tie_heavy_rows(n, m):
+    """Tie cells decoded for the compared rows only give the packed keys'
+    comparison, on tie-heavy weight rows, past 64 rules and with NaN rows;
+    the ties agree with the packed form's levels and factor rules."""
+    rng = np.random.default_rng(n * 100 + m)
+    f, g = _tie_heavy_weights(rng, 600, n), _tie_heavy_weights(rng, 600, m)
+    f[::37] = np.nan  # uncovered queries
+    levels, block = tie_block(f, g)
+    packed_levels, _, factor_rules = packed_tie_cell_rows(f, g)
+    assert levels.tobytes() == packed_levels.tobytes()
+    assert (block.ties[:, :, :2] == factor_rules).all()
+    rows = np.flatnonzero(block.index)
+    assert 0 < len(rows) < len(f)
+    _, twins = tie_block(_twin_weights(rng, f[rows]), _twin_weights(rng, g[rows]))
+    same = verifier._same_cells(block, rows, twins)
+    assert same.tolist() == packed_same_cells(block, rows, twins).tolist()
+    assert same.any() and not same.all()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["torus:4", "product(sphere:2,sphere:2,sphere:2)", "product(circle,sphere:3,sphere:2,convex:2)",
+     "identity(torus:3)", "product(identity(torus:2),sphere:3)", "punctured-plane"],
+)
+def test_same_cells_match_packed_keys_through_planners(name):
+    """On twins drawn as verify_planner draws them and on twins moved much
+    further, the decoded cells compare as the packed keys do, through a
+    transfer planner over a product too."""
+    identity = {"identity(torus:3)": lambda: _identity_transfer(build_planner("torus:3"))}
+    planner = {**SAMPLING_PLANNERS, **identity}[name]()
+    rng = np.random.default_rng(11)
+    geometry = planner.geometry
+    decisions = planner.decide_many(*verifier._query_rows(planner, rng, 400))
+    rows = np.flatnonzero(decisions.index)
+    for step in (verifier.DELTA, 0.3):
+        normals = rng.standard_normal((len(rows), 2, geometry.ambient_dim))
+        twins = planner.decide_many(*(
+            tangent_perturb_rows(geometry, tuple(x[rows] for x in side), step, normals[:, k])
+            for k, side in enumerate((decisions.a, decisions.b))
+        ))
+        same = verifier._same_cells(decisions, rows, twins)
+        assert same.tolist() == packed_same_cells(decisions, rows, twins).tolist(), step
+        if step > verifier.DELTA and name != "punctured-plane":
+            assert not same.all()
+
+
 def _unit_rules(planner):
     return sum(len(unit.rules) for unit, _, _ in planner.leaf_units)
 
@@ -637,6 +718,27 @@ def test_adversarial_pairs_match_materialized_product(spec):
             assert a.flat.tobytes() == ra.flat.tobytes()
             assert b.flat.tobytes() == rb.flat.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["torus:4", "product(sphere:2,sphere:2)", "product(circle,sphere:3,sphere:2,convex:2)", "torus:41"],
+)
+def test_menu_digit_columns_match_per_index_digits(spec):
+    """One division and one remainder per menu over every kept index give
+    each index's own digits: all indices of the small products, and past
+    a C long on torus:41 (3^41 combinations), its ends and a seeded sample."""
+    planner = build_planner(spec)
+    menus = [verifier._factor_pair_menu(f, np.random.default_rng(0)) for f in planner.geometry.factors]
+    total = math.prod(len(menu) for menu in menus)
+    if total > verifier._INT64_MAX:
+        draw = random.Random(4)
+        picked = sorted({0, total - 1, *(draw.randrange(total) for _ in range(300))})
+        keep = np.array(picked, dtype=object)
+    else:
+        keep = np.arange(total, dtype=np.int64)
+    got = verifier._menu_digit_columns(menus, keep)
+    assert got.tolist() == [menu_digits(menus, int(i)) for i in keep]
 
 
 def test_adversarial_pairs_do_not_build_the_product():

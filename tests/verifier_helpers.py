@@ -2,14 +2,86 @@
 
 ``verify_planner`` works on row blocks; these give its adversarial queries
 as ``ConfigPoint`` pairs and one path's speed spread, so tests can compare
-the block code with per-point and per-path references.
+the block code with per-point and per-path references.  The menu digits of
+one adversarial index, and the tie cells as packed membership keys of every
+row and level, are the per-index and eager forms the verifier's own
+replaced.
 """
 
 import numpy as np
 
 from tcplan.geometry import ConfigPoint
-from tcplan.planner_core import Planner
+from tcplan.planner_core import Decisions, Planner
 from tcplan.verifier import _speed_probes, _speed_spreads, adversarial_rows
+
+
+def menu_digits(menus: list[list], index: int) -> list[int]:
+    """The position in each menu of entry ``index`` of
+    ``itertools.product(*menus)`` (last menu fastest), without building
+    the product."""
+    digits = []
+    for menu in reversed(menus):
+        index, digit = divmod(index, len(menu))
+        digits.append(digit)
+    return digits[::-1]
+
+
+def packed_tie_cell_rows(f: np.ndarray, g: np.ndarray):
+    """``planner_core._tie_cell_rows`` with every cell built: the (N, n + m +
+    1) raw level weights, then for each row and level the membership bits
+    of S, then those of T, packed into bytes (all zero where the level has
+    no cell), and the (N, n + m + 1, 2) factor rules (min S + 1, min T + 1)."""
+    count, n, m = f.shape[0], f.shape[1], g.shape[1]
+    f_order = np.argsort(-f, axis=1)
+    g_order = np.argsort(-g, axis=1)
+    fs = np.take_along_axis(f, f_order, axis=1)
+    gs = np.take_along_axis(g, g_order, axis=1)
+    fmax, gmax = fs[:, :1], gs[:, :1]
+    outside_f = np.zeros((count, n, 1))
+    below_f = fs[:, 1:, None] * gmax[:, :, None]
+    outside_f[:, :-1] = np.where(below_f > 0.0, below_f, 0.0)
+    outside = np.repeat(outside_f, m, axis=2)
+    below_g = (fmax * gs[:, 1:])[:, None, :]
+    outside[:, :, :-1] = np.where(below_g > outside_f, below_g, outside_f)
+    margin = fs[:, :, None] * gs[:, None, :] - outside
+
+    rows, ps, qs = np.nonzero(margin > 0.0)
+    cell_levels = ps + qs + 2
+    levels = np.zeros((count, n + m + 1))
+    levels[rows, cell_levels] = margin[rows, ps, qs]
+    # S holds the indices whose sorted position is at most p, T likewise
+    f_rank = np.argsort(f_order, axis=1)[rows]
+    g_rank = np.argsort(g_order, axis=1)[rows]
+    keys = np.concatenate(
+        (np.packbits(f_rank <= ps[:, None], axis=1), np.packbits(g_rank <= qs[:, None], axis=1)),
+        axis=1,
+    )
+    cells = np.zeros((count, n + m + 1, keys.shape[1]), dtype=np.uint8)
+    cells[rows, cell_levels] = keys
+    factor_rules = np.zeros((count, n + m + 1, 2), dtype=np.int64)
+    factor_rules[rows, cell_levels, 0] = np.minimum.accumulate(f_order, axis=1)[rows, ps] + 1
+    factor_rules[rows, cell_levels, 1] = np.minimum.accumulate(g_order, axis=1)[rows, qs] + 1
+    return levels, cells, factor_rules
+
+
+def packed_same_cells(decisions: Decisions, rows: np.ndarray, twins: Decisions) -> np.ndarray:
+    """``verifier._same_cells`` on packed keys: whether each twin's key at
+    its query's decided level equals the query's, the keys those of the
+    first product node at or below the top (a transfer passes its
+    source's on); true where there is none."""
+    def keys(block):
+        while block.ties is None:
+            if not block.factors:
+                return None
+            block = block.factors[0]
+        left, right = block.factors
+        return packed_tie_cell_rows(left.weights, right.weights)[1]
+
+    mine, theirs = keys(decisions), keys(twins)
+    if mine is None:
+        return np.ones(len(rows), dtype=bool)
+    level = decisions.index[rows] + 1
+    return (mine[rows, level] == theirs[np.arange(len(rows)), level]).all(axis=1)
 
 
 def adversarial_pairs(
