@@ -188,8 +188,6 @@ def config_distances(geometry: Geometry, xs: Blocks, ys: Blocks) -> np.ndarray:
 
 def stack_points(points: Sequence[ConfigPoint]) -> Blocks:
     """Points of one geometry as blocks: row k of each block is points[k]."""
-    if len(points) == 1:  # a one-query bundle: views, as cheap as the point itself
-        return tuple(part[None] for part in points[0].parts)
     return tuple(np.array(block) for block in zip(*(p.parts for p in points)))
 
 

@@ -17,16 +17,16 @@ geometry     sampled path points stay on their spheres within TOLERANCE,
 
 The checks run over arrays.  The queries are stacked once into (N,
 ambient) row blocks and go through in blocks of ``VERIFY_BATCH`` rows: a
-block is decided at once into a ``Decisions`` block, and its sections are
-built leaf unit by leaf unit (``Planner.leaf_units``).  The factors of a
-product section run at equal times, so a unit's rows depend only on its
-own leaf rules (``Planner.leaf_keys``): the rows that share them are built
-and sampled as one unit bundle (``Planner.bundle``), and no product bundle
-is built.  A twin is compared with its query on the rule and on the tie
-cell at the query's decided level; the cells are decoded from the factor
-weights for the compared rows at that level only (``_cell_members``).  No
-per-query object is built: a planner's own ``point_sampler`` draws row
-blocks too.
+block is decided at once into a ``Decisions`` block, and every planner's
+sections are built leaf unit by leaf unit (``Planner.leaf_units``).  The
+factors of a product section run at equal times, so a unit's rows depend
+only on its own leaf rules (``Planner.leaf_keys``): the rows that share
+them are built and sampled, speed probes included, as one unit bundle
+(``Planner.bundle``), and no product bundle is built.  A twin is compared
+with its query on the rule and on the tie cell at the query's decided
+level; the cells are decoded from the factor weights for the compared
+rows at that level only (``_cell_members``).  No per-query object is
+built: a planner's own ``point_sampler`` draws row blocks too.
 
 The continuity bound is an empirical regression guard, not a theorem: the
 modulus of any rule blows up at its domain boundary, which is exactly why
@@ -286,23 +286,30 @@ def _speed_spreads(geometry: Geometry, rows: Blocks, steps: list[float]) -> list
     return np.where(finite, spread.max(axis=1), math.nan).tolist()
 
 
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, axis=0, return_inverse=True)`` of an (R, C) array
+    of non-negative ints, numbered one column at a time: each row's number
+    so far times (the column's largest value + 1), plus its value, ranked
+    among the codes that occur.  Codes stay below R * (largest value + 1),
+    so no count of columns overflows int64."""
+    inverse = np.zeros(len(keys), dtype=np.int64)
+    for column in keys.T:
+        codes = inverse * (int(column.max()) + 1) + column
+        present = np.flatnonzero(np.bincount(codes))
+        inverse = np.searchsorted(present, codes)
+    member = np.empty(len(present), dtype=np.int64)
+    member[inverse] = np.arange(len(keys))  # some row of each: the rows of one are equal
+    return keys[member], inverse
+
+
 def _unit_groups(
     unit: Planner, decisions: Decisions, rows: np.ndarray, factors: slice, keys: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, PathFn]], np.ndarray]:
     """The given rows of a block grouped by one leaf unit's ``keys`` (its
-    columns of ``leaf_keys``): each group's positions in ``rows``,
-    ascending, with the unit bundle of their sections on the unit's
-    ``factors``; and the group of each row.  A single key column holds
-    1-based rules, so its groups are the nonzero counts of a bincount and a
-    row's group the rank of its rule among them."""
-    if keys.shape[1] == 1:
-        column = keys[:, 0]
-        values = np.flatnonzero(np.bincount(column))
-        inverse = np.searchsorted(values, column)
-        values = values[:, None]
-    else:
-        values, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+    columns of ``leaf_keys``, numbered by ``_distinct_rows``): each group's
+    positions in ``rows``, ascending, with the unit bundle of their
+    sections on the unit's ``factors``; and the group of each row."""
+    values, inverse = _distinct_rows(keys)
     a, b = decisions.a[factors], decisions.b[factors]
     groups = []
     for group, leaves in enumerate(values.tolist()):
@@ -313,38 +320,24 @@ def _unit_groups(
     return groups, inverse
 
 
-def _sample_group(
-    bundle: PathFn, members: np.ndarray, times: np.ndarray, blocks: Blocks, count: int
-) -> list[np.ndarray]:
-    """Sample a group's bundle at ``times``, put its first ``count`` times
-    into the members' rows of the (rows, count, ambient) ``blocks``, and
-    return its (members, times, ambient) samples."""
-    sampled = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
-    for block, r in zip(blocks, sampled):
-        block[members] = r[:, :count]
-    return sampled
-
-
 def _piece_classes(units: list[tuple], probed: int) -> list[tuple[np.ndarray, tuple]]:
-    """The first ``probed`` rows of a product block grouped by the piece
-    structure of their sections, the merge of their units' bundles'
-    pieces: each class's rows and pieces.  ``units`` holds each leaf
-    unit's factors, groups and row groups (``_unit_groups``)."""
+    """The first ``probed`` rows of a block grouped by the piece structure
+    of their sections, the merge of their units' bundles' pieces: each
+    class's rows and pieces.  ``units`` holds each leaf unit's factors,
+    groups and row groups (``_unit_groups``)."""
     structures, ids = [], []
     for _, groups, inverse in units:
         seen: dict[tuple, int] = {}
         numbered = [seen.setdefault(bundle.pieces, len(seen)) for _, bundle in groups]
         structures.append(list(seen))
         ids.append(np.array(numbered)[inverse[:probed]])
-    combos, inverse = np.unique(np.stack(ids, axis=1), axis=0, return_inverse=True)
+    combos, inverse = _distinct_rows(np.stack(ids, axis=1))
     classes: dict[tuple, int] = {}
-    numbers = [
-        classes.setdefault(
-            merge_pieces(tuple(structures[u][i] for u, i in enumerate(combo))), len(classes)
-        )
-        for combo in combos.tolist()
-    ]
-    row_class = np.array(numbers)[inverse.ravel()]
+    numbers = []
+    for combo in combos.tolist():
+        merged = merge_pieces(tuple(structures[u][i] for u, i in enumerate(combo)))
+        numbers.append(classes.setdefault(merged, len(classes)))
+    row_class = np.array(numbers)[inverse]
     return [(np.flatnonzero(row_class == c), pieces) for c, pieces in enumerate(classes)]
 
 
@@ -359,54 +352,33 @@ def _sample_sections(
     Sections are built leaf unit by leaf unit (``Planner.leaf_units``): a
     unit's rows of a section depend only on the unit's own leaf rules.  The
     rows are grouped by each unit's key columns of ``leaf_keys``, and each
-    group's unit bundle is built and sampled once.  A planner that is its
-    own unit samples a group holding a probed row also at the speed probes
-    of its bundle's pieces.  On a product the probed rows fall into classes
-    by the merge of their units' pieces (``merge_pieces``, as the product's
-    own bundle would have them); a unit bundle holding a probed row is
-    sampled at ``ts`` and at the probes of every class, and the spreads are
-    taken once per class.
+    group's unit bundle is built and sampled once.  The probed rows fall
+    into classes by the merge of their units' pieces (``merge_pieces``); a
+    unit bundle holding a probed row is sampled at ``ts`` and at the probes
+    of every class, and each class's spreads are read from those samples.
     """
-    index = decisions.index[rows]
-    keys = planner.leaf_keys(decisions, rows, index)
-    geometry = planner.geometry
-    count = len(ts)
-    out = tuple(np.empty((len(rows), count, f.ambient)) for f in geometry.factors)
+    keys = planner.leaf_keys(decisions, rows, decisions.index[rows])
     units = [
         (factors, *_unit_groups(unit, decisions, rows, factors, keys[:, columns]))
         for unit, factors, columns in planner.leaf_units
     ]
-    if len(units) == 1:  # each group is a class of its own
-        [(_, groups, _)] = units
-        spreads = []
-        for members, bundle in groups:
-            checked = int(np.count_nonzero(members < probed))  # a prefix: members ascend
-            if not checked:
-                _sample_group(bundle, members, ts, out, count)
-                continue
-            probes, steps = _speed_probes(bundle.pieces)
-            sampled = _sample_group(bundle, members, np.concatenate((ts, probes)), out, count)
-            spreads += _speed_spreads(geometry, [r[:checked, count:] for r in sampled], steps)
-        return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads
-
-    times, checks = ts, []  # all probe times; each class's rows, probe columns and steps
+    times, checks = ts, []  # all sample times; each class's rows, probe columns and steps
     for members, pieces in _piece_classes(units, probed) if probed else ():
         probes, steps = _speed_probes(pieces)
         if steps:  # a class without constant-speed pieces reads 0
-            start = len(times) - count
-            checks.append((members, slice(start, start + len(probes)), steps))
+            checks.append((members, slice(len(times), len(times) + len(probes)), steps))
             times = np.concatenate((times, probes))
-    probe_rows = tuple(np.empty((probed, len(times) - count, f.ambient)) for f in geometry.factors)
+    geometry = planner.geometry
+    out = tuple(np.empty((len(rows), len(times), f.ambient)) for f in geometry.factors)
     for factors, groups, _ in units:
         for members, bundle in groups:
-            checked = int(np.count_nonzero(members < probed)) if checks else 0
-            sampled = _sample_group(bundle, members, times if checked else ts, out[factors], count)
-            for block, r in zip(probe_rows[factors], sampled if checked else ()):
-                block[members[:checked]] = r[:checked, count:]
+            at = times if checks and members[0] < probed else ts  # members ascend
+            for block, r in zip(out[factors], bundle.sample(at)):
+                block[members, : len(at)] = r.reshape(len(members), len(at), -1)
     spreads = np.zeros(probed)
     for members, columns, steps in checks:
-        spreads[members] = _speed_spreads(geometry, [p[members, columns] for p in probe_rows], steps)
-    return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads.tolist()
+        spreads[members] = _speed_spreads(geometry, [b[members, columns] for b in out], steps)
+    return tuple(b[:, : len(ts)].reshape(-1, b.shape[2]) for b in out), spreads.tolist()
 
 
 def _top_members(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -391,9 +391,9 @@ def _ties(cells):
 
 
 def _check_tie_cells(f, g):
-    """``_tie_cells``, its cells as ``_tie_cell_sets`` decodes them, and
-    ``_tie_cell_rows`` of one query against the exhaustive reference;
-    returns the reference levels."""
+    """``_tie_cells`` and its cells as ``_tie_cell_sets`` decodes them, of
+    one query, against the exhaustive reference; returns the reference
+    levels and cells."""
     levels, ties = planner_core._tie_cells(f, g)
     cells = planner_core._tie_cell_sets(f, g, ties)
     ref_levels, ref_cells, _ = _exhaustive_tie_cells(f, g)
@@ -403,27 +403,40 @@ def _check_tie_cells(f, g):
     level = _first_positive_level(ref_levels)
     assert _decided_level(levels) == level, (f, g)
     assert level in cells, (f, g)
-    # the row form ``decide_many`` uses, on a one-row block
-    row_levels, block = tie_block(np.array([f]), np.array([g]))
-    assert [w.hex() for w in row_levels[0].tolist()] == [w.hex() for w in ref_levels], (f, g)
-    assert decode_cells(block, 0) == ref_cells, (f, g)
-    assert block.ties[0].tolist() == [
-        [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1, len(ref_cells[k][0])]
-        if k in ref_cells else [0, 0, 0]
-        for k in range(len(f) + len(g) + 1)
-    ], (f, g)
-    assert _decided_row_levels(row_levels) == [level], (f, g)
-    return ref_levels
+    return ref_levels, ref_cells
+
+
+def _check_tie_cell_rows(cases):
+    """``_tie_cell_rows``, the row form ``decide_many`` uses, on one block
+    of the queries of ``cases``, each (f, g, reference levels, reference
+    cells) with f and g of one shape: every row against its query's
+    exhaustive reference."""
+    row_levels, block = tie_block(*(np.array([case[k] for case in cases]) for k in (0, 1)))
+    cells = decode_cells(block, range(len(cases)))
+    decided, levels, ties = _decided_row_levels(row_levels), row_levels.tolist(), block.ties.tolist()
+    for row, (f, g, ref_levels, ref_cells) in enumerate(cases):
+        assert [w.hex() for w in levels[row]] == [w.hex() for w in ref_levels], (f, g)
+        assert cells[row] == ref_cells, (f, g)
+        assert ties[row] == [
+            [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1, len(ref_cells[k][0])]
+            if k in ref_cells else [0, 0, 0]
+            for k in range(len(f) + len(g) + 1)
+        ], (f, g)
+        assert decided[row] == _first_positive_level(ref_levels), (f, g)
 
 
 def test_tie_cells_match_exhaustive_enumeration():
-    ref_levels = _check_tie_cells(NEAR_TIE_F, NEAR_TIE_G)
+    ref_levels, ref_cells = _check_tie_cells(NEAR_TIE_F, NEAR_TIE_G)
     assert ref_levels[2] == 0.0 and _first_positive_level(ref_levels) == 3
+    _check_tie_cell_rows([(NEAR_TIE_F, NEAR_TIE_G, ref_levels, ref_cells)])  # a one-row block
     rng = np.random.default_rng(2024)
+    shapes = {}
     for _ in range(20_000):
         f = _random_weights(rng, int(rng.integers(1, 10)))
         g = _random_weights(rng, int(rng.integers(1, 6)))
-        _check_tie_cells(f, g)
+        shapes.setdefault((len(f), len(g)), []).append((f, g, *_check_tie_cells(f, g)))
+    for cases in shapes.values():  # the row form once per shape, over all its cases
+        _check_tie_cell_rows(cases)
 
 
 def _threshold_sets_by_max(values):
@@ -466,17 +479,18 @@ def tie_block(f, g):
     return levels, Decisions((), (), index, weights, (factor(f), factor(g)), ties)
 
 
-def decode_cells(decisions, row):
-    """The tie cells {level: (S, T)} of one row of a product's ``Decisions``
-    block, decoded at every level from the row's factor weights and ties,
-    as the verifier decodes them."""
-    levels = np.arange(decisions.ties.shape[1])
-    s, t = verifier._cell_members(decisions, np.full(len(levels), row), levels)
-    return {
-        int(k): (tuple(np.flatnonzero(s[k]).tolist()), tuple(np.flatnonzero(t[k]).tolist()))
-        for k in levels
-        if s[k].any()
-    }
+def decode_cells(decisions, rows):
+    """The tie cells {level: (S, T)} of each given row of a product's
+    ``Decisions`` block, one dict per row, decoded at every level from the
+    rows' factor weights and ties, as the verifier decodes them."""
+    rows, width = np.asarray(rows), decisions.ties.shape[1]
+    s, t = verifier._cell_members(decisions, np.repeat(rows, width), np.tile(np.arange(width), len(rows)))
+    s, t = (mask.reshape(len(rows), width, -1).tolist() for mask in (s, t))
+    members = lambda mask: tuple(i for i, inside in enumerate(mask) if inside)
+    return [
+        {k: (members(s_row[k]), members(t_row[k])) for k in range(width) if any(s_row[k])}
+        for s_row, t_row in zip(s, t)
+    ]
 
 
 def test_cell_keys_tell_apart_cells_past_64_rules():
@@ -487,7 +501,7 @@ def test_cell_keys_tell_apart_cells_past_64_rules():
     f[:, 0] = f[0, 65] = f[1, 66] = f[2, 69] = 2.0 / 72.0
     g = np.array([[0.75, 0.25]] * 3)
     levels, block = tie_block(f, g)
-    cells = [decode_cells(block, row) for row in range(3)]
+    cells = decode_cells(block, range(3))
     assert [c[3] for c in cells] == [((0, 65), (0,)), ((0, 66), (0,)), ((0, 69), (0,))]
     assert verifier._same_cells(block, np.arange(3), block).all()
     assert not verifier._same_cells(block, np.arange(2), block.rows(slice(1, 3))).any()
@@ -616,7 +630,7 @@ def row_decision(planner, decisions, row):
     index, weights = int(decisions.index[row]), tuple(decisions.weights[row].tolist())
     if isinstance(planner, ProductPlanner):
         n, m = len(planner.left.rules), len(planner.right.rules)
-        cells = decode_cells(decisions, row)
+        cells = decode_cells(decisions, [row])[0]
         assert decisions.ties[row].tolist() == [
             [min(cells[k][0]) + 1, min(cells[k][1]) + 1, len(cells[k][0])] if k in cells else [0, 0, 0]
             for k in range(n + m + 1)

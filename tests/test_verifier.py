@@ -468,6 +468,40 @@ def test_leaf_unit_sampling_matches_full_tuple_bundles(name):
         assert "nan" in hexed(got_spreads)
 
 
+def _unique_rows(keys):
+    """``np.unique`` over whole rows, as rows were grouped before they were
+    numbered one column at a time."""
+    values, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return values, inverse.ravel()
+
+
+def test_distinct_rows_match_unique_rows():
+    """Numbering one column at a time gives np.unique's distinct rows and
+    row numbers, on random 1-8 column keys with many repeated rows."""
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        keys = rng.integers(0, 4, size=(int(rng.integers(1, 257)), int(rng.integers(1, 9))))
+        values, inverse = verifier._distinct_rows(keys)
+        want_values, want_inverse = _unique_rows(keys)
+        assert values.tolist() == want_values.tolist()
+        assert inverse.tolist() == want_inverse.tolist()
+
+
+def test_distinct_rows_past_a_mixed_radix_code():
+    """64 columns of values 0-2, whose one mixed-radix code (3**64 > 2**63)
+    would overflow int64, still number as np.unique does."""
+    assert 3**64 > 2**63
+    rng = np.random.default_rng(64)
+    keys = rng.integers(0, 3, size=(200, 64))
+    keys[100:150] = keys[:50]  # repeated rows
+    keys[150:, :60] = 2  # rows that differ only in the last columns
+    values, inverse = verifier._distinct_rows(keys)
+    want_values, want_inverse = _unique_rows(keys)
+    assert len(values) == len(want_values) < len(keys)
+    assert values.tolist() == want_values.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
 # -- tie cells decoded where they are read, against packed keys -------------------
 
 
