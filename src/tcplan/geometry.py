@@ -139,31 +139,37 @@ def vector_norm(v: np.ndarray) -> float:
 def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """Geodesic distance on a sphere factor, Euclidean on a convex factor,
     between two points (1-D blocks: a float) or row by row (a 2-D block:
-    an (N,) array, either side may be one point).
+    an (N,) array, either side may be one point): ``chord_distance`` of
+    x - y."""
+    return chord_distance(factor, x - y)
 
-    Sphere distance goes through the chord, 2*asin(|x - y| / 2): symmetric
-    configurations then produce bitwise-equal distances, which the product
-    planner's argmax tie detection relies on.  Rows get, bit for bit, the
-    float a point gives: chords through row_norms and math.asin per element
-    (np.arcsin differs in the last bit on about 8% of inputs), with
-    ``np.minimum`` clamping as ``_chord_arc`` does (a chord >= 2 halves to
-    >= 1 exactly) and keeping a NaN.
+
+def chord_distance(factor: Factor, chord: np.ndarray) -> float | np.ndarray:
+    """The factor distance spanned by a chord vector x - y, of one pair (a
+    1-D block: a float) or row by row (a 2-D block: an (N,) array).  The
+    chord from x to -y is x + y: IEEE arithmetic defines x - (-y) as
+    exactly that sum.
+
+    Sphere distance goes through the chord's length L, 2*asin(L / 2):
+    symmetric configurations then produce bitwise-equal distances, which
+    the product planner's argmax tie detection relies on.  A pair's length
+    is vector_norm of the chord, written inline; rows get, bit for bit,
+    the float a pair gives: lengths through row_norms (vector_norm row by
+    row) and math.asin per element (np.arcsin differs in the last bit on
+    about 8% of inputs), with ``np.minimum`` clamping as the pair form
+    does (a length >= 2 halves to >= 1 exactly) and keeping a NaN, which
+    ``min(1.0, nan)`` would read as a half turn.
     """
-    diff = x - y
-    if diff.ndim == 1:
-        chord = vector_norm(diff)
-        return _chord_arc(chord) if factor.kind == "sphere" else chord
-    chords = row_norms(diff)
+    if chord.ndim == 1:
+        length = math.sqrt(chord.dot(chord))
+        if factor.kind != "sphere":
+            return length
+        return 2.0 * math.asin(1.0 if length >= 2.0 else length / 2.0)
+    lengths = row_norms(chord)
     if factor.kind != "sphere":
-        return chords
-    half = np.minimum(chords / 2.0, 1.0)
+        return lengths
+    half = np.minimum(lengths / 2.0, 1.0)
     return 2.0 * np.array(list(map(math.asin, half.tolist())), dtype=float)
-
-
-def _chord_arc(chord: float) -> float:
-    """Great-circle distance between unit vectors a chord apart; NaN for a
-    NaN chord (``min(1.0, nan)`` would read it as a half turn)."""
-    return 2.0 * math.asin(1.0 if chord >= 2.0 else chord / 2.0)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -516,10 +522,10 @@ def concat_paths(segments: Sequence[tuple[float, float, PathFn]], label: str = "
         width = t1 - t0
         for p0, p1, const in path.pieces:
             pieces.append((t0 + p0 * width, t0 + p1 * width, const))
-    ends = [math.inf if t1 >= 1.0 else t1 for _, t1, _ in segments[:-1]]
+    ends = np.array([math.inf if t1 >= 1.0 else t1 for _, t1, _ in segments[:-1]])
 
     def sample(ts):
-        window = np.searchsorted(ends, ts, side="right")
+        window = ends.searchsorted(ts, side="right")
         out = None
         for k, (t0, t1, path) in enumerate(segments):
             mask = window == k

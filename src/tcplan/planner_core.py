@@ -62,7 +62,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,12 +77,12 @@ from .geometry import (
     ParityError,
     PathFn,
     chart_segment_path,
+    chord_distance,
     concat_geometry,
     concat_paths,
     config_distances,
     convex_geometry,
     even_vector_field,
-    factor_distance,
     geodesic_path,
     mapped_path,
     merge_pieces,
@@ -263,7 +264,7 @@ class Planner:
         return self._decide(a.parts, b.parts)
 
     def _decide(self, a: Parts, b: Parts) -> Decision:
-        raw = tuple(r.weight(a, b) for r in self.rules)
+        raw = [r.weight(a, b) for r in self.rules]
         return Decision(a, b, *self._first_positive(a, b, raw))
 
     def decide_many(self, a: Blocks, b: Blocks) -> Decisions:
@@ -368,20 +369,32 @@ MAX_SAMPLES = 100_000  # as verifier.MAX_PAIRS: a path is sampled at all its tim
 
 def sample_times(n: int) -> list[float]:
     """n uniformly spaced times in [0, 1], both ends included; 2 <= n <= MAX_SAMPLES."""
+    return list(_sample_grid(n)[0])
+
+
+@lru_cache(maxsize=8, typed=True)
+def _sample_grid(n: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """``sample_times(n)`` as a tuple and as a read-only array, made once per
+    n: every caller shares them, so neither can be changed in place.  Few
+    distinct n occur (the CLI's ``--samples``), and 8 grids of at most
+    MAX_SAMPLES times bound the cache."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     if n > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES} samples, got {n}")
-    return [i / (n - 1) for i in range(n)]
+    times = tuple([i / (n - 1) for i in range(n)])
+    grid = np.array(times)
+    grid.setflags(write=False)
+    return times, grid
 
 
 def sample_path(path: PathFn, n: int) -> list[tuple[float, ConfigPoint]]:
     """The path at ``sample_times(n)``, evaluated at once, one point per
     time: each block is split into its rows once, and a time's point takes
     its row of every block."""
-    ts = sample_times(n)
-    points = zip(*map(list, path.sample(ts)))
-    return [(t, ConfigPoint(path.geometry, parts)) for t, parts in zip(ts, points)]
+    times, grid = _sample_grid(n)
+    points = map(ConfigPoint, repeat(path.geometry), zip(*map(list, path.sample(grid))))
+    return list(zip(times, points))
 
 
 # -- elementary planners --------------------------------------------------------
@@ -412,7 +425,7 @@ def _shortest_arc_rule(geometry) -> PlannerRule:
     factor = geometry.factors[0]
 
     def weight(a, b):
-        return factor_distance(factor, a[0], -b[0]) / math.pi
+        return chord_distance(factor, a[0] + b[0]) / math.pi  # the chord from a to -b
 
     def section(a, b):
         return geodesic_path(geometry, a, b)
@@ -424,7 +437,7 @@ def _distance_rule(factor, name, section) -> PlannerRule:
     """A rule weighted by the factor distance from start to goal over pi."""
 
     def weight(a, b):
-        return factor_distance(factor, a[0], b[0]) / math.pi
+        return chord_distance(factor, a[0] - b[0]) / math.pi
 
     return PlannerRule(name, weight, section)
 
@@ -493,15 +506,15 @@ def sphere_planner(n: int) -> Planner:
         rules = [_shortest_arc_rule(geometry), _distance_rule(factor, "two-stage", s_two_stage)]
     else:
         def w_two_stage(a, b):
-            d_ab = factor_distance(factor, a[0], b[0])
-            return _smaller(d_ab, factor_distance(factor, b[0], pole)) / math.pi
+            d_ab = chord_distance(factor, a[0] - b[0])
+            return _smaller(d_ab, chord_distance(factor, b[0] - pole)) / math.pi
 
         chart_pole = np.zeros(n + 1)
         chart_pole[chart_axis] = 1.0
 
         def w_chart(a, b):
-            d_a = factor_distance(factor, a[0], chart_pole)
-            return _smaller(d_a, factor_distance(factor, b[0], chart_pole)) / math.pi
+            d_a = chord_distance(factor, a[0] - chart_pole)
+            return _smaller(d_a, chord_distance(factor, b[0] - chart_pole)) / math.pi
 
         def s_chart(a, b):
             return chart_segment_path(geometry, a[0], b[0], chart_axis)
@@ -533,7 +546,7 @@ def _threshold_sets(values: tuple[float, ...]):
     index in input order, the one ``max`` would pick (so 0.0 and -0.0 come
     out as ``max`` gives them); a running minimum over the sorted indices
     gives each set's least index."""
-    order = _descending(values)
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     theta, least, sets = values[order[0]], order[0], []
     for size in range(1, len(order)):
         i = order[size]
@@ -568,6 +581,12 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     the exhaustive enumeration over bitmasks of the non-max indices (S
     outer, T inner), since nested sets grow with their bitmasks.
 
+    A cell's outside is max(max(0, out_f * gmax), fmax * out_g), a term
+    dropped where there is no value below; each ``max`` is written as the
+    comparison it makes (the second argument only where it is strictly
+    greater), so NaN and signed zeros give what ``max`` gives, and the
+    products fmax * out_g are taken once per T, not once per cell.
+
     Returns the raw per-level weights (the clamped cell margins, with an
     empty outside treated as comparing against zero) and, for each level
     with a cell (S, T), what a section reads of it: (min S + 1, min T + 1),
@@ -577,13 +596,22 @@ def _tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
     """
     f_sets, g_sets = _threshold_sets(f), _threshold_sets(g)
     fmax, gmax = f_sets[0][2], g_sets[0][2]
+    # fmax * out_g per T, and -inf for the T with no value below: outside_f
+    # is 0.0 or a positive product, never NaN, so -inf never exceeds it
+    g_cells = [
+        (size_t, rule_t, min_g, -math.inf if out_g is None else fmax * out_g)
+        for size_t, rule_t, min_g, out_g in g_sets
+    ]
     levels = [0.0] * (len(f) + len(g) + 1)
     ties: dict[int, tuple[int, int, int]] = {}
     for size_s, rule_s, min_f, out_f in f_sets:
-        outside_f = 0.0 if out_f is None else max(0.0, out_f * gmax)
-        for size_t, rule_t, min_g, out_g in g_sets:
-            outside = outside_f if out_g is None else max(outside_f, fmax * out_g)
-            margin = min_f * min_g - outside
+        outside_f = 0.0
+        if out_f is not None:
+            below_f = out_f * gmax
+            if below_f > 0.0:
+                outside_f = below_f
+        for size_t, rule_t, min_g, below_g in g_cells:
+            margin = min_f * min_g - (below_g if below_g > outside_f else outside_f)
             if margin > 0.0:
                 level = size_s + size_t
                 levels[level], ties[level] = margin, (rule_s, rule_t, size_s)
@@ -661,6 +689,16 @@ def _stacked(blocks: Blocks, spans: Sequence[slice]) -> Blocks:
     if len(spans) == 1:
         return blocks[spans[0]]
     return tuple(np.concatenate(rows) for rows in zip(*(blocks[s] for s in spans)))
+
+
+def _stacked_parts(parts: Parts, spans: Sequence[slice]) -> Blocks:
+    """``_stacked`` of one query's one-row blocks, from its 1-D ``parts``:
+    a span's one-row views where there is one, else ``np.array`` stacks
+    each factor's parts into the rows that concatenating their one-row
+    views gives, without making the views."""
+    if len(spans) == 1:
+        return tuple(part[None] for part in parts[spans[0]])
+    return tuple(map(np.array, zip(*map(parts.__getitem__, spans))))
 
 
 class ProductPlanner(Planner):
@@ -758,7 +796,21 @@ class ProductPlanner(Planner):
         return tuple((unit, tuple(spans)) for unit, spans in groups.values())
 
     def bundle(self, a: Blocks, b: Blocks, leaves: Sequence[int]) -> PathFn:
-        """The leaf units' bundles run in parallel, built flat: one unit
+        return self._unit_bundles(a, b, leaves, len(a[0]), _stacked)
+
+    def path(self, decision: Decision, index: int) -> PathFn:
+        """``Planner.path``: the one-row bundle of the leaf rules, its unit
+        bundles' rows stacked straight from the decision's parts."""
+        leaves = self.leaf_rules(decision, index)
+        return self._unit_bundles(decision.a, decision.b, leaves, 1, _stacked_parts)
+
+    def _unit_bundles(self, a, b, leaves: Sequence[int], count: int, stack) -> PathFn:
+        """``bundle`` of ``count`` queries, whose starts and goals ``a`` and
+        ``b`` give the rows of the units ``spans`` through ``stack(a,
+        spans)``: ``_stacked`` of row blocks, or ``_stacked_parts`` of one
+        query's parts.
+
+        The leaf units' bundles run in parallel, built flat: one unit
         bundle per distinct (leaf unit, its leaf rules), over the factor
         rows of every unit that shares them stacked unit after unit; the
         units come grouped by planner (``unit_spans``), so a call only
@@ -776,17 +828,18 @@ class ProductPlanner(Planner):
             for factors, columns in slices:
                 groups.setdefault(tuple(leaves[columns]), []).append(factors)
             parts += [
-                (unit.bundle(_stacked(a, spans), _stacked(b, spans), rules), spans)
+                (unit.bundle(stack(a, spans), stack(b, spans), rules), spans)
                 for rules, spans in groups.items()
             ]
-        count, width = len(a[0]), len(self.geometry.factors)
+        width = len(self.geometry.factors)
 
         def sample(ts):
             out, span = [None] * width, count * len(ts)
             for bundle, spans in parts:
-                rows = bundle.sample(ts)
-                for g, factors in enumerate(spans):
-                    out[factors] = [r[g * span : (g + 1) * span] for r in rows]
+                # unit g's rows of each block, as views of its (G, span, ambient) form
+                units = zip(*(r.reshape(len(spans), span, r.shape[1]) for r in bundle.sample(ts)))
+                for factors, rows in zip(spans, units):
+                    out[factors] = rows
             return tuple(out)
 
         pieces = merge_pieces(tuple(bundle.pieces for bundle, _ in parts))

@@ -272,8 +272,6 @@ def _speed_spreads(geometry: Geometry, rows: Blocks, steps: list[float]) -> list
     M paths, from their (M, probes, ambient) rows at ``_speed_probes``'
     times; NaN for a path with a non-finite probe distance."""
     count = len(rows[0])
-    if not steps:
-        return [0.0] * count
     n = 4 * len(steps)
     starts = [r[:, :n].reshape(-1, r.shape[2]) for r in rows]
     ends = [r[:, n:].reshape(-1, r.shape[2]) for r in rows]

@@ -27,7 +27,7 @@ import pytest
 from tcplan.geometry import (
     ConfigPoint,
     Factor,
-    _chord_arc,
+    chord_distance,
     config_distance,
     config_distances,
     even_vector_field,
@@ -383,6 +383,39 @@ def test_bundle_rows_equal_each_paths_own_rows(name):
     assert shared  # some bundle holds several queries
 
 
+def test_product_path_stacks_parts_as_its_bundle_stacks_rows():
+    """A product's one-query ``path`` stacks each unit's rows straight from
+    the decision's parts; it gives the rows and pieces of the ``bundle`` of
+    the query's one-row blocks, bit for bit, for units of one factor and
+    for a transfer unit over a product (several factors), alone or shared."""
+    same = lambda rows: rows
+    inner = build_planner("product(circle,sphere:2)")
+    wide = TransferPlanner(inner, same, same, lambda t, rows: rows, inner.geometry, "identity")
+    planners = [
+        build_planner("product(circle,sphere:3,sphere:2,convex:2)"),
+        ProductPlanner(wide, build_planner("circle")),
+        ProductPlanner(build_planner("sphere:2"), ProductPlanner(wide, wide)),
+    ]
+    rng = np.random.default_rng(31)
+    one_row = lambda parts: tuple(part[None] for part in parts)
+    for planner in planners:
+        checked = 0
+        for _ in range(40):
+            a, b = (random_point(planner.geometry, rng) for _ in range(2))
+            decision = planner.decide(a, b)
+            for index in range(1, len(planner.rules) + 1):
+                try:
+                    path = planner.path(decision, index)
+                except DomainMiss:
+                    continue
+                leaves = planner.leaf_rules(decision, index)
+                bundle = planner.bundle(one_row(decision.a), one_row(decision.b), leaves)
+                assert path.pieces == bundle.pieces
+                assert hexed_rows(path.sample(CLI_TS)) == hexed_rows(bundle.sample(CLI_TS))
+                checked += 1
+        assert checked > 40
+
+
 def test_geodesic_bundle_mixes_near_equal_far_and_near_antipodal_rows():
     """The near-equal chord is chosen row by row: a bundle mixing angles
     below 1e-9, ordinary ones and ones within 1e-6 of pi gives every row
@@ -587,9 +620,16 @@ def test_block_perturbation_degenerate_draws():
     assert hexed(expected[0].parts) == hexed(point.parts)
 
 
+def chord_arc(chord):
+    """The sphere distance of a chord length, as ``factor_distance`` took it
+    before its point form was written inline: 2 asin(chord / 2), the half
+    chord clamped to 1 but a NaN kept (``min(1.0, nan)`` would give 1)."""
+    return 2.0 * math.asin(1.0 if chord >= 2.0 else chord / 2.0)
+
+
 def test_sphere_distances_equal_chord_arc():
     """factor_distance of sphere rows gives, element for element, what
-    _chord_arc gives its chord: at 0, below 2, exactly 2 (where asin
+    chord_arc gives its chord: at 0, below 2, exactly 2 (where asin
     clamps), past 2 and at NaN."""
     rng = np.random.default_rng(21)
     xs = rng.standard_normal((400, 3))
@@ -605,7 +645,56 @@ def test_sphere_distances_equal_chord_arc():
     assert 0.0 in chords and 2.0 in chords and any(c > 2.0 for c in chords)
     assert any(0.0 < c < 2.0 for c in chords) and any(math.isnan(c) for c in chords)
     got = factor_distance(Factor("sphere", 2), xs, ys).tolist()
-    assert [d.hex() for d in got] == [_chord_arc(c).hex() for c in chords]
+    assert [d.hex() for d in got] == [chord_arc(c).hex() for c in chords]
+
+
+def _distance_pairs(factor, rng):
+    """(N, ambient) starts and goals on one factor: random pairs, then
+    equal, antipodal and just-past-antipodal ones (chords at and past 2),
+    signed zeros, and NaN coordinates."""
+    k = factor.ambient
+    xs, ys = rng.standard_normal((80, k)), rng.standard_normal((80, k))
+    if factor.kind == "sphere":
+        xs /= row_norms(xs)[:, None]
+        ys /= row_norms(ys)[:, None]
+    ys[:10] = xs[:10]
+    ys[10:20] = -xs[10:20]
+    ys[20:30] = -xs[20:30] * (1.0 + 1e-12 * rng.random((10, 1)))
+    xs[30], ys[30] = 0.0, -0.0
+    xs[31], ys[31] = -0.0, -0.0
+    first, last = np.arange(k) == 0, np.arange(k) == k - 1
+    xs[32] = ys[32] = np.where(first, 1.0, -0.0)
+    xs[33], ys[33] = np.where(last, -1.0, 0.0), np.where(last, 1.0, -0.0)  # chord exactly 2
+    xs[34, 0] = np.nan
+    ys[35] = np.nan
+    return xs, ys
+
+
+@pytest.mark.parametrize(
+    "factor", [Factor("sphere", 1), Factor("sphere", 2), Factor("sphere", 3), Factor("convex", 3)],
+    ids=["circle", "sphere:2", "sphere:3", "convex:3"],
+)
+def test_factor_distance_points_rows_and_antipode_chords_agree(factor):
+    """A pair's factor distance has the same bits in point form, in row form
+    and as the chord formula it replaced, and the chord x + y that the
+    shortest-arc weight measures gives what x - (-y) gave, in both forms."""
+    xs, ys = _distance_pairs(factor, np.random.default_rng(23))
+    hexes = lambda values: [float(v).hex() for v in values]
+    length = lambda x, y: vector_norm(x - y)
+    ref = (lambda x, y: chord_arc(length(x, y))) if factor.kind == "sphere" else length
+    points = [factor_distance(factor, x, y) for x, y in zip(xs, ys)]
+    assert all(type(d) is float for d in points)
+    assert hexes(points) == hexes(factor_distance(factor, xs, ys))
+    assert hexes(points) == hexes(ref(x, y) for x, y in zip(xs, ys))
+    one_side = [factor_distance(factor, xs[0], y) for y in ys]
+    assert hexes(one_side) == hexes(factor_distance(factor, xs[0], ys))
+    antipodes = [factor_distance(factor, x, -y) for x, y in zip(xs, ys)]
+    assert hexes(chord_distance(factor, x + y) for x, y in zip(xs, ys)) == hexes(antipodes)
+    assert hexes(chord_distance(factor, xs + ys)) == hexes(antipodes)
+    chords = row_norms(xs - ys).tolist()
+    assert 0.0 in chords and any(math.isnan(c) for c in chords)
+    if factor.kind == "sphere":
+        assert 2.0 in chords and any(c > 2.0 for c in chords)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

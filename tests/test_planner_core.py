@@ -44,7 +44,7 @@ from tcplan.planner_core import (
     transfer_planner,
 )
 
-from verifier_helpers import adversarial_pairs
+from verifier_helpers import adversarial_pairs, max_threshold_sets, max_tie_cells
 
 EPS = 1e-9
 
@@ -467,6 +467,29 @@ def test_threshold_sets_match_max_form():
         want = _threshold_sets_by_max(values)
         assert repr(got) == repr(want)
         assert [least for _, least, _, _ in sets] == [min(s) + 1 for s, _, _ in want]
+
+
+# Entries of tie-heavy weight tuples: zeros of both signs, subnormals, the
+# least normal, repeated fractions and NaN.
+TIE_POOL = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 0.5, 1.0, 1.0 / 3.0, math.nan]
+
+
+def test_tie_cells_equal_the_max_form_on_tie_heavy_tuples():
+    """``_tie_cells``, with fmax * out_g taken once per T and its ``max``
+    calls written as comparisons, gives the levels (down to the sign of a
+    zero), the ties in insertion order and the threshold sets of the form
+    written with ``max``, on tuples of 1-12 tie-heavy entries."""
+    rng = random.Random(29)
+    entry = lambda: rng.choice(TIE_POOL) if rng.random() < 0.75 else rng.random()
+    hexes = lambda values: [w.hex() for w in values]
+    for _ in range(20_000):
+        f = tuple(entry() for _ in range(rng.randint(1, 12)))
+        g = tuple(entry() for _ in range(rng.randint(1, 12)))
+        levels, ties = planner_core._tie_cells(f, g)
+        want_levels, want_ties = max_tie_cells(f, g)
+        assert hexes(levels) == hexes(want_levels), (f, g)
+        assert list(ties.items()) == list(want_ties.items()), (f, g)
+        assert repr(planner_core._threshold_sets(f)) == repr(max_threshold_sets(f)), f
 
 
 def tie_block(f, g):
@@ -1029,6 +1052,29 @@ def test_plan_is_deterministic():
     assert first.rule_index == second.rule_index
     for t in np.linspace(0, 1, 7):
         assert first.path(t).flat.tobytes() == second.path(t).flat.tobytes()
+
+
+def test_sample_grid_is_shared_read_only_and_bounded():
+    """``sample_path`` reads its times from a bounded cache of one tuple and
+    one read-only array per n; ``sample_times`` hands out a fresh list."""
+    grid_of = planner_core._sample_grid
+    bound = grid_of.cache_parameters()["maxsize"]
+    grid_of.cache_clear()
+    for n in range(2, 3 * bound):
+        times, grid = grid_of(n)
+        assert grid_of(n)[1] is grid
+        assert list(times) == grid.tolist() == [i / (n - 1) for i in range(n)]
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        assert grid_of.cache_info().currsize <= bound
+    assert grid_of.cache_info().currsize == bound
+    mine = planner_core.sample_times(5)
+    mine[0] = 9.0
+    assert planner_core.sample_times(5) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    for n in (1, planner_core.MAX_SAMPLES + 1):
+        with pytest.raises(ValueError):
+            planner_core.sample_times(n)
 
 
 def test_sample_path_endpoints_and_spacing():

@@ -394,7 +394,9 @@ def _full_tuple_sample_sections(planner, decisions, rows, ts, probed=0):
         sampled = [r.reshape(len(members), len(times), -1) for r in bundle.sample(times)]
         for block, r in zip(out, sampled):
             block[members] = r[:, :count]
-        if checked:
+        if checked and not steps:  # no constant-speed piece: nothing varies
+            spreads += [0.0] * checked
+        elif checked:
             spreads += verifier._speed_spreads(geometry, [r[:checked, count:] for r in sampled], steps)
     return tuple(block.reshape(-1, block.shape[2]) for block in out), spreads
 

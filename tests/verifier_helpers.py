@@ -5,7 +5,9 @@ as ``ConfigPoint`` pairs and one path's speed spread, so tests can compare
 the block code with per-point and per-path references.  The menu digits of
 one adversarial index, and the tie cells as packed membership keys of every
 row and level, are the per-index and eager forms the verifier's own
-replaced.
+replaced.  ``max_tie_cells`` is one query's tie-cell analysis as it was
+written with ``max`` and a product per cell, the oracle of
+``planner_core._tie_cells``.
 """
 
 import numpy as np
@@ -24,6 +26,41 @@ def menu_digits(menus: list[list], index: int) -> list[int]:
         index, digit = divmod(index, len(menu))
         digits.append(digit)
     return digits[::-1]
+
+
+def max_threshold_sets(values: tuple[float, ...]):
+    """``planner_core._threshold_sets`` as it was written: a stable
+    descending sort, then (size, least index + 1, theta, the value below
+    or None) per distinct value."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    theta, least, sets = values[order[0]], order[0], []
+    for size in range(1, len(order)):
+        i = order[size]
+        if values[i] != theta:
+            sets.append((size, least + 1, theta, values[i]))
+            theta = values[i]
+        if i < least:
+            least = i
+    sets.append((len(order), least + 1, theta, None))
+    return sets
+
+
+def max_tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
+    """``planner_core._tie_cells`` as it was written: each cell's outside
+    through ``max`` calls, with fmax * out_g taken once per cell."""
+    f_sets, g_sets = max_threshold_sets(f), max_threshold_sets(g)
+    fmax, gmax = f_sets[0][2], g_sets[0][2]
+    levels = [0.0] * (len(f) + len(g) + 1)
+    ties = {}
+    for size_s, rule_s, min_f, out_f in f_sets:
+        outside_f = 0.0 if out_f is None else max(0.0, out_f * gmax)
+        for size_t, rule_t, min_g, out_g in g_sets:
+            outside = outside_f if out_g is None else max(outside_f, fmax * out_g)
+            margin = min_f * min_g - outside
+            if margin > 0.0:
+                level = size_s + size_t
+                levels[level], ties[level] = margin, (rule_s, rule_t, size_s)
+    return levels, ties
 
 
 def packed_tie_cell_rows(f: np.ndarray, g: np.ndarray):
