@@ -10,7 +10,8 @@ parent first on odd pairs, the change first on even ones.  For each
 end-to-end metric of BENCHMARK.json it prints each side's median
 [quartiles], the pairs the change won (ties count for neither side) and
 the interquartile range of the parent's runs; then each side's median
-[quartiles] of the workload's named metrics.  It exits 1 when a run
+[quartiles] of the requests a run attempted (``peak_rss_mb`` follows that
+count) and of the workload's named metrics.  It exits 1 when a run
 fails or a result line has ``correct`` false.  Standard library only.
 """
 
@@ -55,6 +56,14 @@ def summary(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict
 
 def _median_quartiles(q: tuple[float, float, float]) -> str:
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
+def requests_line(pairs: list[tuple[dict, dict]]) -> str:
+    """Each side's median [quartiles] of the requests its runs attempted."""
+    def side(k: int) -> str:
+        return _median_quartiles(quartiles([pair[k]["attempted"] for pair in pairs]))
+
+    return f"requests: parent {side(0)}  change {side(1)}"
 
 
 def named_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
@@ -136,6 +145,7 @@ def main(argv=None) -> int:
     )
     for row in summary(pairs, end_to_end):
         print(format_row(row))
+    print(requests_line(pairs))
     print("\n".join(named_lines(pairs)))
     if not correct:
         print("bench_pairs: a result has correct false", file=sys.stderr)

@@ -818,7 +818,7 @@ class ProductPlanner(Planner):
         G units of N queries stacked, unit g's rows at T times are rows g N
         T .. (g + 1) N T - 1 of that bundle's samples, bit for bit its own
         bundle's, since a bundle's rows do not depend on N; each factor
-        gets its rows as a slice.  The pieces are the one-step merge of the
+        gets its rows as a view.  The pieces are the one-step merge of the
         unit bundles' pieces.  Only ``path``, and a transfer planner over a
         product, build a product bundle: the verifier builds sections leaf
         unit by leaf unit."""

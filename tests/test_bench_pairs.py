@@ -15,6 +15,7 @@ END_TO_END = [
 def _result(p50, ops):
     return {
         "correct": True,
+        "attempted": int(ops) * 30,
         "metrics": {"p50_ms": {"value": p50}, "ops_per_s": {"value": ops}},
         "named_metrics": {"verify_product_pairs_per_s": ops / 2},
     }
@@ -38,6 +39,9 @@ def test_summary_on_fixed_numbers():
     assert bench_pairs.format_row(ops) == (
         "ops_per_s (1/s, higher is better): parent 300 [200, 400]  change 310 [190, 420]  "
         "change wins 3/5  parent IQR 200"
+    )
+    assert bench_pairs.requests_line(pairs) == (
+        "requests: parent 9000 [6000, 12000]  change 9300 [5700, 12600]"
     )
     assert bench_pairs.named_lines(pairs) == [
         "verify_product_pairs_per_s: parent 150 [100, 200]  change 155 [95, 210]"
