@@ -11,7 +11,9 @@ end-to-end metric of BENCHMARK.json it prints each side's median
 [quartiles], the pairs the change won (ties count for neither side) and
 the interquartile range of the parent's runs; then each side's median
 [quartiles] of the requests a run attempted (``peak_rss_mb`` follows that
-count) and of the workload's named metrics.  It exits 1 when a run
+count) and of the workload's named metrics; then, pair by pair, each
+side's ``peak_rss_mb`` with the requests its run attempted (MB@requests)
+and the ``machine_speed`` of its report line.  It exits 1 when a run
 fails or a result line has ``correct`` false.  Standard library only.
 """
 
@@ -76,6 +78,18 @@ def named_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
     return [f"{name}: parent {side(0, name)}  change {side(1, name)}" for name in names]
 
 
+def pair_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """Per pair, each side's ``peak_rss_mb`` at the requests its run
+    attempted, then each side's ``machine_speed``."""
+    lines = []
+    for k, sides in enumerate(pairs, 1):
+        rss = [f"{r['metrics']['peak_rss_mb']['value']:.2f}@{r['attempted']}" for r in sides]
+        speed = [f"{r['machine_speed']:.3f}" for r in sides]
+        lines.append(f"peak_rss_mb@requests pair {k}: parent {rss[0]} change {rss[1]}")
+        lines.append(f"machine_speed pair {k}: parent {speed[0]} change {speed[1]}")
+    return lines
+
+
 def format_row(row: dict) -> str:
     return (
         f"{row['name']} ({row['unit']}, {row['better']} is better): "
@@ -96,7 +110,7 @@ def unpack(rev: str, dest: Path) -> None:
 
 def run_side(checkout: Path, args: argparse.Namespace) -> dict:
     """The result object, the last stdout line, of one benchmark run, with
-    the named metrics of the report line before it."""
+    the named metrics and the machine speed of the report line before it."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
         "--seed", str(args.seed), "--seconds", str(args.seconds),
@@ -107,7 +121,9 @@ def run_side(checkout: Path, args: argparse.Namespace) -> dict:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"bench_pairs: run in {checkout} exited {done.returncode}")
     result = json.loads(lines[-1])
-    result["named_metrics"] = json.loads(lines[-2])["report"]["named_metrics"]
+    report = json.loads(lines[-2])["report"]
+    result["named_metrics"] = report["named_metrics"]
+    result["machine_speed"] = report["machine_speed"]
     return result
 
 
@@ -146,7 +162,7 @@ def main(argv=None) -> int:
     for row in summary(pairs, end_to_end):
         print(format_row(row))
     print(requests_line(pairs))
-    print("\n".join(named_lines(pairs)))
+    print("\n".join(named_lines(pairs) + pair_lines(pairs)))
     if not correct:
         print("bench_pairs: a result has correct false", file=sys.stderr)
     return 0 if correct else 1

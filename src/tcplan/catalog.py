@@ -36,8 +36,10 @@ upper bounds
     the factor bounds combined as  sum - (k - 1);  and ``rules``, the rule
     count of the space's explicit planner, where it has one.
 
-Products get their factors' reports in one pass, by recursing over the
-factor descriptors the product node keeps.  Over Q the zero-divisor
+Products get their factors' brackets in one pass, by recursing over the
+factor descriptors the product node keeps: each node yields a plain tuple
+of its two winning bounds, their provenances and its cup-length, and only
+the top node is turned into a ``BoundsReport``.  Over Q the zero-divisor
 cup-length is superadditive, zcl(A (x) B) >= zcl(A) + zcl(B): by Kuenneth,
 the product (z (x) 1)(1 (x) w) of nonzero zero-divisor products z and w is
 nonzero.  So the sum S of the factor cup-lengths is certified, and when
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial, reduce
-from operator import itemgetter
 from typing import Callable, TypeVar
 
 from .graded_algebra import GradedAlgebra, tensor_product, validate_algebra, zdcl
@@ -148,7 +149,7 @@ class _SpecReader:
         i = start
         if i < len(text) and text[i] == "-":
             i += 1
-        while i < len(text) and text[i].isdigit():
+        while i < len(text) and "0" <= text[i] <= "9":  # ASCII only: '²'.isdigit()
             i += 1
         self.i = i
         if i == start or text[start:i] == "-":
@@ -220,10 +221,12 @@ def canonical(spec: SpaceSpec) -> SpaceSpec:
     ``torus:1`` is ``circle``, ``torus:n`` the product of n circles,
     ``surface:0`` is ``sphere:2`` and ``surface:1`` the product of two
     circles; a product is the product of its factors' canonical forms, with
-    the nesting kept.  Canonical forms are fixed points.
+    the nesting kept.  Canonical forms are fixed points: a spec already in
+    canonical form is returned itself.
     """
     if spec.kind == "product":
-        return SpaceSpec("product", factors=tuple(map(canonical, spec.factors)))
+        factors = tuple(map(canonical, spec.factors))
+        return spec if factors == spec.factors else SpaceSpec("product", factors=factors)
     circles = _circle_count(spec)
     if circles:
         circle = SpaceSpec("circle")
@@ -237,12 +240,14 @@ _T = TypeVar("_T")
 
 
 def fold(
-    form: SpaceSpec, leaf: Callable[[SpaceSpec], _T], product: Callable[[list[_T]], _T]
+    form: SpaceSpec,
+    leaf: Callable[[SpaceSpec], _T],
+    product: Callable[[SpaceSpec, list[_T]], _T],
 ) -> _T:
     """Evaluate a canonical form bottom-up: ``leaf`` at each leaf, and
-    ``product`` on the factor values at each product node."""
+    ``product`` on each product node and its factor values."""
     if form.kind == "product":
-        return product([fold(f, leaf, product) for f in form.factors])
+        return product(form, [fold(f, leaf, product) for f in form.factors])
     return leaf(form)
 
 
@@ -393,8 +398,8 @@ def _combined(values: list[int | None]) -> int | None:
     return sum(values) - (len(values) - 1)
 
 
-def _product(parts: list[SpaceDescriptor]) -> SpaceDescriptor:
-    form = SpaceSpec("product", factors=tuple(p.form for p in parts))
+def _product(form: SpaceSpec, parts: list[SpaceDescriptor]) -> SpaceDescriptor:
+    """The descriptor of the product ``form`` over its factors' descriptors."""
     return SpaceDescriptor(
         spec=form,
         form=form,
@@ -409,11 +414,13 @@ def _product(parts: list[SpaceDescriptor]) -> SpaceDescriptor:
 
 
 def catalog_space(spec: SpaceSpec | str) -> SpaceDescriptor:
-    """Build the descriptor for a space expression."""
+    """Build the descriptor for a space expression.  A spec spelled in its
+    canonical form is the top node's own ``spec``; only an alias spelling
+    gets a copy of the top node that keeps it."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
     node = fold(canonical(spec), lambda leaf: _LEAVES[leaf.kind](leaf), _product)
-    return replace(node, spec=spec)
+    return node if node.spec is spec else replace(node, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -447,45 +454,51 @@ def _cup_length(algebra: GradedAlgebra) -> int:
     return zdcl(algebra).length
 
 
+def _bracket(node: SpaceDescriptor) -> tuple[int, str, int, str, int]:
+    """``(lower, its provenance, upper, its provenance, zero-divisor
+    cup-length)`` of one node of the descriptor tree.
+
+    The upper candidates, in order of precedence, are the planner rule
+    count, the product inequality, the dimension bound and the category
+    bound; the lower ones are contractibility, the cup-length bound, the
+    category and non-contractibility.  Of equal candidates the first so
+    listed wins: a candidate listed before the current winner replaces it
+    when it is as good, one listed after only when it is strictly better.
+    """
+    factors = [_bracket(f) for f in node.factors]
+
+    upper, upper_why = 2 * node.geometry_dim + 1, "dimension bound"
+    if factors:
+        total = sum(f[2] for f in factors) - (len(factors) - 1)
+        if total <= upper:
+            upper, upper_why = total, "product inequality"
+    if node.rules is not None and node.rules <= upper:
+        upper, upper_why = node.rules, "planner rule count"
+    if node.cat is not None and 2 * node.cat - 1 < upper:
+        upper, upper_why = 2 * node.cat - 1, "category bound"
+
+    if not factors:  # a leaf's builder returns its shared preset
+        cup_length = _cup_length(node.build_algebra())
+    else:
+        cup_length = sum(f[4] for f in factors)
+        if cup_length + 1 != upper:
+            cup_length = zdcl(node.algebra).length
+
+    lower, lower_why = cup_length + 1, "cup-length lower bound"
+    if node.contractible and lower <= 1:
+        lower, lower_why = 1, "contractible"
+    if node.cat is not None and node.cat > lower:
+        lower, lower_why = node.cat, "category lower bound"
+    if not node.contractible and lower < 2:
+        lower, lower_why = 2, "non-contractible"
+    return lower, lower_why, upper, upper_why, cup_length
+
+
 def _tc_bounds(descriptor: SpaceDescriptor) -> tuple[BoundsReport, int]:
     """The bounds report and the zero-divisor cup-length behind it."""
-    factors = [_tc_bounds(f) for f in descriptor.factors]
-
-    uppers: list[tuple[int, str]] = []
-    if descriptor.rules is not None:
-        uppers.append((descriptor.rules, "planner rule count"))
-    if factors:
-        total = sum(report.upper for report, _ in factors)
-        uppers.append((total - (len(factors) - 1), "product inequality"))
-    uppers.append((2 * descriptor.geometry_dim + 1, "dimension bound"))
-    if descriptor.cat is not None:
-        uppers.append((2 * descriptor.cat - 1, "category bound"))
-    upper, upper_why = min(uppers, key=itemgetter(0))  # first of equals wins
-
-    if not factors:
-        cup_length = _cup_length(descriptor.algebra)
-    else:
-        cup_length = sum(length for _, length in factors)
-        if cup_length + 1 != upper:
-            cup_length = zdcl(descriptor.algebra).length
-
-    lowers: list[tuple[int, str]] = []
-    if descriptor.contractible:
-        lowers.append((1, "contractible"))
-    lowers.append((cup_length + 1, "cup-length lower bound"))
-    if descriptor.cat is not None:
-        lowers.append((descriptor.cat, "category lower bound"))
-    if not descriptor.contractible:
-        lowers.append((2, "non-contractible"))
-    lower, lower_why = max(lowers, key=itemgetter(0))
-
+    lower, lower_why, upper, upper_why, cup_length = _bracket(descriptor)
     report = BoundsReport(
-        space=str(descriptor.spec),
-        lower=lower,
-        upper=upper,
-        lower_provenance=lower_why,
-        upper_provenance=upper_why,
-        exact=lower == upper,
+        str(descriptor.spec), lower, upper, lower_why, upper_why, lower == upper
     )
     return report, cup_length
 

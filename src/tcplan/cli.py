@@ -239,6 +239,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Motion-planner complexity bounds and executable minimal planners.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> the subcommand's own parser, for main
 
     p = sub.add_parser("bounds", parents=[common], help="complexity bounds for a space")
     p.add_argument("spec", nargs="?", help="space expression, e.g. sphere:2 or torus:3")
@@ -269,9 +270,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one tcplan command and return its exit code.
+
+    A call that names a subcommand first is parsed by that subcommand's own
+    parser, without the top-level layer.  Anything else goes through the
+    top-level parser: no subcommand, a top-level option such as ``-h``, or
+    arguments the subcommand's parser leaves over, which only the top-level
+    parser reports.  The top-level parser hands the same arguments to the
+    same subcommand parser, so usage errors, help texts and exit codes are
+    the ones argparse prints on either path.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser().parse_args(_glue_value_flags(argv))
+    argv = _glue_value_flags(argv)
+    parser = _parser()
+    own = parser.subcommands.get(argv[0]) if argv else None
+    if own is not None:
+        args, rest = own.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if own is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except _INPUT_ERRORS as exc:

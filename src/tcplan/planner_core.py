@@ -1038,7 +1038,7 @@ def build_planner(spec) -> Planner | None:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     form = canonical(spec)
-    ambient = fold(form, _leaf_ambient, sum)
+    ambient = fold(form, _leaf_ambient, lambda _, parts: sum(parts))
     if ambient > MAX_AMBIENT:
         raise UnsupportedParameter(
             f"{spec} has {ambient} coordinates; planners take at most {MAX_AMBIENT}"
@@ -1046,7 +1046,7 @@ def build_planner(spec) -> Planner | None:
     planner = fold(
         form,
         cache(lambda leaf: _LEAF_PLANNERS.get(leaf.kind, lambda _: None)(leaf.param)),
-        lambda parts: None if any(p is None for p in parts) else reduce(product_planner, parts),
+        lambda _, parts: None if any(p is None for p in parts) else reduce(product_planner, parts),
     )
     if planner is not None:
         planner.space = str(spec)

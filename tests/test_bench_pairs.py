@@ -16,8 +16,13 @@ def _result(p50, ops):
     return {
         "correct": True,
         "attempted": int(ops) * 30,
-        "metrics": {"p50_ms": {"value": p50}, "ops_per_s": {"value": ops}},
+        "metrics": {
+            "p50_ms": {"value": p50},
+            "ops_per_s": {"value": ops},
+            "peak_rss_mb": {"value": 50 + p50 / 4},
+        },
         "named_metrics": {"verify_product_pairs_per_s": ops / 2},
+        "machine_speed": 0.9 + p50 / 10,
     }
 
 
@@ -45,6 +50,12 @@ def test_summary_on_fixed_numbers():
     )
     assert bench_pairs.named_lines(pairs) == [
         "verify_product_pairs_per_s: parent 150 [100, 200]  change 155 [95, 210]"
+    ]
+    lines = bench_pairs.pair_lines(pairs)
+    assert len(lines) == 2 * len(pairs)
+    assert lines[4:6] == [
+        "peak_rss_mb@requests pair 3: parent 50.75@9000 change 50.62@9300",
+        "machine_speed pair 3: parent 1.200 change 1.150",
     ]
 
 

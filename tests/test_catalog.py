@@ -22,7 +22,7 @@ from tcplan.catalog import (
 )
 from tcplan.graded_algebra import GradedAlgebra, TensorProductAlgebra, tensor_product, zdcl
 
-from catalog_helpers import open_cpn
+from catalog_helpers import candidate_tc_bounds, open_cpn
 
 
 # -- parser -----------------------------------------------------------------
@@ -61,6 +61,12 @@ def test_parse_errors_carry_position(bad):
         ("product(circle sphere:2)", "expected ')' (at position 15)"),
         ("product)", "expected '(' (at position 7)"),
         ("convex : 2 ,", "trailing input (at position 11)"),
+        # parameters are ASCII digits: other characters that str.isdigit()
+        # accepts are neither passed to int() nor printed back in ASCII
+        ("sphere:\u00b2", "expected an integer (at position 7)"),  # superscript two
+        ("torus:\u2460", "expected an integer (at position 6)"),  # circled digit one
+        ("sphere:\u0663", "expected an integer (at position 7)"),  # Arabic-Indic three
+        ("sphere:\uff13", "expected an integer (at position 7)"),  # fullwidth three
     ],
 )
 def test_parse_error_messages(bad, message):
@@ -322,6 +328,60 @@ def test_factor_sum_shortcut_matches_full_search():
         descriptor = catalog_space(spec)
         _, fast_length = catalog._tc_bounds(descriptor)
         assert fast_length == zdcl(descriptor.algebra).length, spec
+
+
+def _tie_leaves():
+    """Leaves with zcl 0, 1 and 2, each contractible or not, with every
+    category in None, 1, 2, 3, rule count in None, 3, 5 and dimension bound
+    in 3, 5: the lower candidates 1, zcl + 1, cat and 2 and the upper
+    candidates rules, 2 * dim + 1 and 2 * cat - 1 meet in every pair and all
+    at once."""
+    return [
+        replace(catalog_space(spec), contractible=contractible, cat=cat, rules=rules,
+                geometry_dim=dim)
+        for spec, contractible, cat, rules, dim in itertools.product(
+            ("convex:1", "circle", "sphere:2"), (True, False), (None, 1, 2, 3),
+            (None, 3, 5), (1, 2),
+        )
+    ]
+
+
+def _tie_products():
+    """Products as ``open_cpn`` builds them.  Over circle x circle (product
+    inequality 3), circle x sphere:2 (4) and convex:1 x circle (2), the
+    node's rule count is None, 3 or 4, its dimension bound 3 or 5 and its
+    category bound None, 3 or 5, so every pair of the four upper candidates
+    ties, and all four at once at 3; a category of 3 also meets the
+    cup-length bound of circle x circle.  Then products of tie leaves,
+    whose factor brackets carry their ties upwards."""
+    nodes = []
+    for a, b in (("circle", "circle"), ("circle", "sphere:2"), ("convex:1", "circle")):
+        form = parse_spec(f"product({a},{b})")
+        base = catalog._product(form, [catalog_space(a), catalog_space(b)])
+        for rules, cat, dim in itertools.product((None, 3, 4), (None, 2, 3), (1, 2)):
+            nodes.append(replace(base, rules=rules, cat=cat, geometry_dim=dim))
+    leaves = _tie_leaves()[::11]
+    for a, b in itertools.product(leaves, repeat=2):
+        nodes.append(catalog._product(parse_spec(f"product({a.form},{b.form})"), [a, b]))
+    return nodes
+
+
+def test_one_report_recursion_keeps_the_candidate_order():
+    """``_tc_bounds`` picks the winners of the candidate lists, first of
+    equals, on every small spec and on hand-built descriptors whose
+    candidates tie in every combination."""
+    descriptors = [catalog_space(spec) for spec in small_specs()]
+    descriptors += _tie_leaves() + _tie_products()
+    provenances = set()
+    for descriptor in descriptors:
+        expected = candidate_tc_bounds(descriptor)
+        assert catalog._tc_bounds(descriptor) == expected, descriptor
+        provenances.add((expected[0].lower_provenance, expected[0].upper_provenance))
+    lowers, uppers = map(set, zip(*provenances))
+    assert lowers == {"contractible", "cup-length lower bound", "category lower bound",
+                      "non-contractible"}
+    assert uppers == {"planner rule count", "product inequality", "dimension bound",
+                      "category bound"}
 
 
 def test_presets_built_and_validated_once(monkeypatch):

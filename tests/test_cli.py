@@ -550,6 +550,96 @@ def test_one_process_sequence_matches_fresh_calls():
     assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0]
 
 
+def _captured(call):
+    """Exit code, stdout and stderr of ``call()``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _top_level_main(argv):
+    """``main`` as it was before it dispatched to the subcommand's parser:
+    the whole argv through the top-level parser."""
+    args = cli._parser().parse_args(cli._glue_value_flags(argv))
+    try:
+        return args.handler(args)
+    except cli._INPUT_ERRORS as exc:
+        return cli._fail(str(exc))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a valid call of each subcommand
+        ["bounds", "sphere:2"],
+        ["bounds", "--file", "{file}"],
+        ["plan", "circle", "--from", "1,0", "--to", "0,1", "--samples", "3"],
+        ["verify", "circle", "--pairs", "20", "--seed", "3"],
+        ["algebra", "--file", "{file}", "--max-len", "2", "--exhaustive"],
+        ["bounds", "circle", "--quiet"],
+        ["verify", "circle", "--pairs=20"],
+        ["bounds", "--", "circle"],
+        ["bounds", "blob:3"],
+        ["bounds"],
+        # help, on each subcommand and on tcplan
+        ["bounds", "-h"],
+        ["plan", "--help"],
+        ["verify", "-h"],
+        ["algebra", "-h"],
+        ["bounds", "circle", "-h"],
+        ["-h"],
+        ["--help"],
+        # no subcommand, or not one of the four
+        [],
+        ["blob"],
+        ["Bounds", "circle"],
+        ["--quiet", "bounds", "circle"],
+        # unknown options and leftover arguments
+        ["bounds", "circle", "--frobnicate"],
+        ["verify", "circle", "--pairs", "20", "--tol", "1e-9"],
+        ["bounds", "circle", "sphere:2"],
+        ["algebra", "--file", "{file}", "extra"],
+        # missing arguments
+        ["verify"],
+        ["plan", "--from", "1,0", "--to", "0,1"],
+        ["plan", "circle", "--from", "1,0"],
+        ["plan", "circle", "--from", "1,0", "--to"],
+        ["bounds", "--file"],
+        ["algebra"],
+        # bad integers
+        ["verify", "circle", "--pairs", "many"],
+        ["verify", "circle", "--seed", "1.5"],
+        ["plan", "circle", "--from", "1,0", "--to", "0,1", "--samples", "x"],
+        ["algebra", "--file", "{file}", "--max-len", "two"],
+        ["plan", "circle", "--from", "1,0", "--to", "0,1", "--format", "xml"],
+        # an abbreviated option, and values that start with '-'
+        ["verify", "circle", "--pai", "20"],
+        ["plan", "circle", "--from", "-1,0", "--to", "0,-1", "--samples", "3"],
+        ["plan", "circle", "--from", "-1,0", "--to", "-0.6,-0.8", "--samples", "2", "--fo", "csv"],
+    ],
+    ids=lambda argv: " ".join(argv) or "(empty)",
+)
+def test_subcommand_dispatch_matches_the_top_level_parser(tmp_path, argv):
+    """Exit code, stdout and stderr (usage errors and help texts included)
+    are what the top-level parser gives for the same argv."""
+    path = tmp_path / "sphere2.json"
+    path.write_text(json.dumps(algebra_to_presentation(catalog_space("sphere:2").algebra)))
+    argv = [str(path) if token == "{file}" else token for token in argv]
+    expected = _captured(lambda: _top_level_main(list(argv)))
+    assert _captured(lambda: main(list(argv))) == expected
+
+
+def test_non_ascii_digits_in_a_spec_are_exit_2(capsys):
+    for spec, position in (("sphere:²", 7), ("torus:①", 6), ("sphere:３", 7)):
+        code, out, err = run(capsys, "bounds", spec)
+        assert (code, out) == (2, "")
+        assert err == f"tcplan: expected an integer (at position {position})\n"
+
+
 def _flat_presentation(classes):
     """The unit and ``classes`` degree-1 classes, every product zero."""
     basis = [{"name": "1", "degree": 0}] + [{"name": f"x{i}", "degree": 1} for i in range(classes)]
