@@ -231,7 +231,9 @@ def _parser() -> argparse.ArgumentParser:
     in it, and building it costs more than a cached ``bounds`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--quiet", action="store_true", help="suppress everything except the JSON output"
+        "--quiet",
+        action="store_true",
+        help="accepted and changes nothing: stdout already carries only the JSON output",
     )
 
     parser = argparse.ArgumentParser(

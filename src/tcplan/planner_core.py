@@ -179,8 +179,7 @@ class Decision:
 
     ``cells``, every level's cell (None outside products), and ``cell``, the
     rule's cell (a transfer's is its source's; None on an elementary
-    planner), which a verifier perturbs within, are decoded from the factor
-    decisions' weights when read."""
+    planner), are decoded from the factor decisions' weights when read."""
 
     a: Parts
     b: Parts
@@ -212,13 +211,12 @@ class Decisions:
     (N,) 1-based first applicable rules (0 where no rule applies) and
     ``weights`` the (N, rules) normalized weights (meaningless in an
     uncovered row).  A product node adds its left and right factor blocks
-    in ``factors`` and, as ``Decision.ties`` does for one query, what a
-    section reads of each row's tie cells: ``ties[n, level]`` is (min S +
-    1, min T + 1, |S|) for the cell (S, T) of that level, the factor rules
-    the level's section pairs and the size that fixes S (all 0 where the
-    level has no cell).  The cells themselves are decoded from the factor
-    blocks' weights where they are read (``verifier._cell_members``).  A
-    transfer node adds its source block in ``factors``.
+    in ``factors`` and what a section reads of each row's tie cells:
+    ``ties[n, level]`` is (min S + 1, min T + 1) for the cell (S, T) of
+    that level, the factor rules the level's section pairs (both 0 where
+    the level has no cell), from which ``leaf_keys`` reads a row's leaf
+    rules.  No cell's members are kept.  A transfer node adds its source
+    block in ``factors``.
     """
 
     a: Blocks
@@ -645,13 +643,12 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     and q + 1 sorted positions, which end a tie group, so the order in
     which the sort puts tied indices does not matter.
 
-    Returns the (N, n + m + 1) raw level weights and the (N, n + m + 1, 3)
+    Returns the (N, n + m + 1) raw level weights and the (N, n + m + 1, 2)
     ``ties`` of ``Decisions``: per level with a cell, its factor rules (the
     least index of each of the top p + 1 and q + 1 sorted positions, plus
-    1) and |S| = p + 1.  No cell's members are built: a reader decodes
-    them from f and g and |S|.  A row's rule is its lowest level with a
-    positive cell, the argmax cell's level unless that cell's margin rounds
-    to 0.
+    1).  No cell's members are built.  A row's rule is its lowest level
+    with a positive cell, the argmax cell's level unless that cell's margin
+    rounds to 0.
     """
     count, n, m = f.shape[0], f.shape[1], g.shape[1]
     f_order = np.argsort(-f, axis=1)
@@ -676,11 +673,10 @@ def _tie_cell_rows(f: np.ndarray, g: np.ndarray):
     at = rows * width + ps + qs + 2  # (row, level) as a flat position
     levels = np.zeros(count * width)
     levels[at] = margin.ravel()[cells]
-    ties = np.zeros((count * width, 3), dtype=np.int64)
+    ties = np.zeros((count * width, 2), dtype=np.int64)
     ties[at, 0] = np.minimum.accumulate(f_order, axis=1).ravel()[rows * n + ps] + 1
     ties[at, 1] = np.minimum.accumulate(g_order, axis=1).ravel()[rows * m + qs] + 1
-    ties[at, 2] = ps + 1
-    return levels.reshape(count, width), ties.reshape(count, width, 3)
+    return levels.reshape(count, width), ties.reshape(count, width, 2)
 
 
 def _stacked(blocks: Blocks, spans: Sequence[slice]) -> Blocks:

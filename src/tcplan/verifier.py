@@ -10,7 +10,7 @@ coverage     some rule applies to every sampled pair;
 continuity   inside each rule's weight interior (weight >= MARGIN_ETA),
              perturbing both endpoints tangentially by DELTA moves the
              whole path by at most MAX_RATIO * DELTA, provided the
-             perturbed query stays in the same rule and tie cell;
+             perturbed query runs the same rule on the same leaf rules;
 geometry     sampled path points stay on their spheres within TOLERANCE,
              and segments declared constant-speed have sampled speed
              variation < 1%.
@@ -23,10 +23,11 @@ factors of a product section run at equal times, so a unit's rows depend
 only on its own leaf rules (``Planner.leaf_keys``): the rows that share
 them are built and sampled, speed probes included, as one unit bundle
 (``Planner.bundle``), and no product bundle is built.  A twin is compared
-with its query on the rule and on the tie cell at the query's decided
-level; the cells are decoded from the factor weights for the compared
-rows at that level only (``_cell_members``).  No per-query object is
-built: a planner's own ``point_sampler`` draws row blocks too.
+with its query where both decide the same rule and have equal
+``leaf_keys`` rows, the key the sections are grouped by: a product
+section is the product of its leaf sections, so the two then run one
+continuous formula at nearby inputs.  No per-query object is built: a
+planner's own ``point_sampler`` draws row blocks too.
 
 The continuity bound is an empirical regression guard, not a theorem: the
 modulus of any rule blows up at its domain boundary, which is exactly why
@@ -379,48 +380,6 @@ def _sample_sections(
     return tuple(b[:, : len(ts)].reshape(-1, b.shape[2]) for b in out), spreads.tolist()
 
 
-def _top_members(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each row's threshold set of ``sizes`` members, as an (R, n) bool
-    mask: the indices whose weight is at least the row's size-th largest,
-    none where the size is 0.  Only for sizes that end a tie group, as a
-    cell's do, so the mask has exactly that many members."""
-    ranked = -np.sort(-weights, axis=1)  # descending, NaN last as in _tie_cell_rows
-    theta = ranked[np.arange(len(sizes)), np.maximum(sizes - 1, 0)]
-    return (weights >= theta[:, None]) & (sizes > 0)[:, None]
-
-
-def _cell_members(
-    decisions: Decisions, rows: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The tie cell (S, T) of each given row at its level, as (R, n) and (R,
-    m) membership masks (both empty where the level has no cell), decoded
-    as ``Decision.cells`` decodes one query's: S is the threshold set of
-    the left factor's weights with |S| members, T the right's with level -
-    |S|.  A transfer node's cells are its source's; None where no product
-    node is reached."""
-    while decisions.ties is None:
-        if not decisions.factors:
-            return None
-        decisions = decisions.factors[0]
-    left, right = decisions.factors
-    size_s = decisions.ties[rows, levels, 2]
-    size_t = np.where(size_s > 0, levels - size_s, 0)
-    return _top_members(left.weights[rows], size_s), _top_members(right.weights[rows], size_t)
-
-
-def _same_cells(decisions: Decisions, rows: np.ndarray, twins: Decisions) -> np.ndarray:
-    """Whether each twin (row k of ``twins``, the twin of row rows[k]) has
-    the tie cell its query has at the query's decided level; true where
-    the planner has no cells.  Only these rows' cells at that level are
-    decoded."""
-    level = decisions.index[rows] + 1
-    mine = _cell_members(decisions, rows, level)
-    if mine is None:
-        return np.ones(len(rows), dtype=bool)
-    theirs = _cell_members(twins, np.arange(len(rows)), level)
-    return (mine[0] == theirs[0]).all(axis=1) & (mine[1] == theirs[1]).all(axis=1)
-
-
 def _query_rows(planner: Planner, rng: np.random.Generator, pairs: int) -> tuple[Blocks, Blocks]:
     """The adversarial queries, then ``pairs`` random ones, as the row
     blocks of their starts and of their goals."""
@@ -444,9 +403,11 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
     sampled by ``_sample_sections``: one bundle per leaf unit and leaf
     rule, speed-probed rows included.  The twins of its eligible rows are
     drawn with one generator call (which draws what one tangent_perturb
-    call per point would, in query order), decided at once, and sampled in
-    bundles grouped by their own decisions.  Each check runs once over the
-    block's stacked rows.
+    call per point would, in query order) and decided at once.  A twin is
+    compared with its query where it decides the query's rule on the same
+    leaf rules (equal ``leaf_keys`` rows), and is sampled in bundles
+    grouped by its own decision.  Each check runs once over the block's
+    stacked rows.
     """
     rng = np.random.default_rng(cfg.seed)
     starts, goals = _query_rows(planner, rng, cfg.pairs)
@@ -504,7 +465,11 @@ def verify_planner(planner: Planner, cfg: VerifyConfig = VerifyConfig()) -> Veri
             for k, side in enumerate((decisions.a, decisions.b))
         ))
         uncovered += int(np.count_nonzero(twins.index == 0))
-        matched = np.flatnonzero((twins.index == index[rows]) & _same_cells(decisions, rows, twins))
+        # compared where both run one formula: the same rule on the same leaf rules
+        kept = np.flatnonzero(twins.index == index[rows])
+        rules = twins.index[kept]
+        mine = planner.leaf_keys(decisions, rows[kept], rules)
+        matched = kept[(mine == planner.leaf_keys(twins, kept, rules)).all(axis=1)]
         if len(matched):
             # the rows of the compared queries' paths, path by path
             compared = eligible[matched]

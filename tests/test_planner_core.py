@@ -412,16 +412,10 @@ def _check_tie_cell_rows(cases):
     cells) with f and g of one shape: every row against its query's
     exhaustive reference."""
     row_levels, block = tie_block(*(np.array([case[k] for case in cases]) for k in (0, 1)))
-    cells = decode_cells(block, range(len(cases)))
     decided, levels, ties = _decided_row_levels(row_levels), row_levels.tolist(), block.ties.tolist()
     for row, (f, g, ref_levels, ref_cells) in enumerate(cases):
         assert [w.hex() for w in levels[row]] == [w.hex() for w in ref_levels], (f, g)
-        assert cells[row] == ref_cells, (f, g)
-        assert ties[row] == [
-            [min(ref_cells[k][0]) + 1, min(ref_cells[k][1]) + 1, len(ref_cells[k][0])]
-            if k in ref_cells else [0, 0, 0]
-            for k in range(len(f) + len(g) + 1)
-        ], (f, g)
+        assert ties[row] == _row_ties(ref_cells, len(f) + len(g) + 1), (f, g)
         assert decided[row] == _first_positive_level(ref_levels), (f, g)
 
 
@@ -502,38 +496,27 @@ def tie_block(f, g):
     return levels, Decisions((), (), index, weights, (factor(f), factor(g)), ties)
 
 
-def decode_cells(decisions, rows):
-    """The tie cells {level: (S, T)} of each given row of a product's
-    ``Decisions`` block, one dict per row, decoded at every level from the
-    rows' factor weights and ties, as the verifier decodes them."""
-    rows, width = np.asarray(rows), decisions.ties.shape[1]
-    s, t = verifier._cell_members(decisions, np.repeat(rows, width), np.tile(np.arange(width), len(rows)))
-    s, t = (mask.reshape(len(rows), width, -1).tolist() for mask in (s, t))
-    members = lambda mask: tuple(i for i, inside in enumerate(mask) if inside)
-    return [
-        {k: (members(s_row[k]), members(t_row[k])) for k in range(width) if any(s_row[k])}
-        for s_row, t_row in zip(s, t)
-    ]
+def _row_ties(cells, width):
+    """The ``ties`` row of ``Decisions`` for tie cells {level: (S, T)}:
+    (min S + 1, min T + 1) at each level with a cell, else (0, 0)."""
+    return [[min(cells[k][0]) + 1, min(cells[k][1]) + 1] if k in cells else [0, 0] for k in range(width)]
 
 
 def test_cell_keys_tell_apart_cells_past_64_rules():
-    """A factor of 70 rules: two rows whose cells differ only in index 65
-    against 66 have different cells, as do their twins in any later index,
-    and their ties decode to the exact cells."""
+    """A factor of 70 rules: three rows whose cells differ only in index
+    65, 66 or 69 decode to those exact cells, and the row form gives them
+    those cells' factor rules at every level and the same decided level."""
     f = np.full((3, 70), 1.0 / 72.0)
     f[:, 0] = f[0, 65] = f[1, 66] = f[2, 69] = 2.0 / 72.0
     g = np.array([[0.75, 0.25]] * 3)
     levels, block = tie_block(f, g)
-    cells = decode_cells(block, range(3))
-    assert [c[3] for c in cells] == [((0, 65), (0,)), ((0, 66), (0,)), ((0, 69), (0,))]
-    assert verifier._same_cells(block, np.arange(3), block).all()
-    assert not verifier._same_cells(block, np.arange(2), block.rows(slice(1, 3))).any()
-    assert block.ties[:, 3].tolist() == [[1, 1, 2]] * 3
     ref = [planner_core._tie_cells(tuple(row), (0.75, 0.25)) for row in f.tolist()]
-    assert cells == [
+    cells = [
         planner_core._tie_cell_sets(tuple(row), (0.75, 0.25), ties)
         for row, (_, ties) in zip(f.tolist(), ref)
     ]
+    assert [c[3] for c in cells] == [((0, 65), (0,)), ((0, 66), (0,)), ((0, 69), (0,))]
+    assert block.ties.tolist() == [_row_ties(c, 73) for c in cells]
     assert _decided_row_levels(levels) == [_first_positive_level(lv) for lv, _ in ref] == [3] * 3
 
 
@@ -643,26 +626,20 @@ def test_decision_path_matches_reanalysis(spec):
 
 
 def row_decision(planner, decisions, row):
-    """Row ``row`` of a ``Decisions`` block as a ``Decision``, its ties read
-    from the block's ties and its factor decisions from their blocks, or
-    None where the row is uncovered; the cells the verifier decodes from
-    the block must be the cells ``Decision`` decodes."""
+    """Row ``row`` of a ``Decisions`` block as a ``Decision``, its factor
+    decisions from their blocks and its ties from the scalar
+    ``_tie_cells`` of its factor weights, or None where the row is
+    uncovered; the block's ties must be the factor rules of those cells."""
     if decisions.index[row] == 0:
         return None
     a, b = (tuple(x[row] for x in blocks) for blocks in (decisions.a, decisions.b))
     index, weights = int(decisions.index[row]), tuple(decisions.weights[row].tolist())
     if isinstance(planner, ProductPlanner):
-        n, m = len(planner.left.rules), len(planner.right.rules)
-        cells = decode_cells(decisions, [row])[0]
-        assert decisions.ties[row].tolist() == [
-            [min(cells[k][0]) + 1, min(cells[k][1]) + 1, len(cells[k][0])] if k in cells else [0, 0, 0]
-            for k in range(n + m + 1)
-        ]
         left, right = decisions.factors
         factors = (row_decision(planner.left, left, row), row_decision(planner.right, right, row))
-        ties = {k: tuple(decisions.ties[row, k].tolist()) for k in cells}
+        ties = planner_core._tie_cells(factors[0].weights, factors[1].weights)[1]
         decision = Decision(a, b, index, weights, factors, ties)
-        assert decision.cells == cells
+        assert decisions.ties[row].tolist() == _row_ties(decision.cells, decisions.ties.shape[1])
         return decision
     if isinstance(planner, TransferPlanner):
         source = row_decision(planner.source, decisions.factors[0], row)

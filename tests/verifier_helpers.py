@@ -3,17 +3,17 @@
 ``verify_planner`` works on row blocks; these give its adversarial queries
 as ``ConfigPoint`` pairs and one path's speed spread, so tests can compare
 the block code with per-point and per-path references.  The menu digits of
-one adversarial index, and the tie cells as packed membership keys of every
-row and level, are the per-index and eager forms the verifier's own
-replaced.  ``max_tie_cells`` is one query's tie-cell analysis as it was
-written with ``max`` and a product per cell, the oracle of
-``planner_core._tie_cells``.
+one adversarial index are the per-index form the verifier's own replaced,
+and ``packed_tie_cell_rows``, which builds every cell's members, is the
+eager form of ``planner_core._tie_cell_rows``.  ``max_tie_cells`` is one
+query's tie-cell analysis as it was written with ``max`` and a product per
+cell, the oracle of ``planner_core._tie_cells``.
 """
 
 import numpy as np
 
 from tcplan.geometry import ConfigPoint
-from tcplan.planner_core import Decisions, Planner
+from tcplan.planner_core import Planner
 from tcplan.verifier import _speed_probes, _speed_spreads, adversarial_rows
 
 
@@ -64,10 +64,11 @@ def max_tie_cells(f: tuple[float, ...], g: tuple[float, ...]):
 
 
 def packed_tie_cell_rows(f: np.ndarray, g: np.ndarray):
-    """``planner_core._tie_cell_rows`` with every cell built: the (N, n + m +
-    1) raw level weights, then for each row and level the membership bits
-    of S, then those of T, packed into bytes (all zero where the level has
-    no cell), and the (N, n + m + 1, 2) factor rules (min S + 1, min T + 1)."""
+    """``planner_core._tie_cell_rows`` in the eager form it replaced, which
+    laid its margins out as (row, p, q) and packed every cell's members
+    into keys: the (N, n + m + 1) raw level weights and the (N, n + m + 1,
+    2) factor rules (min S + 1, min T + 1), read from each cell's members
+    (all zero where a level has no cell)."""
     count, n, m = f.shape[0], f.shape[1], g.shape[1]
     f_order = np.argsort(-f, axis=1)
     g_order = np.argsort(-g, axis=1)
@@ -89,36 +90,10 @@ def packed_tie_cell_rows(f: np.ndarray, g: np.ndarray):
     # S holds the indices whose sorted position is at most p, T likewise
     f_rank = np.argsort(f_order, axis=1)[rows]
     g_rank = np.argsort(g_order, axis=1)[rows]
-    keys = np.concatenate(
-        (np.packbits(f_rank <= ps[:, None], axis=1), np.packbits(g_rank <= qs[:, None], axis=1)),
-        axis=1,
-    )
-    cells = np.zeros((count, n + m + 1, keys.shape[1]), dtype=np.uint8)
-    cells[rows, cell_levels] = keys
     factor_rules = np.zeros((count, n + m + 1, 2), dtype=np.int64)
-    factor_rules[rows, cell_levels, 0] = np.minimum.accumulate(f_order, axis=1)[rows, ps] + 1
-    factor_rules[rows, cell_levels, 1] = np.minimum.accumulate(g_order, axis=1)[rows, qs] + 1
-    return levels, cells, factor_rules
-
-
-def packed_same_cells(decisions: Decisions, rows: np.ndarray, twins: Decisions) -> np.ndarray:
-    """``verifier._same_cells`` on packed keys: whether each twin's key at
-    its query's decided level equals the query's, the keys those of the
-    first product node at or below the top (a transfer passes its
-    source's on); true where there is none."""
-    def keys(block):
-        while block.ties is None:
-            if not block.factors:
-                return None
-            block = block.factors[0]
-        left, right = block.factors
-        return packed_tie_cell_rows(left.weights, right.weights)[1]
-
-    mine, theirs = keys(decisions), keys(twins)
-    if mine is None:
-        return np.ones(len(rows), dtype=bool)
-    level = decisions.index[rows] + 1
-    return (mine[rows, level] == theirs[np.arange(len(rows)), level]).all(axis=1)
+    factor_rules[rows, cell_levels, 0] = (f_rank <= ps[:, None]).argmax(axis=1) + 1
+    factor_rules[rows, cell_levels, 1] = (g_rank <= qs[:, None]).argmax(axis=1) + 1
+    return levels, factor_rules
 
 
 def adversarial_pairs(
