@@ -352,20 +352,30 @@ def test_verify_builds_no_per_query_points(monkeypatch, spec):
     assert built == []
 
 
-@pytest.mark.parametrize("n, pairs", [(10, 1000), (12, 2000), (20, 10_000)])
-def test_twins_are_matched_by_their_leaf_rules(n, pairs):
-    """At seed 42, some torus:n twins keep their query's rule and top tie
-    cell but switch a nested factor rule, and their paths move by pi
-    (ROADMAP item 1, defect A).  A twin is compared only where its leaf
-    rules equal its query's, so each run passes at ratio sqrt(n), as
-    torus:4 does at 2; on torus:10 the report is the per-query loop's."""
-    planner = build_planner(f"torus:{n}")
-    cfg = VerifyConfig(seed=42, pairs=pairs)
+def test_twins_are_built_from_their_own_leaf_rules():
+    """At seed 42 and 1000 pairs, two torus:10 twins keep their query's rule
+    and top tie cell but switch a nested factor rule, and their paths move
+    by pi (ROADMAP item 1, defect A).  They are not compared, as the
+    per-query loop, which matches each twin by its own leaf rules, does
+    not compare them: the reports are equal and pass at ratio sqrt(10)."""
+    planner = build_planner("torus:10")
+    cfg = VerifyConfig(seed=42, pairs=1000)
     report = verify_planner(planner, cfg)
+    assert json.dumps(report.as_dict()) == json.dumps(_per_query_verify(planner, cfg).as_dict())
+    assert report.passed
+    assert round(report.max_continuity_ratio, 9) == round(math.sqrt(10), 9)
+
+
+@pytest.mark.parametrize("n, pairs", [(12, 2000), (20, 10_000)])
+def test_twins_are_matched_by_their_leaf_rules(n, pairs):
+    """At seed 42, some torus:n twins switch a nested factor rule too (as
+    on torus:10 above).  A twin is compared only where its leaf rules
+    equal its query's, so each run passes at ratio sqrt(n), as torus:4
+    does at 2."""
+    planner = build_planner(f"torus:{n}")
+    report = verify_planner(planner, VerifyConfig(seed=42, pairs=pairs))
     assert report.passed
     assert round(report.max_continuity_ratio, 9) == round(math.sqrt(n), 9)
-    if n == 10:
-        assert json.dumps(report.as_dict()) == json.dumps(_per_query_verify(planner, cfg).as_dict())
 
 
 # -- leaf-unit sampling against full-tuple bundles --------------------------------
@@ -509,7 +519,7 @@ def test_distinct_rows_past_a_mixed_radix_code():
     assert inverse.tolist() == want_inverse.tolist()
 
 
-# -- the row form of the tie-cell analysis, against the packed form --------------
+# -- tie cells and twin matching, against packed keys -----------------------------
 
 
 def _tie_heavy_weights(rng, count, size):
@@ -528,10 +538,11 @@ def _tie_heavy_weights(rng, count, size):
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (9, 5), (41, 2), (70, 3), (66, 66)])
-def test_tie_cell_rows_match_packed_form_on_tie_heavy_rows(n, m):
-    """``_tie_cell_rows`` gives the packed form's level weights, bit for
-    bit, and factor rules on tie-heavy weight rows, past 64 rules and with
-    NaN rows."""
+def test_same_cells_match_packed_keys_on_tie_heavy_rows(n, m):
+    """The row form's tie cells are the packed form's: ``_tie_cell_rows``
+    gives its level weights, bit for bit, and the factor rules read from
+    its packed cell members, on tie-heavy weight rows, past 64 rules and
+    with NaN rows."""
     rng = np.random.default_rng(n * 100 + m)
     f, g = _tie_heavy_weights(rng, 600, n), _tie_heavy_weights(rng, 600, m)
     f[::37] = np.nan  # uncovered queries
@@ -541,6 +552,54 @@ def test_tie_cell_rows_match_packed_form_on_tie_heavy_rows(n, m):
     assert ties.tolist() == factor_rules.tolist()
     covered = (levels > 0.0).any(axis=1)
     assert covered.any() and not covered.all()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["torus:4", "product(sphere:2,sphere:2,sphere:2)", "product(circle,sphere:3,sphere:2,convex:2)",
+     "identity(torus:3)", "product(identity(torus:2),sphere:3)", "punctured-plane"],
+)
+def test_same_cells_match_packed_keys_through_planners(name):
+    """On queries and on twins drawn as verify_planner draws them and moved
+    much further, the first product node's ties are the packed form's
+    factor rules, and the twins verify_planner compares (the same rule on
+    equal ``leaf_keys`` rows) are those whose per-query ``leaf_rules``
+    equal their query's, through a transfer planner over a product too."""
+    identity = {"identity(torus:3)": lambda: _identity_transfer(build_planner("torus:3"))}
+    planner = {**SAMPLING_PLANNERS, **identity}[name]()
+    rng = np.random.default_rng(11)
+    geometry = planner.geometry
+
+    def check_packed(block):
+        while block.ties is None and block.factors:
+            block = block.factors[0]
+        if block.ties is not None:
+            left, right = block.factors
+            assert block.ties.tolist() == packed_tie_cell_rows(left.weights, right.weights)[1].tolist()
+
+    decisions = planner.decide_many(*verifier._query_rows(planner, rng, 400))
+    check_packed(decisions)
+    rows = np.flatnonzero(decisions.index)
+    for step in (verifier.DELTA, 0.3):
+        normals = rng.standard_normal((len(rows), 2, geometry.ambient_dim))
+        twins = planner.decide_many(*(
+            tangent_perturb_rows(geometry, tuple(x[rows] for x in side), step, normals[:, k])
+            for k, side in enumerate((decisions.a, decisions.b))
+        ))
+        check_packed(twins)
+        kept = np.flatnonzero(twins.index == decisions.index[rows])
+        rules = twins.index[kept]
+        mine = planner.leaf_keys(decisions, rows[kept], rules)
+        same = (mine == planner.leaf_keys(twins, kept, rules)).all(axis=1)
+        want = [
+            planner.leaf_rules(row_decision(planner, decisions, rows[k]), int(rule))
+            == planner.leaf_rules(row_decision(planner, twins, k), int(rule))
+            for k, rule in zip(kept.tolist(), rules.tolist())
+        ]
+        assert same.tolist() == want, step
+        assert same.any(), step
+        if step > verifier.DELTA and name != "punctured-plane":
+            assert not same.all(), step
 
 
 def _unit_rules(planner):
