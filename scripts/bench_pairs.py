@@ -15,6 +15,18 @@ count) and of the workload's named metrics; then, pair by pair, each
 side's ``peak_rss_mb`` with the requests its run attempted (MB@requests)
 and the ``machine_speed`` of its report line.  It exits 1 when a run
 fails or a result line has ``correct`` false.  Standard library only.
+
+After the rows it prints ``verdict <metric>: <word>`` for each end-to-end
+metric, the first of these rules that holds setting the word:
+
+1. ``gain``: the change won at least 9 in 10 of the pairs
+   (``10 * wins >= 9 * pairs``, ties counting for neither side), and the
+   medians differ in the better direction by more than the parent's IQR;
+2. ``unresolved``: the parent's IQR over its median exceeds the metric's
+   BENCHMARK.json ``bound``, and not every change run beats every parent run;
+3. ``worse``: the change's median is worse than the parent's by more than
+   ``bound`` times the parent's median;
+4. ``within bound``: none of the above.
 """
 
 from __future__ import annotations
@@ -38,20 +50,42 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _better(a: float, b: float, higher: bool) -> bool:
+    return a > b if higher else a < b
+
+
+def verdict(parent: list[float], change: list[float], higher: bool, bound: float) -> str:
+    """The word of the module docstring's rules for one metric's runs, pair
+    by pair; ``higher`` says a larger value is better."""
+    wins = sum(_better(c, p, higher) for p, c in zip(parent, change))
+    (q1, before, q3), after = quartiles(parent), quartiles(change)[1]
+    if 10 * wins >= 9 * len(parent) and _better(after, before, higher) and abs(after - before) > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(before) and not all(
+        _better(c, p, higher) for c in change for p in parent
+    ):
+        return "unresolved"
+    if _better(before, after, higher) and abs(after - before) > bound * abs(before):
+        return "worse"
+    return "within bound"
+
+
 def summary(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
     """Per end-to-end metric, from (parent, change) result objects pair by
-    pair: each side's quartiles, the change's wins and the parent's IQR."""
+    pair: each side's quartiles, the change's wins, the parent's IQR and
+    the verdict."""
     rows = []
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        wins = sum(c > p if higher else c < p for p, c in zip(parent, change))
+        wins = sum(_better(c, p, higher) for p, c in zip(parent, change))
         before, after = quartiles(parent), quartiles(change)
         rows.append({
             "name": name, "unit": metric["unit"], "better": metric["better"],
             "parent": before, "change": after, "wins": wins, "pairs": len(pairs),
             "parent_iqr": before[2] - before[0],
+            "verdict": verdict(parent, change, higher, metric["bound"]),
         })
     return rows
 
@@ -159,8 +193,11 @@ def main(argv=None) -> int:
         f"{args.workload}: {args.parent} -> {args.change}, "
         f"{len(pairs)} pairs of {args.seconds:g} s, seed {args.seed}"
     )
-    for row in summary(pairs, end_to_end):
+    rows = summary(pairs, end_to_end)
+    for row in rows:
         print(format_row(row))
+    for row in rows:
+        print(f"verdict {row['name']}: {row['verdict']}")
     print(requests_line(pairs))
     print("\n".join(named_lines(pairs) + pair_lines(pairs)))
     if not correct:

@@ -15,7 +15,15 @@ tolerance 1e-9); the former ``--delta/--eta/--tol`` flags exit 2.
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 input or validation error.  Points are comma-separated coordinates,
 concatenated across factors; sphere blocks are renormalized when within
-1e-6 of unit length and rejected otherwise.
+1e-6 of unit length and rejected otherwise.  An empty coordinate or bar
+length exits 2.
+
+argparse is the parser of record: every default, help text, usage error
+and exit code is its own.  Only a call of one subcommand and one token
+that does not start with ``-`` (``bounds SPEC``, ``verify SPEC``) skips
+it, because argparse would read such a token as the positional and
+nothing else: its namespace is one argparse built once from a
+placeholder token, with the positional set to the token.
 """
 
 from __future__ import annotations
@@ -76,8 +84,11 @@ def _load_algebra(path: str):
 
 def _parse_floats(text: str, what: str) -> list[float]:
     """Comma-separated finite numbers, such as a point's coordinates."""
+    tokens = text.split(",")
+    if any(tok.strip() == "" for tok in tokens):
+        raise ValueError(f"empty {what} in {text!r}")
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError(f"bad {what} in {text!r}: {exc}") from exc
     if not all(math.isfinite(v) for v in values):
@@ -268,30 +279,57 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="search kernel-basis products")
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
     p.set_defaults(handler=cmd_algebra)
+
+    # main's fast path: for each subcommand whose parser takes one plain
+    # positional (one string, no type, no choices) and no required option,
+    # the positional's name and the namespace argparse gives for a
+    # placeholder token in its place.
+    parser.one_positional = {}
+    for name, own in sub.choices.items():
+        positionals = [a for a in own._actions if not a.option_strings]
+        plain = len(positionals) == 1 and positionals[0].nargs in (None, "?") and (
+            positionals[0].type is None and positionals[0].choices is None
+        )
+        if plain and not any(a.required for a in own._actions if a.option_strings):
+            parser.one_positional[name] = (
+                positionals[0].dest, vars(parser.parse_args([name, "placeholder"])),
+            )
     return parser
 
 
 def main(argv=None) -> int:
     """Run one tcplan command and return its exit code.
 
-    A call that names a subcommand first is parsed by that subcommand's own
-    parser, without the top-level layer.  Anything else goes through the
-    top-level parser: no subcommand, a top-level option such as ``-h``, or
-    arguments the subcommand's parser leaves over, which only the top-level
-    parser reports.  The top-level parser hands the same arguments to the
-    same subcommand parser, so usage errors, help texts and exit codes are
-    the ones argparse prints on either path.
+    A call of exactly two tokens, a subcommand whose parser takes one
+    positional and no required option (``bounds`` or ``verify``) and a token
+    that does not start with ``-``, skips argparse: argparse reads such a
+    token as the positional whatever it holds, so the namespace it would
+    give is the one ``_parser`` recorded for a placeholder token, with the
+    positional set to the token.
+
+    Any other call that names a subcommand first is parsed by that
+    subcommand's own parser, without the top-level layer.  Anything else
+    goes through the top-level parser: no subcommand, a top-level option
+    such as ``-h``, or arguments the subcommand's parser leaves over, which
+    only the top-level parser reports.  The top-level parser hands the same
+    arguments to the same subcommand parser, so usage errors, help texts and
+    exit codes are the ones argparse prints on every path.
     """
     if argv is None:
         argv = sys.argv[1:]
-    argv = _glue_value_flags(argv)
     parser = _parser()
-    own = parser.subcommands.get(argv[0]) if argv else None
-    if own is not None:
-        args, rest = own.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if own is None or rest:
-        args = parser.parse_args(argv)
+    one = parser.one_positional.get(argv[0]) if len(argv) == 2 and argv[1][:1] != "-" else None
+    if one is not None:
+        dest, namespace = one
+        args = argparse.Namespace(**{**namespace, dest: argv[1]})
+    else:
+        argv = _glue_value_flags(argv)
+        own = parser.subcommands.get(argv[0]) if argv else None
+        if own is not None:
+            args, rest = own.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if own is None or rest:
+            args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except _INPUT_ERRORS as exc:

@@ -63,3 +63,44 @@ def test_summary_of_one_pair():
     """One pair, as in a smoke run: every quartile is the one value."""
     [p50, _] = bench_pairs.summary([(_result(1.5, 10.0), _result(1.25, 12.0))], END_TO_END)
     assert p50["parent"] == (1.5, 1.5, 1.5) and p50["wins"] == 1 and p50["parent_iqr"] == 0.0
+
+
+# verdict's rules in order, on synthetic runs of a lower-is-better metric
+# with a bound of 0.25 (parent median 1.0, quartiles by the inclusive method).
+PARENT = [0.9, 0.92, 0.94, 0.96, 1.0, 1.0, 1.04, 1.06, 1.08, 1.1]  # IQR 0.11
+
+
+def test_verdict_gain_needs_nine_in_ten_wins_and_the_iqr():
+    change = [0.8] * 10
+    assert bench_pairs.verdict(PARENT, change, False, 0.25) == "gain"
+    # 9 wins of 10 is enough; 8 is not
+    assert bench_pairs.verdict(PARENT, [0.8] * 9 + [1.2], False, 0.25) == "gain"
+    assert bench_pairs.verdict(PARENT, [0.8] * 8 + [1.2] * 2, False, 0.25) == "within bound"
+    # 10 wins, but the medians differ by no more than the parent's IQR
+    assert bench_pairs.verdict(PARENT, [p - 0.01 for p in PARENT], False, 0.25) == "within bound"
+    # the same rule for a higher-is-better metric
+    assert bench_pairs.verdict(PARENT, [1.2] * 10, True, 0.25) == "gain"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound():
+    spread = [0.5, 0.6, 0.7, 1.0, 1.0, 1.0, 1.0, 1.4, 1.5, 1.6]  # IQR 0.525
+    assert bench_pairs.verdict(spread, [1.0] * 10, False, 0.25) == "unresolved"
+    assert bench_pairs.verdict(spread, [1.6] * 10, False, 0.25) == "unresolved"
+    # every change run beats every parent run: not unresolved, and a gain
+    # only past the IQR
+    assert bench_pairs.verdict(spread, [0.49] * 10, False, 0.25) == "within bound"
+    assert bench_pairs.verdict(spread, [0.4] * 10, False, 0.25) == "gain"
+    assert bench_pairs.verdict(spread, [1.7] * 10, True, 0.25) == "gain"
+
+
+def test_verdict_worse_past_the_bound_and_within_it():
+    assert bench_pairs.verdict(PARENT, [1.3] * 10, False, 0.25) == "worse"
+    assert bench_pairs.verdict(PARENT, [1.2] * 10, False, 0.25) == "within bound"
+    assert bench_pairs.verdict(PARENT, [0.7] * 10, True, 0.25) == "worse"
+    assert bench_pairs.verdict(PARENT, [0.8] * 10, True, 0.25) == "within bound"
+
+
+def test_summary_rows_carry_the_verdict():
+    pairs = [(_result(1.0, 100.0), _result(0.5, 130.0)) for _ in range(3)]
+    p50, ops = bench_pairs.summary(pairs, END_TO_END)
+    assert (p50["verdict"], ops["verdict"]) == ("gain", "gain")

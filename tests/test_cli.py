@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcplan import cli
 from tcplan.cli import main
@@ -415,6 +417,23 @@ def test_plan_rejects_non_finite_point(capsys, point):
 
 
 @pytest.mark.parametrize(
+    "flags, text, what",
+    [(["--from", "1,,0", "--to", "0,1"], "1,,0", "coordinate"),
+     (["--from", ",1,0,", "--to", "0,1"], ",1,0,", "coordinate"),
+     (["--from", "1,0", "--to", "0, ,1"], "0, ,1", "coordinate"),
+     (["--from", "1,0", "--to", ""], "", "coordinate"),
+     (["--from", "1,0", "--to", "0,1", "--kinematics", "1,,"], "1,,", "bar length"),
+     (["--from", "1,0", "--to", "0,1", "--kinematics", " "], " ", "bar length")],
+)
+def test_plan_rejects_an_empty_value(capsys, flags, text, what):
+    """An empty coordinate or bar length is an input error, not a value to
+    drop: one line that quotes the text and names the kind of value."""
+    code, out, err = run(capsys, "plan", "circle", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"tcplan: empty {what} in {text!r}\n"
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--delta", "1e-4"], ["--eta", "0.1"], ["--tol", "1e-9"], ["--tol", "nan"],
      ["--delta=-1e-4"]],
@@ -620,6 +639,15 @@ def _top_level_main(argv):
         ["verify", "circle", "--pai", "20"],
         ["plan", "circle", "--from", "-1,0", "--to", "0,-1", "--samples", "3"],
         ["plan", "circle", "--from", "-1,0", "--to", "-0.6,-0.8", "--samples", "2", "--fo", "csv"],
+        # one positional and no option: bounds and verify skip argparse
+        *[[command, token] for command in ("bounds", "verify")
+          for token in ("", " ", " torus : 4 ", "sphere:²", "product(sphere:2)", "cpn:2")],
+        # ... the other two subcommands and a token starting with '-' do not
+        ["plan", "circle"],
+        ["algebra", "x"],
+        ["bounds", "-1"],
+        ["bounds", "-"],
+        ["bounds", "--"],
     ],
     ids=lambda argv: " ".join(argv) or "(empty)",
 )
@@ -631,6 +659,47 @@ def test_subcommand_dispatch_matches_the_top_level_parser(tmp_path, argv):
     argv = [str(path) if token == "{file}" else token for token in argv]
     expected = _captured(lambda: _top_level_main(list(argv)))
     assert _captured(lambda: main(list(argv))) == expected
+
+
+# Pieces of the spec grammar, so that some tokens parse and others fail late.
+_SPEC_PIECES = ("sphere", "torus", "cpn", "convex", "surface", "circle", "product", "(", ")",
+                ",", ":", "0", "2", "3", " ", "\t", "²", "-")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SPEC_PIECES), max_size=8).map("".join) | st.text(max_size=12))
+def test_one_positional_matches_the_top_level_parser(token):
+    """``bounds`` with any one token that does not start with '-', which
+    skips argparse, prints what the top-level parser's call prints."""
+    if token.startswith("-"):
+        token = "x" + token
+    argv = ["bounds", token]
+    assert _captured(lambda: main(list(argv))) == _captured(lambda: _top_level_main(list(argv)))
+
+
+def test_one_positional_makes_no_argparse_call(monkeypatch):
+    """``bounds SPEC`` and ``verify SPEC`` take their namespace from the
+    parser's template; an option or a help flag still goes through argparse."""
+    cli._parser()  # built, with its templates, before the count starts
+    calls = []
+    for method in ("parse_known_args", "parse_args"):
+        real = getattr(argparse.ArgumentParser, method)
+
+        def counted(self, *args, _real=real, _method=method, **kwargs):
+            calls.append(_method)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, method, counted)
+    for argv, parsed in (
+        (["bounds", "circle"], False),
+        (["verify", "cpn:2"], False),
+        (["bounds", "circle", "--quiet"], True),
+        (["bounds", "-h"], True),
+        (["verify", "circle", "--pairs", "10"], True),
+    ):
+        calls.clear()
+        _captured(lambda: main(list(argv)))
+        assert bool(calls) == parsed, (argv, calls)
 
 
 def test_non_ascii_digits_in_a_spec_are_exit_2(capsys):
