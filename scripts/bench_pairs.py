@@ -59,13 +59,12 @@ def verdict(parent: list[float], change: list[float], higher: bool, bound: float
     by pair; ``higher`` says a larger value is better."""
     wins = sum(_better(c, p, higher) for p, c in zip(parent, change))
     (q1, before, q3), after = quartiles(parent), quartiles(change)[1]
-    if 10 * wins >= 9 * len(parent) and _better(after, before, higher) and abs(after - before) > q3 - q1:
+    iqr, shift = q3 - q1, abs(after - before)
+    if 10 * wins >= 9 * len(parent) and _better(after, before, higher) and shift > iqr:
         return "gain"
-    if q3 - q1 > bound * abs(before) and not all(
-        _better(c, p, higher) for c in change for p in parent
-    ):
+    if iqr > bound * abs(before) and not all(_better(c, p, higher) for c in change for p in parent):
         return "unresolved"
-    if _better(before, after, higher) and abs(after - before) > bound * abs(before):
+    if _better(before, after, higher) and shift > bound * abs(before):
         return "worse"
     return "within bound"
 
