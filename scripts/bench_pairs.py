@@ -27,6 +27,10 @@ metric, the first of these rules that holds setting the word:
 3. ``worse``: the change's median is worse than the parent's by more than
    ``bound`` times the parent's median;
 4. ``within bound``: none of the above.
+
+One pair has an IQR of 0, so a smoke run of one pair reads ``gain`` for any
+metric the change happened to win; the words mean what the rules say only
+at the ten pairs a claim runs.
 """
 
 from __future__ import annotations
